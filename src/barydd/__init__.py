@@ -40,6 +40,13 @@ from .dd_engine import (
     prune_redundant,
     warren_simple,
 )
-from .lp import LPProblem, LPRow, LPSolution, lp_feasible, lp_solve
+from .lp import (
+    LPProblem,
+    LPRow,
+    LPSolution,
+    LPVerificationError,
+    lp_feasible,
+    lp_solve,
+)
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ from .relaxation import (
     build_level_lp,
     build_rlt_baseline,
     gap_table,
-    solve_and_report,
+    solution_report,
 )
 from .certify import Certificate, extract_certificate, verify_certificate
 from .facial import FDPInstance, FacesShareVertices, brute_force_fdp, build_fdr_level, check_vertex_disjoint, substitute_indicators
@@ -243,7 +243,7 @@ def cmd_solve(args) -> int:
     else:
         print(sol.status)
     if args.report:
-        report = solve_and_report(prob)
+        report = solution_report(prob, sol)
         if method == "ddr" and isinstance(inst, DBPInstance):
             report["gap_table"] = gap_table(
                 inst, order=_parse_order(args.order, inst.P.m)

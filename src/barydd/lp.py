@@ -6,6 +6,13 @@ fallback as an option.  Every row of every problem gets an artificial
 variable, so the basis inverse is always available under the artificial
 columns and dual values are read off exactly.
 
+The tableau keeps each row as a full list, but a pivot only touches the
+pivot row's nonzero columns: it scales those entries and subtracts them,
+in place, from the rows that meet the pivot column.  The reduced-cost row
+is updated over the same columns.  Slack and artificial columns stay
+mostly zero, so a pivot costs about (rows hit) x (pivot row nonzeros)
+Fraction operations instead of (rows hit) x (all columns).
+
 Conventions for a reported optimal solution of min c.x + const:
 
   value = sum_i dual[i] * rhs[i] + shift-terms + const        (strong duality)
@@ -13,7 +20,9 @@ Conventions for a reported optimal solution of min c.x + const:
   reduced[v] >= 0 when v has a finite lower bound, = 0 when v is free
   dual[i] >= 0 for '>=' rows, <= 0 for '<=' rows, free for '=' rows
 
-These identities are verified exactly on every optimal solve.
+These identities are verified exactly on every optimal solve, and every
+Farkas certificate from lp_feasible is checked; a failed check raises
+LPVerificationError.
 """
 
 from __future__ import annotations
@@ -26,6 +35,13 @@ from .exactmath import rat_to_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class LPVerificationError(ArithmeticError):
+    """An exact check on a simplex result failed: primal or dual
+    feasibility, complementary slackness, strong duality, or a Farkas
+    certificate.  Raised explicitly, so ``python -O`` cannot strip the
+    checks."""
 
 
 @dataclass
@@ -84,25 +100,47 @@ class LPSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with explicit artificial columns."""
+    """Simplex tableau over Fractions with explicit artificial columns.
+
+    Each row is one list of ``ncols + 1`` entries, the right-hand side last.
+    A pivot is a sparse row update: the pivot row's nonzero columns are
+    collected once, only those entries are scaled, and every other row with
+    a nonzero in the pivot column is updated in place at those columns only.
+    Slack and artificial columns are almost all zero, so most entries of a
+    row are never touched.  Each updated entry ``a - f * b`` is built as one
+    Fraction from integer numerators and denominators; Fractions are always
+    in lowest terms, so it is the same exact value as the dense row
+    operation gives."""
 
     def __init__(self, ncols: int, nrows: int):
         self.T: List[List[Fraction]] = [[ZERO] * (ncols + 1) for _ in range(nrows)]
         self.basis: List[int] = [-1] * nrows
         self.ncols = ncols
 
-    def pivot(self, r: int, c: int):
+    def pivot(self, r: int, c: int) -> List[int]:
+        """Pivot on T[r][c]; return the pivot row's nonzero columns, the
+        right-hand side column ``ncols`` included when it is nonzero."""
         T = self.T
-        piv = T[r][c]
-        inv = 1 / piv
-        T[r] = [x * inv for x in T[r]]
         rowr = T[r]
-        for i in range(len(T)):
-            if i != r and T[i][c] != 0:
-                f = T[i][c]
-                Ti = T[i]
-                T[i] = [a - f * b for a, b in zip(Ti, rowr)]
+        nz = [j for j, x in enumerate(rowr) if x]
+        piv = rowr[c]
+        if piv != 1:
+            inv = 1 / piv
+            for j in nz:
+                rowr[j] *= inv
+        # column c becomes a unit column: it is set, not computed
+        prow = [(j, rowr[j].numerator, rowr[j].denominator) for j in nz if j != c]
+        for i, Ti in enumerate(T):
+            f = Ti[c]
+            if f and i != r:
+                fn, fd = f.numerator, f.denominator
+                for j, bn, bd in prow:
+                    a = Ti[j]
+                    ad = a.denominator
+                    Ti[j] = Fraction(a.numerator * fd * bd - fn * bn * ad, ad * fd * bd)
+                Ti[c] = ZERO
         self.basis[r] = c
+        return nz
 
 
 def _reduced_costs(tab: _Tableau, cost: List[Fraction]) -> List[Fraction]:
@@ -119,20 +157,21 @@ def _reduced_costs(tab: _Tableau, cost: List[Fraction]) -> List[Fraction]:
     return rc
 
 
-def _kernel(tab: _Tableau, cost: List[Fraction], allowed, pivot_rule: str) -> Tuple[str, Optional[int]]:
-    """Run primal simplex to optimality.  Returns ('optimal', None) or
-    ('unbounded', entering_col).  The reduced-cost row is maintained
-    incrementally across pivots."""
+def _kernel(tab: _Tableau, cost: List[Fraction], ncand: int, pivot_rule: str) -> Tuple[str, Optional[int]]:
+    """Run primal simplex to optimality over entering columns ``0..ncand-1``.
+    Returns ('optimal', None) or ('unbounded', entering_col).  The
+    reduced-cost row is maintained incrementally across pivots."""
     T = tab.T
     m = len(T)
+    ncols = tab.ncols
     degenerate_streak = 0
     use_bland = pivot_rule == "bland"
     rc = _reduced_costs(tab, cost)
     while True:
         entering = -1
         best = ZERO
-        for j in range(tab.ncols):
-            if rc[j] < 0 and j in allowed:
+        for j in range(ncand):
+            if rc[j] < 0:
                 if use_bland:
                     entering = j
                     break
@@ -161,19 +200,20 @@ def _kernel(tab: _Tableau, cost: List[Fraction], allowed, pivot_rule: str) -> Tu
                 use_bland = True  # anti-cycling fallback
         else:
             degenerate_streak = 0
-        tab.pivot(leave, entering)
+        nz = tab.pivot(leave, entering)
         f = rc[entering]
         if f:
             row = T[leave]
-            for j in range(tab.ncols):
-                if row[j]:
+            for j in nz:
+                if j < ncols:
                     rc[j] -= f * row[j]
 
 
 def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) -> LPSolution:
     """Exact optimum with exact duals, or a certified infeasibility /
     unboundedness certificate.  Never raises for those outcomes; the status
-    field encodes them."""
+    field encodes them.  Raises LPVerificationError if the exact check of an
+    optimal solution fails."""
     minimize = problem.sense == "min"
     # -- internal columns ---------------------------------------------------
     # free var v -> columns (v,+1),(v,-1); lb var -> column (v,+1) shifted.
@@ -224,25 +264,20 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
     cost1 = [ZERO] * ncols
     for j in range(art0, ncols):
         cost1[j] = ONE
-    allowed_all = set(range(ncols))
-    status, _ = _kernel(tab, cost1, allowed_all, pivot_rule)
-    assert status == "optimal"
+    status, _ = _kernel(tab, cost1, ncols, pivot_rule)
+    if status != "optimal":
+        raise LPVerificationError(f"phase 1 ended {status}, not optimal")
     w = sum(tab.T[i][-1] for i in range(nrows) if tab.basis[i] >= art0)
     if w > 0:
-        # infeasible: y from reduced costs under artificial columns
-        cb = [cost1[tab.basis[i]] for i in range(nrows)]
-        y = []
+        # infeasible: y from reduced costs under artificial columns.  When
+        # every row is '<=' over free variables (as lp_feasible builds it),
+        # u = -y is a Farkas certificate: u >= 0, u.A = 0 and u.b < 0.
+        cb = _basic_costs(tab, cost1)
+        farkas = []
         for i in range(nrows):
             acol = art0 + i
-            rc = cost1[acol] - sum(cb[r] * tab.T[r][acol] for r in range(nrows))
-            y.append((ONE - rc) * sign[i])
-        # Farkas in <=-normalized convention: u >= 0, u.A = 0 (free vars) /
-        # <= 0 pattern per senses, u.b < 0.  For '>=' rows y_i >= 0 and the
-        # row is negated; report per-row nonnegative multipliers.
-        farkas = []
-        for i, row in enumerate(problem.rows):
-            yi = y[i]
-            farkas.append(yi)
+            rc = cost1[acol] - sum((c * tab.T[r][acol] for r, c in cb), ZERO)
+            farkas.append((ONE - rc) * sign[i])
         return LPSolution(status="infeasible", farkas=farkas)
 
     # drive basic artificials out where possible (value is 0 here)
@@ -257,21 +292,18 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
 
     # -- phase 2 -------------------------------------------------------------
     cost2 = [ZERO] * ncols
-    const = problem.obj_const
     for v, c in problem.objective.items():
         c = Fraction(c) if minimize else -Fraction(c)
         cost2[col_of[(v, 1)]] += c
         if (v, -1) in col_of:
             cost2[col_of[(v, -1)]] -= c
-        if v in shift:
-            const += (Fraction(c) if minimize else -Fraction(c)) * shift[v] * (1 if minimize else 1)
     # shift constant: objective over shifted var v' = v - lb adds c*lb
     shift_const = sum(
         Fraction(problem.objective.get(v, ZERO)) * shift[v] for v in shift
     )
-    allowed2 = set(range(art0))
-    status, enter = _kernel(tab, cost2, allowed2, pivot_rule)
+    status, enter = _kernel(tab, cost2, art0, pivot_rule)
     if status == "unbounded":
+        # the same direction certifies -infinity for min and +infinity for max
         direction: Dict[str, Fraction] = {v: ZERO for v in problem.variables}
         vname, sgn = cols[enter] if enter < nstruct else (None, 0)
         if vname is not None:
@@ -281,8 +313,6 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
             if b < nstruct and tab.T[i][enter] != 0:
                 bv, bsgn = cols[b]
                 direction[bv] -= Fraction(bsgn) * tab.T[i][enter]
-        if not minimize:
-            pass  # same direction certifies +infinity for max
         return LPSolution(status="unbounded", ray=direction)
 
     # -- extract primal ------------------------------------------------------
@@ -300,18 +330,15 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
         problem.obj_const if minimize else -problem.obj_const
     )
     # duals from reduced costs under artificial columns (phase-2 costs are 0)
-    cb2 = [cost2[tab.basis[i]] for i in range(nrows)]
-    yint = []
+    cb2 = _basic_costs(tab, cost2)
+    dual = []
     for i in range(nrows):
         acol = art0 + i
-        rc = -sum(cb2[r] * tab.T[r][acol] for r in range(nrows))
-        yint.append(-rc)
-    dual = [yint[i] * sign[i] for i in range(nrows)]
+        dual.append(sum((c * tab.T[r][acol] for r, c in cb2), ZERO) * sign[i])
     reduced: Dict[str, Fraction] = {}
     for v in problem.variables:
         j = col_of[(v, 1)]
-        rc = cost2[j] - sum(cb2[r] * tab.T[r][j] for r in range(nrows))
-        reduced[v] = rc
+        reduced[v] = cost2[j] - sum((c * tab.T[r][j] for r, c in cb2), ZERO)
     if not minimize:
         value = -value
         dual = [-d for d in dual]
@@ -333,40 +360,54 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
     return sol
 
 
+def _basic_costs(tab: _Tableau, cost: List[Fraction]) -> List[Tuple[int, Fraction]]:
+    """(row, cost of its basic column) for the rows whose basic cost is
+    nonzero: the only rows that contribute to c_B . T[:, j]."""
+    return [(i, cost[b]) for i, b in enumerate(tab.basis) if cost[b]]
+
+
 def _verify_optimal(problem: LPProblem, sol: LPSolution):
-    """Exact strong duality + complementary slackness + dual feasibility."""
+    """Exact primal feasibility, dual signs, complementary slackness, the
+    dual identity per variable and strong duality.  Raises
+    LPVerificationError on the first violation."""
     sgn = 1 if problem.sense == "min" else -1
-    # primal feasibility
-    for row in problem.rows:
-        lhs = sum(c * sol.primal[v] for v, c in row.coeffs.items())
-        ok = lhs <= row.rhs if row.sense == "<=" else lhs >= row.rhs if row.sense == ">=" else lhs == row.rhs
-        assert ok, f"primal infeasible on row {row.name!r}"
-    # dual signs and complementary slackness
+    acc: Dict[str, Fraction] = {v: ZERO for v in problem.variables}
+    dual_value = ZERO
     for row, y in zip(problem.rows, sol.dual):
+        lhs = sum((c * sol.primal[v] for v, c in row.coeffs.items()), ZERO)
         if row.sense == "<=":
-            assert sgn * y <= 0, "dual sign on <= row"
+            ok, dual_ok = lhs <= row.rhs, sgn * y <= 0
         elif row.sense == ">=":
-            assert sgn * y >= 0, "dual sign on >= row"
-        lhs = sum(c * sol.primal[v] for v, c in row.coeffs.items())
-        assert y == 0 or lhs == row.rhs, "complementary slackness"
-    # dual identity per variable + strong duality
+            ok, dual_ok = lhs >= row.rhs, sgn * y >= 0
+        else:
+            ok, dual_ok = lhs == row.rhs, True
+        if not ok:
+            raise LPVerificationError(f"primal infeasible on row {row.name!r}")
+        if not dual_ok:
+            raise LPVerificationError(f"dual sign on {row.sense} row {row.name!r}")
+        if y:
+            if lhs != row.rhs:
+                raise LPVerificationError(f"complementary slackness on row {row.name!r}")
+            for v, c in row.coeffs.items():
+                acc[v] += y * c
+            dual_value += y * row.rhs
     for v in problem.variables:
         c = Fraction(problem.objective.get(v, ZERO))
-        acc = sum(y * row.coeffs.get(v, ZERO) for row, y in zip(problem.rows, sol.dual))
         rc = sol.reduced[v]
-        assert c == acc + rc, f"dual identity on {v}"
-        if problem.lb.get(v) is None:
-            assert rc == 0, f"nonzero reduced cost on free var {v}"
+        if c != acc[v] + rc:
+            raise LPVerificationError(f"dual identity on {v}")
+        lo = problem.lb.get(v)
+        if lo is None:
+            if rc != 0:
+                raise LPVerificationError(f"nonzero reduced cost on free var {v}")
         else:
-            assert sgn * rc >= 0, f"reduced cost sign on {v}"
-            assert rc == 0 or sol.primal[v] == problem.lb[v], "cs on bound"
-    dual_value = sum(y * row.rhs for row, y in zip(problem.rows, sol.dual))
-    dual_value += sum(
-        sol.reduced[v] * problem.lb[v]
-        for v in problem.variables
-        if problem.lb.get(v) is not None
-    )
-    assert sol.value == dual_value + problem.obj_const, "strong duality"
+            if sgn * rc < 0:
+                raise LPVerificationError(f"reduced cost sign on {v}")
+            if rc != 0 and sol.primal[v] != lo:
+                raise LPVerificationError(f"complementary slackness on the bound of {v}")
+            dual_value += rc * lo
+    if sol.value != dual_value + problem.obj_const:
+        raise LPVerificationError("strong duality")
 
 
 def lp_feasible(rows: Sequence[LPRow], variables: Sequence[str]):
@@ -396,13 +437,15 @@ def lp_feasible(rows: Sequence[LPRow], variables: Sequence[str]):
     sol = lp_solve(prob)
     if sol.status == "optimal":
         return True, sol.primal
-    assert sol.status == "infeasible"
+    if sol.status != "infeasible":
+        raise LPVerificationError(f"feasibility LP over free variables is {sol.status}")
     # internal duals are per normalized <= row: u = -y >= 0 certifies
     # u.A = 0, u.b < 0
     u = [-y for y in sol.farkas]
     per_row = [ZERO] * len(rows)
     for (idx, orient), ui in zip(norm_rows, u):
-        assert ui >= 0, "Farkas multiplier sign"
+        if ui < 0:
+            raise LPVerificationError("Farkas multiplier sign")
         per_row[idx] += ui  # aggregated magnitude per original row
     # exact verification in the normalized system
     acc: Dict[str, Fraction] = {}
@@ -412,8 +455,10 @@ def lp_feasible(rows: Sequence[LPRow], variables: Sequence[str]):
         for v, c in row.coeffs.items():
             acc[v] = acc.get(v, ZERO) + ui * orient * c
         rhs_acc += ui * orient * row.rhs
-    assert all(c == 0 for c in acc.values()), "Farkas: u.A != 0"
-    assert rhs_acc < 0, "Farkas: u.b not negative"
+    if any(c != 0 for c in acc.values()):
+        raise LPVerificationError("Farkas: u.A != 0")
+    if rhs_acc >= 0:
+        raise LPVerificationError("Farkas: u.b not negative")
     return False, per_row
 
 
@@ -444,7 +489,7 @@ def export_lp_text(problem: LPProblem) -> str:
             f"{v}:{rat_to_str(c)}" for v, c in row.coeffs.items() if c.denominator != 1
         )
         comment = f"  \\ {frac_note}" if frac_note else ""
-        lines.append(f" r{i}: {body} {row.sense.replace('=','=').replace('<=','<=').replace('>=','>=')} {num(row.rhs)}{comment}")
+        lines.append(f" r{i}: {body} {row.sense} {num(row.rhs)}{comment}")
     lines.append("Bounds")
     for v in problem.variables:
         lo = problem.lb.get(v)

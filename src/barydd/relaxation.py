@@ -357,15 +357,21 @@ def build_level_lp(
     Instances with non-affine g use the alternate initialization, keeping the
     generator rows that scale them non-negative."""
     ac = dbp_as_ac(inst) if isinstance(inst, DBPInstance) else inst
-    P = ac.P
-    order = list(order) if order is not None else list(range(P.m))
+    order = list(order) if order is not None else list(range(ac.P.m))
     if k > len(order):
         raise ValueError(f"level {k} exceeds order length {len(order)}")
-    all_affine = all(g.affine for g in ac.g)
-    if all_affine:
-        run = dd_run(P, order=order)
-    else:
-        run = dd_run(P, order=order, init="partial_orthant", varrho=ac.varrho)
+    return _level_lp(ac, _level_run(ac, order), k, prune)
+
+
+def _level_run(ac: ACInstance, order: List[int]) -> DDRun:
+    """The DD run over the whole order that every level of it is built from."""
+    if all(g.affine for g in ac.g):
+        return dd_run(ac.P, order=order)
+    return dd_run(ac.P, order=order, init="partial_orthant", varrho=ac.varrho)
+
+
+def _level_lp(ac: ACInstance, run: DDRun, k: int, prune: bool) -> LPProblem:
+    """The level-k LP from the state after k steps of run."""
     # find kbar: smallest step count with empty lineality
     kbar = next((t for t, st in enumerate(run.raw_states) if st.q == 0), None)
     if kbar is None or k < kbar:
@@ -456,14 +462,15 @@ def _vertex_form_lp(ac: ACInstance, W: Sequence[tuple], name: str) -> LPProblem:
 def gap_table(
     inst, order: Optional[Sequence[int]] = None, prune: bool = False
 ) -> List[dict]:
-    """Solve every usable level and report (k, status, value)."""
+    """Solve every usable level and report (k, status, value).  DD runs once
+    over the order; each level is built from the state after its step."""
     ac = dbp_as_ac(inst) if isinstance(inst, DBPInstance) else inst
-    P = ac.P
-    order = list(order) if order is not None else list(range(P.m))
+    order = list(order) if order is not None else list(range(ac.P.m))
+    run = _level_run(ac, order)
     out = []
     for k in range(len(order) + 1):
         try:
-            prob = build_level_lp(inst, k, order=order, prune=prune)
+            prob = _level_lp(ac, run, k, prune)
         except LevelTooLow:
             continue
         sol = lp_solve(prob)
@@ -986,7 +993,13 @@ def expanded_monomials_brute(n: int, q: int, k: int) -> int:
 def solve_and_report(problem, pivot_rule: str = "bland") -> dict:
     """Exact solve with a provenance-tagged report."""
     prob = problem.problem if isinstance(problem, RelaxModel) else problem
-    sol = lp_solve(prob, pivot_rule=pivot_rule)
+    return solution_report(prob, lp_solve(prob, pivot_rule=pivot_rule))
+
+
+def solution_report(prob: LPProblem, sol: LPSolution) -> dict:
+    """Provenance-tagged report of sol, an exact solution of prob: value,
+    primal and the nonzero duals with their row tags, or the Farkas vector,
+    or the ray."""
     report = {"status": sol.status, "name": prob.name}
     if sol.status == "optimal":
         report["value"] = rat_to_str(sol.value)

@@ -1,11 +1,12 @@
 """Hull LP, level hierarchy, algebraic hierarchy, RLT baselines, envelopes."""
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from barydd import HPolyhedron, dd_run, enumerate_vertices_oracle
+from barydd import HPolyhedron, cli, dd_run, enumerate_vertices_oracle, relaxation
 from barydd.exactmath import Poly
 from barydd.lp import lp_solve
 from barydd.relaxation import (
@@ -143,6 +144,20 @@ class TestLevelHierarchy:
         table = gap_table(dbp_62, order=[1, 2, 3, 0])
         vals = [F(r["value"]) for r in table if r["status"] == "optimal"]
         assert vals == sorted(vals) and vals[-1] == -360
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_gap_table_matches_each_level(self, dbp_62, prune):
+        # one DD run per order gives the same table as one build per level
+        for order in (None, [3, 1, 0, 2]):
+            expected = []
+            for k in range(dbp_62.P.m + 1):
+                try:
+                    sol = lp_solve(build_level_lp(dbp_62, k, order=order, prune=prune))
+                except LevelTooLow:
+                    continue
+                value = str(sol.value) if sol.status == "optimal" else None
+                expected.append({"level": k, "status": sol.status, "value": value})
+            assert gap_table(dbp_62, order=order, prune=prune) == expected
 
 
 class TestACHierarchy:
@@ -282,6 +297,22 @@ class TestReport:
         assert report["value"] == "-360"
         duals = {d["value"] for d in report["dual"]}
         assert {"150", "42", "63", "140"} <= duals
+
+    def test_cli_report_solves_once(self, dbp_62, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(prob, *args, **kwargs):
+            calls.append(prob.name)
+            return lp_solve(prob, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "lp_solve", counted)
+        monkeypatch.setattr(relaxation, "lp_solve", counted)
+        inp = tmp_path / "dbp62.json"
+        inp.write_text(json.dumps(dbp_62.to_json()))
+        out = tmp_path / "report.json"
+        assert cli.main(["solve", str(inp), "--method", "hull", "--report", str(out)]) == 0
+        assert len(calls) == 1
+        assert json.loads(out.read_text()) == solve_and_report(build_hull_lp(dbp_62))
 
     def test_infeasible_report(self):
         from barydd.lp import LPProblem
