@@ -30,6 +30,7 @@ from .dd_engine import (
     LedgerEntry,
     NotSimple,
     Phase1Basis,
+    Phase1BasisError,
     closed_form_box,
     closed_form_tworow,
     dd_init,

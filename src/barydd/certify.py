@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import Poly, RatFun, rat_from_str, rat_to_str
-from .lp import LPProblem, LPRow, LPSolution, lp_feasible, lp_solve
+from .lp import LPProblem, LPSolution, lp_solve
 from .relaxation import BarycentricCoords, DBPInstance, build_hull_lp
 
 ZERO = Fraction(0)
@@ -33,8 +33,9 @@ class OrderMismatch(ValueError):
 
 
 class CertificateStructureError(RuntimeError):
-    """A weighted numerator could not be decomposed into non-negative
-    constraint products (should not happen for valid inputs)."""
+    """The hull LP has no simplex row, or a weighted numerator could not be
+    decomposed into non-negative constraint products (should not happen for
+    valid inputs)."""
 
 
 @dataclass
@@ -139,19 +140,17 @@ def _dehom_prim(pool, fid) -> Optional[Poly]:
     return prim
 
 
-def _interior_points(P, count: int, seed: int = 20240801) -> List[tuple]:
-    """Random rational strictly-interior points: positive convex combinations
-    of the vertices (all weights > 0)."""
-    from .polyhedra import enumerate_vertices_oracle
-
-    verts = enumerate_vertices_oracle(P)
+def _interior_points(verts: Sequence[tuple], n: int, count: int, seed: int = 20240801) -> List[tuple]:
+    """Random rational strictly-interior points of the polytope with vertices
+    ``verts`` in dimension ``n``: positive convex combinations of the
+    vertices (all weights > 0)."""
     rng = random.Random(seed)
     pts = []
     for _ in range(count):
         ws = [Fraction(rng.randint(1, 50)) for _ in verts]
         tot = sum(ws)
         pt = tuple(
-            sum(w * v[j] for w, v in zip(ws, verts)) / tot for j in range(P.n)
+            sum(w * v[j] for w, v in zip(ws, verts)) / tot for j in range(n)
         )
         pts.append(pt)
     return pts
@@ -249,7 +248,8 @@ def extract_certificate(
             S[(row.tag[1], row.tag[2])] = y
         elif row.tag[0] == "simplex":
             delta = y
-    assert delta is not None
+    if delta is None:
+        raise CertificateStructureError("hull LP has no simplex row")
     if any(y < 0 for y in S.values()):
         raise CertificateStructureError("negative dual on a >= membership row")
     gamma = {i: hull.reduced.get(f"lam{i}", ZERO) for i in range(p)}
@@ -313,6 +313,7 @@ def extract_certificate(
 class VerifyResult:
     ok: bool
     diagnostic: str = ""
+    residual: Optional[Poly] = None  # z(x)(obj - delta) - q(x, y)
 
     def __bool__(self):
         return self.ok
@@ -323,16 +324,15 @@ def verify_certificate(
 ) -> VerifyResult:
     """True iff (a) all weights are non-negative, (b) the polynomial identity
     z(x)(obj - delta) = q(x,y) holds exactly, and (c) z is positive at the
-    vertex average and 20 random interior rational points."""
-    for t in cert.terms:
-        if t.weight < 0:
-            return VerifyResult(False, "negative weight")
+    vertex average and 20 random interior rational points.  The result
+    carries the identity's residual, computed before any check."""
     nv = cert.n + cert.ny
     obj = inst.objective_poly() - Poly.const(nv, cert.delta)
-    lhs = cert.zpoly * obj
-    rhs = cert.identity_rhs(inst)
-    if lhs != rhs:
-        return VerifyResult(False, "identity residual nonzero")
+    residual = cert.zpoly * obj - cert.identity_rhs(inst)
+    if any(t.weight < 0 for t in cert.terms):
+        return VerifyResult(False, "negative weight", residual)
+    if not residual.is_zero():
+        return VerifyResult(False, "identity residual nonzero", residual)
     from .polyhedra import enumerate_vertices_oracle
 
     verts = enumerate_vertices_oracle(inst.P)
@@ -345,8 +345,8 @@ def verify_certificate(
         return zx.eval(tuple(pt) + (ZERO,) * cert.ny)
 
     if z_at(center) <= 0:
-        return VerifyResult(False, "z not positive at the vertex average")
-    for pt in _interior_points(inst.P, 20, seed=seed):
+        return VerifyResult(False, "z not positive at the vertex average", residual)
+    for pt in _interior_points(verts, inst.P.n, 20, seed=seed):
         if z_at(pt) <= 0:
-            return VerifyResult(False, f"z not positive at an interior sample")
-    return VerifyResult(True, "")
+            return VerifyResult(False, f"z not positive at an interior sample", residual)
+    return VerifyResult(True, "", residual)

@@ -304,12 +304,7 @@ def cmd_certify(args) -> int:
     print(f"delta = {rat_to_str(cert.delta)}")
     if args.verify:
         res = verify_certificate(inst, cert, seed=_seed())
-        nv = cert.n + cert.ny
-        from .exactmath import Poly
-
-        residual = cert.zpoly * (
-            inst.objective_poly() - Poly.const(nv, cert.delta)
-        ) - cert.identity_rhs(inst)
+        residual = res.residual
         print(f"identity residual: {'0' if residual.is_zero() else repr(residual)}")
         print("PASS" if res.ok else f"FAIL: {res.diagnostic}")
         if not res.ok:

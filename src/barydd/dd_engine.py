@@ -34,7 +34,6 @@ from . import linalg
 from .exactmath import Poly, RatFun, rf_equal
 from .lp import LPProblem, lp_solve
 from .polyhedra import (
-    GeneratorRep,
     HomCone,
     HPolyhedron,
     enumerate_vertices_oracle,
@@ -47,6 +46,12 @@ ONE = Fraction(1)
 
 class EmptyInterior(RuntimeError):
     """No rays remain and the lineality space is empty: the cone is {0}."""
+
+
+class Phase1BasisError(ArithmeticError):
+    """The exact check of a phase-1 basis failed: its basis block is
+    singular, or the unprocessed rows do not satisfy ``Ups B^-1 N = Psi``.
+    Raised explicitly, so ``python -O`` cannot strip the check."""
 
 
 class InitPreconditionViolated(ValueError):
@@ -353,9 +358,6 @@ class DDState:
     def q(self) -> int:
         return len(self.L)
 
-    def generators(self) -> GeneratorRep:
-        return GeneratorRep(self.R, self.L)
-
 
 @dataclass(frozen=True)
 class LedgerEntry:
@@ -527,9 +529,10 @@ def _phase1_basis(state: DDState) -> Phase1Basis:
     Ups = [[cone.Abar[r][j] for j in basis_cols] for r in rem_rows]
     Psi = [[cone.Abar[r][j] for j in rest] for r in rem_rows]
     Binv = linalg.inverse(B)
-    assert Binv is not None, "phase-1 basis must be invertible"
-    if Ups and rest:
-        assert linalg.mat_mul(linalg.mat_mul(Ups, Binv), N) == Psi, "Ups B^-1 N != Psi"
+    if Binv is None:
+        raise Phase1BasisError("phase-1 basis must be invertible")
+    if Ups and rest and linalg.mat_mul(linalg.mat_mul(Ups, Binv), N) != Psi:
+        raise Phase1BasisError("Ups B^-1 N != Psi")
     nb = len(basis_cols)
     cov = [[ZERO] * (n + 1) for _ in range(n + 1)]
     mBinvN = [[-x for x in row] for row in linalg.mat_mul(Binv, N)] if rest else None

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 Rat = Fraction
 
@@ -462,10 +462,10 @@ class RatFun:
         return isinstance(other, RatFun) and rf_equal(self, other)
 
     def __hash__(self):
-        # Normalization is canonical, so structural hash is consistent with
-        # rf_equal only for fully reduced representations; hash on num alone
-        # keeps equal-after-cancellation values in one bucket.
-        return hash(self.num.degree())
+        # Normalization cancels no common polynomial factor, so equal values
+        # can have different num and den.  Their degree difference is the
+        # same: num1 * den2 == num2 * den1 and degrees add under products.
+        return hash((self.nvars, self.num.degree() - self.den.degree()))
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -504,10 +504,3 @@ def rf_equal(lhs: RatFun, rhs: RatFun) -> bool:
 
 def rf_eval(f: RatFun, point: Sequence) -> Rat:
     return f.eval(point)
-
-
-def rf_sum(fns: Iterable[RatFun], nvars: int) -> RatFun:
-    total = RatFun.const(nvars, 0)
-    for f in fns:
-        total = total + f
-    return total

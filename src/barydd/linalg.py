@@ -9,10 +9,6 @@ Matrix = List[List[Fraction]]
 Vector = List[Fraction]
 
 
-def mat(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -28,10 +24,6 @@ def transpose(a: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
-
-
-def mat_vec(a: Matrix, v: Sequence) -> Vector:
-    return [sum((x * Fraction(y) for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
@@ -104,17 +96,3 @@ def inverse(a: Matrix) -> Optional[Matrix]:
         return None
     return [row[n:] for row in red]
 
-
-def solve_general(a: Matrix, b: Sequence) -> Optional[Vector]:
-    """One exact solution of a (possibly non-square) consistent system, or None."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    aug = [row[:] + [Fraction(b[i])] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None  # inconsistent: pivot in the rhs column
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x

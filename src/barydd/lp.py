@@ -1,17 +1,21 @@
 """Exact-rational two-phase simplex with primal, dual and Farkas certificates.
 
-Everything is a Fraction; there is no floating point anywhere.  Bland's rule
-is the default pivot rule (termination guarantee), with Dantzig-plus-Bland
-fallback as an option.  Every row of every problem gets an artificial
-variable, so the basis inverse is always available under the artificial
-columns and dual values are read off exactly.
+There is no floating point anywhere.  Bland's rule is the default pivot rule
+(termination guarantee), with Dantzig-plus-Bland fallback as an option.
+Every row of every problem gets an artificial variable, so the basis inverse
+is always available under the artificial columns and dual values are read
+off exactly.
 
-The tableau keeps each row as a full list, but a pivot only touches the
-pivot row's nonzero columns: it scales those entries and subtracts them,
-in place, from the rows that meet the pivot column.  The reduced-cost row
-is updated over the same columns.  Slack and artificial columns stay
-mostly zero, so a pivot costs about (rows hit) x (pivot row nonzeros)
-Fraction operations instead of (rows hit) x (all columns).
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968): each row is a
+sparse dict of nonzero integer numerators over one positive row
+denominator, kept primitive, so every entry is the same exact rational a
+Fraction tableau would hold.  A pivot touches only the rows that meet the
+pivot column, and in each only the pivot row's nonzero columns, plus one
+scaling by the pivot numerator and one division by the row's gcd.  The
+reduced-cost row is held and updated the same way.  Pricing tests integer
+signs and the ratio test compares integer cross-products, so the pivot path
+is the one a Fraction tableau takes.  Fractions appear only where rows are
+built and where values are read off.
 
 Conventions for a reported optimal solution of min c.x + const:
 
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import rat_to_str
@@ -100,113 +105,154 @@ class LPSolution:
 
 
 class _Tableau:
-    """Simplex tableau over Fractions with explicit artificial columns.
+    """Fraction-free simplex tableau with explicit artificial columns.
 
-    Each row is one list of ``ncols + 1`` entries, the right-hand side last.
-    A pivot is a sparse row update: the pivot row's nonzero columns are
-    collected once, only those entries are scaled, and every other row with
-    a nonzero in the pivot column is updated in place at those columns only.
-    Slack and artificial columns are almost all zero, so most entries of a
-    row are never touched.  Each updated entry ``a - f * b`` is built as one
-    Fraction from integer numerators and denominators; Fractions are always
-    in lowest terms, so it is the same exact value as the dense row
-    operation gives."""
+    Row ``i`` is ``T[i]``, a dict from column to nonzero int numerator, over
+    one positive int denominator ``D[i]``; the right-hand side is column
+    ``ncols``.  Entry ``(i, j)`` is ``T[i].get(j, 0) / D[i]``.  Every row is
+    kept primitive (the gcd of ``D[i]`` and its numerators is 1), which
+    makes ``D[i]`` the lcm of the denominators of the row's entries: a row
+    has one representation, and each entry is the exact rational a
+    Fraction tableau would hold.  The entry of a row at its basic column
+    equals ``D[i]``.
+
+    A pivot on ``(r, c)`` makes row ``r`` positive at ``c``, divides it by
+    its gcd and sets ``D[r]`` to the pivot numerator ``p``.  Every other row
+    with ``f = T[i][c] != 0`` is scaled by ``p`` (when ``p != 1``), has
+    ``f * T[r][j]`` subtracted at the pivot row's columns only, which
+    clears column ``c``, and is divided by its gcd."""
 
     def __init__(self, ncols: int, nrows: int):
-        self.T: List[List[Fraction]] = [[ZERO] * (ncols + 1) for _ in range(nrows)]
+        self.T: List[Dict[int, int]] = [{} for _ in range(nrows)]
+        self.D: List[int] = [1] * nrows
         self.basis: List[int] = [-1] * nrows
         self.ncols = ncols
 
+    def set_row(self, i: int, entries: Dict[int, Fraction]):
+        """Row ``i`` := the given rational entries (zeros are dropped)."""
+        self.T[i], self.D[i] = _scaled(entries)
+
+    def value(self, i: int, j: int) -> Fraction:
+        return Fraction(self.T[i].get(j, 0), self.D[i])
+
     def pivot(self, r: int, c: int) -> List[int]:
-        """Pivot on T[r][c]; return the pivot row's nonzero columns, the
-        right-hand side column ``ncols`` included when it is nonzero."""
-        T = self.T
+        """Pivot on entry ``(r, c)``; return the pivot row's nonzero
+        columns in no particular order, the right-hand side column ``ncols``
+        included when it is nonzero."""
+        T, D = self.T, self.D
         rowr = T[r]
-        nz = [j for j, x in enumerate(rowr) if x]
-        piv = rowr[c]
-        if piv != 1:
-            inv = 1 / piv
-            for j in nz:
-                rowr[j] *= inv
-        # column c becomes a unit column: it is set, not computed
-        prow = [(j, rowr[j].numerator, rowr[j].denominator) for j in nz if j != c]
+        if rowr[c] < 0:
+            rowr = {j: -x for j, x in rowr.items()}
+        g = gcd(*rowr.values())
+        if g != 1:
+            rowr = {j: x // g for j, x in rowr.items()}
+        T[r] = rowr
+        D[r] = p = rowr[c]
         for i, Ti in enumerate(T):
-            f = Ti[c]
+            f = Ti.get(c)
             if f and i != r:
-                fn, fd = f.numerator, f.denominator
-                for j, bn, bd in prow:
-                    a = Ti[j]
-                    ad = a.denominator
-                    Ti[j] = Fraction(a.numerator * fd * bd - fn * bn * ad, ad * fd * bd)
-                Ti[c] = ZERO
+                T[i], D[i] = _eliminate(Ti, D[i], f, rowr, p)
         self.basis[r] = c
-        return nz
+        return list(rowr)
 
 
-def _reduced_costs(tab: _Tableau, cost: List[Fraction]) -> List[Fraction]:
-    """rc_j = c_j - c_basis . T[:, j], computed in one pass."""
-    T = tab.T
-    rc = list(cost)
-    for i in range(len(T)):
-        cb = cost[tab.basis[i]]
-        if cb:
-            row = T[i]
-            for j in range(tab.ncols):
-                if row[j]:
-                    rc[j] -= cb * row[j]
-    return rc
+def _scaled(entries: Dict[int, Fraction]) -> Tuple[Dict[int, int], int]:
+    """Fraction-free form of a row of rationals: its nonzero entries'
+    numerators over the lcm of their denominators.  Such a row is already
+    primitive."""
+    d = lcm(*(x.denominator for x in entries.values() if x))
+    return {j: x.numerator * (d // x.denominator) for j, x in entries.items() if x}, d
 
 
-def _kernel(tab: _Tableau, cost: List[Fraction], ncand: int, pivot_rule: str) -> Tuple[str, Optional[int]]:
+def _eliminate(row: Dict[int, int], d: int, f: int, prow: Dict[int, int], p: int) -> Tuple[Dict[int, int], int]:
+    """``row / d - (f / d) * (prow / p)`` as a primitive fraction-free row,
+    where ``f`` is the row's entry at the pivot column and ``p`` the pivot
+    row's.  The pivot column cancels to zero and is dropped.  ``row`` is
+    updated in place when ``p == 1``; use the returned row and denominator."""
+    if p != 1:
+        row = {j: x * p for j, x in row.items()}
+        d *= p
+    for j, x in prow.items():
+        v = row.get(j, 0) - f * x
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    return _primitive(row, d)
+
+
+def _primitive(row: Dict[int, int], d: int) -> Tuple[Dict[int, int], int]:
+    """``row / d`` with the gcd of ``d`` and the numerators divided out."""
+    g = gcd(d, *row.values())
+    if g != 1:
+        row = {j: x // g for j, x in row.items()}
+        d //= g
+    return row, d
+
+
+def _reduced_costs(tab: _Tableau, cost: List[Fraction]) -> Tuple[Dict[int, int], int]:
+    """The reduced-cost row ``c_j - c_B . T[:, j]`` over every column, the
+    right-hand side included (there it is minus the objective value), in
+    fraction-free form."""
+    T, D = tab.T, tab.D
+    basic = [(i, cost[b]) for i, b in enumerate(tab.basis) if cost[b]]
+    # one common denominator for the costs and the rows they meet
+    d = lcm(*(c.denominator for c in cost if c), *(c.denominator * D[i] for i, c in basic))
+    rc = {j: c.numerator * (d // c.denominator) for j, c in enumerate(cost) if c}
+    for i, c in basic:
+        q = c.numerator * (d // (c.denominator * D[i]))
+        for j, x in T[i].items():
+            rc[j] = rc.get(j, 0) - q * x
+    return _primitive({j: x for j, x in rc.items() if x}, d)
+
+
+def _kernel(
+    tab: _Tableau, cost: List[Fraction], ncand: int, pivot_rule: str
+) -> Tuple[str, Optional[int], Dict[int, int], int]:
     """Run primal simplex to optimality over entering columns ``0..ncand-1``.
-    Returns ('optimal', None) or ('unbounded', entering_col).  The
-    reduced-cost row is maintained incrementally across pivots."""
+    Returns ``('optimal', None, rc, d)`` or ``('unbounded', entering, rc,
+    d)``, where ``rc / d`` is the reduced-cost row at that point.  The
+    reduced-cost row is eliminated against each pivot row like a tableau
+    row, so pricing reads integer signs: all its entries share ``d > 0``."""
     T = tab.T
-    m = len(T)
-    ncols = tab.ncols
+    basis = tab.basis
+    rhs = tab.ncols
     degenerate_streak = 0
     use_bland = pivot_rule == "bland"
-    rc = _reduced_costs(tab, cost)
+    rc, d = _reduced_costs(tab, cost)
     while True:
-        entering = -1
-        best = ZERO
-        for j in range(ncand):
-            if rc[j] < 0:
-                if use_bland:
-                    entering = j
-                    break
-                if rc[j] < best:
-                    best = rc[j]
-                    entering = j
+        if use_bland:
+            entering = min((j for j, x in rc.items() if x < 0 and j < ncand), default=-1)
+        else:
+            # most negative; ties to the lowest column
+            best = min(((x, j) for j, x in rc.items() if x < 0 and j < ncand), default=None)
+            entering = -1 if best is None else best[1]
         if entering < 0:
-            return "optimal", None
-        # ratio test (Bland ties: smallest basis variable index)
+            return "optimal", None, rc, d
+        # ratio test on rhs_i / a_i: the row denominators cancel, so compare
+        # numerators by cross-multiplication (Bland ties: smallest basis index)
         leave = -1
-        best_ratio = None
-        for i in range(m):
-            a = T[i][entering]
+        best_b = best_a = 0
+        for i, Ti in enumerate(T):
+            a = Ti.get(entering, 0)
             if a > 0:
-                ratio = T[i][-1] / a
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and tab.basis[i] < tab.basis[leave]
-                ):
-                    best_ratio = ratio
-                    leave = i
+                b = Ti.get(rhs, 0)
+                if leave < 0:
+                    leave, best_b, best_a = i, b, a
+                else:
+                    x, y = b * best_a, best_b * a
+                    if x < y or (x == y and basis[i] < basis[leave]):
+                        leave, best_b, best_a = i, b, a
         if leave < 0:
-            return "unbounded", entering
-        if best_ratio == 0:
+            return "unbounded", entering, rc, d
+        if best_b == 0:
             degenerate_streak += 1
             if not use_bland and degenerate_streak > 30:
                 use_bland = True  # anti-cycling fallback
         else:
             degenerate_streak = 0
-        nz = tab.pivot(leave, entering)
-        f = rc[entering]
-        if f:
-            row = T[leave]
-            for j in nz:
-                if j < ncols:
-                    rc[j] -= f * row[j]
+        tab.pivot(leave, entering)
+        rc, d = _eliminate(rc, d, rc[entering], T[leave], tab.D[leave])
 
 
 def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) -> LPSolution:
@@ -233,60 +279,52 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
     nstruct = len(cols)
     nrows = len(problem.rows)
     nslack = sum(1 for r in problem.rows if r.sense != "=")
-    ncols = nstruct + nslack + nrows  # artificial per row at the end
+    art0 = nstruct + nslack
+    ncols = art0 + nrows  # artificial per row at the end
     tab = _Tableau(ncols, nrows)
     sign: List[Fraction] = [ONE] * nrows
-    slack_col: List[Optional[int]] = [None] * nrows
     scol = nstruct
     for i, row in enumerate(problem.rows):
         rhs = row.rhs - sum(
             c * shift.get(v, ZERO) for v, c in row.coeffs.items() if v in shift
         )
-        body = tab.T[i]
+        body: Dict[int, Fraction] = {}
         for v, c in row.coeffs.items():
-            body[col_of[(v, 1)]] += c
+            body[col_of[(v, 1)]] = c
             if (v, -1) in col_of:
-                body[col_of[(v, -1)]] -= c
+                body[col_of[(v, -1)]] = -c
         if row.sense != "=":
-            slack_col[i] = scol
             body[scol] = ONE if row.sense == "<=" else -ONE
             scol += 1
-        body[-1] = rhs
+        body[ncols] = rhs
         if rhs < 0:
             sign[i] = -ONE
-            tab.T[i] = [-x for x in body]
-        acol = nstruct + nslack + i
-        tab.T[i][acol] = ONE
+            body = {j: -x for j, x in body.items()}
+        acol = art0 + i
+        body[acol] = ONE
+        tab.set_row(i, body)
         tab.basis[i] = acol
 
-    art0 = nstruct + nslack
     # -- phase 1 -------------------------------------------------------------
     cost1 = [ZERO] * ncols
     for j in range(art0, ncols):
         cost1[j] = ONE
-    status, _ = _kernel(tab, cost1, ncols, pivot_rule)
+    status, _, rc1, d1 = _kernel(tab, cost1, ncols, pivot_rule)
     if status != "optimal":
         raise LPVerificationError(f"phase 1 ended {status}, not optimal")
-    w = sum(tab.T[i][-1] for i in range(nrows) if tab.basis[i] >= art0)
-    if w > 0:
+    if any(tab.T[i].get(ncols, 0) > 0 for i in range(nrows) if tab.basis[i] >= art0):
         # infeasible: y from reduced costs under artificial columns.  When
         # every row is '<=' over free variables (as lp_feasible builds it),
         # u = -y is a Farkas certificate: u >= 0, u.A = 0 and u.b < 0.
-        cb = _basic_costs(tab, cost1)
-        farkas = []
-        for i in range(nrows):
-            acol = art0 + i
-            rc = cost1[acol] - sum((c * tab.T[r][acol] for r, c in cb), ZERO)
-            farkas.append((ONE - rc) * sign[i])
+        farkas = [
+            (ONE - Fraction(rc1.get(art0 + i, 0), d1)) * sign[i] for i in range(nrows)
+        ]
         return LPSolution(status="infeasible", farkas=farkas)
 
     # drive basic artificials out where possible (value is 0 here)
     for i in range(nrows):
         if tab.basis[i] >= art0:
-            piv = next(
-                (j for j in range(art0) if tab.T[i][j] != 0),
-                None,
-            )
+            piv = min((j for j in tab.T[i] if j < art0), default=None)
             if piv is not None:
                 tab.pivot(i, piv)
 
@@ -301,7 +339,7 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
     shift_const = sum(
         Fraction(problem.objective.get(v, ZERO)) * shift[v] for v in shift
     )
-    status, enter = _kernel(tab, cost2, art0, pivot_rule)
+    status, enter, rc2, d2 = _kernel(tab, cost2, art0, pivot_rule)
     if status == "unbounded":
         # the same direction certifies -infinity for min and +infinity for max
         direction: Dict[str, Fraction] = {v: ZERO for v in problem.variables}
@@ -310,15 +348,15 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
             direction[vname] += Fraction(sgn)
         for i in range(nrows):
             b = tab.basis[i]
-            if b < nstruct and tab.T[i][enter] != 0:
+            if b < nstruct and enter in tab.T[i]:
                 bv, bsgn = cols[b]
-                direction[bv] -= Fraction(bsgn) * tab.T[i][enter]
+                direction[bv] -= Fraction(bsgn) * tab.value(i, enter)
         return LPSolution(status="unbounded", ray=direction)
 
     # -- extract primal ------------------------------------------------------
     xint = [ZERO] * ncols
     for i in range(nrows):
-        xint[tab.basis[i]] = tab.T[i][-1]
+        xint[tab.basis[i]] = tab.value(i, ncols)
     primal: Dict[str, Fraction] = {}
     for v in problem.variables:
         val = xint[col_of[(v, 1)]]
@@ -330,15 +368,10 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
         problem.obj_const if minimize else -problem.obj_const
     )
     # duals from reduced costs under artificial columns (phase-2 costs are 0)
-    cb2 = _basic_costs(tab, cost2)
-    dual = []
-    for i in range(nrows):
-        acol = art0 + i
-        dual.append(sum((c * tab.T[r][acol] for r, c in cb2), ZERO) * sign[i])
-    reduced: Dict[str, Fraction] = {}
-    for v in problem.variables:
-        j = col_of[(v, 1)]
-        reduced[v] = cost2[j] - sum((c * tab.T[r][j] for r, c in cb2), ZERO)
+    dual = [-Fraction(rc2.get(art0 + i, 0), d2) * sign[i] for i in range(nrows)]
+    reduced: Dict[str, Fraction] = {
+        v: Fraction(rc2.get(col_of[(v, 1)], 0), d2) for v in problem.variables
+    }
     if not minimize:
         value = -value
         dual = [-d for d in dual]
@@ -358,12 +391,6 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
     if check:
         _verify_optimal(problem, sol)
     return sol
-
-
-def _basic_costs(tab: _Tableau, cost: List[Fraction]) -> List[Tuple[int, Fraction]]:
-    """(row, cost of its basic column) for the rows whose basic cost is
-    nonzero: the only rows that contribute to c_B . T[:, j]."""
-    return [(i, cost[b]) for i, b in enumerate(tab.basis) if cost[b]]
 
 
 def _verify_optimal(problem: LPProblem, sol: LPSolution):

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dd_engine import DDRun, cpr_numerator, dd_run
 from .exactmath import Poly, RatFun, rat_from_str, rat_to_str
-from .lp import LPProblem, LPSolution, lp_solve
+from .lp import LPProblem, LPSolution, LPVerificationError, lp_solve
 from .polyhedra import (
     HPolyhedron,
     enumerate_vertices_oracle,
@@ -316,10 +316,6 @@ def build_hull_lp(
     return prob
 
 
-def hull_vertices(inst: DBPInstance) -> List[tuple]:
-    return enumerate_vertices_oracle(inst.P)
-
-
 def envelope_eval(inst: DBPInstance, xbar: Sequence, ybar: Sequence) -> Fraction:
     """Convex envelope of the objective over P x Py at (xbar, ybar): the hull
     LP with x fixed and sum_i Y_:,i fixed."""
@@ -335,7 +331,9 @@ def envelope_eval(inst: DBPInstance, xbar: Sequence, ybar: Sequence) -> Fraction
     for l in range(inst.ny):
         prob.add_row({f"y{l}": ONE}, "=", ybar[l], name=f"fix_y{l}")
     sol = lp_solve(prob)
-    assert sol.status == "optimal", sol.status
+    if sol.status != "optimal":
+        # x and y lie in the bounded P and Py, so the LP has an optimum
+        raise LPVerificationError(f"envelope LP at a point of P x Py is {sol.status}")
     return sol.value
 
 

@@ -1,5 +1,8 @@
 """Shared fixtures: the worked examples used as golden data throughout."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -73,3 +76,14 @@ def box_polytope(n):
 @pytest.fixture(scope="session")
 def unit_box():
     return box_polytope
+
+
+def run_optimized(code):
+    """Run ``code`` under ``python -O``, which strips ``assert`` statements,
+    with this process's import path; return its standard output."""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()

@@ -1,11 +1,12 @@
 """Certificate extraction and exact verification."""
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from barydd import HPolyhedron, enumerate_vertices_oracle
+from barydd import HPolyhedron, cli, enumerate_vertices_oracle
 from barydd.certify import (
     Certificate,
     CertTerm,
@@ -20,7 +21,7 @@ from barydd.relaxation import (
     barycentric_for_polytope,
     build_hull_lp,
 )
-from conftest import box_polytope
+from conftest import box_polytope, run_optimized
 
 
 def certified(inst):
@@ -87,6 +88,62 @@ class TestTampering:
         cert, _ = certified(dbp_62)
         cert.terms = cert.terms[1:]
         assert not verify_certificate(dbp_62, cert).ok
+
+    def test_missing_simplex_row_survives_optimize_flag(self):
+        code = (
+            "from barydd import HPolyhedron, lp_solve\n"
+            "from barydd.certify import CertificateStructureError, extract_certificate\n"
+            "from barydd.relaxation import DBPInstance, barycentric_for_polytope, build_hull_lp\n"
+            "I = HPolyhedron.make([[-1], [1]], [0, 1])\n"
+            "inst = DBPInstance.make(Q=[[1]], P=I, Py=I, cx=[0], cy=[0], c0=0)\n"
+            "coords = barycentric_for_polytope(inst.P)\n"
+            "prob = build_hull_lp(inst, vertices=coords.vertices)\n"
+            "sol = lp_solve(prob)\n"
+            "for row in prob.rows:\n"
+            "    if row.tag == ('simplex',):\n        row.tag = None\n"
+            "try:\n    extract_certificate(inst, sol, coords, hull_problem=prob)\n"
+            "except CertificateStructureError:\n    print('raised')\n"
+        )
+        assert run_optimized(code) == "raised"
+
+
+class TestCliVerify:
+    """``certify --verify`` prints the residual that verify_certificate
+    computed: the same text as expanding the identity once more."""
+
+    @pytest.mark.parametrize(
+        "tamper, diagnostic",
+        [
+            (lambda c: None, None),
+            (lambda c: setattr(c, "terms", [
+                CertTerm(-t.weight, t.pfactors, t.yfactor) if i == 0 else t
+                for i, t in enumerate(c.terms)
+            ]), "negative weight"),
+            (lambda c: setattr(c, "terms", c.terms[1:]), "identity residual nonzero"),
+        ],
+        ids=["pass", "negative_weight", "dropped_term"],
+    )
+    def test_residual_line(self, dbp_62, tmp_path, monkeypatch, capsys, tamper, diagnostic):
+        path = tmp_path / "dbp62.json"
+        path.write_text(json.dumps(dbp_62.to_json()))
+
+        def extract(*args, **kwargs):
+            cert = extract_certificate(*args, **kwargs)
+            tamper(cert)
+            return cert
+
+        monkeypatch.setattr(cli, "extract_certificate", extract)
+        rc = cli.main(["certify", str(path), "--verify"])
+        cert, _ = certified(dbp_62)
+        tamper(cert)
+        nv = cert.n + cert.ny
+        residual = cert.zpoly * (
+            dbp_62.objective_poly() - Poly.const(nv, cert.delta)
+        ) - cert.identity_rhs(dbp_62)
+        shown = "0" if residual.is_zero() else repr(residual)
+        verdict = "PASS" if diagnostic is None else f"FAIL: {diagnostic}"
+        assert capsys.readouterr().out == f"delta = -360\nidentity residual: {shown}\n{verdict}\n"
+        assert rc == (0 if diagnostic is None else cli.EXIT_VERIFY)
 
 
 class TestDegenerate:

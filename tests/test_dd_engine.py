@@ -26,6 +26,7 @@ from barydd import (
 from barydd.dd_engine import _canonical_column, cpr_structurally_nonneg, cpr_value
 from barydd.exactmath import Poly, RatFun, rf_equal
 from barydd.linalg import dot
+from conftest import run_optimized
 
 
 def aff(nv, c0, cs):
@@ -339,6 +340,32 @@ class TestInit:
         cols_cov = {_canonical_column(tuple(row[j] for row in cov)) for j in range(basis.rho + 1)}
         cols_R = {_canonical_column(c) for c in st.R}
         assert cols_cov == cols_R
+
+
+class TestPhase1Check:
+    @pytest.mark.parametrize(
+        "abar, processed, message",
+        [
+            # basis block [[1, 0], [1, 0]] from two equal leading rows
+            ([[1, 0, 0], [0, 1, 0]], (0, 1), "invertible"),
+            # the unprocessed row x2 >= 0 is not Ups B^-1 N = 0
+            ([[0, 1, 0], [0, 0, 1]], (0,), "Psi"),
+        ],
+        ids=["singular", "span"],
+    )
+    def test_check_survives_optimize_flag(self, abar, processed, message):
+        code = (
+            "from fractions import Fraction as F\n"
+            "from types import SimpleNamespace as NS\n"
+            "from barydd import Phase1BasisError\n"
+            "from barydd.dd_engine import _phase1_basis\n"
+            f"cone = NS(n=2, m=2, Abar=[[F(x) for x in r] for r in {abar!r}])\n"
+            "try:\n"
+            f"    _phase1_basis(NS(cone=cone, processed={processed!r}))\n"
+            "except Phase1BasisError as exc:\n    print('raised', exc)\n"
+        )
+        out = run_optimized(code)
+        assert out.startswith("raised") and message in out, out
 
 
 class TestStepGoldens:

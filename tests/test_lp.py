@@ -1,6 +1,7 @@
 """Exact simplex: optimality, duality, certificates, termination."""
 
 import dataclasses
+import math
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from barydd.lp import (
     LPProblem,
     LPRow,
     _Tableau,
+    _kernel,
     _verify_optimal,
     export_lp_text,
     lp_feasible,
@@ -265,30 +267,125 @@ def dense_pivot(T, basis, r, c):
     basis[r] = c
 
 
+def dense_simplex(T, basis, cost, rule):
+    """Reference primal simplex on a dense Fraction tableau, over every
+    column: reduced costs recomputed from scratch before each pivot, the
+    solver's pricing (Bland, or Dantzig with strict < in ascending column
+    order and the Bland fallback) and its ratio test on Fraction ratios.
+    Returns (status, entering column when unbounded, pivots, reduced costs)."""
+    T, basis = [list(row) for row in T], list(basis)
+    ncols = len(T[0]) - 1
+    use_bland, streak, path = rule == "bland", 0, []
+    while True:
+        rc = [cost[j] - sum(cost[basis[i]] * T[i][j] for i in range(len(T))) for j in range(ncols)]
+        entering, best = -1, 0
+        for j in range(ncols):
+            if rc[j] < 0:
+                if use_bland:
+                    entering = j
+                    break
+                if rc[j] < best:
+                    best, entering = rc[j], j
+        if entering < 0:
+            return "optimal", None, path, rc
+        leave, best_ratio = -1, None
+        for i, row in enumerate(T):
+            if row[entering] > 0:
+                ratio = row[-1] / row[entering]
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < basis[leave]
+                ):
+                    best_ratio, leave = ratio, i
+        if leave < 0:
+            return "unbounded", entering, path, rc
+        streak = streak + 1 if best_ratio == 0 else 0
+        if streak > 30:
+            use_bland = True
+        dense_pivot(T, basis, leave, entering)
+        path.append((leave, entering))
+
+
+class CheckedTableau(_Tableau):
+    """A fraction-free tableau that replays every pivot on a dense Fraction
+    copy and checks, after each one, every entry's exact value, the basis,
+    the returned columns and the row invariants."""
+
+    def __init__(self, rows, basis):
+        super().__init__(len(rows[0]) - 1, len(rows))
+        for i, row in enumerate(rows):
+            self.set_row(i, dict(enumerate(row)))
+        self.basis = list(basis)
+        self.ref, self.ref_basis, self.path = [list(row) for row in rows], list(basis), []
+        self.check()
+
+    def pivot(self, r, c):
+        before = [j for j, x in enumerate(self.ref[r]) if x]
+        nz = super().pivot(r, c)
+        dense_pivot(self.ref, self.ref_basis, r, c)
+        self.path.append((r, c))
+        assert sorted(nz) == before
+        self.check()
+        return nz
+
+    def check(self):
+        assert self.basis == self.ref_basis
+        for i, (row, d) in enumerate(zip(self.T, self.D)):
+            assert [self.value(i, j) for j in range(self.ncols + 1)] == self.ref[i]
+            assert type(d) is int and d > 0
+            assert all(type(x) is int and x != 0 for x in row.values())
+            assert math.gcd(d, *row.values()) == 1
+            # the basis stays a set of unit columns
+            assert self.ref[i][self.basis[i]] == 1 and row[self.basis[i]] == d
+
+
+def random_tableau(rng, nrows, nstruct):
+    """Random Fraction rows over ``nstruct`` columns, then an identity basis
+    (columns ``nstruct..``), then a right-hand side of either sign."""
+    rows, ncols = [], nstruct + nrows
+    for i in range(nrows):
+        row = [F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.5 else F(0)
+               for _ in range(nstruct)]
+        row += [F(int(j == i)) for j in range(nrows)]
+        row.append(F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7 else F(0))
+        rows.append(row)
+    return rows, list(range(nstruct, ncols))
+
+
 class TestSparsePivot:
     def test_matches_dense_pivot(self):
         rng = random.Random(99)
-        for _ in range(40):
-            nrows, ncols = rng.randint(1, 7), rng.randint(1, 9)
-            tab = _Tableau(ncols, nrows)
-            for row in tab.T:
-                for j in range(ncols + 1):
-                    if rng.random() < 0.4:
-                        row[j] = F(rng.randint(-9, 9), rng.randint(1, 6))
-            tab.basis = [rng.randrange(ncols) for _ in range(nrows)]
-            T_ref = [list(row) for row in tab.T]
-            basis_ref = list(tab.basis)
+        for _ in range(60):
+            rows, basis = random_tableau(rng, rng.randint(1, 7), rng.randint(1, 9))
+            tab = CheckedTableau(rows, basis)
             for _ in range(8):
-                cands = [(r, c) for r in range(nrows) for c in range(ncols) if tab.T[r][c]]
+                cands = [(r, c) for r in range(len(rows)) for c in range(tab.ncols) if c in tab.T[r]]
                 if not cands:
                     break
-                r, c = rng.choice(cands)
-                before = list(tab.T[r])
-                nz = tab.pivot(r, c)
-                dense_pivot(T_ref, basis_ref, r, c)
-                assert nz == [j for j, x in enumerate(before) if x]
-                assert tab.T == T_ref and tab.basis == basis_ref
-                assert all(type(x) is F for row in tab.T for x in row)
+                tab.pivot(*rng.choice(cands))
+
+    @pytest.mark.parametrize("rule", ["bland", "dantzig"])
+    def test_kernel_follows_dense_path(self, rule):
+        # feasible start (rhs >= 0), costs on every column, non-negative on
+        # the starting basis: the fraction-free kernel takes the reference
+        # simplex's pivots (about 220 over the 120 LPs) and ends with its
+        # reduced costs
+        rng = random.Random(31)
+        seen = {"optimal": 0, "unbounded": 0}
+        for _ in range(120):
+            nrows, nstruct = rng.randint(2, 7), rng.randint(1, 7)
+            rows, basis = random_tableau(rng, nrows, nstruct)
+            for row in rows:
+                row[-1] = abs(row[-1])
+            ncols = nstruct + nrows
+            cost = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nstruct)]
+            cost += [F(rng.randint(0, 6)) for _ in range(nrows)]
+            tab = CheckedTableau(rows, basis)
+            status, enter, rc, d = _kernel(tab, cost, ncols, rule)
+            ref_status, ref_enter, ref_path, ref_rc = dense_simplex(rows, basis, cost, rule)
+            assert (status, enter, tab.path) == (ref_status, ref_enter, ref_path)
+            assert [F(rc.get(j, 0), d) for j in range(ncols)] == ref_rc
+            seen[status] += 1
+        assert all(count >= 10 for count in seen.values()), seen
 
 
 class TestVerification:

@@ -30,7 +30,7 @@ from barydd.relaxation import (
     rlt_self_product_rows,
     solve_and_report,
 )
-from conftest import box_polytope
+from conftest import box_polytope, run_optimized
 
 
 def box_bilinear():
@@ -107,6 +107,19 @@ class TestEnvelope:
             envelope_eval(dbp_62, [-5, 0], [0, 0])
         with pytest.raises(InfeasiblePoint):
             envelope_eval(dbp_62, [0, 2], [-1, 0])
+
+    def test_status_check_survives_optimize_flag(self):
+        # an LP that is not optimal at a point of P x Py raises, also under -O
+        code = (
+            "from barydd import HPolyhedron, LPVerificationError, relaxation\n"
+            "from barydd.lp import LPSolution\n"
+            "I = HPolyhedron.make([[-1], [1]], [0, 1])\n"
+            "inst = relaxation.DBPInstance.make(Q=[[1]], P=I, Py=I, cx=[0], cy=[0], c0=0)\n"
+            "relaxation.lp_solve = lambda prob: LPSolution(status='infeasible')\n"
+            "try:\n    relaxation.envelope_eval(inst, [0], [0])\n"
+            "except LPVerificationError:\n    print('raised')\n"
+        )
+        assert run_optimized(code) == "raised"
 
 
 class TestLevelHierarchy:
