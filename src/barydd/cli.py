@@ -72,18 +72,27 @@ def _load_json(path: str):
         raise SystemExit(EXIT_PARSE)
 
 
+def _parse_indices(text: str, m: int, what: str) -> tuple:
+    """Comma-separated row numbers 1..m, each at most once, as 0-based
+    indices; anything else exits with EXIT_PARSE."""
+    try:
+        idx = tuple(int(t) - 1 for t in text.split(",") if t.strip())
+    except ValueError:
+        print(f"bad {what} {text!r}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    if any(i < 0 or i >= m for i in idx):
+        print(f"{what} indices must be in 1..{m}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    if len(set(idx)) != len(idx):
+        print(f"{what} repeats a row in {text!r}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    return idx
+
+
 def _parse_order(text: Optional[str], m: int) -> Optional[List[int]]:
     if text is None:
         return None
-    try:
-        order = [int(t) - 1 for t in text.replace(";", ",").split(",") if t.strip()]
-    except ValueError:
-        print(f"bad --order {text!r}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-    if any(i < 0 or i >= m for i in order):
-        print(f"--order indices must be in 1..{m}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-    return order
+    return list(_parse_indices(text.replace(";", ","), m, "--order"))
 
 
 def _parse_orders(text: str, m: int, k: int, warn_above: int = 64) -> List[tuple]:
@@ -96,13 +105,10 @@ def _parse_orders(text: str, m: int, k: int, warn_above: int = 64) -> List[tuple
                 file=sys.stderr,
             )
         return orders
-    out = []
-    for block in text.split(";"):
-        if block.strip():
-            out.append(tuple(int(t) - 1 for t in block.split(",")))
+    out = [_parse_indices(block, m, "--orders") for block in text.split(";") if block.strip()]
     for o in out:
-        if any(i < 0 or i >= m for i in o) or len(o) != k:
-            print(f"bad order {o} (need length {k}, rows 1..{m})", file=sys.stderr)
+        if len(o) != k:
+            print(f"bad order {o} (need length {k})", file=sys.stderr)
             raise SystemExit(EXIT_PARSE)
     return out
 

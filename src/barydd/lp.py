@@ -2,9 +2,14 @@
 
 There is no floating point anywhere.  Bland's rule is the default pivot rule
 (termination guarantee), with Dantzig-plus-Bland fallback as an option.
-Every row of every problem gets an artificial variable, so the basis inverse
-is always available under the artificial columns and dual values are read
-off exactly.
+Phase 1 starts from a slack crash basis (Bixby 1992): each row is negated
+where needed so that its right-hand side is >= 0, and a row whose slack then
+has coefficient +1 starts with that slack basic; only the other rows ('='
+rows, and inequalities whose slack ends up at -1) get an artificial.  Either
+way each row has a unit column e_i in the starting system, so the basis
+inverse is always available under those columns and dual values and Farkas
+vectors are read off exactly.  An LP of '=' rows only starts from its
+artificials alone.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968): each row is a
 sparse dict of nonzero integer numerators over one positive row
@@ -34,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactmath import rat_to_str
 
@@ -91,6 +96,15 @@ class LPProblem:
         return row
 
 
+class PivotCounts(NamedTuple):
+    """Simplex pivots of one solve: phase 1, driving basic artificials
+    out of the basis, and phase 2."""
+
+    phase1: int = 0
+    drive_out: int = 0
+    phase2: int = 0
+
+
 @dataclass
 class LPSolution:
     status: str  # 'optimal' | 'infeasible' | 'unbounded'
@@ -102,10 +116,14 @@ class LPSolution:
     basis_vars: List[str] = field(default_factory=list)
     farkas: Optional[List[Fraction]] = None
     ray: Optional[Dict[str, Fraction]] = None
+    # how the answer was reached, not part of it
+    pivots: PivotCounts = field(default_factory=PivotCounts, compare=False)
 
 
 class _Tableau:
-    """Fraction-free simplex tableau with explicit artificial columns.
+    """Fraction-free simplex tableau over the structural, slack and
+    artificial columns, in that order; only rows that start without a basic
+    slack have an artificial column.
 
     Row ``i`` is ``T[i]``, a dict from column to nonzero int numerator, over
     one positive int denominator ``D[i]``; the right-hand side is column
@@ -120,13 +138,15 @@ class _Tableau:
     its gcd and sets ``D[r]`` to the pivot numerator ``p``.  Every other row
     with ``f = T[i][c] != 0`` is scaled by ``p`` (when ``p != 1``), has
     ``f * T[r][j]`` subtracted at the pivot row's columns only, which
-    clears column ``c``, and is divided by its gcd."""
+    clears column ``c``, and is divided by its gcd.  ``pivots`` counts the
+    pivots made so far."""
 
     def __init__(self, ncols: int, nrows: int):
         self.T: List[Dict[int, int]] = [{} for _ in range(nrows)]
         self.D: List[int] = [1] * nrows
         self.basis: List[int] = [-1] * nrows
         self.ncols = ncols
+        self.pivots = 0
 
     def set_row(self, i: int, entries: Dict[int, Fraction]):
         """Row ``i`` := the given rational entries (zeros are dropped)."""
@@ -153,6 +173,7 @@ class _Tableau:
             if f and i != r:
                 T[i], D[i] = _eliminate(Ti, D[i], f, rowr, p)
         self.basis[r] = c
+        self.pivots += 1
         return list(rowr)
 
 
@@ -278,11 +299,14 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
             cols.append((v, 1))
     nstruct = len(cols)
     nrows = len(problem.rows)
-    nslack = sum(1 for r in problem.rows if r.sense != "=")
-    art0 = nstruct + nslack
-    ncols = art0 + nrows  # artificial per row at the end
-    tab = _Tableau(ncols, nrows)
+    # a row is negated when its rhs is negative, and a '>=' row also when
+    # its rhs is 0, so every rhs is >= 0 and a '<=' row with rhs >= 0 or a
+    # '>=' row with rhs <= 0 has its slack at +1: that slack starts basic.
+    # unit[i] is the column that is e_i in the starting system, the slack
+    # of such a row and otherwise the row's artificial.
     sign: List[Fraction] = [ONE] * nrows
+    unit: List[int] = [-1] * nrows
+    start: List[Tuple[Dict[int, Fraction], Fraction]] = []  # (body, rhs)
     scol = nstruct
     for i, row in enumerate(problem.rows):
         rhs = row.rhs - sum(
@@ -293,17 +317,28 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
             body[col_of[(v, 1)]] = c
             if (v, -1) in col_of:
                 body[col_of[(v, -1)]] = -c
-        if row.sense != "=":
-            body[scol] = ONE if row.sense == "<=" else -ONE
-            scol += 1
-        body[ncols] = rhs
-        if rhs < 0:
-            sign[i] = -ONE
+        slack = ONE if row.sense == "<=" else -ONE
+        if rhs < 0 or (rhs == 0 and row.sense == ">="):
+            sign[i], slack, rhs = -ONE, -slack, -rhs
             body = {j: -x for j, x in body.items()}
-        acol = art0 + i
-        body[acol] = ONE
+        if row.sense != "=":
+            body[scol] = slack
+            if slack == 1:
+                unit[i] = scol
+            scol += 1
+        start.append((body, rhs))
+    art0 = scol
+    ncols = art0 + unit.count(-1)  # artificials at the end
+    tab = _Tableau(ncols, nrows)
+    acol = art0
+    for i, (body, rhs) in enumerate(start):
+        if unit[i] < 0:
+            unit[i] = acol
+            body[acol] = ONE
+            acol += 1
+        body[ncols] = rhs
         tab.set_row(i, body)
-        tab.basis[i] = acol
+        tab.basis[i] = unit[i]
 
     # -- phase 1 -------------------------------------------------------------
     cost1 = [ZERO] * ncols
@@ -312,14 +347,16 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
     status, _, rc1, d1 = _kernel(tab, cost1, ncols, pivot_rule)
     if status != "optimal":
         raise LPVerificationError(f"phase 1 ended {status}, not optimal")
+    phase1 = tab.pivots
     if any(tab.T[i].get(ncols, 0) > 0 for i in range(nrows) if tab.basis[i] >= art0):
-        # infeasible: y from reduced costs under artificial columns.  When
+        # infeasible: y from reduced costs under the unit columns.  When
         # every row is '<=' over free variables (as lp_feasible builds it),
         # u = -y is a Farkas certificate: u >= 0, u.A = 0 and u.b < 0.
         farkas = [
-            (ONE - Fraction(rc1.get(art0 + i, 0), d1)) * sign[i] for i in range(nrows)
+            (cost1[unit[i]] - Fraction(rc1.get(unit[i], 0), d1)) * sign[i]
+            for i in range(nrows)
         ]
-        return LPSolution(status="infeasible", farkas=farkas)
+        return LPSolution(status="infeasible", farkas=farkas, pivots=PivotCounts(phase1))
 
     # drive basic artificials out where possible (value is 0 here)
     for i in range(nrows):
@@ -327,6 +364,7 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
             piv = min((j for j in tab.T[i] if j < art0), default=None)
             if piv is not None:
                 tab.pivot(i, piv)
+    drive_out = tab.pivots - phase1
 
     # -- phase 2 -------------------------------------------------------------
     cost2 = [ZERO] * ncols
@@ -340,6 +378,7 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
         Fraction(problem.objective.get(v, ZERO)) * shift[v] for v in shift
     )
     status, enter, rc2, d2 = _kernel(tab, cost2, art0, pivot_rule)
+    pivots = PivotCounts(phase1, drive_out, tab.pivots - phase1 - drive_out)
     if status == "unbounded":
         # the same direction certifies -infinity for min and +infinity for max
         direction: Dict[str, Fraction] = {v: ZERO for v in problem.variables}
@@ -351,7 +390,7 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
             if b < nstruct and enter in tab.T[i]:
                 bv, bsgn = cols[b]
                 direction[bv] -= Fraction(bsgn) * tab.value(i, enter)
-        return LPSolution(status="unbounded", ray=direction)
+        return LPSolution(status="unbounded", ray=direction, pivots=pivots)
 
     # -- extract primal ------------------------------------------------------
     xint = [ZERO] * ncols
@@ -367,8 +406,8 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
     value = internal_value + (shift_const if minimize else -shift_const) + (
         problem.obj_const if minimize else -problem.obj_const
     )
-    # duals from reduced costs under artificial columns (phase-2 costs are 0)
-    dual = [-Fraction(rc2.get(art0 + i, 0), d2) * sign[i] for i in range(nrows)]
+    # duals from reduced costs under the unit columns (phase-2 costs are 0)
+    dual = [-Fraction(rc2.get(unit[i], 0), d2) * sign[i] for i in range(nrows)]
     reduced: Dict[str, Fraction] = {
         v: Fraction(rc2.get(col_of[(v, 1)], 0), d2) for v in problem.variables
     }
@@ -387,6 +426,7 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
         basis_vars=[
             cols[b][0] if b < nstruct else f"_slack{b}" for b in tab.basis
         ],
+        pivots=pivots,
     )
     if check:
         _verify_optimal(problem, sol)

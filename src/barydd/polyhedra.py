@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .exactmath import Poly, Rat, RatFun, rat_from_str, rat_to_str
+from .lp import LPProblem, LPVerificationError, lp_solve
 
 
 class NotFullRank(ValueError):
@@ -36,8 +37,12 @@ class HPolyhedron:
         b = tuple(Fraction(x) for x in b)
         if len(A) != len(b):
             raise ValueError("row count of A must equal length of b")
-        n = len(A[0]) if A else 0
+        n = len(A[0]) if A else len(var_names or ())
+        if any(len(row) != n for row in A):
+            raise ValueError(f"every row of A must have length {n}")
         names = tuple(var_names) if var_names else tuple(f"x{i+1}" for i in range(n))
+        if len(names) != n:
+            raise ValueError(f"{len(names)} variable names for {n} variables")
         return HPolyhedron(n, A, b, names)
 
     @property
@@ -190,26 +195,41 @@ def enumerate_vertices_oracle(P: HPolyhedron) -> List[tuple]:
 
 
 def recession_ray(P: HPolyhedron) -> Optional[tuple]:
-    """A nonzero recession direction of P when one exists (else None).
+    """A nonzero recession direction d of P (A d <= 0) when one exists,
+    else None.
 
-    Checks each +-coordinate direction objective over {Ad <= 0, -1 <= d <= 1}
-    by brute force over the vertex oracle of that box-capped cone.
+    When rank A < n, d is an exact null-space vector of A.  Otherwise
+    {d | -1 <= A d <= 0} is bounded, and min 1.A d over it is 0 exactly
+    when A d <= 0 forces d = 0; a negative optimum's primal d is a ray.
+    The ray is checked exactly; a failed check raises LPVerificationError.
     """
     n = P.n
     rows = [list(row) for row in P.A]
-    rhs = [Fraction(0)] * P.m
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        rows.append(e[:])
-        rhs.append(Fraction(1))
-        rows.append([-c for c in e])
-        rhs.append(Fraction(1))
-    box = HPolyhedron.make(rows, rhs)
-    for v in enumerate_vertices_oracle(box):
-        if any(c != 0 for c in v):
-            return v
-    return None
+    red, pivots = linalg.rref(rows)
+    if len(pivots) < n:
+        free = min(set(range(n)) - set(pivots))
+        d = [Fraction(0)] * n
+        d[free] = Fraction(1)
+        for k, c in enumerate(pivots):
+            d[c] = -red[k][free]
+    else:
+        names = [f"d{j}" for j in range(n)]
+        prob = LPProblem(sense="min")
+        for j, v in enumerate(names):
+            prob.add_var(v, obj=sum((row[j] for row in rows), Fraction(0)))
+        for row in rows:
+            coeffs = dict(zip(names, row))
+            prob.add_row(coeffs, "<=", 0)
+            prob.add_row(coeffs, ">=", -1)
+        sol = lp_solve(prob)
+        if sol.status != "optimal":
+            raise LPVerificationError(f"recession LP is {sol.status}")
+        if sol.value == 0:
+            return None
+        d = [sol.primal[v] for v in names]
+    if all(x == 0 for x in d) or any(linalg.dot(row, d) > 0 for row in rows):
+        raise LPVerificationError("recession ray check: need A d <= 0 and d != 0")
+    return tuple(d)
 
 
 def is_bounded(P: HPolyhedron) -> bool:

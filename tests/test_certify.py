@@ -6,9 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from barydd import HPolyhedron, cli, enumerate_vertices_oracle
+from barydd import HPolyhedron, NotFullRank, cli, enumerate_vertices_oracle
 from barydd.certify import (
     Certificate,
+    CertificateStructureError,
     CertTerm,
     OrderMismatch,
     extract_certificate,
@@ -176,7 +177,7 @@ def random_2x2_instance(rng):
         P = HPolyhedron.make(A[:], b[:])
         try:
             verts = enumerate_vertices_oracle(P)
-        except Exception:
+        except NotFullRank:
             continue
         if len(verts) < 3:
             continue
@@ -198,7 +199,7 @@ class TestRoundTrip:
             inst = DBPInstance.make(Q=Q, P=P, Py=Py)
             try:
                 cert, sol = certified(inst)
-            except Exception:
+            except CertificateStructureError:
                 continue  # non-simple P falls outside this sweep
             res = verify_certificate(inst, cert)
             assert res.ok, res.diagnostic

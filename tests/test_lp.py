@@ -10,7 +10,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from barydd import HPolyhedron, LPVerificationError, enumerate_vertices_oracle
+from barydd import HPolyhedron, LPVerificationError, NotFullRank, enumerate_vertices_oracle
+from barydd import lp as lp_module
 from barydd.lp import (
     LPProblem,
     LPRow,
@@ -83,7 +84,7 @@ class TestRandomVsOracle:
             P = HPolyhedron.make(A, b)
             try:
                 verts = enumerate_vertices_oracle(P)
-            except Exception:
+            except NotFullRank:
                 continue
             if not verts:
                 continue
@@ -141,6 +142,103 @@ class TestFeasibility:
     def test_empty_rows_feasible_at_origin(self):
         feasible, point = lp_feasible([], ["x", "y"])
         assert feasible and point == {"x": 0, "y": 0}
+
+
+@pytest.fixture
+def tableaus(monkeypatch):
+    """The list of tableaus the solver builds while the test runs."""
+    made = []
+
+    class Recording(_Tableau):
+        def __init__(self, ncols, nrows):
+            super().__init__(ncols, nrows)
+            made.append(self)
+
+    monkeypatch.setattr(lp_module, "_Tableau", Recording)
+    return made
+
+
+def needs_artificial(p, row):
+    """A row whose slack cannot start basic at +1: an '=' row, a '<=' row
+    with a negative right-hand side, or a '>=' row with a positive one,
+    after the variables are shifted to their lower bounds."""
+    rhs = row.rhs - sum(c * p.lb[v] for v, c in row.coeffs.items() if p.lb[v] is not None)
+    return row.sense == "=" or (rhs < 0 if row.sense == "<=" else rhs > 0)
+
+
+def struct_columns(p):
+    return sum(1 if p.lb[v] is not None else 2 for v in p.variables)
+
+
+class TestSlackStart:
+    def test_slack_rows_need_no_phase1(self, tableaus):
+        # every row has a +1 slack after sign normalization, the '>=' rows
+        # with rhs 0 and -2 through negation: no artificial, no phase 1
+        p = LPProblem(sense="min")
+        p.add_var("x", lb=F(0), obj=F(-1))
+        p.add_var("y", obj=F(-1))
+        p.add_row({"x": F(1), "y": F(1)}, "<=", F(3))
+        p.add_row({"x": F(1), "y": F(-1)}, "<=", F(0))
+        p.add_row({"y": F(1)}, ">=", F(0))
+        p.add_row({"x": F(-1)}, ">=", F(-2))
+        sol = lp_solve(p)
+        assert sol.status == "optimal" and sol.value == -3
+        assert (sol.pivots.phase1, sol.pivots.drive_out) == (0, 0)
+        assert sol.pivots.phase2 > 0
+        (tab,) = tableaus
+        assert tab.ncols == struct_columns(p) + len(p.rows)
+
+    def test_artificial_only_where_no_slack(self, tableaus):
+        # over the mixed random LPs: one artificial per row without a +1
+        # slack, and no phase-1 pivot when there is none
+        rng = random.Random(4)
+        counts = {"none": 0, "some": 0}
+        for _ in range(200):
+            p = random_lp(rng)
+            tableaus.clear()
+            sol = lp_solve(p)
+            (tab,) = tableaus
+            nslack = sum(1 for r in p.rows if r.sense != "=")
+            nart = sum(1 for r in p.rows if needs_artificial(p, r))
+            assert tab.ncols == struct_columns(p) + nslack + nart
+            if nart == 0:
+                assert sol.pivots.phase1 == 0 and sol.pivots.drive_out == 0
+                counts["none"] += 1
+            else:
+                counts["some"] += 1
+        assert all(c >= 20 for c in counts.values()), counts
+
+    def test_mixed_feasibility_systems(self, tableaus):
+        # lp_feasible rows are all '<=': rhs >= 0 starts at its slack,
+        # rhs < 0 gets an artificial; points and Farkas vectors are checked
+        # here again, exactly, in the input's own senses
+        rng = random.Random(11)
+        seen = {True: 0, False: 0}
+        mixed = 0
+        for _ in range(200):
+            names = [f"x{j}" for j in range(rng.randint(1, 3))]
+            rows = [
+                LPRow({v: F(rng.randint(-3, 3)) for v in names if rng.random() < 0.8},
+                      rng.choice(["<=", ">="]), F(rng.randint(-4, 4)))
+                for _ in range(rng.randint(2, 6))
+            ]
+            tableaus.clear()
+            feasible, out = lp_feasible(rows, names)
+            (tab,) = tableaus
+            nart = tab.ncols - 2 * len(names) - len(rows)
+            mixed += 0 < nart < len(rows)
+            seen[feasible] += 1
+            if feasible:
+                for row in rows:
+                    lhs = sum(c * out[v] for v, c in row.coeffs.items())
+                    assert lhs <= row.rhs if row.sense == "<=" else lhs >= row.rhs
+            else:
+                orient = [1 if row.sense == "<=" else -1 for row in rows]
+                assert all(u >= 0 for u in out)
+                for v in names:
+                    assert sum(u * o * row.coeffs.get(v, 0) for u, o, row in zip(out, orient, rows)) == 0
+                assert sum(u * o * row.rhs for u, o, row in zip(out, orient, rows)) < 0
+        assert min(seen.values()) >= 50 and mixed >= 100, (seen, mixed)
 
 
 class TestTermination:

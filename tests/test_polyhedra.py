@@ -7,11 +7,13 @@ import pytest
 
 from barydd import (
     HPolyhedron,
+    LPVerificationError,
     NotFullRank,
     dehomogenize,
     enumerate_vertices_oracle,
     homogenize,
 )
+from barydd import linalg
 from barydd.exactmath import RatFun
 from barydd.polyhedra import is_bounded, recession_ray
 
@@ -100,6 +102,21 @@ class TestVertexOracle:
         assert enumerate_vertices_oracle(P) == [(F(0), F(0))]
 
 
+def brute_force_ray(P):
+    """Oracle: a nonzero vertex of the box-capped recession cone
+    {A d <= 0, -1 <= d <= 1}, by enumerating its C(m+2n, n) vertices."""
+    n = P.n
+    rows, rhs = [list(row) for row in P.A], [F(0)] * P.m
+    for i in range(n):
+        e = [F(int(j == i)) for j in range(n)]
+        rows += [e, [-c for c in e]]
+        rhs += [F(1), F(1)]
+    for v in enumerate_vertices_oracle(HPolyhedron.make(rows, rhs)):
+        if any(c != 0 for c in v):
+            return v
+    return None
+
+
 class TestBoundedness:
     def test_bounded(self, poly_51):
         assert is_bounded(poly_51)
@@ -108,6 +125,58 @@ class TestBoundedness:
         P = HPolyhedron.make([[-1, 0], [0, -1]], [0, 0])
         ray = recession_ray(P)
         assert ray is not None and any(c != 0 for c in ray)
+
+    def test_agrees_with_brute_force(self):
+        # 300 seeded polyhedra, n <= 3 and m <= 6, some with no rows and
+        # some with a zero column (rank A < n); every ray is checked exactly
+        rng = random.Random(5)
+        seen = {"bounded": 0, "unbounded": 0, "no rows": 0, "rank deficient": 0}
+        for _ in range(300):
+            n, m = rng.randint(1, 3), rng.choice([0, 1, 2, 3, 4, 5, 6])
+            A = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
+            if m and rng.random() < 0.25:
+                j = rng.randrange(n)
+                for row in A:
+                    row[j] = F(0)
+            P = HPolyhedron.make(A, [F(rng.randint(-2, 5)) for _ in range(m)], [f"x{j}" for j in range(n)])
+            ray = recession_ray(P)
+            assert (ray is None) == (brute_force_ray(P) is None), P
+            if ray is not None:
+                assert any(ray) and all(sum(a * d for a, d in zip(row, ray)) <= 0 for row in P.A)
+            seen["bounded" if ray is None else "unbounded"] += 1
+            seen["no rows"] += m == 0
+            seen["rank deficient"] += 0 < m and linalg.rank([list(r) for r in A]) < n
+        assert all(count >= 30 for count in seen.values()), seen
+
+    def test_bad_ray_raises(self, monkeypatch):
+        # a recession LP whose primal is not a ray fails the exact check
+        from barydd import polyhedra
+
+        P = HPolyhedron.make([[-1, 0], [0, -1]], [0, 0])
+        real = polyhedra.lp_solve
+
+        def tampered(prob):
+            sol = real(prob)
+            sol.primal = {v: -x for v, x in sol.primal.items()}
+            return sol
+
+        monkeypatch.setattr(polyhedra, "lp_solve", tampered)
+        with pytest.raises(LPVerificationError):
+            recession_ray(P)
+
+
+class TestMake:
+    def test_ragged_rows(self):
+        with pytest.raises(ValueError):
+            HPolyhedron.make([[1, 0], [1]], [1, 2])
+
+    def test_name_count(self):
+        with pytest.raises(ValueError):
+            HPolyhedron.make([[1, 0]], [1], ["x"])
+
+    def test_names_fix_n_without_rows(self):
+        P = HPolyhedron.make([], [], ["a", "b"])
+        assert P.n == 2 and not is_bounded(P)
 
 
 class TestJson:

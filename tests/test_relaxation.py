@@ -336,3 +336,37 @@ class TestReport:
         report = solve_and_report(p)
         assert report["status"] == "infeasible"
         assert "farkas" in report
+
+
+def exit_code(argv):
+    """The exit code of ``barydd`` on ``argv``, returned or raised."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestCliBadInput:
+    """Bad input exits with EXIT_PARSE and prints no result."""
+
+    @pytest.mark.parametrize(
+        "polytope",
+        [
+            {"constraints": [{"coeffs": ["1", "0"], "rhs": "1"}, {"coeffs": ["1"], "rhs": "2"}]},
+            {"variables": ["a"], "constraints": [{"coeffs": ["1", "0"], "rhs": "1"}]},
+        ],
+        ids=["ragged_rows", "name_count"],
+    )
+    def test_dd_rejects(self, polytope, tmp_path, capsys):
+        inp = tmp_path / "P.json"
+        inp.write_text(json.dumps(polytope))
+        assert exit_code(["dd", str(inp)]) == cli.EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("orders", ["1,x", "1,1"], ids=["not_an_integer", "repeated_index"])
+    def test_de_rejects_orders(self, orders, dbp_62, tmp_path, capsys):
+        inp = tmp_path / "dbp62.json"
+        inp.write_text(json.dumps(dbp_62.to_json()))
+        argv = ["solve", str(inp), "--method", "de", "--level", "2", "--orders", orders]
+        assert exit_code(argv) == cli.EXIT_PARSE
+        assert capsys.readouterr().out == ""
