@@ -5,9 +5,10 @@ All numeric output is exact fractions; --approx appends decimal renderings
 without ever replacing exact values.  Row orders on the command line are
 1-based to match printed constraint numbering; the Python API is 0-based.
 
-Exit codes: 0 ok, 2 parse error, 3 empty interior, 4 level too low (the
-message reports the minimum usable level), 5 certificate verification
-failure.
+Exit codes: 0 ok, 2 bad input (a parse error, a --level outside the
+method's range, a violated assumption, a file that cannot be read or
+written), 3 empty interior, 4 level too low (the message reports the
+minimum usable level), 5 certificate verification failure.
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ from .lp import lp_solve
 from .polyhedra import HPolyhedron, dehomogenize, enumerate_vertices_oracle
 from .relaxation import (
     DBPInstance,
+    LevelRun,
     LevelTooLow,
+    NotBox,
     build_de_linear,
     build_hull_lp,
     build_level_lp,
     build_rlt_baseline,
-    gap_table,
     solution_report,
 )
 from .certify import Certificate, extract_certificate, verify_certificate
@@ -113,10 +115,22 @@ def _parse_orders(text: str, m: int, k: int, warn_above: int = 64) -> List[tuple
     return out
 
 
+def _check_level(level: int, lo: int, hi: int) -> int:
+    """level if it lies in lo..hi; otherwise exits with EXIT_PARSE."""
+    if not lo <= level <= hi:
+        print(f"--level {level} is out of range: must be in {lo}..{hi}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    return level
+
+
 def _write_artifact(path: str, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
 
 
 def _manifest(command: str, input_path: str, options: dict, artifacts: List[str], t0: float) -> dict:
@@ -174,8 +188,6 @@ def cmd_dd(args) -> int:
         "implied_zero": [iz.name for iz in st.implied_zero],
         "E": [i + 1 for i in st.E],
     }
-    print("order:", ",".join(str(i + 1) for i in run.order))
-    print(f"columns: {st.p} rays, {st.q} lineality")
     if args.out:
         _write_artifact(args.out, dump)
         _write_artifact(
@@ -188,7 +200,9 @@ def cmd_dd(args) -> int:
                 t0,
             ),
         )
-    else:
+    print("order:", ",".join(str(i + 1) for i in run.order))
+    print(f"columns: {st.p} rays, {st.q} lineality")
+    if not args.out:
         json.dump(dump, sys.stdout, indent=2, sort_keys=True)
         print()
     return 0
@@ -217,9 +231,16 @@ def cmd_solve(args) -> int:
         elif method == "ddr":
             order = _parse_order(args.order, inst.P.m)
             k = args.level if args.level is not None else inst.P.m
-            prob = build_level_lp(inst, k, order=order)
+            _check_level(k, 0, inst.P.m if order is None else len(order))
+            if args.report:
+                # one run over the whole order; the gap table builds every
+                # level from it
+                levels = LevelRun.make(inst, order)
+                prob = levels.lp(k)
+            else:
+                prob = build_level_lp(inst, k, order=order)
         elif method == "de":
-            k = args.level if args.level is not None else 1
+            k = _check_level(args.level if args.level is not None else 1, 1, inst.P.m)
             orders = _parse_orders(
                 args.orders or "all-k-subsets", inst.P.m, k,
                 warn_above=args.orders_warn,
@@ -231,29 +252,25 @@ def cmd_solve(args) -> int:
         elif method == "rlt1":
             prob = build_rlt_baseline(inst, "level1_general")
         elif method == "rltbox":
-            prob = build_rlt_baseline(inst, "box_level_k", k=args.level or 1)
+            k = _check_level(args.level if args.level is not None else 1, 1, inst.n)
+            prob = build_rlt_baseline(inst, "box_level_k", k=k)
         elif method == "fdr":
-            prob = build_fdr_level(inst, args.level or 1)
+            k = _check_level(args.level if args.level is not None else 1, 1, inst.np)
+            prob = build_fdr_level(inst, k)
         else:
             print(f"unknown method {method}", file=sys.stderr)
             return EXIT_PARSE
     except LevelTooLow as exc:
         print(f"level too low: {exc}", file=sys.stderr)
         return EXIT_LEVEL
-    except FacesShareVertices as exc:
+    except (FacesShareVertices, NotBox) as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return EXIT_PARSE
     sol = lp_solve(prob)
-    if sol.status == "optimal":
-        print(_maybe_approx(sol.value, args.approx))
-    else:
-        print(sol.status)
     if args.report:
         report = solution_report(prob, sol)
-        if method == "ddr" and isinstance(inst, DBPInstance):
-            report["gap_table"] = gap_table(
-                inst, order=_parse_order(args.order, inst.P.m)
-            )
+        if method == "ddr":
+            report["gap_table"] = levels.gap_table(solved={k: sol})
         _write_artifact(args.report, report)
         _write_artifact(
             args.report + ".manifest.json",
@@ -271,6 +288,10 @@ def cmd_solve(args) -> int:
                 t0,
             ),
         )
+    if sol.status == "optimal":
+        print(_maybe_approx(sol.value, args.approx))
+    else:
+        print(sol.status)
     return 0
 
 
@@ -330,6 +351,8 @@ def cmd_fdr_check(args) -> int:
     except (KeyError, ValueError) as exc:
         print(f"bad FDP file: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    if args.level is not None:
+        _check_level(args.level, 1, inst.np)
     try:
         sets = check_vertex_disjoint(inst)
     except FacesShareVertices as exc:
@@ -339,7 +362,7 @@ def cmd_fdr_check(args) -> int:
         for j, E in enumerate(block_sets):
             print(f"block {i} face {j}: vertices {list(E)}")
     print("PASS assumption: faces are vertex-disjoint")
-    if args.level:
+    if args.level is not None:
         prob = build_fdr_level(inst, args.level)
         sol = lp_solve(prob)
         val = rat_to_str(sol.value) if sol.status == "optimal" else sol.status

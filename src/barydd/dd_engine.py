@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .exactmath import Poly, RatFun, rf_equal
@@ -854,12 +854,15 @@ def dd_run(
     prune: bool = False,
     init: str = "default",
     varrho: Optional[int] = None,
+    stop: Optional[Callable[[DDState], bool]] = None,
 ) -> DDRun:
     """Run the algorithm over the given row order (0-based indices).
 
     P may be an HPolyhedron (homogenized here) or a HomCone.  With phase1
     init, rows not orthogonal to the lineality space are pulled forward out
     of the order; the remaining rows are processed in the order given.
+    With stop, the run ends at the first state, the initial one included,
+    for which stop(raw state) is true; the rows after it are not processed.
     """
     if isinstance(P, HPolyhedron):
         cone = homogenize(P)
@@ -872,6 +875,8 @@ def dd_run(
     raw_states = [state]
     entries = list(init_entries)
     for row in remaining:
+        if stop is not None and stop(raw_states[-1]):
+            break
         raw, entry = dd_step(states[-1], row)
         raw_states.append(raw)
         entries.append(entry)
@@ -879,7 +884,7 @@ def dd_run(
     return DDRun(
         P=poly,
         cone=cone,
-        order=states[0].processed + tuple(remaining),
+        order=states[0].processed + tuple(remaining[: len(raw_states) - 1]),
         states=states,
         raw_states=raw_states,
         entries=entries,

@@ -353,36 +353,82 @@ def build_level_lp(
     space to be empty at level k (ray columns are allowed); for a pure
     bilinear instance all g_i are affine so the form is exact at k = m.
     Instances with non-affine g use the alternate initialization, keeping the
-    generator rows that scale them non-negative."""
-    ac = dbp_as_ac(inst) if isinstance(inst, DBPInstance) else inst
-    order = list(order) if order is not None else list(range(ac.P.m))
-    if k > len(order):
-        raise ValueError(f"level {k} exceeds order length {len(order)}")
-    return _level_lp(ac, _level_run(ac, order), k, prune)
+    generator rows that scale them non-negative.  DD runs only through step
+    max(k, kbar) of the order (see LevelRun.make)."""
+    return LevelRun.make(inst, order, k).lp(k, prune)
 
 
-def _level_run(ac: ACInstance, order: List[int]) -> DDRun:
-    """The DD run over the whole order that every level of it is built from."""
-    if all(g.affine for g in ac.g):
-        return dd_run(ac.P, order=order)
-    return dd_run(ac.P, order=order, init="partial_orthant", varrho=ac.varrho)
+@dataclass
+class LevelRun:
+    """One DD run over a row order, read as the level hierarchy: the level-k
+    LP is built from the state after step k."""
 
+    ac: ACInstance
+    run: DDRun
 
-def _level_lp(ac: ACInstance, run: DDRun, k: int, prune: bool) -> LPProblem:
-    """The level-k LP from the state after k steps of run."""
-    # find kbar: smallest step count with empty lineality
-    kbar = next((t for t, st in enumerate(run.raw_states) if st.q == 0), None)
-    if kbar is None or k < kbar:
-        raise LevelTooLow(k, kbar, "lineality space not empty at this level")
-    st = run.raw_states[k]
-    if prune:
-        from .dd_engine import prune_redundant
+    @staticmethod
+    def make(inst, order: Optional[Sequence[int]] = None, k: Optional[int] = None) -> "LevelRun":
+        """DD over the order (all rows by default).  Without k every row of
+        the order is processed.  With k, which must be in 0..len(order), the
+        run stops after step max(k, kbar), kbar being the first step whose
+        lineality space is empty; when no step empties it, the whole order
+        runs, so LevelTooLow still reports kbar.  Both inits used here
+        (default, and partial_orthant for non-affine g) keep the order, so a
+        stopped run holds exactly the first states of the whole run."""
+        ac = dbp_as_ac(inst) if isinstance(inst, DBPInstance) else inst
+        order = list(order) if order is not None else list(range(ac.P.m))
+        stop = None
+        if k is not None:
+            if not 0 <= k <= len(order):
+                raise ValueError(f"level {k} is not in 0..{len(order)}, the order length")
+            stop = lambda st: st.k >= k and st.q == 0  # noqa: E731
+        if all(g.affine for g in ac.g):
+            return LevelRun(ac, dd_run(ac.P, order=order, stop=stop))
+        return LevelRun(
+            ac, dd_run(ac.P, order=order, init="partial_orthant", varrho=ac.varrho, stop=stop)
+        )
 
-        st = prune_redundant(st)
-    from .polyhedra import dehomogenize
+    @property
+    def kbar(self) -> Optional[int]:
+        """The smallest step count with empty lineality, if the run has one."""
+        return next((t for t, st in enumerate(self.run.raw_states) if st.q == 0), None)
 
-    W, _ = dehomogenize(st.R, list(st.mu))
-    return _vertex_form_lp(ac, W, name=f"level{k}")
+    def lp(self, k: int, prune: bool = False) -> LPProblem:
+        """The level-k LP from the state after step k."""
+        kbar = self.kbar
+        if kbar is None or k < kbar:
+            raise LevelTooLow(k, kbar, "lineality space not empty at this level")
+        st = self.run.raw_states[k]
+        if prune:
+            from .dd_engine import prune_redundant
+
+            st = prune_redundant(st)
+        from .polyhedra import dehomogenize
+
+        W, _ = dehomogenize(st.R, list(st.mu))
+        return _vertex_form_lp(self.ac, W, name=f"level{k}")
+
+    def gap_table(
+        self, prune: bool = False, solved: Optional[Dict[int, LPSolution]] = None
+    ) -> List[dict]:
+        """(k, status, value) of every usable level the run reaches.  solved
+        maps a level to a solution of its LP (built with the same prune);
+        that level is neither built nor solved again."""
+        solved = solved or {}
+        kbar = self.kbar
+        if kbar is None:
+            return []
+        table = []
+        for k in range(kbar, len(self.run.raw_states)):
+            sol = solved[k] if k in solved else lp_solve(self.lp(k, prune))
+            table.append(
+                {
+                    "level": k,
+                    "status": sol.status,
+                    "value": rat_to_str(sol.value) if sol.status == "optimal" else None,
+                }
+            )
+        return table
 
 
 def _vertex_form_lp(ac: ACInstance, W: Sequence[tuple], name: str) -> LPProblem:
@@ -460,26 +506,10 @@ def _vertex_form_lp(ac: ACInstance, W: Sequence[tuple], name: str) -> LPProblem:
 def gap_table(
     inst, order: Optional[Sequence[int]] = None, prune: bool = False
 ) -> List[dict]:
-    """Solve every usable level and report (k, status, value).  DD runs once
-    over the order; each level is built from the state after its step."""
-    ac = dbp_as_ac(inst) if isinstance(inst, DBPInstance) else inst
-    order = list(order) if order is not None else list(range(ac.P.m))
-    run = _level_run(ac, order)
-    out = []
-    for k in range(len(order) + 1):
-        try:
-            prob = _level_lp(ac, run, k, prune)
-        except LevelTooLow:
-            continue
-        sol = lp_solve(prob)
-        out.append(
-            {
-                "level": k,
-                "status": sol.status,
-                "value": rat_to_str(sol.value) if sol.status == "optimal" else None,
-            }
-        )
-    return out
+    """Solve every usable level and report (k, status, value).  DD runs once,
+    over the whole order; each level is built from the state after its
+    step."""
+    return LevelRun.make(inst, order).gap_table(prune)
 
 
 # --------------------------------------------------------------------------
@@ -508,6 +538,7 @@ class _WRegistry:
         self.ny = ny
         self.names: Dict[tuple, str] = {}
         self.dens: Dict[tuple, Poly] = {}
+        self.linearized: Dict[tuple, tuple] = {}  # see _lin_ratfun
 
     def var(self, dprim: Poly, alpha: tuple, l: Optional[int]) -> str:
         dkey = dprim.key()
@@ -522,7 +553,17 @@ class _WRegistry:
 
 def _lin_ratfun(wreg: _WRegistry, f: RatFun, l: Optional[int]):
     """Linearize a dehomogenized rational function (times y_l when l given)
-    into (coeffs dict, constant)."""
+    into (coeffs dict, constant); callers must not modify the dict.  Each
+    (num, den, l), terms in order, is linearized once per registry: a repeat
+    would register no new variable, so the first result stands for it and
+    the w numbering follows the first calls."""
+    key = (tuple(f.num.terms.items()), tuple(f.den.terms.items()), l)
+    if key not in wreg.linearized:
+        wreg.linearized[key] = _linearize(wreg, f, l)
+    return wreg.linearized[key]
+
+
+def _linearize(wreg: _WRegistry, f: RatFun, l: Optional[int]):
     coeffs: Dict[str, Fraction] = {}
     const = ZERO
     if f.is_zero():

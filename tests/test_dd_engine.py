@@ -342,6 +342,28 @@ class TestInit:
         assert cols_cov == cols_R
 
 
+class TestStop:
+    @pytest.mark.parametrize("init", ["default", "partial_orthant"])
+    def test_stopped_run_is_a_prefix(self, poly_53, init):
+        # partial_orthant takes x2, x3 >= 0 from rows 1 and 2
+        order = [3, 1, 5, 0, 2, 4]
+        whole = dd_run(poly_53, order=order, init=init, varrho=1)
+        for steps in range(len(order) + 1):
+            run = dd_run(poly_53, order=order, init=init, varrho=1,
+                         stop=lambda st: st.k >= steps)
+            assert run.order == tuple(order[:steps])
+            assert len(run.raw_states) == steps + 1 and len(run.entries) == steps
+            for st, ref in zip(run.raw_states, whole.raw_states):
+                assert (st.R, st.L) == (ref.R, ref.L)
+                assert [f.to_json() for f in st.mu + st.theta] == [
+                    f.to_json() for f in ref.mu + ref.theta
+                ]
+
+    def test_stop_checks_the_initial_state(self, poly_53):
+        run = dd_run(poly_53, stop=lambda st: True)
+        assert run.order == () and run.entries == [] and len(run.raw_states) == 1
+
+
 class TestPhase1Check:
     @pytest.mark.parametrize(
         "abar, processed, message",

@@ -1,19 +1,22 @@
 """Hull LP, level hierarchy, algebraic hierarchy, RLT baselines, envelopes."""
 
+import itertools
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from barydd import HPolyhedron, cli, dd_run, enumerate_vertices_oracle, relaxation
+from barydd import HPolyhedron, cli, dd_engine, dd_run, enumerate_vertices_oracle, relaxation
 from barydd.exactmath import Poly
+from barydd.facial import CouplingRow, Face, FDPBlock, FDPInstance
 from barydd.lp import lp_solve
 from barydd.relaxation import (
     ACInstance,
     DBPInstance,
     GFun,
     InfeasiblePoint,
+    LevelRun,
     LevelTooLow,
     NotBox,
     UnboundedInput,
@@ -28,6 +31,7 @@ from barydd.relaxation import (
     expanded_monomials_brute,
     gap_table,
     rlt_self_product_rows,
+    solution_report,
     solve_and_report,
 )
 from conftest import box_polytope, run_optimized
@@ -44,6 +48,53 @@ def box2_bilinear():
     P = box_polytope(2)
     Py = box_polytope(2)
     return DBPInstance.make(Q=[[1, 2], [-3, 1]], P=P, Py=Py, cx=[1, 0], cy=[0, -1])
+
+
+def ac_instance():
+    """P: -1 <= x1 <= 1, 0 <= x2 <= 1 with x2 >= 0 explicit; g2 = |y|."""
+    P = HPolyhedron.make(
+        [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 0]
+    )
+    Py = HPolyhedron.make([[1], [-1]], [1, 1])
+    g = [
+        GFun.make_affine(0, [0]),
+        GFun.make_affine(0, [1]),
+        GFun.make_max([(0, [1]), (0, [-1])]),
+    ]
+    return ACInstance(P, Py, g, varrho=1)
+
+
+def random_dbp(rng, n, m):
+    """P: x >= 0 and m - n rows with coefficients in [1,4] and right-hand
+    sides in [4,12], rows shuffled; Py the unit square."""
+    A = [[-int(j == i) for j in range(n)] for i in range(n)]
+    b = [0] * n
+    for _ in range(m - n):
+        A.append([rng.randint(1, 4) for _ in range(n)])
+        b.append(rng.randint(4, 12))
+    rows = list(zip(A, b))
+    rng.shuffle(rows)
+    P = HPolyhedron.make([r for r, _ in rows], [c for _, c in rows])
+    Q = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(n)]
+    return DBPInstance.make(Q=Q, P=P, Py=box_polytope(2), cx=[rng.randint(-5, 5) for _ in range(n)])
+
+
+def two_block_fdp():
+    """Two 0-1 interval blocks, a coupling row x1 - x2 + y <= 1 and the
+    bounds -1 <= y <= 1."""
+    block = FDPBlock(
+        HPolyhedron.make([[1], [-1]], [1, 0]),
+        [Face.from_cut(0, [-1]), Face.from_cut(1, [1])],
+    )
+    coupling = [
+        CouplingRow((F(1), F(-1)), (F(1),), "<=", F(1)),
+        CouplingRow((F(0), F(0)), (F(1),), "<=", F(1)),
+        CouplingRow((F(0), F(0)), (F(-1),), "<=", F(1)),
+    ]
+    return FDPInstance(
+        blocks=[block, block], coupling=coupling, obj_x=(F(1), F(-2)),
+        obj_y=(F(1),), obj_const=F(0), ny=1,
+    )
 
 
 class TestHull:
@@ -158,6 +209,69 @@ class TestLevelHierarchy:
         vals = [F(r["value"]) for r in table if r["status"] == "optimal"]
         assert vals == sorted(vals) and vals[-1] == -360
 
+    @staticmethod
+    def assert_stopped_runs_match(inst, order, prune=False):
+        """build_level_lp, whose DD stops after step max(k, kbar), gives the
+        LP built from a run over the whole order, and the same kbar."""
+        ac = relaxation.dbp_as_ac(inst) if isinstance(inst, DBPInstance) else inst
+        if all(g.affine for g in ac.g):
+            whole = dd_run(ac.P, order=order)
+        else:
+            whole = dd_run(ac.P, order=order, init="partial_orthant", varrho=ac.varrho)
+        reference = LevelRun(ac, whole)
+        for k in range(len(order) + 1):
+            try:
+                want = reference.lp(k, prune)
+            except LevelTooLow as exc:
+                with pytest.raises(LevelTooLow) as err:
+                    build_level_lp(inst, k, order=order, prune=prune)
+                assert err.value.kbar == exc.kbar
+                continue
+            assert repr(build_level_lp(inst, k, order=order, prune=prune)) == repr(want)
+
+    def test_stopped_run_matches_whole_run_62(self, dbp_62):
+        for order in itertools.permutations(range(dbp_62.P.m)):
+            self.assert_stopped_runs_match(dbp_62, list(order))
+        # orders too short to empty the lineality space: kbar is None
+        for order in ([], [2], [3, 0], [0, 3, 1]):
+            self.assert_stopped_runs_match(dbp_62, order)
+        self.assert_stopped_runs_match(dbp_62, [2, 0, 3, 1], prune=True)
+
+    def test_stopped_run_matches_whole_run_random(self):
+        rng = random.Random(20240518)
+        for n, m in [(2, 4), (2, 5), (2, 6), (3, 5), (3, 6)]:
+            for _ in range(2):
+                inst = random_dbp(rng, n, m)
+                order = list(range(m))
+                rng.shuffle(order)
+                self.assert_stopped_runs_match(inst, order)
+
+    def test_stopped_run_matches_whole_run_non_affine(self):
+        inst = ac_instance()
+        for order in itertools.permutations(range(inst.P.m)):
+            self.assert_stopped_runs_match(inst, list(order))
+
+    def test_level_out_of_range(self, dbp_62):
+        for k, order in [(-1, None), (5, None), (3, [0, 1])]:
+            with pytest.raises(ValueError) as err:
+                build_level_lp(dbp_62, k, order=order)
+            assert not isinstance(err.value, LevelTooLow)
+
+    def test_cli_ddr_steps_only_to_its_level(self, dbp_62, tmp_path, monkeypatch, capsys):
+        steps = []
+        dd_step = dd_engine.dd_step
+
+        def counted(state, row):
+            steps.append(row)
+            return dd_step(state, row)
+
+        monkeypatch.setattr(dd_engine, "dd_step", counted)
+        inp = tmp_path / "dbp62.json"
+        inp.write_text(json.dumps(dbp_62.to_json()))
+        assert cli.main(["solve", str(inp), "--method", "ddr", "--level", "2"]) == 0
+        assert steps == [0, 1]
+        assert capsys.readouterr().out == "unbounded\n"
+
     @pytest.mark.parametrize("prune", [False, True])
     def test_gap_table_matches_each_level(self, dbp_62, prune):
         # one DD run per order gives the same table as one build per level
@@ -174,21 +288,8 @@ class TestLevelHierarchy:
 
 
 class TestACHierarchy:
-    def ac_instance(self):
-        # P: -1 <= x1 <= 1, 0 <= x2 <= 1 with x2 >= 0 explicit; g2 = |y|
-        P = HPolyhedron.make(
-            [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 0]
-        )
-        Py = HPolyhedron.make([[1], [-1]], [1, 1])
-        g = [
-            GFun.make_affine(0, [0]),
-            GFun.make_affine(0, [1]),
-            GFun.make_max([(0, [1]), (0, [-1])]),
-        ]
-        return ACInstance(P, Py, g, varrho=1)
-
     def test_monotone_and_exact(self):
-        inst = self.ac_instance()
+        inst = ac_instance()
         values = []
         for k in range(0, 5):
             try:
@@ -251,6 +352,17 @@ class TestDELinear:
         m2 = build_de_linear(dbp_62, 2, [(1, 2), (2, 1)])
         # the same denominators must reuse keys rather than fork per order
         assert len(m2.wnames) < 2 * len(m1.wnames)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_linearizing_once_changes_nothing(self, dbp_62, k, monkeypatch):
+        # the same LP, w numbering and coefficient order as linearizing at
+        # every call
+        orders = sorted(itertools.combinations(range(dbp_62.P.m), k))
+        once = build_de_linear(dbp_62, k, orders)
+        monkeypatch.setattr(relaxation, "_lin_ratfun", relaxation._linearize)
+        every = build_de_linear(dbp_62, k, orders)
+        assert repr(once.problem) == repr(every.problem)
+        assert (once.wnames, once.meta) == (every.wnames, every.meta)
 
 
 class TestRLT:
@@ -327,6 +439,34 @@ class TestReport:
         assert len(calls) == 1
         assert json.loads(out.read_text()) == solve_and_report(build_hull_lp(dbp_62))
 
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_cli_ddr_report_runs_dd_once(self, level, dbp_62, tmp_path, monkeypatch):
+        runs, solves = [], []
+
+        def counted_run(*args, **kwargs):
+            runs.append(kwargs.get("order"))
+            return dd_run(*args, **kwargs)
+
+        def counted_solve(prob, *args, **kwargs):
+            solves.append(prob.name)
+            return lp_solve(prob, *args, **kwargs)
+
+        monkeypatch.setattr(relaxation, "dd_run", counted_run)
+        monkeypatch.setattr(cli, "lp_solve", counted_solve)
+        monkeypatch.setattr(relaxation, "lp_solve", counted_solve)
+        inp = tmp_path / "dbp62.json"
+        inp.write_text(json.dumps(dbp_62.to_json()))
+        out = tmp_path / "report.json"
+        argv = ["solve", str(inp), "--method", "ddr", "--level", str(level), "--report", str(out)]
+        assert cli.main(argv) == 0
+        # one run over the whole order; one solve per usable level (kbar = 2)
+        assert runs == [[0, 1, 2, 3]]
+        assert sorted(solves) == ["level2", "level3", "level4"]
+        prob = build_level_lp(dbp_62, level)
+        want = solution_report(prob, lp_solve(prob))
+        want["gap_table"] = gap_table(dbp_62)
+        assert json.loads(out.read_text()) == want
+
     def test_infeasible_report(self):
         from barydd.lp import LPProblem
 
@@ -362,6 +502,89 @@ class TestCliBadInput:
         inp.write_text(json.dumps(polytope))
         assert exit_code(["dd", str(inp)]) == cli.EXIT_PARSE
         assert capsys.readouterr().out == ""
+
+    @staticmethod
+    def write(tmp_path, inst, name="inst.json"):
+        inp = tmp_path / name
+        inp.write_text(json.dumps(inst.to_json()))
+        return str(inp)
+
+    @staticmethod
+    def assert_one_line_error(capsys, start=""):
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 and out.err.startswith(start)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--method", "ddr", "--level", "9"],
+            ["--method", "ddr", "--level", "-1"],
+            ["--method", "ddr", "--level", "3", "--order", "2,1"],
+            ["--method", "de", "--level", "9"],
+            ["--method", "de", "--level", "0"],
+        ],
+        ids=["ddr_above_m", "ddr_negative", "ddr_above_order", "de_above_m", "de_zero"],
+    )
+    def test_solve_rejects_level(self, args, dbp_62, tmp_path, capsys):
+        inp = self.write(tmp_path, dbp_62)
+        assert exit_code(["solve", inp] + args) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, "--level")
+
+    @pytest.mark.parametrize("level", ["0", "1"])
+    def test_ddr_below_kbar_is_level_too_low(self, level, dbp_62, tmp_path, capsys):
+        inp = self.write(tmp_path, dbp_62)
+        assert exit_code(["solve", inp, "--method", "ddr", "--level", level]) == cli.EXIT_LEVEL
+        out = capsys.readouterr()
+        assert out.out == "" and "kbar = 2" in out.err
+
+    @pytest.mark.parametrize("level", ["0", "3"])
+    def test_rltbox_rejects_level(self, level, tmp_path, capsys):
+        inp = self.write(tmp_path, box2_bilinear())
+        assert exit_code(["solve", inp, "--method", "rltbox", "--level", level]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, "--level")
+
+    def test_rltbox_rejects_non_box(self, dbp_62, tmp_path, capsys):
+        inp = self.write(tmp_path, dbp_62)
+        assert exit_code(["solve", inp, "--method", "rltbox"]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, "assumption violated")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--method", "fdr", "--level", "0"],
+            ["solve", "--method", "fdr", "--level", "9"],
+            ["fdr-check", "--level", "0"],
+            ["fdr-check", "--level", "9"],
+        ],
+        ids=["fdr_zero", "fdr_above_np", "check_zero", "check_above_np"],
+    )
+    def test_fdr_rejects_level(self, argv, tmp_path, capsys):
+        inp = self.write(tmp_path, two_block_fdp())
+        assert exit_code(argv[:1] + [inp] + argv[1:]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, "--level")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--method", "hull", "--report"],
+            ["solve", "--method", "ddr", "--report"],
+            ["certify", "--out"],
+        ],
+        ids=["solve_report", "ddr_report", "certify_out"],
+    )
+    def test_unwritable_output(self, argv, dbp_62, tmp_path, capsys):
+        inp = self.write(tmp_path, dbp_62)
+        path = str(tmp_path / "missing" / "out.json")
+        assert exit_code(argv[:1] + [inp] + argv[1:] + [path]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, f"cannot write {path}: ")
+
+    def test_dd_unwritable_output(self, dbp_62, tmp_path, capsys):
+        inp = tmp_path / "P.json"
+        inp.write_text(json.dumps(dbp_62.P.to_json()))
+        path = str(tmp_path / "missing" / "out.json")
+        assert exit_code(["dd", str(inp), "--out", path]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, f"cannot write {path}: ")
 
     @pytest.mark.parametrize("orders", ["1,x", "1,1"], ids=["not_an_integer", "repeated_index"])
     def test_de_rejects_orders(self, orders, dbp_62, tmp_path, capsys):
