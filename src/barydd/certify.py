@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import Poly, RatFun, rat_from_str, rat_to_str
@@ -38,6 +39,10 @@ class CertificateStructureError(RuntimeError):
     valid inputs)."""
 
 
+def _is_index(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class CertTerm:
     weight: Fraction
@@ -53,9 +58,11 @@ class CertTerm:
 
     @staticmethod
     def from_json(d: dict) -> "CertTerm":
-        return CertTerm(
-            rat_from_str(d["weight"]), tuple(d["pfactors"]), d.get("yfactor")
-        )
+        pf = tuple(d["pfactors"])
+        yf = d.get("yfactor")
+        if not all(_is_index(i) for i in pf) or not (yf is None or _is_index(yf)):
+            raise ValueError("row indices must be integers")
+        return CertTerm(rat_from_str(d["weight"]), pf, yf)
 
 
 @dataclass
@@ -67,15 +74,25 @@ class Certificate:
     ny: int
 
     def identity_rhs(self, inst: DBPInstance) -> Poly:
+        """q(x, y), expanding each distinct product of P rows once: the terms
+        that share a ``pfactors`` product are summed into one factor, linear
+        in y, before it multiplies the product, and a product extends the
+        expansion of its prefix by one row."""
         nv = self.n + self.ny
-        rhs = Poly.zero(nv)
+        products = {(): Poly.const(nv, 1)}
+
+        def product(pf: tuple) -> Poly:
+            if pf not in products:
+                products[pf] = product(pf[:-1]) * _p_row_expr(inst, pf[-1], nv)
+            return products[pf]
+
+        ysums: Dict[tuple, Poly] = {}
         for t in self.terms:
-            p = Poly.const(nv, t.weight)
-            for i in t.pfactors:
-                p = p * _p_row_expr(inst, i, nv)
-            if t.yfactor is not None:
-                p = p * _py_row_expr(inst, t.yfactor, nv)
-            rhs = rhs + p
+            y = Poly.const(nv, 1) if t.yfactor is None else _py_row_expr(inst, t.yfactor, nv)
+            ysums[t.pfactors] = ysums.get(t.pfactors, Poly.zero(nv)) + y.scale(t.weight)
+        rhs = Poly.zero(nv)
+        for pf, y in ysums.items():
+            rhs = rhs + product(pf) * y
         return rhs
 
     def to_json(self) -> dict:
@@ -89,6 +106,8 @@ class Certificate:
 
     @staticmethod
     def from_json(d: dict) -> "Certificate":
+        if not (_is_index(d["n"]) and _is_index(d["ny"]) and d["n"] >= 0 and d["ny"] >= 0):
+            raise ValueError("n and ny must be non-negative integers")
         # zpoly lives in the combined (x, y) space with zero y-degrees
         return Certificate(
             delta=rat_from_str(d["delta"]),
@@ -143,41 +162,45 @@ def _dehom_prim(pool, fid) -> Optional[Poly]:
 def _interior_points(verts: Sequence[tuple], n: int, count: int, seed: int = 20240801) -> List[tuple]:
     """Random rational strictly-interior points of the polytope with vertices
     ``verts`` in dimension ``n``: positive convex combinations of the
-    vertices (all weights > 0)."""
+    vertices (all weights > 0).  The sums are taken in integers: over the
+    common denominator D of the vertex entries each vertex is an integer
+    vector V_i, and coordinate j of a point with integer weights w is
+    sum_i w_i V_ij / (D sum_i w_i), the only fraction made."""
     rng = random.Random(seed)
+    D = lcm(*(c.denominator for v in verts for c in v))
+    V = [[c.numerator * (D // c.denominator) for c in v] for v in verts]
     pts = []
     for _ in range(count):
-        ws = [Fraction(rng.randint(1, 50)) for _ in verts]
-        tot = sum(ws)
-        pt = tuple(
-            sum(w * v[j] for w, v in zip(ws, verts)) / tot for j in range(n)
-        )
-        pts.append(pt)
+        ws = [rng.randint(1, 50) for _ in verts]
+        den = D * sum(ws)
+        pts.append(tuple(
+            Fraction(sum(w * v[j] for w, v in zip(ws, V)), den) for j in range(n)
+        ))
     return pts
 
 
 def _factor_into_products(
-    poly: Poly, inst: DBPInstance, nv: int
+    poly: Poly, row_exprs: Sequence[Poly]
 ) -> List[Tuple[Fraction, Tuple[int, ...]]]:
     """Express poly (over x-part of the (x,y)-space) as a non-negative
-    combination of products of P-row expressions.  Greedy exact division
-    first (covers the simple-polytope case where each numerator is a single
-    product); falls back to exact LP coefficient matching."""
+    combination of products of the P-row expressions ``row_exprs``.  Greedy
+    exact division first (covers the simple-polytope case where each
+    numerator is a single product); falls back to exact LP coefficient
+    matching.  The division scan never returns to a row that failed: a row
+    that does not divide p does not divide p / g either."""
     if poly.is_zero():
         return []
-    row_exprs = [_p_row_expr(inst, i, nv) for i in range(inst.P.m)]
+    nv = poly.nvars
     rem = poly
     factors: List[int] = []
-    progress = True
-    while progress and not rem.is_constant():
-        progress = False
-        for i, re in enumerate(row_exprs):
-            q = rem.exact_div(re)
-            if q is not None and not q.is_zero():
-                rem = q
-                factors.append(i)
-                progress = True
-                break
+    i = 0
+    while i < len(row_exprs) and not rem.is_constant():
+        q = rem.exact_div(row_exprs[i])
+        if q is not None and not q.is_zero():
+            rem = q
+            factors.append(i)  # the same row may divide again
+        else:
+            i += 1
     if rem.is_constant():
         w = rem.constant_value()
         if w > 0:
@@ -190,7 +213,7 @@ def _factor_into_products(
 
     cols: List[Tuple[tuple, Poly]] = [((), Poly.const(nv, 1))]
     for size in range(1, deg + 1):
-        for T in _it.combinations_with_replacement(range(inst.P.m), size):
+        for T in _it.combinations_with_replacement(range(len(row_exprs)), size):
             p = Poly.const(nv, 1)
             for i in T:
                 p = p * row_exprs[i]
@@ -221,24 +244,12 @@ def _factor_into_products(
     return out
 
 
-def extract_certificate(
-    inst: DBPInstance,
-    hull: LPSolution,
-    coords: BarycentricCoords,
-    hull_problem: Optional[LPProblem] = None,
-) -> Certificate:
-    """Closed-form certificate from the hull LP duals and the symbolic
-    coordinates.  The coordinate columns must follow the same vertex order as
-    the hull LP columns (the canonical oracle order)."""
-    if hull.status != "optimal":
-        raise ValueError("hull LP must be optimal")
-    verts = coords.vertices
-    if hull_problem is None:
-        hull_problem = build_hull_lp(inst, vertices=verts)
-    p = len(verts)
-    if f"lam{p-1}" not in hull.primal or f"lam{p}" in hull.primal:
-        raise OrderMismatch("hull LP columns do not match coordinate columns")
-    # duals: S on ymem rows, delta on the simplex row, gamma from reduced costs
+def _hull_duals(
+    hull: LPSolution, hull_problem: LPProblem, p: int
+) -> Tuple[Fraction, Dict[Tuple[int, int], Fraction], Dict[int, Fraction]]:
+    """(delta, S, gamma): delta the dual of the simplex row, S[(r, i)] the
+    nonzero duals of the membership rows, gamma[i] the reduced cost of
+    lambda_i."""
     S: Dict[Tuple[int, int], Fraction] = {}
     delta = None
     for row, y in zip(hull_problem.rows, hull.dual):
@@ -253,11 +264,17 @@ def extract_certificate(
     if any(y < 0 for y in S.values()):
         raise CertificateStructureError("negative dual on a >= membership row")
     gamma = {i: hull.reduced.get(f"lam{i}", ZERO) for i in range(p)}
+    return delta, S, gamma
 
-    # z: least common denominator of the lambda over the tracked factors
+
+def _weighted_numerators(
+    inst: DBPInstance, coords: BarycentricCoords
+) -> Tuple[Poly, List[Poly]]:
+    """(z, [z * lambda_i]) in the certificate space (x1..xn, y1..yny): z is
+    the least common denominator of the lambda over the tracked factors,
+    oriented positive at the vertex average."""
     pool = coords.state.pool
     maxmult: Dict[tuple, Tuple[Poly, int]] = {}
-    per_lam: List[Dict[tuple, int]] = []
     for fac in coords.den_factors:
         counts: Dict[tuple, int] = {}
         for fid in fac:
@@ -268,42 +285,73 @@ def extract_certificate(
             counts[k] = counts.get(k, 0) + 1
             if k not in maxmult or counts[k] > maxmult[k][1]:
                 maxmult[k] = (prim, counts[k])
-        per_lam.append(counts)
     nv_hom = inst.P.n + 1
     z_hom = Poly.const(nv_hom, 1)
     for prim, mult in maxmult.values():
         for _ in range(mult):
             z_hom = z_hom * prim
-    # orient z positive on the interior (vertex average)
+    verts = coords.vertices
     center = tuple(
         sum(v[j] for v in verts) / Fraction(len(verts)) for j in range(inst.P.n)
     )
     if z_hom.eval((ONE,) + center) < 0:
         z_hom = -z_hom
-    # map to certificate space (x1..xn, y1..yny); the x0 slot has degree 0 in
-    # every dehomogenized poly, so its image is irrelevant
+    # the x0 slot has degree 0 in every dehomogenized poly, so its image is
+    # irrelevant
     nv = inst.n + inst.ny
     hom_to_cert = [0] + list(range(inst.n))
-    z_cert = z_hom.remap(nv, hom_to_cert)
-
-    terms: List[CertTerm] = []
-    zl_cache: List[Poly] = []
-    for i in range(p):
-        lam = coords.lam[i]
+    zl: List[Poly] = []
+    for lam in coords.lam:
         q = z_hom.exact_div(lam.den)
         if q is None:
             raise CertificateStructureError("z is not divisible by a lambda denominator")
-        zlam_hom = lam.num * q
-        zl_cache.append(zlam_hom.remap(nv, hom_to_cert))
-    for (r, i), s in sorted(S.items()):
-        for w, pf in _factor_into_products(zl_cache[i], inst, nv):
-            terms.append(CertTerm(weight=s * w, pfactors=pf, yfactor=r))
+        zl.append((lam.num * q).remap(nv, hom_to_cert))
+    return z_hom.remap(nv, hom_to_cert), zl
+
+
+def extract_certificate(
+    inst: DBPInstance,
+    hull: LPSolution,
+    coords: BarycentricCoords,
+    hull_problem: Optional[LPProblem] = None,
+) -> Certificate:
+    """Closed-form certificate from the hull LP duals and the symbolic
+    coordinates.  The coordinate columns must follow the same vertex order as
+    the hull LP columns (the canonical oracle order).  Each z * lambda_i is
+    factored into constraint products at most once, however many duals
+    weight it."""
+    if hull.status != "optimal":
+        raise ValueError("hull LP must be optimal")
+    verts = coords.vertices
+    if hull_problem is None:
+        hull_problem = build_hull_lp(inst, vertices=verts)
+    p = len(verts)
+    if f"lam{p-1}" not in hull.primal or f"lam{p}" in hull.primal:
+        raise OrderMismatch("hull LP columns do not match coordinate columns")
+    delta, S, gamma = _hull_duals(hull, hull_problem, p)
+    z_cert, zl = _weighted_numerators(inst, coords)
+    nv = inst.n + inst.ny
+    row_exprs = [_p_row_expr(inst, i, nv) for i in range(inst.P.m)]
+    factored: Dict[int, list] = {}
+
+    def products(i: int) -> list:
+        if i not in factored:
+            factored[i] = _factor_into_products(zl[i], row_exprs)
+        return factored[i]
+
+    terms = [
+        CertTerm(weight=s * w, pfactors=pf, yfactor=r)
+        for (r, i), s in sorted(S.items())
+        for w, pf in products(i)
+    ]
     for i in range(p):
         if gamma[i]:
             if gamma[i] < 0:
                 raise CertificateStructureError("negative reduced cost on lambda")
-            for w, pf in _factor_into_products(zl_cache[i], inst, nv):
-                terms.append(CertTerm(weight=gamma[i] * w, pfactors=pf, yfactor=None))
+            terms.extend(
+                CertTerm(weight=gamma[i] * w, pfactors=pf, yfactor=None)
+                for w, pf in products(i)
+            )
     return Certificate(
         delta=delta, zpoly=z_cert, terms=terms, n=inst.n, ny=inst.ny
     )
@@ -319,13 +367,34 @@ class VerifyResult:
         return self.ok
 
 
+def _misfit(inst: DBPInstance, cert: Certificate) -> str:
+    """Why ``cert`` cannot be a certificate for ``inst``, or ""."""
+    if (cert.n, cert.ny) != (inst.n, inst.ny):
+        return (
+            f"certificate has {cert.n} x and {cert.ny} y variables, "
+            f"the instance {inst.n} and {inst.ny}"
+        )
+    for t in cert.terms:
+        if not all(0 <= i < inst.P.m for i in t.pfactors):
+            return f"P row index outside 0..{inst.P.m - 1}"
+        if t.yfactor is not None and not 0 <= t.yfactor < inst.Py.m:
+            return f"Py row index outside 0..{inst.Py.m - 1}"
+    return ""
+
+
 def verify_certificate(
     inst: DBPInstance, cert: Certificate, seed: int = 20240801
 ) -> VerifyResult:
-    """True iff (a) all weights are non-negative, (b) the polynomial identity
-    z(x)(obj - delta) = q(x,y) holds exactly, and (c) z is positive at the
-    vertex average and 20 random interior rational points.  The result
-    carries the identity's residual, computed before any check."""
+    """True iff the certificate fits the instance (its variable counts, and
+    every row index names a row of P or Py), and then (a) all weights are
+    non-negative, (b) the polynomial identity z(x)(obj - delta) = q(x,y)
+    holds exactly, and (c) z is positive at the vertex average and 20
+    random interior rational points.  The result carries the identity's
+    residual, computed before checks (a)-(c); a certificate that does not
+    fit has none."""
+    misfit = _misfit(inst, cert)
+    if misfit:
+        return VerifyResult(False, misfit)
     nv = cert.n + cert.ny
     obj = inst.objective_poly() - Poly.const(nv, cert.delta)
     residual = cert.zpoly * obj - cert.identity_rhs(inst)
@@ -336,6 +405,8 @@ def verify_certificate(
     from .polyhedra import enumerate_vertices_oracle
 
     verts = enumerate_vertices_oracle(inst.P)
+    if not verts:
+        return VerifyResult(False, "P has no vertex", residual)
     center = tuple(
         sum(v[j] for v in verts) / Fraction(len(verts)) for j in range(inst.P.n)
     )

@@ -5,10 +5,14 @@ All numeric output is exact fractions; --approx appends decimal renderings
 without ever replacing exact values.  Row orders on the command line are
 1-based to match printed constraint numbering; the Python API is 0-based.
 
-Exit codes: 0 ok, 2 bad input (a parse error, a --level outside the
-method's range, a violated assumption, a file that cannot be read or
+Exit codes: 0 ok, 2 bad input (a parse error, a certificate file with a
+missing key, a bad rational or a non-integer row index, a --level outside
+the method's range, a violated assumption such as an unbounded P or Py for
+`certify` and `solve --method hull`, a file that cannot be read or
 written), 3 empty interior, 4 level too low (the message reports the
-minimum usable level), 5 certificate verification failure.
+minimum usable level), 5 certificate verification failure (also a
+certificate whose variable counts differ from the instance's, or that
+names a row index outside the instance's rows).
 """
 
 from __future__ import annotations
@@ -33,12 +37,13 @@ from .dd_engine import (
 )
 from .exactmath import DenominatorVanishes, RatFun, rat_to_str, rf_equal
 from .lp import lp_solve
-from .polyhedra import HPolyhedron, dehomogenize, enumerate_vertices_oracle
+from .polyhedra import HPolyhedron, NotFullRank, dehomogenize, enumerate_vertices_oracle
 from .relaxation import (
     DBPInstance,
     LevelRun,
     LevelTooLow,
     NotBox,
+    UnboundedInput,
     build_de_linear,
     build_hull_lp,
     build_level_lp,
@@ -134,7 +139,8 @@ def _write_artifact(path: str, payload: dict):
 
 
 def _manifest(command: str, input_path: str, options: dict, artifacts: List[str], t0: float) -> dict:
-    digest = hashlib.sha256(open(input_path, "rb").read()).hexdigest()
+    with open(input_path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     return {
         "command": command,
         "input": input_path,
@@ -263,7 +269,7 @@ def cmd_solve(args) -> int:
     except LevelTooLow as exc:
         print(f"level too low: {exc}", file=sys.stderr)
         return EXIT_LEVEL
-    except (FacesShareVertices, NotBox) as exc:
+    except (FacesShareVertices, NotBox, UnboundedInput) as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return EXIT_PARSE
     sol = lp_solve(prob)
@@ -309,12 +315,22 @@ def cmd_certify(args) -> int:
         print(f"bad instance file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.check:
-        cert = Certificate.from_json(_load_json(args.check))
-        res = verify_certificate(inst, cert, seed=_seed())
-        print("PASS" if res.ok else f"FAIL: {res.diagnostic}")
-        return 0 if res.ok else EXIT_VERIFY
-    coords = barycentric_for_polytope(inst.P)
-    prob = build_hull_lp(inst, vertices=coords.vertices)
+        try:
+            cert = Certificate.from_json(_load_json(args.check))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            print(f"bad certificate file: {what}", file=sys.stderr)
+            return EXIT_PARSE
+    try:
+        if args.check:
+            res = verify_certificate(inst, cert, seed=_seed())
+            print("PASS" if res.ok else f"FAIL: {res.diagnostic}")
+            return 0 if res.ok else EXIT_VERIFY
+        coords = barycentric_for_polytope(inst.P)
+        prob = build_hull_lp(inst, vertices=coords.vertices)
+    except (UnboundedInput, NotFullRank) as exc:
+        print(f"assumption violated: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     sol = lp_solve(prob)
     if sol.status != "optimal":
         print(f"hull LP not optimal: {sol.status}", file=sys.stderr)

@@ -26,6 +26,7 @@ rows and certificate extraction.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -112,18 +113,18 @@ class FactorPool:
             for i, k in enumerate(mono):
                 ids.extend([i] * k)
         scalar, prim = p.primitive()
-        changed = True
-        while changed and not prim.is_constant():
-            changed = False
-            for j in range(self.nvars, len(self.polys)):
-                q = prim.exact_div(self.polys[j])
-                if q is not None and not q.is_zero():
-                    s2, prim2 = q.primitive()
-                    ids.append(j)
-                    scalar *= s2
-                    prim = prim2
-                    changed = True
-                    break
+        # one scan over the pool: an entry that does not divide prim does not
+        # divide any quotient of it, so only the entry that just divided is
+        # tried again
+        j = self.nvars
+        while j < len(self.polys) and not prim.is_constant():
+            q = prim.exact_div(self.polys[j])
+            if q is not None and not q.is_zero():
+                s2, prim = q.primitive()
+                ids.append(j)
+                scalar *= s2
+            else:
+                j += 1
         if not prim.is_constant():
             sign_so_far = 1
             for j in ids:
@@ -173,16 +174,16 @@ def _reduce(pool: FactorPool, num: Poly, den: Sequence[int]) -> Frf:
     if num.is_zero():
         return Frf(num, ())
     out = sorted(den)
-    changed = True
-    while changed:
-        changed = False
-        for i, fid in enumerate(out):
-            q = num.exact_div(pool.polys[fid])
-            if q is not None:
-                num = q
-                out.pop(i)
-                changed = True
-                break
+    # one scan, as in FactorPool.factorize: a failed divisor is not retried,
+    # nor are its further copies in the multiset
+    i = 0
+    while i < len(out):
+        q = num.exact_div(pool.polys[out[i]])
+        if q is None:
+            i = bisect_right(out, out[i])
+        else:
+            num = q
+            out.pop(i)
     return Frf(num, tuple(out))
 
 

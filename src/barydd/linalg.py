@@ -1,4 +1,5 @@
-"""Small exact linear algebra over Fraction matrices (lists of row lists)."""
+"""Small exact linear algebra over Fraction matrices (lists of row lists);
+``solve`` takes integer matrices and eliminates fraction-free."""
 
 from __future__ import annotations
 
@@ -78,14 +79,35 @@ def det(a: Matrix) -> Fraction:
     return result
 
 
-def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
-    """Solve a square system exactly; None when singular."""
+def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Vector]:
+    """Solve a square system with integer entries exactly; None when singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): step k replaces
+    every entry a_ij of a row i != k by (a_kk a_ij - a_ik a_kj) / p, p being
+    the previous pivot, a division that is exact because every entry is then
+    a minor of the augmented matrix.  At the end every diagonal entry is the
+    last pivot d = +-det(a) and the last column holds d * x, so the only
+    fractions made are the n entries of x."""
     n = len(a)
-    aug = [row[:] + [Fraction(b[i])] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if len(pivots) < n or pivots[-1] == n:
-        return None
-    return [red[i][n] for i in range(n)]
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        rk = m[k]
+        akk = rk[k]
+        for i in range(n):
+            if i == k:
+                continue
+            ri = m[i]
+            aik = ri[k]
+            for j in range(k + 1, n + 1):
+                ri[j] = (akk * ri[j] - aik * rk[j]) // prev
+            ri[k] = 0
+        prev = akk
+    return [Fraction(row[n], prev) for row in m]
 
 
 def inverse(a: Matrix) -> Optional[Matrix]:

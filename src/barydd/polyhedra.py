@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -30,6 +31,17 @@ class HPolyhedron:
     A: tuple  # m rows, each a tuple of n Fractions
     b: tuple  # m Fractions
     var_names: tuple = ()
+    # row i as (b_i, A_i) times the lcm of its denominators, an int and a
+    # tuple of ints: the same inequality, derived from A and b on construction
+    int_rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = []
+        for row, rhs in zip(self.A, self.b):
+            s = lcm(rhs.denominator, *(a.denominator for a in row))
+            rows.append((rhs.numerator * (s // rhs.denominator),
+                         tuple(a.numerator * (s // a.denominator) for a in row)))
+        object.__setattr__(self, "int_rows", tuple(rows))
 
     @staticmethod
     def make(A, b, var_names: Optional[Sequence[str]] = None) -> "HPolyhedron":
@@ -50,9 +62,15 @@ class HPolyhedron:
         return len(self.A)
 
     def contains(self, point: Sequence) -> bool:
-        pt = [Fraction(c) for c in point]
+        """A x <= b at a rational point, in integers: with x = N / d over the
+        common denominator d > 0 of its entries, row i holds iff
+        b_i d - A_i.N >= 0 on the integer-scaled row."""
+        pt = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in point]
+        d = lcm(*(c.denominator for c in pt))
+        num = [c.numerator * (d // c.denominator) for c in pt]
         return all(
-            linalg.dot(row, pt) <= rhs for row, rhs in zip(self.A, self.b)
+            rhs * d >= sum(a * x for a, x in zip(coeffs, num))
+            for rhs, coeffs in self.int_rows
         )
 
     def row_expr(self, i: int, hom: bool = True) -> Poly:
@@ -175,22 +193,26 @@ def dehomogenize(R: Sequence, mu: Sequence[RatFun]) -> Tuple[tuple, list]:
 
 def enumerate_vertices_oracle(P: HPolyhedron) -> List[tuple]:
     """Exact vertex set by brute force: all n-subsets of rows, solve, filter
-    feasible, dedupe.  Sorted for a canonical order."""
+    feasible, dedupe.  Sorted for a canonical order.
+
+    The arithmetic is in integers: each subset is solved fraction-free by
+    ``linalg.solve`` on the integer-scaled rows of ``P.int_rows``, and
+    ``P.contains`` tests the solution by integer cross-products."""
     n = P.n
     if n == 0:
         return [()]
-    if linalg.rank([list(row) for row in P.A]) < n:
-        raise NotFullRank("no n linearly independent rows")
+    full_rank = False  # some n rows are independent: rank A = n
     seen = set()
-    for subset in itertools.combinations(range(P.m), n):
-        sub = [list(P.A[i]) for i in subset]
-        rhs = [P.b[i] for i in subset]
-        x = linalg.solve(sub, rhs)
+    for subset in itertools.combinations(P.int_rows, n):
+        x = linalg.solve([coeffs for _, coeffs in subset], [rhs for rhs, _ in subset])
         if x is None:
             continue
+        full_rank = True
         pt = tuple(x)
         if pt not in seen and P.contains(pt):
             seen.add(pt)
+    if not full_rank:
+        raise NotFullRank("no n linearly independent rows")
     return sorted(seen)
 
 

@@ -2,11 +2,12 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from barydd import HPolyhedron, NotFullRank, cli, enumerate_vertices_oracle
+from barydd import HPolyhedron, NotFullRank, certify, cli, enumerate_vertices_oracle
 from barydd.certify import (
     Certificate,
     CertificateStructureError,
@@ -233,3 +234,103 @@ class TestOrderMismatch:
         sol = lp_solve(prob)
         with pytest.raises(OrderMismatch):
             extract_certificate(dbp_62, sol, coords, hull_problem=prob)
+
+
+def certify_sweep():
+    """Four random 2x2 DBPs whose certificate extraction succeeds."""
+    rng = random.Random(2024)
+    out = []
+    while len(out) < 4:
+        P, Py = random_2x2_instance(rng), random_2x2_instance(rng)
+        Q = [[F(rng.randint(-4, 4)) for _ in range(2)] for _ in range(2)]
+        inst = DBPInstance.make(Q=Q, P=P, Py=Py)
+        try:
+            certified(inst)
+        except CertificateStructureError:
+            continue
+        out.append(inst)
+    return out
+
+
+class TestCheaperPipeline:
+    """The certificate pipeline against the Fraction formulas and
+    per-term loops it replaces."""
+
+    def test_interior_points_match_fraction_formula(self):
+        def reference(verts, n, count, seed):
+            rng = random.Random(seed)
+            pts = []
+            for _ in range(count):
+                ws = [F(rng.randint(1, 50)) for _ in verts]
+                tot = sum(ws)
+                pts.append(tuple(sum(w * v[j] for w, v in zip(ws, verts)) / tot for j in range(n)))
+            return pts
+
+        rng = random.Random(3)
+        for trial in range(60):
+            n = rng.randint(1, 4)
+            verts = [
+                tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+                for _ in range(rng.randint(1, 7))
+            ]
+            seed = rng.randrange(10**6)
+            assert certify._interior_points(verts, n, 20, seed) == reference(verts, n, 20, seed)
+
+    def test_extract_factors_each_vertex_once(self, dbp_62, monkeypatch):
+        real = certify._factor_into_products
+        for inst in [dbp_62] + certify_sweep():
+            coords = barycentric_for_polytope(inst.P)
+            prob = build_hull_lp(inst, vertices=coords.vertices)
+            sol = lp_solve(prob)
+            # the reference: factor z * lambda_i again for every dual
+            delta, S, gamma = certify._hull_duals(sol, prob, len(coords.vertices))
+            z, zl = certify._weighted_numerators(inst, coords)
+            nv = inst.n + inst.ny
+            rows = [certify._p_row_expr(inst, i, nv) for i in range(inst.P.m)]
+            terms = [CertTerm(s * w, pf, r) for (r, i), s in sorted(S.items())
+                     for w, pf in real(zl[i], rows)]
+            terms += [CertTerm(gamma[i] * w, pf, None) for i in range(len(zl)) if gamma[i]
+                      for w, pf in real(zl[i], rows)]
+            want = Certificate(delta=delta, zpoly=z, terms=terms, n=inst.n, ny=inst.ny)
+
+            factored = []
+
+            def counting(poly, row_exprs):
+                factored.append(poly)
+                return real(poly, row_exprs)
+
+            monkeypatch.setattr(certify, "_factor_into_products", counting)
+            cert = extract_certificate(inst, sol, coords, hull_problem=prob)
+            monkeypatch.setattr(certify, "_factor_into_products", real)
+            used = {i for _, i in S} | {i for i in gamma if gamma[i]}
+            assert Counter(factored) == Counter(zl[i] for i in used)
+            assert cert == want
+
+    def test_identity_rhs_matches_term_expansion(self, dbp_62):
+        def reference(cert, inst):
+            nv = cert.n + cert.ny
+            rhs = Poly.zero(nv)
+            for t in cert.terms:
+                p = Poly.const(nv, t.weight)
+                for i in t.pfactors:
+                    p = p * certify._p_row_expr(inst, i, nv)
+                if t.yfactor is not None:
+                    p = p * certify._py_row_expr(inst, t.yfactor, nv)
+                rhs = rhs + p
+            return rhs
+
+        rng = random.Random(9)
+        for inst in [dbp_62] + certify_sweep():
+            cert, _ = certified(inst)
+            assert cert.identity_rhs(inst) == reference(cert, inst)
+            # shared, repeated, unsorted and empty products, with and
+            # without a Py factor
+            cert.terms = [
+                CertTerm(
+                    F(rng.randint(-5, 5), rng.randint(1, 4)),
+                    tuple(rng.randrange(inst.P.m) for _ in range(rng.randint(0, 3))),
+                    rng.choice([None] + list(range(inst.Py.m))),
+                )
+                for _ in range(30)
+            ]
+            assert cert.identity_rhs(inst) == reference(cert, inst)

@@ -623,3 +623,56 @@ class TestOrderIndependenceOfSets:
                     sum(w * v[j] for w, v in zip(ws, verts)) / tot for j in range(3)
                 )
                 assert lifted.eval((F(1),) + x) >= 0
+
+
+class TestDivisorScan:
+    """``_reduce`` and ``FactorPool.factorize`` scan their candidate
+    divisors once: a divisor that failed to divide is never tried again
+    within the same call, since it cannot divide any quotient either."""
+
+    @staticmethod
+    def retries(P, monkeypatch):
+        from barydd import dd_engine
+
+        calls = []  # one set of failed divisors per open call
+
+        def scoped(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(set())
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    calls.pop()
+            return wrapper
+
+        real_div = Poly.exact_div
+        retried = []
+
+        def exact_div(self, divisor):
+            q = real_div(self, divisor)
+            if calls:
+                if divisor in calls[-1]:
+                    retried.append(divisor)
+                if q is None:
+                    calls[-1].add(divisor)
+            return q
+
+        monkeypatch.setattr(dd_engine, "_reduce", scoped(dd_engine._reduce))
+        monkeypatch.setattr(dd_engine.FactorPool, "factorize", scoped(dd_engine.FactorPool.factorize))
+        monkeypatch.setattr(Poly, "exact_div", exact_div)
+        dd_run(P, prune=True)
+        return retried
+
+    def test_poly_53(self, poly_53, monkeypatch):
+        assert self.retries(poly_53, monkeypatch) == []
+
+    def test_coords_polytope(self, monkeypatch):
+        # the (3, 8) polytope of the benchmark's coords workload: x >= 0,
+        # then rows with coefficients in [1,5] and rhs in [5,20]
+        rng = random.Random(308)
+        A = [[-int(j == i) for j in range(3)] for i in range(3)]
+        b = [0] * 3
+        for _ in range(5):
+            A.append([rng.randint(1, 5) for _ in range(3)])
+            b.append(rng.randint(5, 20))
+        assert self.retries(HPolyhedron.make(A, b), monkeypatch) == []

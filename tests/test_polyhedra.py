@@ -1,5 +1,6 @@
 """H-representations, homogenization and the vertex oracle."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -195,3 +196,110 @@ class TestJson:
 
     def test_roundtrip(self, poly_51):
         assert HPolyhedron.from_json(poly_51.to_json()) == poly_51
+
+
+def fraction_oracle(P):
+    """The vertex oracle in Fraction arithmetic: rank check, then each
+    n-row subset solved by reduced row echelon form and tested row by row.
+    The reference for the integer oracle."""
+    n = P.n
+    if n == 0:
+        return [()]
+    if linalg.rank([list(row) for row in P.A]) < n:
+        raise NotFullRank("no n linearly independent rows")
+    seen = set()
+    for subset in itertools.combinations(range(P.m), n):
+        red, pivots = linalg.rref([list(P.A[i]) + [P.b[i]] for i in subset])
+        if len(pivots) < n or pivots[-1] == n:
+            continue
+        pt = tuple(red[i][n] for i in range(n))
+        if pt not in seen and all(
+            sum(a * x for a, x in zip(row, pt)) <= rhs for row, rhs in zip(P.A, P.b)
+        ):
+            seen.add(pt)
+    return sorted(seen)
+
+
+def seeded_polyhedron(rng):
+    """A random polyhedron of dimension 1..4 with rational data; returns
+    (P, kinds) with kinds naming the special structure it was given."""
+    n = rng.randint(1, 4)
+    m = rng.randint(0, {1: 6, 2: 7, 3: 7, 4: 8}[n])
+    A = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
+    b = [F(rng.randint(-2, 6), rng.randint(1, 3)) for _ in range(m)]
+    kinds = set()
+    roll = rng.random()
+    if roll < 0.15:
+        # the box [0,1]^n cut by sum x <= 1 + 0 or 1: more than n rows are
+        # tight at some vertices
+        A, b = [], []
+        for i in range(n):
+            A += [[F(-int(j == i)) for j in range(n)], [F(int(j == i)) for j in range(n)]]
+            b += [F(0), F(1)]
+        A.append([F(1)] * n)
+        b.append(F(rng.randint(1, 2)))
+        kinds.add("degenerate")
+    elif roll < 0.3 and m:
+        i = rng.randrange(m)
+        A.append(list(A[i]))
+        b.append(b[i])
+        kinds.add("duplicate")
+    elif roll < 0.45 and m:
+        i, s = rng.randrange(m), F(rng.randint(1, 4), rng.randint(1, 4))
+        A.append([s * a for a in A[i]])
+        b.append(s * b[i] + rng.choice([F(0), F(1), F(-1, 2)]))
+        kinds.add("parallel")
+    elif roll < 0.6 and m:
+        j = rng.randrange(n)
+        for row in A:
+            row[j] = F(0)
+        kinds.add("rank deficient")
+    return HPolyhedron.make(A, b), kinds
+
+
+class TestIntegerOracle:
+    """The integer vertex oracle, ``linalg.solve`` and ``contains`` against
+    their Fraction references."""
+
+    def test_oracle_matches_fraction_oracle(self):
+        rng = random.Random(20240)
+        seen = {"degenerate": 0, "duplicate": 0, "parallel": 0, "rank deficient": 0,
+                "not full rank": 0, "has vertices": 0}
+        for _ in range(360):
+            P, kinds = seeded_polyhedron(rng)
+            try:
+                want = fraction_oracle(P)
+            except NotFullRank:
+                with pytest.raises(NotFullRank):
+                    enumerate_vertices_oracle(P)
+                seen["not full rank"] += 1
+            else:
+                assert enumerate_vertices_oracle(P) == want, P
+                seen["has vertices"] += bool(want)
+            for k in kinds:
+                seen[k] += 1
+        assert all(count >= 30 for count in seen.values()), seen
+
+    def test_solve_matches_rref(self):
+        rng = random.Random(7)
+        singular = 0
+        for _ in range(500):
+            n = rng.randint(1, 5)
+            a = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+            b = [rng.randint(-9, 9) for _ in range(n)]
+            red, pivots = linalg.rref([[F(x) for x in row] + [F(r)] for row, r in zip(a, b)])
+            want = None if len(pivots) < n or pivots[-1] == n else [red[i][n] for i in range(n)]
+            assert linalg.solve(a, b) == want, (a, b)
+            singular += want is None
+        assert singular >= 30
+
+    def test_contains_matches_fraction_test(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            P, _ = seeded_polyhedron(rng)
+            for k in range(10):
+                # plain ints and Fractions are both rationals
+                pt = [rng.randint(-2, 2) if k % 2 else F(rng.randint(-6, 6), rng.randint(1, 4))
+                      for _ in range(P.n)]
+                want = all(sum(a * x for a, x in zip(row, pt)) <= r for row, r in zip(P.A, P.b))
+                assert P.contains(pt) == want

@@ -1,8 +1,10 @@
 """Hull LP, level hierarchy, algebraic hierarchy, RLT baselines, envelopes."""
 
+import gc
 import itertools
 import json
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -48,6 +50,11 @@ def box2_bilinear():
     P = box_polytope(2)
     Py = box_polytope(2)
     return DBPInstance.make(Q=[[1, 2], [-3, 1]], P=P, Py=Py, cx=[1, 0], cy=[0, -1])
+
+
+def box3_bilinear():
+    P = box_polytope(3)
+    return DBPInstance.make(Q=[[1, 0, 0], [0, 1, 0], [0, 0, 1]], P=P, Py=P)
 
 
 def ac_instance():
@@ -593,3 +600,88 @@ class TestCliBadInput:
         argv = ["solve", str(inp), "--method", "de", "--level", "2", "--orders", orders]
         assert exit_code(argv) == cli.EXIT_PARSE
         assert capsys.readouterr().out == ""
+
+    @staticmethod
+    def write_cert(tmp_path, dbp_62, edit=None):
+        """dbp_62's certificate as written by ``certify --out``, edited."""
+        inp = TestCliBadInput.write(tmp_path, dbp_62, "cert_inst.json")
+        path = tmp_path / "cert.json"
+        assert cli.main(["certify", inp, "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        if edit:
+            edit(data)
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_check_other_instance(self, dbp_62, tmp_path, capsys):
+        cert = self.write_cert(tmp_path, dbp_62)
+        inp = self.write(tmp_path, box3_bilinear())
+        capsys.readouterr()
+        assert exit_code(["certify", inp, "--check", cert]) == cli.EXIT_VERIFY
+        out = capsys.readouterr()
+        assert out.out.startswith("FAIL: certificate has 2 x and 2 y variables") and out.err == ""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.pop("z"),
+            lambda d: d["terms"][0].update(weight="1/x"),
+            lambda d: d["terms"][0].update(pfactors=["0"]),
+        ],
+        ids=["missing_key", "bad_rational", "index_not_int"],
+    )
+    def test_check_rejects_file(self, edit, dbp_62, tmp_path, capsys):
+        cert = self.write_cert(tmp_path, dbp_62, edit)
+        inp = self.write(tmp_path, dbp_62)
+        capsys.readouterr()
+        assert exit_code(["certify", inp, "--check", cert]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, "bad certificate file: ")
+
+    @pytest.mark.parametrize(
+        "edit, diagnostic",
+        [
+            (lambda d: d["terms"][0].update(pfactors=[4]), "P row index outside 0..3"),
+            (lambda d: d["terms"][0].update(pfactors=[-1]), "P row index outside 0..3"),
+            (lambda d: d["terms"][0].update(yfactor=-1), "Py row index outside 0..4"),
+        ],
+        ids=["p_above_m", "p_negative", "py_negative"],
+    )
+    def test_check_row_index_outside(self, edit, diagnostic, dbp_62, tmp_path, capsys):
+        cert = self.write_cert(tmp_path, dbp_62, edit)
+        inp = self.write(tmp_path, dbp_62)
+        capsys.readouterr()
+        assert exit_code(["certify", inp, "--check", cert]) == cli.EXIT_VERIFY
+        assert capsys.readouterr().out == f"FAIL: {diagnostic}\n"
+
+    def test_check_empty_P(self, tmp_path, capsys):
+        # z = 0 with no terms satisfies the identity; with no vertex in P
+        # there is no point at which to sample z
+        empty = HPolyhedron.make([[1, 0], [-1, 0], [0, 1], [0, -1]], [-1, 0, 1, 0])
+        inst = DBPInstance.make(Q=[[1, 0], [0, 1]], P=empty, Py=box_polytope(2))
+        inp = self.write(tmp_path, inst)
+        cert = tmp_path / "zero.cert.json"
+        cert.write_text(json.dumps({"delta": "0", "z": [], "n": 2, "ny": 2, "terms": []}))
+        assert exit_code(["certify", inp, "--check", str(cert)]) == cli.EXIT_VERIFY
+        assert capsys.readouterr().out == "FAIL: P has no vertex\n"
+
+    @pytest.mark.parametrize("which", ["P", "Py"])
+    @pytest.mark.parametrize(
+        "argv", [["certify"], ["solve", "--method", "hull"]], ids=["certify", "hull"]
+    )
+    def test_unbounded_input(self, which, argv, tmp_path, capsys):
+        box = box_polytope(2)
+        orthant = HPolyhedron.make([[-1, 0], [0, -1]], [0, 0])
+        inst = DBPInstance.make(
+            Q=[[1, 0], [0, 1]], P=orthant if which == "P" else box, Py=orthant if which == "Py" else box
+        )
+        inp = self.write(tmp_path, inst)
+        assert exit_code(argv[:1] + [inp] + argv[1:]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, "assumption violated: ")
+
+    def test_manifest_closes_input(self, dbp_62, tmp_path):
+        inp = self.write(tmp_path, dbp_62)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert cli.main(["certify", inp, "--out", str(tmp_path / "c.json")]) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
