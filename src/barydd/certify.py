@@ -383,7 +383,10 @@ def _misfit(inst: DBPInstance, cert: Certificate) -> str:
 
 
 def verify_certificate(
-    inst: DBPInstance, cert: Certificate, seed: int = 20240801
+    inst: DBPInstance,
+    cert: Certificate,
+    seed: int = 20240801,
+    vertices: Optional[Sequence[tuple]] = None,
 ) -> VerifyResult:
     """True iff the certificate fits the instance (its variable counts, and
     every row index names a row of P or Py), and then (a) all weights are
@@ -391,7 +394,9 @@ def verify_certificate(
     holds exactly, and (c) z is positive at the vertex average and 20
     random interior rational points.  The result carries the identity's
     residual, computed before checks (a)-(c); a certificate that does not
-    fit has none."""
+    fit has none.  vertices is P's vertex list in the oracle's order, when
+    the caller already holds it (``BarycentricCoords.vertices``); without
+    it the vertex oracle runs."""
     misfit = _misfit(inst, cert)
     if misfit:
         return VerifyResult(False, misfit)
@@ -402,13 +407,14 @@ def verify_certificate(
         return VerifyResult(False, "negative weight", residual)
     if not residual.is_zero():
         return VerifyResult(False, "identity residual nonzero", residual)
-    from .polyhedra import enumerate_vertices_oracle
+    if vertices is None:
+        from .polyhedra import enumerate_vertices_oracle
 
-    verts = enumerate_vertices_oracle(inst.P)
-    if not verts:
+        vertices = enumerate_vertices_oracle(inst.P)
+    if not vertices:
         return VerifyResult(False, "P has no vertex", residual)
     center = tuple(
-        sum(v[j] for v in verts) / Fraction(len(verts)) for j in range(inst.P.n)
+        sum(v[j] for v in vertices) / Fraction(len(vertices)) for j in range(inst.P.n)
     )
     zx = cert.zpoly
 
@@ -417,7 +423,7 @@ def verify_certificate(
 
     if z_at(center) <= 0:
         return VerifyResult(False, "z not positive at the vertex average", residual)
-    for pt in _interior_points(verts, inst.P.n, 20, seed=seed):
+    for pt in _interior_points(vertices, inst.P.n, 20, seed=seed):
         if z_at(pt) <= 0:
             return VerifyResult(False, f"z not positive at an interior sample", residual)
     return VerifyResult(True, "", residual)

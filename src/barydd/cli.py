@@ -7,12 +7,15 @@ without ever replacing exact values.  Row orders on the command line are
 
 Exit codes: 0 ok, 2 bad input (a parse error, a certificate file with a
 missing key, a bad rational or a non-integer row index, a --level outside
-the method's range, a violated assumption such as an unbounded P or Py for
-`certify` and `solve --method hull`, a file that cannot be read or
-written), 3 empty interior, 4 level too low (the message reports the
-minimum usable level), 5 certificate verification failure (also a
-certificate whose variable counts differ from the instance's, or that
-names a row index outside the instance's rows).
+the method's range, an --init other than default, orthant, phase1 or
+partial:R with R in 0..n, a --samples that is not a non-negative integer,
+a violated assumption such as an unbounded P or Py for `certify` and
+`solve --method hull` or an x_i >= 0 row that the orthant and partial:R
+inits need but P does not state, a file that cannot be read or written), 3
+empty interior, 4 level too low (the message reports the minimum usable
+level), 5 certificate verification failure (also a certificate whose
+variable counts differ from the instance's, or that names a row index
+outside the instance's rows).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import List, Optional
 from . import __version__
 from .dd_engine import (
     EmptyInterior,
+    InitPreconditionViolated,
     dd_run,
     ledger_verify,
     prune_redundant,
@@ -120,6 +124,31 @@ def _parse_orders(text: str, m: int, k: int, warn_above: int = 64) -> List[tuple
     return out
 
 
+def _parse_int(text: str, what: str, lo: int, hi: Optional[int] = None) -> int:
+    """An integer in lo..hi (no upper bound when hi is None); anything else
+    exits with EXIT_PARSE."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < lo or (hi is not None and value > hi):
+        want = f"in {lo}..{hi}" if hi is not None else f"of at least {lo}"
+        print(f"bad {what} {text!r}: must be an integer {want}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    return value
+
+
+def _parse_init(text: str, n: int) -> tuple:
+    """--init as (mode, varrho) for ``dd_run``: default, orthant, phase1 or
+    partial:R with R in 0..n; anything else exits with EXIT_PARSE."""
+    if text in ("default", "orthant", "phase1"):
+        return text, None
+    if text.startswith("partial:"):
+        return "partial_orthant", _parse_int(text[len("partial:"):], "--init partial:R", 0, n)
+    print(f"bad --init {text!r}: must be default, orthant, partial:R or phase1", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
 def _check_level(level: int, lo: int, hi: int) -> int:
     """level if it lies in lo..hi; otherwise exits with EXIT_PARSE."""
     if not lo <= level <= hi:
@@ -173,16 +202,15 @@ def cmd_dd(args) -> int:
         print(f"bad polytope file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     order = _parse_order(args.order, P.m)
-    varrho = None
-    init = args.init
-    if init.startswith("partial:"):
-        varrho = int(init.split(":", 1)[1])
-        init = "partial_orthant"
+    init, varrho = _parse_init(args.init, P.n)
     try:
         run = dd_run(P, order=order, prune=args.prune, init=init, varrho=varrho)
     except EmptyInterior as exc:
         print(f"empty interior: {exc}", file=sys.stderr)
         return EXIT_EMPTY
+    except InitPreconditionViolated as exc:
+        print(f"assumption violated: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     st = run.final
     dump = {
         "order": [i + 1 for i in run.order],
@@ -346,7 +374,7 @@ def cmd_certify(args) -> int:
         )
     print(f"delta = {rat_to_str(cert.delta)}")
     if args.verify:
-        res = verify_certificate(inst, cert, seed=_seed())
+        res = verify_certificate(inst, cert, seed=_seed(), vertices=coords.vertices)
         residual = res.residual
         print(f"identity residual: {'0' if residual.is_zero() else repr(residual)}")
         print("PASS" if res.ok else f"FAIL: {res.diagnostic}")
@@ -406,6 +434,7 @@ def cmd_verify_identities(args) -> int:
         print(f"bad polytope file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     order = _parse_order(args.order, P.m)
+    samples = _parse_int(args.samples, "--samples", 0)
     rng = random.Random(_seed())
     checks = []
     try:
@@ -466,7 +495,6 @@ def cmd_verify_identities(args) -> int:
                     ok = False
         checks.append(("vertex indicator", ok))
         # interior positivity at sampled points
-        samples = int(args.samples)
         ok = True
         for _ in range(samples):
             ws = [Fraction(rng.randint(1, 40)) for _ in pts]

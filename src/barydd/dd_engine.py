@@ -22,6 +22,15 @@ combination of products of pool factors over a factored denominator, where
 each factor is taken in the sign that is non-negative on the cone.  It is
 maintained alongside the reduced form and feeds the structural relaxation
 rows and certificate extraction.
+
+Pruning (``prune_redundant``) removes the columns that are not extreme rays
+and folds their coordinates into the others.  In a state without lineality
+a column is kept, without an LP, when the constraint rows tight at it have
+rank d - 1, the algebraic extremality test of double description (Motzkin
+et al. 1953; Fukuda and Prodon 1996), computed in integers.  Every other
+column, and every column of a state with lineality or of the partial_orthant
+init, gets one exact LP: its Bland-order solution, when feasible, gives the
+fold weights.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -227,10 +237,12 @@ def frf_mul(pool: FactorPool, a: Frf, b: Frf) -> Frf:
     return _reduce(pool, a.num * b.num, tuple(sorted(a.den + b.den)))
 
 
-def frf_div(pool: FactorPool, a: Frf, b: Frf) -> Frf:
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero coordinate")
-    scalar, ids = pool.factorize(b.num)
+def frf_div(
+    pool: FactorPool, a: Frf, b: Frf, b_factors: Tuple[Fraction, Tuple[int, ...]]
+) -> Frf:
+    """a / b, where b_factors = pool.factorize(b.num): a caller dividing by
+    one b many times factors it once."""
+    scalar, ids = b_factors
     num = a.num.scale(1 / scalar) * pool.product(b.den)
     return _reduce(pool, num, tuple(sorted(a.den + ids)))
 
@@ -753,11 +765,19 @@ def _step_ray(state, row, beta):
                 )
                 return CPR(terms, tuple(sorted(c.den + nids)))
 
+    # N_tot divides every new coordinate and is factored once; after the
+    # constraint-product registrations above, since registration order
+    # fixes the pool id of a new residual
+    ntot_factors = None
+    if Nneg:
+        if ntot.is_zero():
+            raise ZeroDivisionError("division by zero coordinate")
+        ntot_factors = pool.factorize(ntot.num)
     new_fmu: List[Frf] = [state.fmu[j] for j in Nzero]
     new_cpr: List[Optional[CPR]] = [state.cpr[j] for j in Nzero]
     for i in Npos:
         term = (
-            frf_div(pool, frf_mul(pool, state.fmu[i], sneg), ntot)
+            frf_div(pool, frf_mul(pool, state.fmu[i], sneg), ntot, ntot_factors)
             if Nneg
             else Frf(Poly.zero(pool.nvars), ())
         )
@@ -769,7 +789,9 @@ def _step_ray(state, row, beta):
             new_cpr.append(None)
     for i in Npos:
         for j in Nneg:
-            new_fmu.append(frf_div(pool, frf_mul(pool, state.fmu[i], state.fmu[j]), ntot))
+            new_fmu.append(
+                frf_div(pool, frf_mul(pool, state.fmu[i], state.fmu[j]), ntot, ntot_factors)
+            )
             if cpr_ok:
                 new_cpr.append(over_ntot(cpr_mul(state.cpr[i], state.cpr[j])))
             else:
@@ -892,78 +914,116 @@ def dd_run(
     )
 
 
-def _canonical_column(col) -> tuple:
-    from math import gcd as _gcd
-
+def _int_vector(v) -> Tuple[int, ...]:
+    """v scaled by the lcm of its denominators: a positive multiple of v
+    with integer entries."""
     lcm = 1
-    for x in col:
-        lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-    ints = [x.numerator * (lcm // x.denominator) for x in col]
+    for x in v:
+        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    return tuple(x.numerator * (lcm // x.denominator) for x in v)
+
+
+def _canonical_column(col) -> tuple:
+    ints = _int_vector(col)
     g = 0
     for v in ints:
-        g = _gcd(g, abs(v))
+        g = gcd(g, v)
     if g == 0:
         return tuple(col)
     return tuple(Fraction(v, g) for v in ints)
 
 
+def _cone_rows(state: DDState) -> Optional[List[Tuple[int, ...]]]:
+    """Integer-scaled rows a with a.r >= 0 for every ray column r of a state
+    without lineality: x0 >= 0, x_i >= 0 for the orthant init, and the
+    processed rows of Abar.  None for a state with lineality, and for the
+    partial_orthant init, whose x_i >= 0 rows the state does not record."""
+    if state.q or state.init_mode == "partial_orthant":
+        return None
+    nv = state.cone.n + 1
+    units = range(nv) if state.init_mode == "orthant" else range(1)
+    rows = [tuple(int(i == j) for j in range(nv)) for i in units]
+    rows += [_int_vector(state.cone.Abar[i]) for i in state.processed]
+    return rows
+
+
+def _is_extreme(col: Tuple[int, ...], rows: Sequence[Tuple[int, ...]]) -> bool:
+    """True when the rows tight at the nonzero column col have rank d - 1.
+
+    col then spans a one-dimensional face of {x : rows.x >= 0}; a
+    non-negative combination of cone members equal to col uses only members
+    of that face, that is positive multiples of col (Motzkin et al. 1953;
+    Fukuda and Prodon 1996).  False means only that the test is
+    inconclusive."""
+    if not any(col):
+        return False
+    tight = [a for a in rows if not sum(x * y for x, y in zip(a, col))]
+    return len(tight) >= len(col) - 1 and linalg.int_rank(tight) == len(col) - 1
+
+
+def _fold(pool: FactorPool, fmu: list, cpr: list, t: int, j: int, w) -> None:
+    """Coordinate j, weighted by w > 0, joins coordinate t."""
+    fmu[t] = frf_add(pool, fmu[t], frf_scale(fmu[j], w))
+    if cpr[t] is not None and cpr[j] is not None:
+        cpr[t] = cpr_combine([(ONE, cpr[t]), (w, cpr[j])])
+    else:
+        cpr[t] = None
+
+
 def prune_redundant(state: DDState) -> DDState:
-    """Remove non-extremal ray columns, folding their coordinates into the
-    retained columns via an exact LP feasibility witness (Bland order), so
-    retained coordinates never decrease."""
+    """Remove the ray columns that are not extreme rays, folding each one's
+    coordinate into the retained columns, so retained coordinates never
+    decrease.
+
+    Columns equal up to positive scaling are merged first.  Then each column
+    is tested in turn.  In a state without lineality, a column at which the
+    tight constraint rows have rank d - 1 is an extreme ray (``_is_extreme``,
+    in integers) and is kept.  Every other column gets an exact LP for a
+    non-negative combination of the other columns; when one exists, its
+    Bland-order solution gives the fold weights and the column goes.  A fold
+    only shrinks the set of the other columns, so a column kept before it
+    stays kept and the scan goes on from the removed column's place."""
     pool = state.pool
-    R = list(state.R)
-    fmu = list(state.fmu)
-    cpr = list(state.cpr)
-    # columns equal up to positive scaling are merged first
-    i = 0
-    while i < len(R):
-        ci = _canonical_column(R[i])
-        j = i + 1
-        while j < len(R):
-            if _canonical_column(R[j]) == ci:
-                k0 = next(t for t, x in enumerate(R[i]) if x != 0)
-                c = R[j][k0] / R[i][k0]
-                fmu[i] = frf_add(pool, fmu[i], frf_scale(fmu[j], c))
-                if cpr[i] is not None and cpr[j] is not None:
-                    cpr[i] = cpr_combine([(ONE, cpr[i]), (c, cpr[j])])
-                else:
-                    cpr[i] = None
-                del R[j], fmu[j], cpr[j]
-            else:
-                j += 1
-        i += 1
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(R)):
-            others = [t for t in range(len(R)) if t != j]
-            if not others:
-                continue
-            prob = LPProblem(sense="min")
-            for t in others:
-                prob.add_var(f"nu{t}", lb=ZERO)
-            for coord in range(len(R[j])):
-                prob.add_row(
-                    {f"nu{t}": R[t][coord] for t in others},
-                    "=",
-                    R[j][coord],
-                    name=f"c{coord}",
-                )
-            sol = lp_solve(prob)
-            if sol.status != "optimal":
-                continue
-            for t in others:
-                w = sol.primal[f"nu{t}"]
-                if w:
-                    fmu[t] = frf_add(pool, fmu[t], frf_scale(fmu[j], w))
-                    if cpr[t] is not None and cpr[j] is not None:
-                        cpr[t] = cpr_combine([(ONE, cpr[t]), (w, cpr[j])])
-                    else:
-                        cpr[t] = None
-            del R[j], fmu[j], cpr[j]
-            changed = True
-            break
+    R, fmu, cpr = list(state.R), list(state.fmu), list(state.cpr)
+    first: Dict[tuple, int] = {}
+    merged = []
+    for j, col in enumerate(R):
+        i = first.setdefault(_canonical_column(col), j)
+        if i != j:
+            k0 = next(t for t, x in enumerate(R[i]) if x != 0)
+            _fold(pool, fmu, cpr, i, j, col[k0] / R[i][k0])
+            merged.append(j)
+    for j in reversed(merged):
+        del R[j], fmu[j], cpr[j]
+    rows = _cone_rows(state)
+    j = 0
+    while j < len(R):
+        if rows is not None and _is_extreme(_int_vector(R[j]), rows):
+            j += 1
+            continue
+        others = [t for t in range(len(R)) if t != j]
+        if not others:
+            j += 1
+            continue
+        prob = LPProblem(sense="min")
+        for t in others:
+            prob.add_var(f"nu{t}", lb=ZERO)
+        for coord in range(len(R[j])):
+            prob.add_row(
+                {f"nu{t}": R[t][coord] for t in others},
+                "=",
+                R[j][coord],
+                name=f"c{coord}",
+            )
+        sol = lp_solve(prob)
+        if sol.status != "optimal":
+            j += 1
+            continue
+        for t in others:
+            w = sol.primal[f"nu{t}"]
+            if w:
+                _fold(pool, fmu, cpr, t, j, w)
+        del R[j], fmu[j], cpr[j]
     return replace(
         state,
         R=tuple(R),

@@ -110,6 +110,31 @@ def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Vector]:
     return [Fraction(row[n], prev) for row in m]
 
 
+def int_rank(a: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination to row echelon
+    form (Bareiss 1968): the division by the previous pivot is exact as in
+    ``solve``, since every entry is then a minor of ``a``."""
+    m = [list(row) for row in a]
+    ncols = len(m[0]) if m else 0
+    r, prev = 0, 1
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        rr = m[r]
+        arc = rr[c]
+        for i in range(r + 1, len(m)):
+            ri = m[i]
+            aic = ri[c]
+            m[i] = [(arc * x - aic * y) // prev for x, y in zip(ri, rr)]
+        prev = arc
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
 def inverse(a: Matrix) -> Optional[Matrix]:
     n = len(a)
     aug = [row[:] + identity(n)[i] for i, row in enumerate(a)]

@@ -171,24 +171,25 @@ class GeneratorRep:
         return len(self.L)
 
 
+def dehomogenize_columns(R: Sequence) -> tuple:
+    """The columns of ``dehomogenize`` alone: a column with positive first
+    entry rescaled to first entry 1, any other column as it is."""
+    return tuple(
+        tuple(x / col[0] for x in col) if col[0] > 0 else tuple(col) for col in R
+    )
+
+
 def dehomogenize(R: Sequence, mu: Sequence[RatFun]) -> Tuple[tuple, list]:
     """Definition: columns with positive first entry are rescaled to first
     entry 1 and the coordinate scaled by that entry; every coordinate gets
     x0 := 1 substituted."""
     if len(mu) != len(R):
         raise ValueError("mu length must equal column count of R")
-    cols = []
-    lam = []
-    for col, f in zip(R, mu):
-        c0 = col[0]
-        g = f.subs_one(0)
-        if c0 > 0:
-            cols.append(tuple(x / c0 for x in col))
-            lam.append(g.scale(c0))
-        else:
-            cols.append(tuple(col))
-            lam.append(g)
-    return tuple(cols), lam
+    lam = [
+        f.subs_one(0).scale(col[0]) if col[0] > 0 else f.subs_one(0)
+        for col, f in zip(R, mu)
+    ]
+    return dehomogenize_columns(R), lam
 
 
 def enumerate_vertices_oracle(P: HPolyhedron) -> List[tuple]:

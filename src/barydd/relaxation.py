@@ -18,6 +18,7 @@ from .exactmath import Poly, RatFun, rat_from_str, rat_to_str
 from .lp import LPProblem, LPSolution, LPVerificationError, lp_solve
 from .polyhedra import (
     HPolyhedron,
+    dehomogenize_columns,
     enumerate_vertices_oracle,
     is_bounded,
 )
@@ -403,10 +404,7 @@ class LevelRun:
             from .dd_engine import prune_redundant
 
             st = prune_redundant(st)
-        from .polyhedra import dehomogenize
-
-        W, _ = dehomogenize(st.R, list(st.mu))
-        return _vertex_form_lp(self.ac, W, name=f"level{k}")
+        return _vertex_form_lp(self.ac, dehomogenize_columns(st.R), name=f"level{k}")
 
     def gap_table(
         self, prune: bool = False, solved: Optional[Dict[int, LPSolution]] = None

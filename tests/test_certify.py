@@ -148,6 +148,50 @@ class TestCliVerify:
         assert rc == (0 if diagnostic is None else cli.EXIT_VERIFY)
 
 
+class TestOracleCalls:
+    """``certify --out --verify`` enumerates P's vertices once: the
+    verification reuses the vertex list of the coordinates.  ``--check``,
+    which has no coordinates, runs the oracle itself."""
+
+    @staticmethod
+    def count_oracle(monkeypatch):
+        from barydd import polyhedra, relaxation
+
+        calls = []
+        real = polyhedra.enumerate_vertices_oracle
+
+        def counted(P):
+            calls.append(P)
+            return real(P)
+
+        monkeypatch.setattr(polyhedra, "enumerate_vertices_oracle", counted)
+        monkeypatch.setattr(relaxation, "enumerate_vertices_oracle", counted)
+        return calls
+
+    def test_one_call_per_job(self, dbp_62, tmp_path, monkeypatch, capsys):
+        inp = tmp_path / "dbp62.json"
+        inp.write_text(json.dumps(dbp_62.to_json()))
+        out = tmp_path / "cert.json"
+        calls = self.count_oracle(monkeypatch)
+        assert cli.main(["certify", str(inp), "--out", str(out), "--verify"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.endswith("identity residual: 0\nPASS\n")
+        calls.clear()
+        assert cli.main(["certify", str(inp), "--check", str(out)]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == "PASS\n"
+
+    def test_given_vertices_same_result(self, dbp_62):
+        cert, _ = certified(dbp_62)
+        verts = enumerate_vertices_oracle(dbp_62.P)
+        for tamper in (None, lambda c: setattr(c, "delta", c.delta + 1)):
+            if tamper:
+                tamper(cert)
+            a = verify_certificate(dbp_62, cert)
+            b = verify_certificate(dbp_62, cert, vertices=verts)
+            assert (a.ok, a.diagnostic, a.residual) == (b.ok, b.diagnostic, b.residual)
+
+
 class TestDegenerate:
     def test_zero_Q_constant_z(self, dbp_62):
         inst = DBPInstance.make(

@@ -676,3 +676,275 @@ class TestDivisorScan:
             A.append([rng.randint(1, 5) for _ in range(3)])
             b.append(rng.randint(5, 20))
         assert self.retries(HPolyhedron.make(A, b), monkeypatch) == []
+
+
+# --------------------------------------------------------------------------
+# pruning by the rank test, against the LP-per-column prune
+# --------------------------------------------------------------------------
+
+
+def reference_lp_weights(R, j):
+    """Bland-order solution of R[j] = sum_t nu_t R[t], nu >= 0, t != j, as
+    {t: nu_t}; None when infeasible."""
+    from barydd.lp import LPProblem, lp_solve
+
+    others = [t for t in range(len(R)) if t != j]
+    prob = LPProblem(sense="min")
+    for t in others:
+        prob.add_var(f"nu{t}", lb=F(0))
+    for coord in range(len(R[j])):
+        prob.add_row({f"nu{t}": R[t][coord] for t in others}, "=", R[j][coord], name=f"c{coord}")
+    sol = lp_solve(prob)
+    if sol.status != "optimal":
+        return None
+    return {t: sol.primal[f"nu{t}"] for t in others}
+
+
+def reference_prune(state):
+    """The prune that solves one LP per column and starts over after every
+    fold: merge columns equal up to positive scaling, then fold any column
+    that is a non-negative combination of the others."""
+    from dataclasses import replace
+
+    from barydd.dd_engine import cpr_combine, frf_add, frf_scale, frf_to_ratfun
+
+    pool = state.pool
+    R, fmu, cpr = list(state.R), list(state.fmu), list(state.cpr)
+
+    def fold(t, j, w):
+        fmu[t] = frf_add(pool, fmu[t], frf_scale(fmu[j], w))
+        if cpr[t] is not None and cpr[j] is not None:
+            cpr[t] = cpr_combine([(F(1), cpr[t]), (w, cpr[j])])
+        else:
+            cpr[t] = None
+
+    i = 0
+    while i < len(R):
+        ci = _canonical_column(R[i])
+        j = i + 1
+        while j < len(R):
+            if _canonical_column(R[j]) == ci:
+                k0 = next(t for t, x in enumerate(R[i]) if x != 0)
+                fold(i, j, R[j][k0] / R[i][k0])
+                del R[j], fmu[j], cpr[j]
+            else:
+                j += 1
+        i += 1
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(R)):
+            if len(R) < 2:
+                continue
+            weights = reference_lp_weights(R, j)
+            if weights is None:
+                continue
+            for t, w in weights.items():
+                if w:
+                    fold(t, j, w)
+            del R[j], fmu[j], cpr[j]
+            changed = True
+            break
+    return replace(
+        state, R=tuple(R), mu=tuple(frf_to_ratfun(pool, f) for f in fmu), fmu=tuple(fmu), cpr=tuple(cpr)
+    )
+
+
+def prune_fields(state):
+    pool = state.pool
+    return (
+        state.R,
+        state.fmu,
+        state.cpr,
+        tuple((m.num, m.den) for m in state.mu),
+        (tuple(pool.polys), tuple(pool.kinds), tuple(pool.cone_sign), frozenset(pool.certified)),
+    )
+
+
+def random_polyhedron(rng, n, kind):
+    """x >= 0 and random rows: 'bounded' adds rows with positive
+    coefficients; 'apex' adds n + 1 rows through (1, ..., 1), a degenerate
+    vertex; 'equality' a bounded polytope cut by an equality written as two
+    rows, an implied equality of the DD run; 'unbounded' rows with mixed
+    signs, which may leave recession rays; 'centered' the box [-2, 2]^n
+    cut by rows with mixed signs, so the columns of a state need not lie in
+    x >= 0."""
+    A = [[-int(j == i) for j in range(n)] for i in range(n)]
+    b = [0] * n
+    if kind == "centered":
+        A += [[int(j == i) for j in range(n)] for i in range(n)]
+        b = [2] * (2 * n)
+        for _ in range(2):
+            A.append([rng.randint(-2, 2) for _ in range(n)])
+            b.append(rng.randint(1, 3))
+    if kind in ("bounded", "equality"):
+        for _ in range(rng.randint(2, 3)):
+            A.append([rng.randint(1, 4) for _ in range(n)])
+            b.append(rng.randint(4, 12))
+    if kind == "apex":
+        for _ in range(n + 1):
+            row = [rng.randint(1, 3) for _ in range(n)]
+            A.append(row)
+            b.append(sum(row))
+    if kind == "equality":
+        row = [rng.randint(0, 3) for _ in range(n)]
+        rhs = rng.randint(0, 2)
+        A += [row, [-c for c in row]]
+        b += [rhs, -rhs]
+    if kind == "unbounded":
+        for _ in range(2):
+            A.append([rng.randint(-1, 2) for _ in range(n)])
+            b.append(rng.randint(1, 5))
+    return HPolyhedron.make(A, b)
+
+
+def reference_run(P, order, init, varrho=None):
+    """dd_run(..., prune=True) with the reference prune: the pruned states."""
+    state, _, remaining = dd_init(homogenize(P), init, order, varrho)
+    states = [state]
+    for row in remaining:
+        raw, _ = dd_step(states[-1], row)
+        states.append(reference_prune(raw))
+    return states
+
+
+class TestPruneByRank:
+    """``prune_redundant`` keeps a column without an LP when the rank test
+    proves it extreme; its outputs equal the LP-per-column prune's."""
+
+    CASES = [
+        (kind, init, seed)
+        for kind in ("bounded", "apex", "equality", "unbounded", "centered")
+        for init in ("default", "orthant", "phase1", "partial:1")
+        for seed in range(3)
+        # the orthant inits need the x >= 0 rows that centered polytopes lack
+        if kind != "centered" or init in ("default", "phase1")
+    ]
+
+    @staticmethod
+    def case(kind, init, seed):
+        rng = random.Random(f"{kind}-{init}-{seed}")
+        # apex and centered polytopes stay in the plane: in 3-D some runs
+        # take seconds
+        n = 2 if kind in ("apex", "centered") else rng.choice([2, 3])
+        P = random_polyhedron(rng, n, kind)
+        order = list(range(P.m))
+        rng.shuffle(order)
+        varrho = None
+        if init.startswith("partial:"):
+            init, varrho = "partial_orthant", int(init.split(":")[1])
+        return P, order, init, varrho
+
+    @pytest.mark.parametrize("kind, init, seed", CASES)
+    def test_equals_reference_prune(self, kind, init, seed):
+        P, order, init, varrho = self.case(kind, init, seed)
+        try:
+            want = reference_run(P, order, init, varrho)
+        except EmptyInterior:
+            with pytest.raises(EmptyInterior):
+                dd_run(P, order=order, prune=True, init=init, varrho=varrho)
+            return
+        got = dd_run(P, order=order, prune=True, init=init, varrho=varrho).states
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert prune_fields(g) == prune_fields(w)
+
+    def test_cases_cover_the_state_kinds(self):
+        # the corpus above has states with and without lineality, duplicate
+        # columns, implied equalities, and columns folded by the LP
+        seen = set()
+        for kind, init, seed in self.CASES:
+            P, order, init, varrho = self.case(kind, init, seed)
+            try:
+                run = dd_run(P, order=order, prune=True, init=init, varrho=varrho)
+            except EmptyInterior:
+                continue
+            for raw, pruned in zip(run.raw_states[1:], run.states[1:]):
+                keys = [_canonical_column(c) for c in raw.R]
+                seen.add("lineality" if raw.q else "pointed")
+                if len(set(keys)) < len(keys):
+                    seen.add("duplicates")
+                if raw.E:
+                    seen.add("implied equality")
+                if pruned.p < len(set(keys)):
+                    seen.add("fold")
+        assert seen == {"lineality", "pointed", "duplicates", "implied equality", "fold"}
+
+    def test_split_column_is_merged_back(self, poly_53):
+        # a column split into R and 2R, each with a third of its coordinate
+        from dataclasses import replace
+
+        from barydd.dd_engine import cpr_scale, frf_scale
+
+        st = dd_run(poly_53).raw_states[4]
+        third = F(1, 3)
+        split = replace(
+            st,
+            R=st.R + (tuple(2 * x for x in st.R[0]),),
+            mu=(st.mu[0].scale(third),) + st.mu[1:] + (st.mu[0].scale(third),),
+            fmu=(frf_scale(st.fmu[0], third),) + st.fmu[1:] + (frf_scale(st.fmu[0], third),),
+            cpr=(cpr_scale(st.cpr[0], third),) + st.cpr[1:] + (cpr_scale(st.cpr[0], third),),
+        )
+        assert prune_fields(prune_redundant(split)) == prune_fields(reference_prune(split))
+        assert rf_equal(prune_redundant(split).mu[0], prune_redundant(st).mu[0])
+
+    @pytest.mark.parametrize("kind", ["bounded", "apex", "equality", "unbounded", "centered"])
+    def test_rank_test_agrees_with_lp(self, kind):
+        # in a state without lineality, after duplicates are merged, a column
+        # passes the rank test exactly when the reference LP is infeasible
+        from barydd.dd_engine import _cone_rows, _int_vector, _is_extreme
+
+        checked = 0
+        for seed in range(4):
+            P, order, init, _ = self.case(kind, "default", seed)
+            try:
+                run = dd_run(P, order=order, prune=True)
+            except EmptyInterior:
+                continue
+            for st in run.raw_states:
+                rows = _cone_rows(st)
+                if rows is None:
+                    continue
+                R = list({_canonical_column(c): c for c in reversed(st.R)}.values())
+                for j, col in enumerate(R):
+                    extreme = _is_extreme(_int_vector(col), rows)
+                    assert extreme == (reference_lp_weights(R, j) is None), (st.k, col)
+                    checked += 1
+        assert checked > 0
+
+
+class TestNtotFactoredOnce:
+    """A ray step factors N_tot once, not once per division by it."""
+
+    @pytest.mark.parametrize("fixture", ["poly_53", "poly_51"])
+    def test_one_factorization_per_ray_step(self, fixture, request, monkeypatch):
+        from barydd import dd_engine
+        from barydd.dd_engine import Frf, frf_add, frf_scale
+
+        P = request.getfixturevalue(fixture)
+        calls = []  # polynomials factored without a kind: the N_tot calls
+        real = dd_engine.FactorPool.factorize
+
+        def factorize(self, p, *args, **kwargs):
+            if not args and not kwargs:
+                calls.append(p)
+            return real(self, p, *args, **kwargs)
+
+        monkeypatch.setattr(dd_engine.FactorPool, "factorize", factorize)
+        state, _, order = dd_init(homogenize(P))
+        ray_steps = 0
+        for row in order:
+            calls.clear()
+            beta = [dot(state.cone.Abar[row], col) for col in state.R]
+            ntot = Frf(Poly.zero(state.cone.n + 1), ())
+            for i, b in enumerate(beta):
+                if b > 0:
+                    ntot = frf_add(state.pool, ntot, frf_scale(state.fmu[i], b))
+            nxt, entry = dd_step(state, row)
+            if entry.case == "ray" and entry.Npos and entry.Nneg:
+                assert [p for p in calls if p == ntot.num] == [ntot.num]
+                ray_steps += 1
+            else:
+                assert calls == []
+            state = nxt
+        assert ray_steps >= 2

@@ -258,6 +258,44 @@ class TestLevelHierarchy:
         for order in itertools.permutations(range(inst.P.m)):
             self.assert_stopped_runs_match(inst, list(order))
 
+    @staticmethod
+    def assert_level_lps_from_columns(inst, order, prune):
+        """The level LPs equal the ones built by dehomogenizing the
+        coordinates too and discarding them, as ``dehomogenize`` did before
+        it shared ``dehomogenize_columns``."""
+        from barydd.dd_engine import prune_redundant
+
+        def dehomogenize(R, mu):
+            cols, lam = [], []
+            for col, f in zip(R, mu):
+                g = f.subs_one(0)
+                if col[0] > 0:
+                    cols.append(tuple(x / col[0] for x in col))
+                    lam.append(g.scale(col[0]))
+                else:
+                    cols.append(tuple(col))
+                    lam.append(g)
+            return tuple(cols), lam
+
+        ac = relaxation.dbp_as_ac(inst)
+        levels = LevelRun.make(inst, order)
+        for k in range(levels.kbar, len(order) + 1):
+            st = levels.run.raw_states[k]
+            st = prune_redundant(st) if prune else st
+            W, _ = dehomogenize(st.R, list(st.mu))
+            want = relaxation._vertex_form_lp(ac, W, name=f"level{k}")
+            assert repr(levels.lp(k, prune)) == repr(want)
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_level_lp_from_columns_alone(self, dbp_62, prune):
+        for order in itertools.permutations(range(dbp_62.P.m)):
+            self.assert_level_lps_from_columns(dbp_62, list(order), prune)
+        # columns whose first entry is neither 0 nor 1
+        rng = random.Random(20240519)
+        for n, m in [(2, 5), (3, 6)]:
+            inst = random_dbp(rng, n, m)
+            self.assert_level_lps_from_columns(inst, list(range(m)), prune)
+
     def test_level_out_of_range(self, dbp_62):
         for k, order in [(-1, None), (5, None), (3, [0, 1])]:
             with pytest.raises(ValueError) as err:
@@ -676,6 +714,33 @@ class TestCliBadInput:
         )
         inp = self.write(tmp_path, inst)
         assert exit_code(argv[:1] + [inp] + argv[1:]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, "assumption violated: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dd", "--init", "partial:x"],
+            ["dd", "--init", "partial:9"],
+            ["dd", "--init", "partial:-1"],
+            ["dd", "--init", "bogus"],
+            ["verify-identities", "--samples", "x"],
+            ["verify-identities", "--samples", "-3"],
+        ],
+        ids=["partial_not_int", "partial_above_n", "partial_negative", "unknown_init",
+             "samples_not_int", "samples_negative"],
+    )
+    def test_bad_option(self, argv, tmp_path, capsys):
+        inp = tmp_path / "box.json"
+        inp.write_text(json.dumps(box_polytope(2).to_json()))
+        assert exit_code(argv[:1] + [str(inp)] + argv[1:]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, "bad ")
+
+    @pytest.mark.parametrize("init", ["orthant", "partial:1"])
+    def test_init_without_orthant_rows(self, init, dbp_62, tmp_path, capsys):
+        # x_2 >= 0 is not a row of dbp_62's P
+        inp = tmp_path / "P.json"
+        inp.write_text(json.dumps(dbp_62.P.to_json()))
+        assert exit_code(["dd", str(inp), "--init", init]) == cli.EXIT_PARSE
         self.assert_one_line_error(capsys, "assumption violated: ")
 
     def test_manifest_closes_input(self, dbp_62, tmp_path):
