@@ -9,13 +9,14 @@ Exit codes: 0 ok, 2 bad input (a parse error, a certificate file with a
 missing key, a bad rational or a non-integer row index, a --level outside
 the method's range, an --init other than default, orthant, phase1 or
 partial:R with R in 0..n, a --samples that is not a non-negative integer,
-a violated assumption such as an unbounded P or Py for `certify` and
-`solve --method hull` or an x_i >= 0 row that the orthant and partial:R
-inits need but P does not state, a file that cannot be read or written), 3
-empty interior, 4 level too low (the message reports the minimum usable
-level), 5 certificate verification failure (also a certificate whose
-variable counts differ from the instance's, or that names a row index
-outside the instance's rows).
+for `solve --method de` an --orders that names no order, a negative
+--theta-cap or a --jobs below 1, a violated assumption such as an
+unbounded P or Py for `certify` and `solve --method hull` or an x_i >= 0
+row that the orthant and partial:R inits need but P does not state, a file
+that cannot be read or written), 3 empty interior, 4 level too low (the
+message reports the minimum usable level), 5 certificate verification
+failure (also a certificate whose variable counts differ from the
+instance's, or that names a row index outside the instance's rows).
 """
 
 from __future__ import annotations
@@ -117,6 +118,9 @@ def _parse_orders(text: str, m: int, k: int, warn_above: int = 64) -> List[tuple
             )
         return orders
     out = [_parse_indices(block, m, "--orders") for block in text.split(";") if block.strip()]
+    if not out:
+        print(f"bad --orders {text!r}: no order given", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
     for o in out:
         if len(o) != k:
             print(f"bad order {o} (need length {k})", file=sys.stderr)
@@ -149,12 +153,14 @@ def _parse_init(text: str, n: int) -> tuple:
     raise SystemExit(EXIT_PARSE)
 
 
-def _check_level(level: int, lo: int, hi: int) -> int:
-    """level if it lies in lo..hi; otherwise exits with EXIT_PARSE."""
-    if not lo <= level <= hi:
-        print(f"--level {level} is out of range: must be in {lo}..{hi}", file=sys.stderr)
+def _check_range(value: int, what: str, lo: int, hi: Optional[int] = None) -> int:
+    """value if it lies in lo..hi (no upper bound when hi is None);
+    otherwise exits with EXIT_PARSE."""
+    if value < lo or (hi is not None and value > hi):
+        want = f"in {lo}..{hi}" if hi is not None else f"at least {lo}"
+        print(f"{what} {value} is out of range: must be {want}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
-    return level
+    return value
 
 
 def _write_artifact(path: str, payload: dict):
@@ -265,7 +271,7 @@ def cmd_solve(args) -> int:
         elif method == "ddr":
             order = _parse_order(args.order, inst.P.m)
             k = args.level if args.level is not None else inst.P.m
-            _check_level(k, 0, inst.P.m if order is None else len(order))
+            _check_range(k, "--level", 0, inst.P.m if order is None else len(order))
             if args.report:
                 # one run over the whole order; the gap table builds every
                 # level from it
@@ -274,7 +280,10 @@ def cmd_solve(args) -> int:
             else:
                 prob = build_level_lp(inst, k, order=order)
         elif method == "de":
-            k = _check_level(args.level if args.level is not None else 1, 1, inst.P.m)
+            k = _check_range(args.level if args.level is not None else 1, "--level", 1, inst.P.m)
+            if args.theta_cap is not None:
+                _check_range(args.theta_cap, "--theta-cap", 0)
+            _check_range(args.jobs, "--jobs", 1)
             orders = _parse_orders(
                 args.orders or "all-k-subsets", inst.P.m, k,
                 warn_above=args.orders_warn,
@@ -286,10 +295,10 @@ def cmd_solve(args) -> int:
         elif method == "rlt1":
             prob = build_rlt_baseline(inst, "level1_general")
         elif method == "rltbox":
-            k = _check_level(args.level if args.level is not None else 1, 1, inst.n)
+            k = _check_range(args.level if args.level is not None else 1, "--level", 1, inst.n)
             prob = build_rlt_baseline(inst, "box_level_k", k=k)
         elif method == "fdr":
-            k = _check_level(args.level if args.level is not None else 1, 1, inst.np)
+            k = _check_range(args.level if args.level is not None else 1, "--level", 1, inst.np)
             prob = build_fdr_level(inst, k)
         else:
             print(f"unknown method {method}", file=sys.stderr)
@@ -396,7 +405,7 @@ def cmd_fdr_check(args) -> int:
         print(f"bad FDP file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.level is not None:
-        _check_level(args.level, 1, inst.np)
+        _check_range(args.level, "--level", 1, inst.np)
     try:
         sets = check_vertex_disjoint(inst)
     except FacesShareVertices as exc:
@@ -460,7 +469,7 @@ def cmd_verify_identities(args) -> int:
     checks.append(("linear precision (symbolic)", ok))
 
     ok = all(
-        ledger_verify(run.raw_states[i], run.raw_states[i + 1], run.entries[i])
+        ledger_verify(run.states[i], run.states[i + 1], run.entries[i])
         for i in range(len(run.entries))
     )
     checks.append(("ledger identities", ok))

@@ -15,7 +15,11 @@ functions (rather than polynomials) enter.
 Denominators are maintained in factored form against a per-run pool of
 primitive polynomials, and every coordinate update divides out pool factors
 that cancel exactly.  This keeps expressions in the reduced form the theory
-predicts without ever computing a multivariate gcd.
+predicts without ever computing a multivariate gcd.  A state stores each
+coordinate once, in this factored form (``Frf``: a numerator over a
+multiset of pool ids); ``DDState.mu`` and ``DDState.theta``, the
+coordinates as normalized rational functions, are derived from it when
+first read.
 
 Each coordinate also carries a constraint-product view (CPR): a non-negative
 combination of products of pool factors over a factored denominator, where
@@ -38,6 +42,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -341,17 +346,22 @@ class ImpliedZero:
     row: int
     column: Tuple[Fraction, ...]
     name: str
-    mu: RatFun
+    fmu: Frf
 
 
 @dataclass(frozen=True)
 class DDState:
+    """The state after k steps: ray columns R with coordinates fmu and their
+    constraint-product views cpr, lineality columns L with coordinates
+    ftheta.  fmu and ftheta are the stored form, factored over the pool;
+    mu and theta, the same coordinates as normalized RatFuns, are derived
+    on first read.  The pool only grows, so the pool ids in an Frf stay
+    valid, and ``replace`` builds a new state that derives its own."""
+
     cone: HomCone
     k: int
     R: Tuple[tuple, ...]
     L: Tuple[tuple, ...]
-    mu: Tuple[RatFun, ...]
-    theta: Tuple[RatFun, ...]
     E: Tuple[int, ...]
     processed: Tuple[int, ...]
     pool: FactorPool
@@ -359,7 +369,6 @@ class DDState:
     ftheta: Tuple[Frf, ...]
     cpr: Tuple[Optional[CPR], ...]
     implied_zero: Tuple[ImpliedZero, ...] = ()
-    had_empty_npos: bool = False
     phase1: Optional[Phase1Basis] = None
     init_mode: str = "default"
 
@@ -370,6 +379,19 @@ class DDState:
     @property
     def q(self) -> int:
         return len(self.L)
+
+    @cached_property
+    def mu(self) -> Tuple[RatFun, ...]:
+        return tuple(frf_to_ratfun(self.pool, f) for f in self.fmu)
+
+    @cached_property
+    def theta(self) -> Tuple[RatFun, ...]:
+        return tuple(frf_to_ratfun(self.pool, f) for f in self.ftheta)
+
+    @property
+    def had_empty_npos(self) -> bool:
+        """Some step found N+ empty; only such a step grows E."""
+        return bool(self.E)
 
 
 @dataclass(frozen=True)
@@ -464,14 +486,10 @@ def dd_init(
         L = tuple(
             tuple(ONE if j == i else ZERO for j in range(nv)) for i in range(1, nv)
         )
-        mu = (RatFun.variable(nv, 0),)
-        theta = tuple(RatFun.variable(nv, i) for i in range(1, nv))
         fmu = (Frf(Poly.variable(nv, 0), ()),)
         ftheta = tuple(Frf(Poly.variable(nv, i), ()) for i in range(1, nv))
         cpr = (CPR(((ONE, (0,)),), ()),)
-        state = DDState(
-            cone, 0, R, L, mu, theta, (), (), pool, fmu, ftheta, cpr, init_mode=mode
-        )
+        state = DDState(cone, 0, R, L, (), (), pool, fmu, ftheta, cpr, init_mode=mode)
         if mode == "default":
             return state, [], full_order
         return _run_phase1(state, full_order)
@@ -486,16 +504,12 @@ def dd_init(
         L = tuple(
             tuple(ONE if j == i else ZERO for j in range(nv)) for i in range(1, rho + 1)
         )
-        theta = tuple(RatFun.variable(nv, i) for i in range(1, rho + 1))
         ray_vars = [0] + list(range(rho + 1, n + 1))
         R = tuple(tuple(ONE if j == i else ZERO for j in range(nv)) for i in ray_vars)
-        mu = tuple(RatFun.variable(nv, i) for i in ray_vars)
         fmu = tuple(Frf(Poly.variable(nv, i), ()) for i in ray_vars)
         ftheta = tuple(Frf(Poly.variable(nv, i), ()) for i in range(1, rho + 1))
         cpr = tuple(CPR(((ONE, (i,)),), ()) for i in ray_vars)
-        state = DDState(
-            cone, 0, R, L, mu, theta, (), (), pool, fmu, ftheta, cpr, init_mode=mode
-        )
+        state = DDState(cone, 0, R, L, (), (), pool, fmu, ftheta, cpr, init_mode=mode)
         return state, [], full_order
 
     raise ValueError(f"unknown init mode {mode!r}")
@@ -662,8 +676,6 @@ def _step_lineality(state, row, alpha, beta):
         k=state.k + 1,
         R=tuple(new_R),
         L=tuple(new_L),
-        mu=tuple(frf_to_ratfun(pool, f) for f in new_fmu),
-        theta=tuple(frf_to_ratfun(pool, f) for f in new_ftheta),
         processed=state.processed + (row,),
         fmu=tuple(new_fmu),
         ftheta=tuple(new_ftheta),
@@ -686,7 +698,7 @@ def _step_ray(state, row, beta):
                 row=row,
                 column=state.R[j],
                 name=f"mu[{state.k}][{j}]",
-                mu=state.mu[j],
+                fmu=state.fmu[j],
             )
             for j in Nneg
         )
@@ -716,13 +728,11 @@ def _step_ray(state, row, beta):
             state,
             k=state.k + 1,
             R=tuple(state.R[j] for j in Nzero),
-            mu=tuple(state.mu[j] for j in Nzero),
             E=state.E + (row,),
             processed=state.processed + (row,),
             fmu=tuple(state.fmu[j] for j in Nzero),
             cpr=tuple(state.cpr[j] for j in Nzero),
             implied_zero=state.implied_zero + dropped,
-            had_empty_npos=True,
         )
         return new_state, entry
 
@@ -839,7 +849,6 @@ def _step_ray(state, row, beta):
         state,
         k=state.k + 1,
         R=tuple(new_R),
-        mu=tuple(frf_to_ratfun(pool, f) for f in new_fmu),
         processed=state.processed + (row,),
         fmu=tuple(new_fmu),
         cpr=tuple(new_cpr),
@@ -857,8 +866,7 @@ class DDRun:
     P: Optional[HPolyhedron]
     cone: HomCone
     order: Tuple[int, ...]  # all rows processed, init-consumed first
-    states: List[DDState]  # post-prune (equal to raw_states when prune off)
-    raw_states: List[DDState]  # state after each step, before pruning
+    states: List[DDState]  # the state after each step, pruned when prune is on
     entries: List[LedgerEntry]
 
     @property
@@ -884,8 +892,10 @@ def dd_run(
     P may be an HPolyhedron (homogenized here) or a HomCone.  With phase1
     init, rows not orthogonal to the lineality space are pulled forward out
     of the order; the remaining rows are processed in the order given.
-    With stop, the run ends at the first state, the initial one included,
-    for which stop(raw state) is true; the rows after it are not processed.
+    The run keeps one state per step; with prune, that is the pruned state
+    (``prune_redundant``), and the next step starts from it.  With stop,
+    the run ends at the first kept state, the initial one included, for
+    which stop(state) is true; the rows after it are not processed.
     """
     if isinstance(P, HPolyhedron):
         cone = homogenize(P)
@@ -895,21 +905,18 @@ def dd_run(
         poly = None
     state, init_entries, remaining = dd_init(cone, init, order, varrho)
     states = [state]
-    raw_states = [state]
     entries = list(init_entries)
     for row in remaining:
-        if stop is not None and stop(raw_states[-1]):
+        if stop is not None and stop(states[-1]):
             break
         raw, entry = dd_step(states[-1], row)
-        raw_states.append(raw)
         entries.append(entry)
         states.append(prune_redundant(raw) if prune else raw)
     return DDRun(
         P=poly,
         cone=cone,
-        order=states[0].processed + tuple(remaining[: len(raw_states) - 1]),
+        order=states[0].processed + tuple(remaining[: len(states) - 1]),
         states=states,
-        raw_states=raw_states,
         entries=entries,
     )
 
@@ -1024,13 +1031,7 @@ def prune_redundant(state: DDState) -> DDState:
             if w:
                 _fold(pool, fmu, cpr, t, j, w)
         del R[j], fmu[j], cpr[j]
-    return replace(
-        state,
-        R=tuple(R),
-        mu=tuple(frf_to_ratfun(pool, f) for f in fmu),
-        fmu=tuple(fmu),
-        cpr=tuple(cpr),
-    )
+    return replace(state, R=tuple(R), fmu=tuple(fmu), cpr=tuple(cpr))
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .dd_engine import dd_run, prune_redundant
 from .exactmath import Poly, RatFun, rat_from_str, rat_to_str, rf_equal
 from .lp import LPProblem, lp_solve
 from .polyhedra import HPolyhedron, dehomogenize, enumerate_vertices_oracle
-from .relaxation import barycentric_for_polytope
+from .relaxation import barycentric_for_polytope, expand_product_factor
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -644,13 +644,6 @@ def sherali_adams_01(
     def yv(T, l):
         return f"Y{T}_{l}" if T else f"y{l}"
 
-    def expand(S, Sp):
-        out = []
-        for rr in range(len(Sp) + 1):
-            for T in itertools.combinations(Sp, rr):
-                out.append((tuple(sorted(set(S) | set(T))), (-1) ** rr))
-        return out
-
     def mono_mul(T, j):
         return tuple(sorted(set(T) | {j}))
 
@@ -658,7 +651,7 @@ def sherali_adams_01(
         for bits in itertools.product([0, 1], repeat=len(S0)):
             S = tuple(t for t, b in zip(S0, bits) if b)
             Sp = tuple(t for t, b in zip(S0, bits) if not b)
-            factor = expand(S, Sp)
+            factor = expand_product_factor(S, Sp)
             # factor >= 0
             coeffs: Dict[str, Fraction] = {}
             const = ZERO

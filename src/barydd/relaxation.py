@@ -255,66 +255,18 @@ def barycentric_for_polytope(
 # --------------------------------------------------------------------------
 
 
-def _ymem_row_coeffs(inst: DBPInstance, r: int, i: int) -> Dict[str, Fraction]:
-    """Row r of (b^y - A^y)(lambda_i; Y_:,i) >= 0."""
-    coeffs = {f"lam{i}": inst.Py.b[r]}
-    for l in range(inst.ny):
-        a = inst.Py.A[r][l]
-        if a:
-            coeffs[f"Y{l}_{i}"] = -a
-    return coeffs
-
-
 def build_hull_lp(
     inst: DBPInstance, vertices: Optional[Sequence[tuple]] = None
 ) -> LPProblem:
     """The vertex-representation convex-hull LP: variables lambda in the
     simplex and scaled copies Y, rows (b^y -A^y)(lambda'; Y) >= 0, y = Y e,
-    x = V lambda, objective Trace(Q Y V') plus affine terms."""
+    x = V lambda, objective Trace(Q Y V') plus affine terms.  It is the
+    vertex form (``_vertex_form_lp``) over the points (1; v) of P's
+    vertices, given or from the oracle."""
     if not is_bounded(inst.P) or not is_bounded(inst.Py):
         raise UnboundedInput("hull LP needs bounded P and Py")
     V = list(vertices) if vertices is not None else enumerate_vertices_oracle(inst.P)
-    p = len(V)
-    prob = LPProblem(sense="min", name="hull")
-    for i in range(p):
-        prob.add_var(f"lam{i}", lb=ZERO)
-    for i in range(p):
-        for l in range(inst.ny):
-            prob.add_var(f"Y{l}_{i}")
-    for j in range(inst.n):
-        prob.add_var(f"x{j}")
-    for l in range(inst.ny):
-        prob.add_var(f"y{l}")
-    obj: Dict[str, Fraction] = {}
-    for i, v in enumerate(V):
-        cl = inst.c0 + sum(inst.cx[j] * v[j] for j in range(inst.n))
-        if cl:
-            obj[f"lam{i}"] = obj.get(f"lam{i}", ZERO) + cl
-        for l in range(inst.ny):
-            cy = inst.cy[l] + sum(inst.Q[j][l] * v[j] for j in range(inst.n))
-            if cy:
-                obj[f"Y{l}_{i}"] = cy
-    prob.objective = obj
-    for r in range(inst.Py.m):
-        for i in range(p):
-            prob.add_row(
-                _ymem_row_coeffs(inst, r, i), ">=", ZERO, name=f"ymem[{r},{i}]",
-                tag=("ymem", r, i),
-            )
-    prob.add_row({f"lam{i}": ONE for i in range(p)}, "=", ONE, name="simplex",
-                 tag=("simplex",))
-    for j in range(inst.n):
-        coeffs = {f"x{j}": ONE}
-        for i, v in enumerate(V):
-            if v[j]:
-                coeffs[f"lam{i}"] = -v[j]
-        prob.add_row(coeffs, "=", ZERO, name=f"xdef[{j}]", tag=("xdef", j))
-    for l in range(inst.ny):
-        coeffs = {f"y{l}": ONE}
-        for i in range(p):
-            coeffs[f"Y{l}_{i}"] = -ONE
-        prob.add_row(coeffs, "=", ZERO, name=f"ydef[{l}]", tag=("ydef", l))
-    return prob
+    return _vertex_form_lp(dbp_as_ac(inst), [(ONE,) + tuple(v) for v in V], name="hull")
 
 
 def envelope_eval(inst: DBPInstance, xbar: Sequence, ybar: Sequence) -> Fraction:
@@ -392,14 +344,14 @@ class LevelRun:
     @property
     def kbar(self) -> Optional[int]:
         """The smallest step count with empty lineality, if the run has one."""
-        return next((t for t, st in enumerate(self.run.raw_states) if st.q == 0), None)
+        return next((t for t, st in enumerate(self.run.states) if st.q == 0), None)
 
     def lp(self, k: int, prune: bool = False) -> LPProblem:
         """The level-k LP from the state after step k."""
         kbar = self.kbar
         if kbar is None or k < kbar:
             raise LevelTooLow(k, kbar, "lineality space not empty at this level")
-        st = self.run.raw_states[k]
+        st = self.run.states[k]
         if prune:
             from .dd_engine import prune_redundant
 
@@ -417,7 +369,7 @@ class LevelRun:
         if kbar is None:
             return []
         table = []
-        for k in range(kbar, len(self.run.raw_states)):
+        for k in range(kbar, len(self.run.states)):
             sol = solved[k] if k in solved else lp_solve(self.lp(k, prune))
             table.append(
                 {
@@ -643,7 +595,7 @@ def build_de_linear(
         runs = [dd_run(P, order=o) for o in orders]
     eta = 1
     for run in runs:
-        for st in run.raw_states[1:]:
+        for st in run.states[1:]:
             for m in st.mu:
                 eta = max(eta, m.subs_one(0).num.degree())
     cap = theta_cap if theta_cap is not None else eta
@@ -708,10 +660,10 @@ def build_de_linear(
                         name=f"yscale[{r},{i},{piece_no}]ς{o}",
                         tag=("yscale", o, r, i, piece_no),
                     )
-        # inter-level recursion rows, t = 1..k over the raw states
+        # inter-level recursion rows, t = 1..k over the (unpruned) states
         for t in range(1, len(run.entries) + 1):
-            prev = run.raw_states[t - 1]
-            nxt = run.raw_states[t]
+            prev = run.states[t - 1]
+            nxt = run.states[t]
             entry = run.entries[t - 1]
             if entry.case == "ray" and not entry.Npos:
                 continue  # dropped coordinates are handled as implied zeros
@@ -907,6 +859,16 @@ def _check_box(P: HPolyhedron):
         raise NotBox("box RLT flavor requires P = [0,1]^n")
 
 
+def expand_product_factor(S: tuple, Sp: tuple) -> List[Tuple[tuple, int]]:
+    """x^S (1-x)^Sp = sum over T subseteq Sp of (-1)^|T| x^{S u T}, as
+    (sorted index tuple S u T, sign) pairs."""
+    out = []
+    for r in range(len(Sp) + 1):
+        for T in itertools.combinations(Sp, r):
+            out.append((tuple(sorted(set(S) | set(T))), (-1) ** r))
+    return out
+
+
 def _rlt_box(inst: DBPInstance, k: int) -> LPProblem:
     """Level-k RLT over the unit box via monomial linearizations X_S, Y_S,l:
     product factors expanded through the inclusion-exclusion transform."""
@@ -929,14 +891,6 @@ def _rlt_box(inst: DBPInstance, k: int) -> LPProblem:
             if S:
                 prob.add_var(f"Y{S}_{l}")
 
-    def lin_factor(S: tuple, Sp: tuple) -> List[Tuple[tuple, int]]:
-        """x^S (1-x)^Sp = sum over T subseteq Sp of (-1)^|T| x^{S u T}."""
-        out = []
-        for r in range(len(Sp) + 1):
-            for T in itertools.combinations(Sp, r):
-                out.append((tuple(sorted(set(S) | set(T))), (-1) ** r))
-        return out
-
     def xvar(S: tuple) -> Optional[str]:
         return f"X{S}" if S else None
 
@@ -947,7 +901,7 @@ def _rlt_box(inst: DBPInstance, k: int) -> LPProblem:
         for bits in itertools.product([0, 1], repeat=k):
             S = tuple(s for s, b in zip(S0, bits) if b)
             Sp = tuple(s for s, b in zip(S0, bits) if not b)
-            expansion = lin_factor(S, Sp)
+            expansion = expand_product_factor(S, Sp)
             coeffs: Dict[str, Fraction] = {}
             const = ZERO
             for T, sign in expansion:

@@ -100,11 +100,11 @@ class TestGolden51:
     def test_ledger_every_step(self, poly_51):
         run = self.run(poly_51)
         for i in range(len(run.entries)):
-            assert ledger_verify(run.raw_states[i], run.raw_states[i + 1], run.entries[i])
+            assert ledger_verify(run.states[i], run.states[i + 1], run.entries[i])
 
     def test_linear_precision_every_level(self, poly_51):
         run = self.run(poly_51)
-        for st in run.raw_states:
+        for st in run.states:
             assert linear_precision_holds(st)
 
     def test_warren_agrees(self, poly_51):
@@ -132,7 +132,7 @@ class TestGolden53:
 
     @staticmethod
     def level_map(run53, steps):
-        st = run53.raw_states[steps]
+        st = run53.states[steps]
         V, lam = dehomogenize(st.R, list(st.mu))
         return {tuple(c[1:]): f for c, f in zip(V, lam)}
 
@@ -239,7 +239,7 @@ class TestGolden53:
 
     def test_beta_expansion_coefficients(self, run53):
         # slacks of the last row over the level-2 dehomogenized points
-        st = run53.raw_states[5]
+        st = run53.states[5]
         V, _ = dehomogenize(st.R, list(st.mu))
         slack = {tuple(c[1:]): 4 - sum(c[1:]) for c in V}
         want = {
@@ -265,7 +265,7 @@ class TestGolden53:
 
     def test_ledger_and_cpr(self, run53):
         for i in range(len(run53.entries)):
-            assert ledger_verify(run53.raw_states[i], run53.raw_states[i + 1], run53.entries[i])
+            assert ledger_verify(run53.states[i], run53.states[i + 1], run53.entries[i])
         st = run53.final
         for c, m in zip(st.cpr, st.mu):
             assert c is not None
@@ -352,8 +352,8 @@ class TestStop:
             run = dd_run(poly_53, order=order, init=init, varrho=1,
                          stop=lambda st: st.k >= steps)
             assert run.order == tuple(order[:steps])
-            assert len(run.raw_states) == steps + 1 and len(run.entries) == steps
-            for st, ref in zip(run.raw_states, whole.raw_states):
+            assert len(run.states) == steps + 1 and len(run.entries) == steps
+            for st, ref in zip(run.states, whole.states):
                 assert (st.R, st.L) == (ref.R, ref.L)
                 assert [f.to_json() for f in st.mu + st.theta] == [
                     f.to_json() for f in ref.mu + ref.theta
@@ -361,7 +361,7 @@ class TestStop:
 
     def test_stop_checks_the_initial_state(self, poly_53):
         run = dd_run(poly_53, stop=lambda st: True)
-        assert run.order == () and run.entries == [] and len(run.raw_states) == 1
+        assert run.order == () and run.entries == [] and len(run.states) == 1
 
 
 class TestPhase1Check:
@@ -456,7 +456,7 @@ class TestEmptyAndDrops:
         assert names == {"mu[0][1]", "mu[0][2]"}
         entry = run.entries[-1]
         assert entry.Npos == () and entry.dropped == (1, 2)
-        assert ledger_verify(run.raw_states[0], st, entry)
+        assert ledger_verify(run.states[0], st, entry)
         assert st.had_empty_npos
 
 
@@ -606,7 +606,7 @@ class TestOrderIndependenceOfSets:
     def test_lifted_rows_valid(self, poly_53):
         # at level k, unprocessed rows evaluated through R mu stay >= 0 on P
         run = dd_run(poly_53)
-        st = run.raw_states[4]
+        st = run.states[4]
         rng = random.Random(17)
         verts = enumerate_vertices_oracle(poly_53)
         for t in range(5, 6):
@@ -706,7 +706,7 @@ def reference_prune(state):
     that is a non-negative combination of the others."""
     from dataclasses import replace
 
-    from barydd.dd_engine import cpr_combine, frf_add, frf_scale, frf_to_ratfun
+    from barydd.dd_engine import cpr_combine, frf_add, frf_scale
 
     pool = state.pool
     R, fmu, cpr = list(state.R), list(state.fmu), list(state.cpr)
@@ -745,9 +745,7 @@ def reference_prune(state):
             del R[j], fmu[j], cpr[j]
             changed = True
             break
-    return replace(
-        state, R=tuple(R), mu=tuple(frf_to_ratfun(pool, f) for f in fmu), fmu=tuple(fmu), cpr=tuple(cpr)
-    )
+    return replace(state, R=tuple(R), fmu=tuple(fmu), cpr=tuple(cpr))
 
 
 def prune_fields(state):
@@ -796,6 +794,14 @@ def random_polyhedron(rng, n, kind):
             A.append([rng.randint(-1, 2) for _ in range(n)])
             b.append(rng.randint(1, 5))
     return HPolyhedron.make(A, b)
+
+
+def raw_steps(run):
+    """The unpruned state after each step of a pruned run: each step
+    re-taken from the run's previous (pruned) state."""
+    init = run.states[0]
+    rows = run.order[len(init.processed):]
+    return [init] + [dd_step(st, row)[0] for st, row in zip(run.states, rows)]
 
 
 def reference_run(P, order, init, varrho=None):
@@ -859,7 +865,7 @@ class TestPruneByRank:
                 run = dd_run(P, order=order, prune=True, init=init, varrho=varrho)
             except EmptyInterior:
                 continue
-            for raw, pruned in zip(run.raw_states[1:], run.states[1:]):
+            for raw, pruned in zip(raw_steps(run)[1:], run.states[1:]):
                 keys = [_canonical_column(c) for c in raw.R]
                 seen.add("lineality" if raw.q else "pointed")
                 if len(set(keys)) < len(keys):
@@ -876,12 +882,11 @@ class TestPruneByRank:
 
         from barydd.dd_engine import cpr_scale, frf_scale
 
-        st = dd_run(poly_53).raw_states[4]
+        st = dd_run(poly_53).states[4]
         third = F(1, 3)
         split = replace(
             st,
             R=st.R + (tuple(2 * x for x in st.R[0]),),
-            mu=(st.mu[0].scale(third),) + st.mu[1:] + (st.mu[0].scale(third),),
             fmu=(frf_scale(st.fmu[0], third),) + st.fmu[1:] + (frf_scale(st.fmu[0], third),),
             cpr=(cpr_scale(st.cpr[0], third),) + st.cpr[1:] + (cpr_scale(st.cpr[0], third),),
         )
@@ -901,7 +906,7 @@ class TestPruneByRank:
                 run = dd_run(P, order=order, prune=True)
             except EmptyInterior:
                 continue
-            for st in run.raw_states:
+            for st in raw_steps(run):
                 rows = _cone_rows(st)
                 if rows is None:
                     continue
@@ -948,3 +953,60 @@ class TestNtotFactoredOnce:
                 assert calls == []
             state = nxt
         assert ray_steps >= 2
+
+
+class TestDerivedCoordinates:
+    """A state stores its coordinates once, as fmu and ftheta; mu and theta
+    are derived from them when first read."""
+
+    @staticmethod
+    def assert_derived(st):
+        from barydd.dd_engine import frf_to_ratfun
+
+        for got, stored in ((st.mu, st.fmu), (st.theta, st.ftheta)):
+            want = [frf_to_ratfun(st.pool, f) for f in stored]
+            assert [f.to_json() for f in got] == [f.to_json() for f in want]
+
+    @pytest.mark.parametrize("fixture", ["poly_51", "poly_53"])
+    def test_every_state_of_the_golden_runs(self, fixture, request):
+        run = dd_run(request.getfixturevalue(fixture))
+        for st in run.states:
+            self.assert_derived(st)
+
+    @pytest.mark.parametrize("kind, init, seed", TestPruneByRank.CASES)
+    def test_every_state_of_the_prune_corpus(self, kind, init, seed):
+        P, order, init, varrho = TestPruneByRank.case(kind, init, seed)
+        try:
+            run = dd_run(P, order=order, prune=True, init=init, varrho=varrho)
+        except EmptyInterior:
+            return
+        for st in run.states + raw_steps(run)[1:]:
+            self.assert_derived(st)
+
+    def test_replace_derives_its_own_mu(self, poly_53):
+        from dataclasses import replace
+
+        from barydd.dd_engine import frf_scale
+
+        st = dd_run(poly_53).states[4]
+        before = st.mu
+        doubled = replace(st, fmu=(frf_scale(st.fmu[0], 2),) + st.fmu[1:])
+        assert rf_equal(doubled.mu[0], before[0].scale(2))
+        assert doubled.mu[1:] == before[1:]
+        assert st.mu is before and not rf_equal(st.mu[0], doubled.mu[0])
+        self.assert_derived(doubled)
+
+    def test_pruned_run_derives_only_what_is_read(self, poly_53):
+        run = dd_run(poly_53, prune=True)
+        run.final.mu
+        assert "mu" in vars(run.final)
+        for st in run.states[:-1]:
+            assert "mu" not in vars(st) and "theta" not in vars(st)
+
+    def test_dropped_column_keeps_its_stored_coordinate(self):
+        # x >= 0 with x1 + x2 <= 0: the step drops columns 1 and 2
+        P = HPolyhedron.make([[-1, 0], [0, -1], [1, 1]], [0, 0, 0])
+        run = dd_run(P, order=[2], init="orthant")
+        first = run.states[0]
+        assert [iz.fmu for iz in run.final.implied_zero] == [first.fmu[1], first.fmu[2]]
+        assert run.final.had_empty_npos and not first.had_empty_npos

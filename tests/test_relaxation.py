@@ -12,7 +12,7 @@ import pytest
 from barydd import HPolyhedron, cli, dd_engine, dd_run, enumerate_vertices_oracle, relaxation
 from barydd.exactmath import Poly
 from barydd.facial import CouplingRow, Face, FDPBlock, FDPInstance
-from barydd.lp import lp_solve
+from barydd.lp import LPProblem, lp_solve
 from barydd.relaxation import (
     ACInstance,
     DBPInstance,
@@ -104,7 +104,75 @@ def two_block_fdp():
     )
 
 
+def reference_hull_lp(inst, V):
+    """The hull LP over the vertices V as its own builder wrote it, before
+    it became the vertex form over the points (1; v)."""
+    p = len(V)
+    prob = LPProblem(sense="min", name="hull")
+    for i in range(p):
+        prob.add_var(f"lam{i}", lb=F(0))
+    for i in range(p):
+        for l in range(inst.ny):
+            prob.add_var(f"Y{l}_{i}")
+    for j in range(inst.n):
+        prob.add_var(f"x{j}")
+    for l in range(inst.ny):
+        prob.add_var(f"y{l}")
+    obj = {}
+    for i, v in enumerate(V):
+        cl = inst.c0 + sum(inst.cx[j] * v[j] for j in range(inst.n))
+        if cl:
+            obj[f"lam{i}"] = obj.get(f"lam{i}", F(0)) + cl
+        for l in range(inst.ny):
+            cy = inst.cy[l] + sum(inst.Q[j][l] * v[j] for j in range(inst.n))
+            if cy:
+                obj[f"Y{l}_{i}"] = cy
+    prob.objective = obj
+    for r in range(inst.Py.m):
+        for i in range(p):
+            coeffs = {f"lam{i}": inst.Py.b[r]}
+            for l in range(inst.ny):
+                a = inst.Py.A[r][l]
+                if a:
+                    coeffs[f"Y{l}_{i}"] = -a
+            prob.add_row(coeffs, ">=", F(0), name=f"ymem[{r},{i}]", tag=("ymem", r, i))
+    prob.add_row({f"lam{i}": F(1) for i in range(p)}, "=", F(1), name="simplex",
+                 tag=("simplex",))
+    for j in range(inst.n):
+        coeffs = {f"x{j}": F(1)}
+        for i, v in enumerate(V):
+            if v[j]:
+                coeffs[f"lam{i}"] = -v[j]
+        prob.add_row(coeffs, "=", F(0), name=f"xdef[{j}]", tag=("xdef", j))
+    for l in range(inst.ny):
+        coeffs = {f"y{l}": F(1)}
+        for i in range(p):
+            coeffs[f"Y{l}_{i}"] = F(-1)
+        prob.add_row(coeffs, "=", F(0), name=f"ydef[{l}]", tag=("ydef", l))
+    return prob
+
+
 class TestHull:
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
+    def test_equals_reference_builder(self, dbp_62, seed):
+        # the vertex form over (1; v) builds the same LP, up to explicit
+        # zeros and the order of the objective's terms
+        inst = dbp_62
+        if seed is not None:
+            rng = random.Random(seed)
+            d = random_dbp(rng, rng.choice([2, 3]), 5)
+            cy = [rng.choice([-1, 1]) * rng.randint(1, 5) for _ in range(d.ny)]
+            inst = DBPInstance.make(Q=d.Q, P=d.P, Py=d.Py, cx=d.cx, cy=cy, c0=rng.randint(1, 9))
+        got = build_hull_lp(inst)
+        want = reference_hull_lp(inst, enumerate_vertices_oracle(inst.P))
+        assert (got.name, got.sense, got.obj_const) == (want.name, want.sense, want.obj_const)
+        assert (got.variables, got.lb) == (want.variables, want.lb)
+        assert [(list(r.coeffs.items()), r.sense, r.rhs, r.name, r.tag) for r in got.rows] == [
+            (list(r.coeffs.items()), r.sense, r.rhs, r.name, r.tag) for r in want.rows
+        ]
+        assert {v: c for v, c in got.objective.items() if c} == want.objective
+        assert lp_solve(got) == lp_solve(want)
+
     def test_62_value_and_duals(self, dbp_62):
         prob = build_hull_lp(dbp_62)
         sol = lp_solve(prob)
@@ -280,7 +348,7 @@ class TestLevelHierarchy:
         ac = relaxation.dbp_as_ac(inst)
         levels = LevelRun.make(inst, order)
         for k in range(levels.kbar, len(order) + 1):
-            st = levels.run.raw_states[k]
+            st = levels.run.states[k]
             st = prune_redundant(st) if prune else st
             W, _ = dehomogenize(st.R, list(st.mu))
             want = relaxation._vertex_form_lp(ac, W, name=f"level{k}")
@@ -397,6 +465,17 @@ class TestDELinear:
         m2 = build_de_linear(dbp_62, 2, [(1, 2), (2, 1)])
         # the same denominators must reuse keys rather than fork per order
         assert len(m2.wnames) < 2 * len(m1.wnames)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_parallel_runs_change_nothing(self, dbp_62, k):
+        # with jobs > 1 the order runs come back pickled from worker processes
+        orders = sorted(itertools.combinations(range(dbp_62.P.m), k))
+        serial = build_de_linear(dbp_62, k, orders, jobs=1)
+        parallel = build_de_linear(dbp_62, k, orders, jobs=2)
+        assert repr(parallel.problem) == repr(serial.problem)
+        assert (parallel.wnames, parallel.wdens, parallel.meta) == (
+            serial.wnames, serial.wdens, serial.meta
+        )
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_linearizing_once_changes_nothing(self, dbp_62, k, monkeypatch):
@@ -638,6 +717,21 @@ class TestCliBadInput:
         argv = ["solve", str(inp), "--method", "de", "--level", "2", "--orders", orders]
         assert exit_code(argv) == cli.EXIT_PARSE
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "args, start",
+        [
+            (["--orders", ";"], "bad --orders"),
+            (["--theta-cap", "-1"], "--theta-cap"),
+            (["--jobs", "0"], "--jobs"),
+            (["--jobs", "-2"], "--jobs"),
+        ],
+        ids=["no_order", "negative_theta_cap", "zero_jobs", "negative_jobs"],
+    )
+    def test_de_rejects_option(self, args, start, dbp_62, tmp_path, capsys):
+        inp = self.write(tmp_path, dbp_62)
+        assert exit_code(["solve", inp, "--method", "de", "--level", "1"] + args) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, start)
 
     @staticmethod
     def write_cert(tmp_path, dbp_62, edit=None):
