@@ -5,10 +5,12 @@ All numeric output is exact fractions; --approx appends decimal renderings
 without ever replacing exact values.  Row orders on the command line are
 1-based to match printed constraint numbering; the Python API is 0-based.
 
-Exit codes: 0 ok, 2 bad input (a parse error, a certificate file with a
-missing key, a bad rational or a non-integer row index, a --level outside
-the method's range, an --init other than default, orthant, phase1 or
-partial:R with R in 0..n, a --samples that is not a non-negative integer,
+Exit codes: 0 ok, 2 bad input (a parse error, a file whose top level or
+part is not of the expected JSON type, a certificate file with a missing
+key, a bad rational (also a zero denominator or true/false) or a
+non-integer row index, a --level outside the method's range, an --init
+other than default, orthant, phase1 or partial:R with R in 0..n, a
+--samples that is not a non-negative integer,
 for `solve --method de` an --orders that names no order, a negative
 --theta-cap or a --jobs below 1, a violated assumption such as an
 unbounded P or Py for `certify` and `solve --method hull` or an x_i >= 0
@@ -69,10 +71,16 @@ def _seed() -> int:
     return int(os.environ.get("BARYDD_SEED", "20240801"))
 
 
-def _load_json(path: str):
+# what a from_json raises on a file of the wrong shape or content
+BAD_FILE = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _load_json(path: str, what: str) -> dict:
+    """The JSON object in ``path``; a file that cannot be read or parsed, or
+    whose top level is not an object, exits with EXIT_PARSE."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         print(
             f"parse error in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}",
@@ -82,6 +90,10 @@ def _load_json(path: str):
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+    if not isinstance(data, dict):
+        print(f"bad {what} file: the top level is not a JSON object", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    return data
 
 
 def _parse_indices(text: str, m: int, what: str) -> tuple:
@@ -201,10 +213,10 @@ def _maybe_approx(value: Fraction, approx: bool) -> str:
 
 def cmd_dd(args) -> int:
     t0 = time.time()
-    data = _load_json(args.input)
+    data = _load_json(args.input, "polytope")
     try:
         P = HPolyhedron.from_json(data)
-    except (KeyError, ValueError) as exc:
+    except BAD_FILE as exc:
         print(f"bad polytope file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     order = _parse_order(args.order, P.m)
@@ -255,14 +267,14 @@ def cmd_dd(args) -> int:
 
 def cmd_solve(args) -> int:
     t0 = time.time()
-    data = _load_json(args.input)
+    data = _load_json(args.input, "instance")
     method = args.method
     try:
         if method == "fdr":
             inst = FDPInstance.from_json(data)
         else:
             inst = DBPInstance.from_json(data)
-    except (KeyError, ValueError) as exc:
+    except BAD_FILE as exc:
         print(f"bad instance file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -345,16 +357,16 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     t0 = time.time()
-    data = _load_json(args.input)
+    data = _load_json(args.input, "instance")
     try:
         inst = DBPInstance.from_json(data)
-    except (KeyError, ValueError) as exc:
+    except BAD_FILE as exc:
         print(f"bad instance file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.check:
         try:
-            cert = Certificate.from_json(_load_json(args.check))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            cert = Certificate.from_json(_load_json(args.check, "certificate"))
+        except BAD_FILE as exc:
             what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             print(f"bad certificate file: {what}", file=sys.stderr)
             return EXIT_PARSE
@@ -398,10 +410,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_fdr_check(args) -> int:
-    data = _load_json(args.input)
+    data = _load_json(args.input, "FDP")
     try:
         inst = FDPInstance.from_json(data)
-    except (KeyError, ValueError) as exc:
+    except BAD_FILE as exc:
         print(f"bad FDP file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.level is not None:
@@ -436,10 +448,10 @@ def cmd_fdr_check(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    data = _load_json(args.input)
+    data = _load_json(args.input, "polytope")
     try:
         P = HPolyhedron.from_json(data)
-    except (KeyError, ValueError) as exc:
+    except BAD_FILE as exc:
         print(f"bad polytope file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     order = _parse_order(args.order, P.m)

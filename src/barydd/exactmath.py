@@ -17,12 +17,19 @@ A rational function num/den is normalized so that
 No multivariate gcd is ever computed: semantic equality is decided by
 cross-multiplication, and cancellation beyond the rules above is the caller's
 job (the DD engine divides out known denominator factors by exact division).
+
+Exact division is the heap division of sparse polynomials (Johnson 1974;
+Monagan and Pearce 2007): the remainder is one dict updated in place, and a
+heap of its monomials yields the graded-lex leading term, so a step costs
+O(|divisor|) coefficient operations rather than a rebuild of the remainder.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import add, neg, sub
 from typing import Iterator, Optional, Sequence
 
 Rat = Fraction
@@ -45,12 +52,19 @@ class DenominatorVanishes(ArithmeticError):
 
 
 def rat_from_str(s) -> Rat:
-    """Parse '3', '-5/7' or an int into an exact rational."""
+    """Parse '3', '-5/7' or an int into an exact rational.  Anything else,
+    a zero denominator and a bool (JSON true/false) included, raises
+    ValueError."""
+    if isinstance(s, bool):
+        raise ValueError(f"not a rational: {s!r}")
     if isinstance(s, Fraction):
         return s
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s).strip())
+    try:
+        return Fraction(str(s).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def rat_to_str(r: Rat) -> str:
@@ -63,6 +77,11 @@ def format_point(point) -> str:
 
 def _grlex_key(expo: tuple) -> tuple:
     return (sum(expo), expo)
+
+
+def _heap_entry(expo: tuple) -> tuple:
+    """A min-heap entry that pops monomials in descending graded-lex order."""
+    return (-sum(expo), tuple(map(neg, expo))), expo
 
 
 class Poly:
@@ -204,19 +223,6 @@ class Poly:
         out._hash = None
         return out
 
-    def mul_monomial(self, expo: tuple, coeff=ONE) -> "Poly":
-        coeff = Fraction(coeff)
-        if not coeff:
-            return Poly.zero(self.nvars)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = {
-            tuple(a + b for a, b in zip(e, expo)): c * coeff
-            for e, c in self.terms.items()
-        }
-        out._hash = None
-        return out
-
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
@@ -326,24 +332,49 @@ class Poly:
         """Exact polynomial division: self / divisor if the remainder is zero,
         else None.  Correct for deciding divisibility because graded-lex is a
         monomial order: if divisor | self then LT(divisor) | LT(remainder) at
-        every step."""
+        every step.
+
+        The remainder is one dict, changed in place.  Its leading term comes
+        off a min-heap of negated graded-lex keys; a popped monomial that is
+        no longer in the dict has cancelled and is skipped.  Each step
+        subtracts the quotient term times the divisor's non-leading terms
+        (the leading one cancels by construction) and pushes only monomials
+        new to the dict.  Quotient terms are found, and stored, in
+        descending graded-lex order."""
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return Poly.zero(self.nvars)
         lt_e, lt_c = divisor.leading()
-        rem = self
+        rest = [(e, c) for e, c in divisor.terms.items() if e != lt_e]
+        rem = dict(self.terms)
+        heap = [_heap_entry(e) for e in rem]
+        heapify(heap)
         qterms = {}
-        while rem.terms:
-            re, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re, lt_e))
-            if any(k < 0 for k in qe):
+        while heap:
+            re = heappop(heap)[1]
+            rc = rem.pop(re, None)
+            if rc is None:
+                continue
+            qe = tuple(map(sub, re, lt_e))
+            if min(qe, default=0) < 0:
                 return None
             qc = rc / lt_c
-            qterms[qe] = qterms.get(qe, ZERO) + qc
-            rem = rem - divisor.mul_monomial(qe, qc)
-        return Poly(self.nvars, qterms)
+            qterms[qe] = qc
+            for de, dc in rest:
+                te = tuple(map(add, qe, de))
+                old = rem.get(te)
+                if old is None:
+                    rem[te] = -(qc * dc)
+                    heappush(heap, _heap_entry(te))
+                else:
+                    s = old - qc * dc
+                    if s:
+                        rem[te] = s
+                    else:
+                        del rem[te]
+        out = Poly.__new__(Poly)
+        out.nvars, out.terms, out._hash = self.nvars, qterms, None
+        return out
 
     # -- serialization -------------------------------------------------------
     def to_json(self) -> list:

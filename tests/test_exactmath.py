@@ -12,6 +12,7 @@ from barydd.exactmath import (
     DivisionByZeroFunction,
     Poly,
     RatFun,
+    rat_from_str,
     rf_combine,
     rf_equal,
     rf_eval,
@@ -197,6 +198,159 @@ class TestPointwiseOracle:
                 assert hv == want
                 hits += 1
             assert hits >= 3
+
+
+def reference_exact_div(p, divisor):
+    """The division loop that ``Poly.exact_div`` replaced: each step reads the
+    remainder's leading term with ``leading()`` and rebuilds the whole
+    remainder as ``rem - divisor * (quotient term)``."""
+    if p.nvars != divisor.nvars:
+        raise ValueError("variable count mismatch")
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return Poly.zero(p.nvars)
+    lt_e, lt_c = divisor.leading()
+    rem = p
+    qterms = {}
+    while rem.terms:
+        re, rc = rem.leading()
+        qe = tuple(a - b for a, b in zip(re, lt_e))
+        if any(k < 0 for k in qe):
+            return None
+        qc = rc / lt_c
+        qterms[qe] = qterms.get(qe, F(0)) + qc
+        rem = rem - divisor * Poly(p.nvars, {qe: qc})
+    return Poly(p.nvars, qterms)
+
+
+def nonzero_poly(rng, nvars, deg, nterms):
+    """A nonzero polynomial of total degree <= deg with up to nterms terms
+    and small rational coefficients."""
+    while True:
+        terms = {}
+        for _ in range(nterms):
+            e = [0] * nvars
+            for _ in range(rng.randint(0, deg)):
+                e[rng.randrange(nvars)] += 1
+            terms[tuple(e)] = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        p = Poly(nvars, terms)
+        if p:
+            return p
+
+
+class TestExactDiv:
+    """``exact_div`` against the rebuild-per-step reference on seeded random
+    polynomials in 1-4 variables: the same None, or an equal quotient whose
+    terms come in the same (descending graded-lex) order."""
+
+    NVARS = [1, 2, 3, 4]
+    CASES = 40
+
+    @staticmethod
+    def same_as_reference(p, d):
+        got, want = p.exact_div(d), reference_exact_div(p, d)
+        if want is None:
+            assert got is None
+        else:
+            assert got == want and list(got.terms) == list(want.terms)
+        return got
+
+    @pytest.mark.parametrize("nvars", NVARS)
+    def test_product_quotient(self, nvars):
+        rng = random.Random(f"exact-div-product-{nvars}")
+        for _ in range(self.CASES):
+            p = nonzero_poly(rng, nvars, 3, 5)
+            d = nonzero_poly(rng, nvars, 2, 4)
+            assert self.same_as_reference(p * d, d) == p
+
+    @pytest.mark.parametrize("nvars", NVARS)
+    def test_not_divisible(self, nvars):
+        """p*d + r, with r a term that d does not divide."""
+        rng = random.Random(f"exact-div-remainder-{nvars}")
+        for _ in range(self.CASES):
+            p = nonzero_poly(rng, nvars, 3, 5)
+            d = nonzero_poly(rng, nvars, 2, 4)
+            while d.degree() == 0:
+                d = nonzero_poly(rng, nvars, 2, 4)
+            lt_e = d.leading()[0]
+            while True:
+                r = nonzero_poly(rng, nvars, 4, 1)
+                (re, _), = r.terms.items()
+                if len(d.terms) > 1 or any(a < b for a, b in zip(re, lt_e)):
+                    break
+            assert self.same_as_reference(p * d + r, d) is None
+
+    @pytest.mark.parametrize("nvars", NVARS)
+    def test_single_term_divisor(self, nvars):
+        rng = random.Random(f"exact-div-monomial-{nvars}")
+        for _ in range(self.CASES):
+            p = nonzero_poly(rng, nvars, 3, 5)
+            d = nonzero_poly(rng, nvars, 2, 1)
+            assert self.same_as_reference(p * d, d) == p
+            # divisible only where the monomial divides every term of p
+            self.same_as_reference(p, d)
+
+    @pytest.mark.parametrize("nvars", NVARS)
+    def test_intermediate_terms_cancel(self, nvars):
+        """Divisions whose remainder loses terms other than the leading one:
+        (x^k - y^k) / (x - y) cancels y^k at its last step, and in
+        (x^2 + x - 1)(x^2 + x + 1) / (x^2 + x + 1) the x^2 term of the
+        remainder cancels at the first step and comes back at the second.
+        Both also run times a monomial and a random factor."""
+        x = Poly.variable(nvars, 0)
+        d, q = x * x + x + Poly.const(nvars, 1), x * x + x - Poly.const(nvars, 1)
+        assert self.same_as_reference(q * d, d) == q
+        rng = random.Random(f"exact-div-cancel-{nvars}")
+        for _ in range(self.CASES):
+            i, j = rng.randrange(nvars), rng.randrange(nvars)
+            xi, xj = Poly.variable(nvars, i), Poly.variable(nvars, j)
+            one = Poly.const(nvars, 1)
+            m = nonzero_poly(rng, nvars, 2, 1)
+            p = nonzero_poly(rng, nvars, 2, 3)
+            k = rng.randint(2, 5)
+            if i != j:
+                d = (xi - xj) * m
+                num = (xi**k - xj**k) * m * p
+                geometric = sum((xi ** (k - 1 - t) * xj**t for t in range(k)), Poly.zero(nvars))
+                assert self.same_as_reference(num, d) == geometric * p
+            d = (xi * xi + xi + one) * m
+            q = (xi * xi + xi - one) * p
+            assert self.same_as_reference(q * d, d) == q
+
+    @pytest.mark.parametrize("nvars", NVARS)
+    def test_zero_dividend(self, nvars):
+        rng = random.Random(f"exact-div-zero-{nvars}")
+        d = nonzero_poly(rng, nvars, 2, 3)
+        assert self.same_as_reference(Poly.zero(nvars), d) == Poly.zero(nvars)
+
+    @pytest.mark.parametrize("nvars", NVARS)
+    def test_zero_divisor_raises(self, nvars):
+        p = nonzero_poly(random.Random(nvars), nvars, 2, 3)
+        with pytest.raises(ZeroDivisionError):
+            p.exact_div(Poly.zero(nvars))
+        with pytest.raises(ZeroDivisionError):
+            Poly.zero(nvars).exact_div(Poly.zero(nvars))
+
+    def test_variable_count_mismatch(self):
+        with pytest.raises(ValueError):
+            x1.exact_div(Poly.variable(2, 1))
+
+    def test_no_variables(self):
+        assert Poly.const(0, 3).exact_div(Poly.const(0, 2)) == Poly.const(0, F(3, 2))
+
+
+class TestRatFromStr:
+    @pytest.mark.parametrize("value", ["1/0", "-3/0", True, False])
+    def test_rejects(self, value):
+        with pytest.raises(ValueError):
+            rat_from_str(value)
+
+    @pytest.mark.parametrize(
+        "value, want", [("-5/7", F(-5, 7)), (" 3 ", F(3)), (4, F(4)), (F(1, 2), F(1, 2))]
+    )
+    def test_accepts(self, value, want):
+        assert rat_from_str(value) == want
 
 
 coeffs = st.fractions(

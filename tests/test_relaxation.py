@@ -837,6 +837,74 @@ class TestCliBadInput:
         assert exit_code(["dd", str(inp), "--init", init]) == cli.EXIT_PARSE
         self.assert_one_line_error(capsys, "assumption violated: ")
 
+    @pytest.mark.parametrize("top", [[], "text"], ids=["array", "string"])
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (["dd"], "bad polytope file: "),
+            (["verify-identities"], "bad polytope file: "),
+            (["certify"], "bad instance file: "),
+            (["solve", "--method", "hull"], "bad instance file: "),
+            (["fdr-check"], "bad FDP file: "),
+        ],
+        ids=["dd", "verify_identities", "certify", "solve", "fdr_check"],
+    )
+    def test_top_level_not_an_object(self, argv, start, top, tmp_path, capsys):
+        inp = tmp_path / "input.json"
+        inp.write_text(json.dumps(top))
+        assert exit_code(argv[:1] + [str(inp)] + argv[1:]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, start)
+
+    def test_certificate_not_an_object(self, dbp_62, tmp_path, capsys):
+        inp = self.write(tmp_path, dbp_62)
+        cert = tmp_path / "cert.json"
+        cert.write_text("[]")
+        assert exit_code(["certify", inp, "--check", str(cert)]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, "bad certificate file: ")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(constraints=5),
+            lambda d: d["constraints"].append(5),
+            lambda d: d["constraints"][0].update(coeffs=3),
+            lambda d: d["constraints"][0].update(coeffs=["1/0", "0"]),
+            lambda d: d["constraints"][0].update(rhs=True),
+        ],
+        ids=["constraints_not_list", "constraint_not_object", "coeffs_not_list",
+             "zero_denominator", "bool_rhs"],
+    )
+    @pytest.mark.parametrize("command", ["dd", "verify-identities"])
+    def test_bad_polytope_content(self, command, edit, tmp_path, capsys):
+        data = box_polytope(2).to_json()
+        edit(data)
+        inp = tmp_path / "P.json"
+        inp.write_text(json.dumps(data))
+        assert exit_code([command, str(inp)]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, "bad polytope file: ")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(P=[1]),
+            lambda d: d.update(cx=5),
+            lambda d: d.update(c0="1/0"),
+            lambda d: d["Q"][0].__setitem__(0, True),
+            lambda d: d["Q"][1].__setitem__(1, False),
+        ],
+        ids=["P_not_object", "cx_not_list", "c0_zero_denominator", "Q_true", "Q_false"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["certify"], ["solve", "--method", "hull"]], ids=["certify", "hull"]
+    )
+    def test_bad_instance_content(self, argv, edit, dbp_62, tmp_path, capsys):
+        data = dbp_62.to_json()
+        edit(data)
+        inp = tmp_path / "inst.json"
+        inp.write_text(json.dumps(data))
+        assert exit_code(argv[:1] + [str(inp)] + argv[1:]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, "bad instance file: ")
+
     def test_manifest_closes_input(self, dbp_62, tmp_path):
         inp = self.write(tmp_path, dbp_62)
         with warnings.catch_warnings(record=True) as caught:
