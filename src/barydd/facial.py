@@ -15,16 +15,17 @@ identities independent of which block is summed out.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .dd_engine import dd_run, prune_redundant
-from .exactmath import Poly, RatFun, rat_from_str, rat_to_str, rf_equal
+from .exactmath import RatFun, rat_from_str, rat_to_str
 from .lp import LPProblem, lp_solve
-from .polyhedra import HPolyhedron, dehomogenize, enumerate_vertices_oracle
-from .relaxation import barycentric_for_polytope, expand_product_factor
+from .polyhedra import HPolyhedron, enumerate_vertices_oracle
+# sherali_adams_01 is the 0-1 comparison oracle of the substituted model
+from .relaxation import CouplingRow, barycentric_for_polytope, sherali_adams_01  # noqa: F401
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -56,14 +57,6 @@ class Face:
 class FDPBlock:
     P: HPolyhedron
     faces: List[Face]
-
-
-@dataclass
-class CouplingRow:
-    xcoeffs: tuple  # over all block coordinates, concatenated
-    ycoeffs: tuple
-    sense: str  # '<=' or '='  (cone = non-negative orthant plus equalities)
-    rhs: Fraction
 
 
 @dataclass
@@ -166,7 +159,10 @@ def block_vertices(inst: FDPInstance, i: int) -> List[tuple]:
 def face_vertex_sets(inst: FDPInstance, i: int) -> List[Tuple[int, ...]]:
     """E_i(j): indices of block-i vertices on face j, from the cut (zero
     slack) or the explicit list; when both are given they must agree."""
-    verts = block_vertices(inst, i)
+    return _face_sets(inst, i, block_vertices(inst, i))
+
+
+def _face_sets(inst: FDPInstance, i: int, verts: List[tuple]) -> List[Tuple[int, ...]]:
     out = []
     for j, face in enumerate(inst.blocks[i].faces):
         from_cut = None
@@ -194,9 +190,16 @@ def face_vertex_sets(inst: FDPInstance, i: int) -> List[Tuple[int, ...]]:
 def check_vertex_disjoint(inst: FDPInstance) -> List[List[Tuple[int, ...]]]:
     """Verify faces of each block are pairwise vertex-disjoint and nonempty;
     returns the E_i(j) sets."""
-    all_sets = []
+    return _checked_faces(inst)[1]
+
+
+def _checked_faces(inst: FDPInstance):
+    """Each block's vertices, from one oracle call per block, and its E_i(j)
+    sets, checked as in ``check_vertex_disjoint``."""
+    all_verts, all_sets = [], []
     for i in range(inst.np):
-        sets = face_vertex_sets(inst, i)
+        verts = block_vertices(inst, i)
+        sets = _face_sets(inst, i, verts)
         for j, E in enumerate(sets):
             if not E:
                 raise FacesShareVertices(
@@ -208,29 +211,98 @@ def check_vertex_disjoint(inst: FDPInstance) -> List[List[Tuple[int, ...]]]:
                     raise FacesShareVertices(
                         f"faces {j1} and {j2} of block {i} share a vertex"
                     )
+        all_verts.append(verts)
         all_sets.append(sets)
-    return all_sets
+    return all_verts, all_sets
 
 
-def _face_cut(inst: FDPInstance, i: int, j: int) -> Tuple[Fraction, tuple]:
-    """(tau, pi) for face j of block i; synthesized from the vertex list when
-    only that was given (sum of tight rows of the block polytope)."""
-    face = inst.blocks[i].faces[j]
-    if face.tau is not None:
-        return face.tau, face.pi
-    P = inst.blocks[i].P
-    verts = block_vertices(inst, i)
-    E = face.vertices
-    tight = [
-        r
-        for r in range(P.m)
-        if all(sum(P.A[r][t] * verts[v][t] for t in range(P.n)) == P.b[r] for v in E)
-    ]
-    if not tight:
-        raise ValueError(f"no supporting rows for face {j} of block {i}")
-    tau = sum(P.b[r] for r in tight)
-    pi = tuple(sum(P.A[r][t] for r in tight) for t in range(P.n))
-    return tau, pi
+def _face_cuts(inst: FDPInstance, verts: List[List[tuple]]) -> List[List[Tuple[Fraction, tuple]]]:
+    """(tau, pi) for face j of block i at [i][j]; synthesized from the
+    vertex list when only that was given (sum of tight rows of the block
+    polytope)."""
+    cuts = []
+    for i, block in enumerate(inst.blocks):
+        P = block.P
+        cuts.append([])
+        for j, face in enumerate(block.faces):
+            if face.tau is not None:
+                cuts[i].append((face.tau, face.pi))
+                continue
+            tight = [
+                r
+                for r in range(P.m)
+                if all(sum(P.A[r][t] * verts[i][v][t] for t in range(P.n)) == P.b[r]
+                       for v in face.vertices)
+            ]
+            if not tight:
+                raise ValueError(f"no supporting rows for face {j} of block {i}")
+            tau = sum(P.b[r] for r in tight)
+            pi = tuple(sum(P.A[r][t] for r in tight) for t in range(P.n))
+            cuts[i].append((tau, pi))
+    return cuts
+
+
+# --------------------------------------------------------------------------
+# the objective and the rows that every model writes
+# --------------------------------------------------------------------------
+
+
+def _xy_problem(inst: FDPInstance, name: str = "") -> LPProblem:
+    """A min LP with the variables x_j and y_l and the instance's objective."""
+    prob = LPProblem(sense="min", name=name)
+    for j in range(inst.n):
+        prob.add_var(f"x{j}")
+    for l in range(inst.ny):
+        prob.add_var(f"y{l}")
+    for j in range(inst.n):
+        if inst.obj_x[j]:
+            prob.objective[f"x{j}"] = inst.obj_x[j]
+    for l in range(inst.ny):
+        if inst.obj_y[l]:
+            prob.objective[f"y{l}"] = inst.obj_y[l]
+    prob.obj_const = inst.obj_const
+    return prob
+
+
+@dataclass
+class _Lifting:
+    """The variables a model writes the instance's rows in: x_j is factor *
+    variable for (variable, factor) = x(j), and y_l is y(l).  With a
+    scaling variable g the right-hand side moves onto it: a row becomes
+    ... - rhs g (sense) 0.  Rows are named kind[idx]key and tagged
+    (kind, *tag, *idx)."""
+
+    x: Callable[[int], Tuple[str, Fraction]]
+    y: Callable[[int], str]
+    g: Optional[str] = None
+    key: str = ""
+    tag: tuple = ()
+
+    def row(self, prob: LPProblem, kind: str, idx: tuple, xc, yc, sense: str, rhs):
+        """The row sum_j xc_j x_j + sum_l yc_l y_l (sense) rhs, with xc as
+        (j, coefficient) pairs."""
+        coeffs: Dict[str, Fraction] = {self.g: -rhs} if self.g is not None else {}
+        for j, c in xc:
+            if c:
+                v, f = self.x(j)
+                coeffs[v] = coeffs.get(v, ZERO) + c * f
+        for l, c in enumerate(yc):
+            if c:
+                coeffs[self.y(l)] = coeffs.get(self.y(l), ZERO) + c
+        prob.add_row(coeffs, sense, ZERO if self.g is not None else rhs,
+                     name=f"{kind}[{','.join(map(str, idx))}]{self.key}",
+                     tag=(kind,) + self.tag + idx)
+
+    def coupling_rows(self, prob: LPProblem, inst: FDPInstance):
+        for ridx, row in enumerate(inst.coupling):
+            self.row(prob, "cone", (ridx,), enumerate(row.xcoeffs), row.ycoeffs, row.sense, row.rhs)
+
+    def block_rows(self, prob: LPProblem, inst: FDPInstance, ip: int):
+        """The rows of block ip's polytope."""
+        P = inst.blocks[ip].P
+        for r in range(P.m):
+            self.row(prob, "scaleP", (ip, r), enumerate(P.A[r], inst.block_slice(ip)[0]), (),
+                     "<=", P.b[r])
 
 
 # --------------------------------------------------------------------------
@@ -242,129 +314,77 @@ def _subsets(np_: int, k: int):
     return itertools.combinations(range(np_), k)
 
 
+def _selections(inst: FDPInstance, S: Sequence[int]):
+    """Every choice of one face per block of S."""
+    return itertools.product(*[range(len(inst.blocks[i].faces)) for i in S])
+
+
 def build_fdr_level(inst: FDPInstance, k: int) -> LPProblem:
     """underline-FDR^k: per (S, s) an indicator u0 >= 0 and liftings ux, w;
     gamma-scaled coupling rows, aggregation to (1; x; y), gamma-scaled block
     membership, and the face-definition rows."""
     if not 1 <= k <= inst.np:
         raise ValueError("level must be in 1..n_p")
-    Es = check_vertex_disjoint(inst)
+    verts, _ = _checked_faces(inst)
+    cuts = _face_cuts(inst, verts)
     n, ny = inst.n, inst.ny
-    prob = LPProblem(sense="min", name=f"fdr{k}")
-    for j in range(n):
-        prob.add_var(f"x{j}")
-    for l in range(ny):
-        prob.add_var(f"y{l}")
-    combos = []
-    for S in _subsets(inst.np, k):
-        for s in itertools.product(*[range(len(inst.blocks[i].faces)) for i in S]):
-            combos.append((S, s))
+    prob = _xy_problem(inst, f"fdr{k}")
+    sels = {S: list(_selections(inst, S)) for S in _subsets(inst.np, k)}
+    for S, ss in sels.items():
+        for s in ss:
             tag = f"{S},{s}"
             prob.add_var(f"g[{tag}]", lb=ZERO)
             for j in range(n):
                 prob.add_var(f"u{j}[{tag}]")
             for l in range(ny):
                 prob.add_var(f"w{l}[{tag}]")
-    for S, s in combos:
-        tag = f"{S},{s}"
-        # gamma-scaled coupling rows
-        for ridx, row in enumerate(inst.coupling):
-            coeffs: Dict[str, Fraction] = {f"g[{tag}]": -row.rhs}
-            for j, c in enumerate(row.xcoeffs):
-                if c:
-                    coeffs[f"u{j}[{tag}]"] = c
-            for l, c in enumerate(row.ycoeffs):
-                if c:
-                    coeffs[f"w{l}[{tag}]"] = coeffs.get(f"w{l}[{tag}]", ZERO) + c
-            prob.add_row(coeffs, row.sense, ZERO, name=f"cone[{ridx}]{tag}",
-                         tag=("cone", S, s, ridx))
-        # gamma-scaled block membership for every block
-        for ip in range(inst.np):
-            lo, hi = inst.block_slice(ip)
-            Pb = inst.blocks[ip].P
-            for r in range(Pb.m):
-                coeffs = {f"g[{tag}]": -Pb.b[r]}
-                for t in range(Pb.n):
-                    if Pb.A[r][t]:
-                        coeffs[f"u{lo+t}[{tag}]"] = Pb.A[r][t]
-                prob.add_row(coeffs, "<=", ZERO, name=f"scaleP[{ip},{r}]{tag}",
-                             tag=("scaleP", S, s, ip, r))
-        # face definition rows for selected blocks
-        for pos, ip in enumerate(S):
-            tau, pi = _face_cut(inst, ip, s[pos])
-            lo, hi = inst.block_slice(ip)
-            coeffs = {f"g[{tag}]": tau}
-            for t, c in enumerate(pi):
-                if c:
-                    coeffs[f"u{lo+t}[{tag}]"] = -c
-            prob.add_row(coeffs, "<=", ZERO, name=f"face[{ip}]{tag}",
-                         tag=("face", S, s, ip))
+    for S, ss in sels.items():
+        for s in ss:
+            tag = f"{S},{s}"
+            lift = _Lifting(
+                x=lambda j, tag=tag: (f"u{j}[{tag}]", ONE),
+                y=lambda l, tag=tag: f"w{l}[{tag}]",
+                g=f"g[{tag}]", key=tag, tag=(S, s),
+            )
+            lift.coupling_rows(prob, inst)
+            for ip in range(inst.np):
+                lift.block_rows(prob, inst, ip)
+            # face definition rows tau - pi.x <= 0 for the selected blocks
+            for ip, face_j in zip(S, s):
+                tau, pi = cuts[ip][face_j]
+                lo = inst.block_slice(ip)[0]
+                lift.row(prob, "face", (ip,), enumerate((-p for p in pi), lo), (), "<=", -tau)
     # aggregation rows per S
-    for S in _subsets(inst.np, k):
-        sel = [c for c in combos if c[0] == S]
+    for S, ss in sels.items():
         prob.add_row(
-            {f"g[{S},{s}]": ONE for _, s in sel}, "=", ONE, name=f"sum1[{S}]",
+            {f"g[{S},{s}]": ONE for s in ss}, "=", ONE, name=f"sum1[{S}]",
             tag=("sum1", S),
         )
         for j in range(n):
-            coeffs = {f"u{j}[{S},{s}]": ONE for _, s in sel}
+            coeffs = {f"u{j}[{S},{s}]": ONE for s in ss}
             coeffs[f"x{j}"] = -ONE
             prob.add_row(coeffs, "=", ZERO, name=f"sumx[{S},{j}]", tag=("sumx", S, j))
         for l in range(ny):
-            coeffs = {f"w{l}[{S},{s}]": ONE for _, s in sel}
+            coeffs = {f"w{l}[{S},{s}]": ONE for s in ss}
             coeffs[f"y{l}"] = -ONE
             prob.add_row(coeffs, "=", ZERO, name=f"sumy[{S},{l}]", tag=("sumy", S, l))
-    prob.objective = {}
-    for j in range(n):
-        if inst.obj_x[j]:
-            prob.objective[f"x{j}"] = inst.obj_x[j]
-    for l in range(ny):
-        if inst.obj_y[l]:
-            prob.objective[f"y{l}"] = inst.obj_y[l]
-    prob.obj_const = inst.obj_const
     return prob
 
 
 def brute_force_fdp(inst: FDPInstance) -> Optional[Fraction]:
     """Exact disjunctive optimum: enumerate every face combination and solve
     the face-restricted LP; None when every piece is infeasible."""
-    Es = check_vertex_disjoint(inst)
+    verts, _ = _checked_faces(inst)
+    cuts = _face_cuts(inst, verts)
+    lift = _Lifting(x=lambda j: (f"x{j}", ONE), y=lambda l: f"y{l}")
     best = None
-    for s in itertools.product(*[range(len(b.faces)) for b in inst.blocks]):
-        prob = LPProblem(sense="min")
-        for j in range(inst.n):
-            prob.add_var(f"x{j}")
-        for l in range(inst.ny):
-            prob.add_var(f"y{l}")
-        for j in range(inst.n):
-            if inst.obj_x[j]:
-                prob.objective[f"x{j}"] = inst.obj_x[j]
-        for l in range(inst.ny):
-            if inst.obj_y[l]:
-                prob.objective[f"y{l}"] = inst.obj_y[l]
-        prob.obj_const = inst.obj_const
-        for ridx, row in enumerate(inst.coupling):
-            coeffs = {}
-            for j, c in enumerate(row.xcoeffs):
-                if c:
-                    coeffs[f"x{j}"] = c
-            for l, c in enumerate(row.ycoeffs):
-                if c:
-                    coeffs[f"y{l}"] = coeffs.get(f"y{l}", ZERO) + c
-            prob.add_row(coeffs, row.sense, row.rhs)
+    for s in _selections(inst, range(inst.np)):
+        prob = _xy_problem(inst)
+        lift.coupling_rows(prob, inst)
         for ip in range(inst.np):
-            lo, hi = inst.block_slice(ip)
-            Pb = inst.blocks[ip].P
-            for r in range(Pb.m):
-                prob.add_row(
-                    {f"x{lo+t}": Pb.A[r][t] for t in range(Pb.n) if Pb.A[r][t]},
-                    "<=",
-                    Pb.b[r],
-                )
-            tau, pi = _face_cut(inst, ip, s[ip])
-            prob.add_row(
-                {f"x{lo+t}": pi[t] for t in range(Pb.n) if pi[t]}, "=", tau
-            )
+            lift.block_rows(prob, inst, ip)
+            tau, pi = cuts[ip][s[ip]]
+            lift.row(prob, "face", (ip,), enumerate(pi, inst.block_slice(ip)[0]), (), "=", tau)
         sol = lp_solve(prob)
         if sol.status == "optimal" and (best is None or sol.value < best):
             best = sol.value
@@ -424,14 +444,9 @@ def substitute_indicators(inst: FDPInstance, k: int) -> LPProblem:
     that make summing out any block give the same lower-level liftings."""
     if not 1 <= k <= inst.np:
         raise ValueError("level must be in 1..n_p")
-    Es = check_vertex_disjoint(inst)
+    verts, Es = _checked_faces(inst)
     n, ny = inst.n, inst.ny
-    verts = [block_vertices(inst, i) for i in range(inst.np)]
-    prob = LPProblem(sense="min", name=f"fdrsub{k}")
-    for j in range(n):
-        prob.add_var(f"x{j}")
-    for l in range(ny):
-        prob.add_var(f"y{l}")
+    prob = _xy_problem(inst, f"fdrsub{k}")
 
     def rtags(S):
         return list(itertools.product(*[range(len(verts[i])) for i in S]))
@@ -458,237 +473,90 @@ def substitute_indicators(inst: FDPInstance, k: int) -> LPProblem:
                 return (f"L[{S},{r}]", verts[ip][r[pos]][j - lo])
         return (f"U{j}[{S},{r}]", ONE)
 
+    def sum_rows(S, rs, names):
+        """lin(sum over r in rs of Lam^S_r (1; x; y)) = (1; x; y)."""
+        one, xs, ys = names
+        prob.add_row({f"L[{S},{r}]": ONE for r in rs}, "=", ONE,
+                     name=f"{one}[{S}]", tag=(one, S))
+        for j in range(n):
+            coeffs = {f"x{j}": -ONE}
+            for r in rs:
+                name, scale = lam_x_coeff(S, r, j)
+                if scale:
+                    coeffs[name] = coeffs.get(name, ZERO) + scale
+            prob.add_row(coeffs, "=", ZERO, name=f"{xs}[{S},{j}]", tag=(xs, S, j))
+        for l in range(ny):
+            coeffs = {f"y{l}": -ONE}
+            for r in rs:
+                coeffs[f"W{l}[{S},{r}]"] = ONE
+            prob.add_row(coeffs, "=", ZERO, name=f"{ys}[{S},{l}]", tag=(ys, S, l))
+
     for S in subsets:
         others = [i for i in range(inst.np) if i not in S]
         tags = rtags(S)
         # per-product scaled rows
         for r in tags:
             key = f"[{S},{r}]"
-            for ridx, row in enumerate(inst.coupling):
-                coeffs: Dict[str, Fraction] = {f"L{key}": -row.rhs}
-                for j, c in enumerate(row.xcoeffs):
-                    if c:
-                        name, scale = lam_x_coeff(S, r, j)
-                        coeffs[name] = coeffs.get(name, ZERO) + c * scale
-                for l, c in enumerate(row.ycoeffs):
-                    if c:
-                        coeffs[f"W{l}{key}"] = coeffs.get(f"W{l}{key}", ZERO) + c
-                prob.add_row(coeffs, row.sense, ZERO,
-                             name=f"cone[{ridx}]{key}", tag=("cone", S, r, ridx))
+            lift = _Lifting(
+                x=functools.partial(lam_x_coeff, S, r),
+                y=lambda l, key=key: f"W{l}{key}",
+                g=f"L{key}", key=key, tag=(S, r),
+            )
+            lift.coupling_rows(prob, inst)
             for ip in others:
-                lo, hi = inst.block_slice(ip)
-                Pb = inst.blocks[ip].P
-                for rr in range(Pb.m):
-                    coeffs = {f"L{key}": -Pb.b[rr]}
-                    for t in range(Pb.n):
-                        if Pb.A[rr][t]:
-                            coeffs[f"U{lo+t}{key}"] = Pb.A[rr][t]
-                    prob.add_row(coeffs, "<=", ZERO,
-                                 name=f"scaleP[{ip},{rr}]{key}",
-                                 tag=("scaleP", S, r, ip, rr))
+                lift.block_rows(prob, inst, ip)
         # linear precision of the product coordinates over all vertex tuples
-        prob.add_row({f"L[{S},{r}]": ONE for r in tags}, "=", ONE,
-                     name=f"unit[{S}]", tag=("unit", S))
-        for j in range(n):
-            coeffs = {f"x{j}": -ONE}
-            for r in tags:
-                name, scale = lam_x_coeff(S, r, j)
-                if scale:
-                    coeffs[name] = coeffs.get(name, ZERO) + scale
-            prob.add_row(coeffs, "=", ZERO, name=f"lp[{S},{j}]", tag=("lp", S, j))
-        for l in range(ny):
-            coeffs = {f"y{l}": -ONE}
-            for r in tags:
-                coeffs[f"W{l}[{S},{r}]"] = ONE
-            prob.add_row(coeffs, "=", ZERO, name=f"lpy[{S},{l}]", tag=("lpy", S, l))
+        sum_rows(S, tags, ("unit", "lp", "lpy"))
         # facial aggregation: gamma^{S,s} sums the products over the selected
         # faces' vertex tuples; summing over selections must reproduce
         # (1; x; y) -- with L >= 0 this forces every face-inconsistent
         # product to zero (the substituted face-definition rows are the
         # identically-zero annihilation products and are omitted)
         fc = set()
-        for s in itertools.product(*[range(len(inst.blocks[i].faces)) for i in S]):
-            for r in itertools.product(*[Es[i][si] for i, si in zip(S, s)]):
-                fc.add(r)
-        prob.add_row({f"L[{S},{r}]": ONE for r in sorted(fc)}, "=", ONE,
-                     name=f"fcsum[{S}]", tag=("fcsum", S))
-        for j in range(n):
-            coeffs = {f"x{j}": -ONE}
-            for r in sorted(fc):
-                name, scale = lam_x_coeff(S, r, j)
-                if scale:
-                    coeffs[name] = coeffs.get(name, ZERO) + scale
-            prob.add_row(coeffs, "=", ZERO, name=f"fcx[{S},{j}]", tag=("fcx", S, j))
-        for l in range(ny):
-            coeffs = {f"y{l}": -ONE}
-            for r in sorted(fc):
-                coeffs[f"W{l}[{S},{r}]"] = ONE
-            prob.add_row(coeffs, "=", ZERO, name=f"fcy[{S},{l}]", tag=("fcy", S, l))
+        for s in _selections(inst, S):
+            fc.update(itertools.product(*[Es[i][si] for i, si in zip(S, s)]))
+        sum_rows(S, sorted(fc), ("fcsum", "fcx", "fcy"))
 
     # cross-subset consistency: summing out block l1 of S' u {l1} equals
     # summing out block l2 of S' u {l2} for every (k-1)-subset S'
-    if k >= 1:
-        for Sp in itertools.combinations(range(inst.np), k - 1):
-            rest = [i for i in range(inst.np) if i not in Sp]
-            for a_i in range(len(rest)):
-                for b_i in range(a_i + 1, len(rest)):
-                    l1, l2 = rest[a_i], rest[b_i]
-                    S1 = tuple(sorted(Sp + (l1,)))
-                    S2 = tuple(sorted(Sp + (l2,)))
-                    p1 = S1.index(l1)
-                    p2 = S2.index(l2)
-                    for rp in itertools.product(*[range(len(verts[i])) for i in Sp]):
-                        def embed(S, pos, v, rp=rp):
-                            out = list(rp)
-                            out.insert(pos, v)
-                            return tuple(out)
+    for Sp in itertools.combinations(range(inst.np), k - 1):
+        rest = [i for i in range(inst.np) if i not in Sp]
+        in_sp = {j for i in Sp for j in range(*inst.block_slice(i))}
+        for l1, l2 in itertools.combinations(rest, 2):
+            S1 = tuple(sorted(Sp + (l1,)))
+            S2 = tuple(sorted(Sp + (l2,)))
+            p1 = S1.index(l1)
+            p2 = S2.index(l2)
+            for rp in itertools.product(*[range(len(verts[i])) for i in Sp]):
+                def diff(term, rp=rp):
+                    """lin(term summed over block l1 of S1) minus the same
+                    over block l2 of S2; term(S, r) gives (variable, scale)."""
+                    coeffs: Dict[str, Fraction] = {}
+                    for S, pos, sign in ((S1, p1, ONE), (S2, p2, -ONE)):
+                        for v in range(len(verts[S[pos]])):
+                            name, scale = term(S, rp[:pos] + (v,) + rp[pos:])
+                            if scale:
+                                coeffs[name] = coeffs.get(name, ZERO) + sign * scale
+                    return coeffs
 
-                        def sum_over(S, pos, nverts, name_fn):
-                            return {
-                                name_fn(f"[{S},{embed(S, pos, v)}]"): ONE
-                                for v in range(nverts)
-                            }
-
-                        # lin(prod_{S'} lambda) both ways
-                        c1 = sum_over(S1, p1, len(verts[l1]), lambda key: f"L{key}")
-                        c2 = sum_over(S2, p2, len(verts[l2]), lambda key: f"L{key}")
-                        coeffs = dict(c1)
-                        for nm, v in c2.items():
-                            coeffs[nm] = coeffs.get(nm, ZERO) - v
+                # lin(prod_{S'} lambda) both ways
+                prob.add_row(diff(lambda S, r: (f"L[{S},{r}]", ONE)), "=", ZERO,
+                             name=f"cons[{Sp},{rp},{l1},{l2}]",
+                             tag=("cons", Sp, rp, l1, l2))
+                # lifted with x_j for blocks outside both subsets and
+                # for the summed-out blocks themselves
+                for j in range(n):
+                    if j in in_sp:
+                        continue  # constant multiples of the L rows above
+                    coeffs = diff(lambda S, r, j=j: lam_x_coeff(S, r, j))
+                    if coeffs:
                         prob.add_row(coeffs, "=", ZERO,
-                                     name=f"cons[{Sp},{rp},{l1},{l2}]",
-                                     tag=("cons", Sp, rp, l1, l2))
-                        # lifted with x_j for blocks outside both subsets and
-                        # for the summed-out blocks themselves
-                        for j in range(n):
-                            def lift(S, pos, lother):
-                                out: Dict[str, Fraction] = {}
-                                for v in range(len(verts[S[pos]])):
-                                    r = embed(S, pos, v)
-                                    name, scale = lam_x_coeff(S, r, j)
-                                    if scale:
-                                        out[name] = out.get(name, ZERO) + scale
-                                return out
-
-                            in_sp = any(
-                                inst.block_slice(i)[0] <= j < inst.block_slice(i)[1]
-                                for i in Sp
-                            )
-                            if in_sp:
-                                continue  # constant multiples of the L rows above
-                            d1 = lift(S1, p1, l2)
-                            d2 = lift(S2, p2, l1)
-                            coeffs = dict(d1)
-                            for nm, v in d2.items():
-                                coeffs[nm] = coeffs.get(nm, ZERO) - v
-                            if coeffs:
-                                prob.add_row(coeffs, "=", ZERO,
-                                             name=f"consx[{Sp},{rp},{l1},{l2},{j}]",
-                                             tag=("consx", Sp, rp, l1, l2, j))
-                        for l in range(ny):
-                            cy1 = sum_over(S1, p1, len(verts[l1]), lambda key: f"W{l}{key}")
-                            cy2 = sum_over(S2, p2, len(verts[l2]), lambda key: f"W{l}{key}")
-                            coeffs = dict(cy1)
-                            for nm, v in cy2.items():
-                                coeffs[nm] = coeffs.get(nm, ZERO) - v
-                            prob.add_row(coeffs, "=", ZERO,
-                                         name=f"consy[{Sp},{rp},{l1},{l2},{l}]",
-                                         tag=("consy", Sp, rp, l1, l2, l))
-
-    prob.objective = {}
-    for j in range(n):
-        if inst.obj_x[j]:
-            prob.objective[f"x{j}"] = inst.obj_x[j]
-    for l in range(ny):
-        if inst.obj_y[l]:
-            prob.objective[f"y{l}"] = inst.obj_y[l]
-    prob.obj_const = inst.obj_const
+                                     name=f"consx[{Sp},{rp},{l1},{l2},{j}]",
+                                     tag=("consx", Sp, rp, l1, l2, j))
+                for l in range(ny):
+                    prob.add_row(diff(lambda S, r, l=l: (f"W{l}[{S},{r}]", ONE)), "=", ZERO,
+                                 name=f"consy[{Sp},{rp},{l1},{l2},{l}]",
+                                 tag=("consy", Sp, rp, l1, l2, l))
     return prob
 
 
-# --------------------------------------------------------------------------
-# mixed 0-1 Sherali-Adams comparison oracle
-# --------------------------------------------------------------------------
-
-
-def sherali_adams_01(
-    n: int,
-    ny: int,
-    rows: Sequence[CouplingRow],
-    obj_x: Sequence,
-    obj_y: Sequence,
-    obj_const,
-    k: int,
-) -> LPProblem:
-    """Level-k Sherali-Adams for a mixed 0-1 LP over x in {0,1}^n: every row
-    (and 0 <= x_i <= 1) is multiplied by every product factor x^S (1-x)^S',
-    |S u S'| = k, and linearized over multilinear monomial variables."""
-    prob = LPProblem(sense="min", name=f"sa{k}")
-    monos = [
-        tuple(T)
-        for size in range(1, min(k + 1, n) + 1)
-        for T in itertools.combinations(range(n), size)
-    ]
-    for l in range(ny):
-        prob.add_var(f"y{l}")
-    for T in monos:
-        prob.add_var(f"X{T}")
-    for T in [()] + monos:
-        for l in range(ny):
-            if T:
-                prob.add_var(f"Y{T}_{l}")
-
-    def xv(T):
-        return f"X{T}" if T else None
-
-    def yv(T, l):
-        return f"Y{T}_{l}" if T else f"y{l}"
-
-    def mono_mul(T, j):
-        return tuple(sorted(set(T) | {j}))
-
-    for S0 in itertools.combinations(range(n), min(k, n)):
-        for bits in itertools.product([0, 1], repeat=len(S0)):
-            S = tuple(t for t, b in zip(S0, bits) if b)
-            Sp = tuple(t for t, b in zip(S0, bits) if not b)
-            factor = expand_product_factor(S, Sp)
-            # factor >= 0
-            coeffs: Dict[str, Fraction] = {}
-            const = ZERO
-            for T, sign in factor:
-                v = xv(T)
-                if v is None:
-                    const += sign
-                else:
-                    coeffs[v] = coeffs.get(v, ZERO) + sign
-            prob.add_row(dict(coeffs), ">=", -const, name=f"f{S},{Sp}")
-            # factor * row for every coupling row
-            for ridx, row in enumerate(rows):
-                rc: Dict[str, Fraction] = {}
-                rconst = ZERO
-                for T, sign in factor:
-                    v = xv(T)
-                    if v is None:
-                        rconst += sign * row.rhs
-                    else:
-                        rc[v] = rc.get(v, ZERO) + sign * row.rhs
-                    for j, c in enumerate(row.xcoeffs):
-                        if c:
-                            tv = xv(mono_mul(T, j))
-                            rc[tv] = rc.get(tv, ZERO) - sign * c
-                    for l, c in enumerate(row.ycoeffs):
-                        if c:
-                            yvv = yv(T, l)
-                            rc[yvv] = rc.get(yvv, ZERO) - sign * c
-                sense = ">=" if row.sense == "<=" else "="
-                prob.add_row(rc, sense, -rconst, name=f"r{ridx}{S},{Sp}")
-    obj: Dict[str, Fraction] = {}
-    for j in range(n):
-        if Fraction(obj_x[j]):
-            obj[f"X{(j,)}"] = obj.get(f"X{(j,)}", ZERO) + Fraction(obj_x[j])
-    for l in range(ny):
-        if Fraction(obj_y[l]):
-            obj[f"y{l}"] = Fraction(obj_y[l])
-    prob.objective = obj
-    prob.obj_const = Fraction(obj_const)
-    return prob

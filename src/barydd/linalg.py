@@ -14,10 +14,6 @@ def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def zeros(m: int, n: int) -> Matrix:
-    return [[Fraction(0)] * n for _ in range(m)]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 

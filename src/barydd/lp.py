@@ -276,7 +276,7 @@ def _kernel(
         rc, d = _eliminate(rc, d, rc[entering], T[leave], tab.D[leave])
 
 
-def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) -> LPSolution:
+def lp_solve(problem: LPProblem, pivot_rule: str = "bland") -> LPSolution:
     """Exact optimum with exact duals, or a certified infeasibility /
     unboundedness certificate.  Never raises for those outcomes; the status
     field encodes them.  Raises LPVerificationError if the exact check of an
@@ -428,8 +428,7 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland", check: bool = True) 
         ],
         pivots=pivots,
     )
-    if check:
-        _verify_optimal(problem, sol)
+    _verify_optimal(problem, sol)
     return sol
 
 

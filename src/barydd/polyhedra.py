@@ -147,30 +147,6 @@ def homogenize(P: HPolyhedron) -> HomCone:
     return HomCone(P.n, Abar)
 
 
-@dataclass(frozen=True)
-class GeneratorRep:
-    """Rays R and lineality directions L as column tuples of length n+1."""
-
-    R: tuple  # p columns
-    L: tuple  # q columns
-
-    @staticmethod
-    def make(R, L=()) -> "GeneratorRep":
-        R = tuple(tuple(Fraction(x) for x in col) for col in R)
-        L = tuple(tuple(Fraction(x) for x in col) for col in L)
-        if any(all(x == 0 for x in col) for col in R):
-            raise ValueError("zero ray column")
-        return GeneratorRep(R, L)
-
-    @property
-    def p(self) -> int:
-        return len(self.R)
-
-    @property
-    def q(self) -> int:
-        return len(self.L)
-
-
 def dehomogenize_columns(R: Sequence) -> tuple:
     """The columns of ``dehomogenize`` alone: a column with positive first
     entry rescaled to first entry 1, any other column as it is."""

@@ -180,26 +180,6 @@ class ACInstance:
     def ny(self) -> int:
         return self.Py.n
 
-    @staticmethod
-    def from_json(data: dict) -> "ACInstance":
-        P = HPolyhedron.from_json(data["P"])
-        Py = HPolyhedron.from_json(data["Py"])
-        g = []
-        for spec in data["g"]:
-            if spec.get("type", "affine") == "affine":
-                c0, cs = spec["pieces"][0][0], spec["pieces"][0][1:]
-                g.append(GFun.make_affine(rat_from_str(c0), [rat_from_str(c) for c in cs]))
-            else:
-                g.append(
-                    GFun.make_max(
-                        [
-                            (rat_from_str(p[0]), [rat_from_str(c) for c in p[1:]])
-                            for p in spec["pieces"]
-                        ]
-                    )
-                )
-        return ACInstance(P, Py, g, int(data.get("varrho", P.n)))
-
 
 def dbp_as_ac(inst: DBPInstance) -> ACInstance:
     g = [GFun.make_affine(inst.c0, inst.cy)]
@@ -540,9 +520,18 @@ def _linearize(wreg: _WRegistry, f: RatFun, l: Optional[int]):
     return coeffs, const
 
 
-def _merge(into: Dict[str, Fraction], frm: Dict[str, Fraction], scale=ONE):
-    for k, v in frm.items():
-        into[k] = into.get(k, ZERO) + scale * v
+def _lin_row(wreg: _WRegistry, terms, coeffs: Optional[Dict[str, Fraction]] = None):
+    """The row sum of scale * lin(f y_l) (lin(f) when l is None) over terms
+    (f, l, scale), added to coeffs, as (coefficients, right-hand side): the
+    constants of the linearizations move to the right-hand side."""
+    coeffs = dict(coeffs or {})
+    const = ZERO
+    for f, l, scale in terms:
+        cfs, cst = _lin_ratfun(wreg, f, l)
+        for v, c in cfs.items():
+            coeffs[v] = coeffs.get(v, ZERO) + scale * c
+        const += scale * cst
+    return coeffs, -const
 
 
 def _run_order_worker(pjson: dict, order: tuple):
@@ -609,54 +598,33 @@ def build_de_linear(
         for j in range(n):
             if all(q == 0 for q in inst.Q[j]):
                 continue
-            coeffs: Dict[str, Fraction] = {f"z{j}": ONE}
-            const = ZERO
-            for i, col in enumerate(final.R):
-                r = col[j + 1]
-                if not r:
-                    continue
-                for l in ycols:
-                    if inst.Q[j][l]:
-                        cfs, cst = _lin_ratfun(wreg, dehom_mu[i], l)
-                        _merge(coeffs, cfs, -r * inst.Q[j][l])
-                        const += r * inst.Q[j][l] * cst
-            for ci, col in enumerate(final.L):
-                r = col[j + 1]
-                if not r:
-                    continue
-                for l in ycols:
-                    if inst.Q[j][l]:
-                        cfs, cst = _lin_ratfun(wreg, dehom_theta[ci], l)
-                        _merge(coeffs, cfs, -r * inst.Q[j][l])
-                        const += r * inst.Q[j][l] * cst
-            prob.add_row(coeffs, ">=", const, name=f"obj[{j}]ς{o}", tag=("obj", o, j))
+            coeffs, rhs = _lin_row(wreg, [
+                (f, l, -col[j + 1] * inst.Q[j][l])
+                for cols, fs in ((final.R, dehom_mu), (final.L, dehom_theta))
+                for col, f in zip(cols, fs) if col[j + 1]
+                for l in ycols if inst.Q[j][l]
+            ], {f"z{j}": ONE})
+            prob.add_row(coeffs, ">=", rhs, name=f"obj[{j}]ς{o}", tag=("obj", o, j))
         # membership and non-negativity rows per coordinate
         for i in range(final.p):
-            mu_i = dehom_mu[i]
-            pieces = [mu_i]
+            pieces = [dehom_mu[i]]
             if final.cpr[i] is not None and len(final.cpr[i].terms) > 1:
                 pool = final.pool
                 dpoly = pool.cone_product(final.cpr[i].den).subs_one(0)
                 for w, fids in final.cpr[i].terms:
                     pieces.append(RatFun(pool.cone_product(fids).subs_one(0).scale(w), dpoly))
             for piece_no, g in enumerate(pieces):
-                gl, gc = _lin_ratfun(wreg, g, None)
+                coeffs, rhs = _lin_row(wreg, [(g, None, ONE)])
                 if piece_no == 0:
-                    prob.add_row(dict(gl), ">=", -gc, name=f"nn[{i}]ς{o}",
+                    prob.add_row(coeffs, ">=", rhs, name=f"nn[{i}]ς{o}",
                                  tag=("nonneg", o, i))
                 for r in range(inst.Py.m):
-                    coeffs: Dict[str, Fraction] = {}
-                    const = ZERO
-                    _merge(coeffs, gl, inst.Py.b[r])
-                    const -= inst.Py.b[r] * gc
-                    for l in range(ny):
-                        a = inst.Py.A[r][l]
-                        if a:
-                            cfs, cst = _lin_ratfun(wreg, g, l)
-                            _merge(coeffs, cfs, -a)
-                            const += a * cst
+                    A = inst.Py.A[r]
+                    coeffs, rhs = _lin_row(
+                        wreg, [(g, None, inst.Py.b[r])] + [(g, l, -A[l]) for l in ycols if A[l]]
+                    )
                     prob.add_row(
-                        coeffs, ">=", const,
+                        coeffs, ">=", rhs,
                         name=f"yscale[{r},{i},{piece_no}]ς{o}",
                         tag=("yscale", o, r, i, piece_no),
                     )
@@ -675,35 +643,21 @@ def build_de_linear(
             mu_next = [f.subs_one(0) for f in nxt.mu]
             for l in [None] + ycols:
                 for j in range(prev.q):
-                    lhs: Dict[str, Fraction] = {}
-                    const = ZERO
-                    cfs, cst = _lin_ratfun(wreg, th_prev[j], l)
-                    _merge(lhs, cfs)
-                    const += cst
-                    for c, fcoef in zip(th_next, entry.F[j]):
-                        if fcoef:
-                            cfs, cst = _lin_ratfun(wreg, c, l)
-                            _merge(lhs, cfs, -fcoef)
-                            const -= fcoef * cst
-                    for c, gcoef in zip(mu_next, entry.G[j]):
-                        if gcoef:
-                            cfs, cst = _lin_ratfun(wreg, c, l)
-                            _merge(lhs, cfs, -gcoef)
-                            const -= gcoef * cst
-                    prob.add_row(lhs, "=", -const, name=f"recθ[{t},{j},{l}]ς{o}",
+                    coeffs, rhs = _lin_row(
+                        wreg,
+                        [(th_prev[j], l, ONE)]
+                        + [(c, l, -a) for c, a in zip(th_next, entry.F[j]) if a]
+                        + [(c, l, -a) for c, a in zip(mu_next, entry.G[j]) if a],
+                    )
+                    prob.add_row(coeffs, "=", rhs, name=f"recθ[{t},{j},{l}]ς{o}",
                                  tag=("rec_theta", o, t, j, l))
                 for r in range(prev.p):
-                    lhs = {}
-                    const = ZERO
-                    cfs, cst = _lin_ratfun(wreg, mu_prev[entry.perm[r]], l)
-                    _merge(lhs, cfs)
-                    const += cst
-                    for c, dcoef in zip(mu_next, entry.D[r]):
-                        if dcoef:
-                            cfs, cst = _lin_ratfun(wreg, c, l)
-                            _merge(lhs, cfs, -dcoef)
-                            const -= dcoef * cst
-                    prob.add_row(lhs, "=", -const, name=f"recμ[{t},{r},{l}]ς{o}",
+                    coeffs, rhs = _lin_row(
+                        wreg,
+                        [(mu_prev[entry.perm[r]], l, ONE)]
+                        + [(c, l, -a) for c, a in zip(mu_next, entry.D[r]) if a],
+                    )
+                    prob.add_row(coeffs, "=", rhs, name=f"recμ[{t},{r},{l}]ς{o}",
                                  tag=("rec_mu", o, t, r, l))
 
     # constraint-product sign rows over every denominator seen (including 1)
@@ -721,9 +675,8 @@ def build_de_linear(
                 num = Poly.const(nvfull, 1)
                 for i in theta_set:
                     num = num * row_exprs[i]
-                g = RatFun(num, dpoly)
-                gl, gc = _lin_ratfun(wreg, g, None)
-                prob.add_row(dict(gl), ">=", -gc,
+                coeffs, rhs = _lin_row(wreg, [(RatFun(num, dpoly), None, ONE)])
+                prob.add_row(coeffs, ">=", rhs,
                              name=f"prod{theta_set}/den",
                              tag=("prodcons", dkey, theta_set))
 
@@ -869,78 +822,115 @@ def expand_product_factor(S: tuple, Sp: tuple) -> List[Tuple[tuple, int]]:
     return out
 
 
-def _rlt_box(inst: DBPInstance, k: int) -> LPProblem:
-    """Level-k RLT over the unit box via monomial linearizations X_S, Y_S,l:
-    product factors expanded through the inclusion-exclusion transform."""
-    _check_box(inst.P)
-    n, ny = inst.n, inst.ny
-    if not 1 <= k <= n:
-        raise ValueError("box level must be in 1..n")
-    prob = LPProblem(sense="min", name=f"rltbox{k}")
-    subsets = [
-        tuple(S)
-        for size in range(1, k + 1)
-        for S in itertools.combinations(range(n), size)
+@dataclass
+class CouplingRow:
+    """A row xcoeffs.x + ycoeffs.y (sense) rhs."""
+
+    xcoeffs: tuple  # over all block coordinates, concatenated
+    ycoeffs: tuple
+    sense: str  # '<=' or '='  (cone = non-negative orthant plus equalities)
+    rhs: Fraction
+
+
+def sherali_adams_01(
+    n: int,
+    ny: int,
+    rows: Sequence[CouplingRow],
+    obj_x: Sequence,
+    obj_y: Sequence,
+    obj_const,
+    k: int,
+    Q: Optional[Sequence[Sequence]] = None,
+) -> LPProblem:
+    """Level-k Sherali-Adams (1990) for a mixed 0-1 LP over x in {0,1}^n
+    and y: every product factor x^S (1-x)^S', |S u S'| = min(k, n), gives
+    the row factor >= 0 (named factor{S},{Sp}) and, times each row r, the row
+    factor * (rhs - a.x - c.y) >= 0, or = 0 for an '=' row (named
+    ymem{S},{Sp},{r}).  They are linearized over the multilinear monomials
+    X_T = x^T and Y_T,l = x^T y_l (Y_(),l is y_l), up to degree
+    min(k+1, n) when some row has an x term and min(k, n) otherwise.  The
+    objective is obj_x.x + obj_y.y + obj_const, plus Q[j][l] on Y_(j),l.
+    Over the unit box, with the rows of Py, this is level-k RLT
+    (``_rlt_box``)."""
+    prob = LPProblem(sense="min", name=f"sa{k}")
+    top = min(k + any(c for row in rows for c in row.xcoeffs), n)
+    monos = [
+        tuple(T)
+        for size in range(1, top + 1)
+        for T in itertools.combinations(range(n), size)
     ]
     for l in range(ny):
         prob.add_var(f"y{l}")
-    for S in subsets:
-        prob.add_var(f"X{S}")
-    for S in [()] + subsets:
+    for T in monos:
+        prob.add_var(f"X{T}")
+    for T in monos:
         for l in range(ny):
-            if S:
-                prob.add_var(f"Y{S}_{l}")
+            prob.add_var(f"Y{T}_{l}")
 
-    def xvar(S: tuple) -> Optional[str]:
-        return f"X{S}" if S else None
+    def yv(T, l):
+        return f"Y{T}_{l}" if T else f"y{l}"
 
-    def yvar(S: tuple, l: int) -> str:
-        return f"Y{S}_{l}" if S else f"y{l}"
-
-    for S0 in itertools.combinations(range(n), k):
-        for bits in itertools.product([0, 1], repeat=k):
-            S = tuple(s for s, b in zip(S0, bits) if b)
-            Sp = tuple(s for s, b in zip(S0, bits) if not b)
-            expansion = expand_product_factor(S, Sp)
+    for S0 in itertools.combinations(range(n), min(k, n)):
+        for bits in itertools.product([0, 1], repeat=len(S0)):
+            S = tuple(t for t, b in zip(S0, bits) if b)
+            Sp = tuple(t for t, b in zip(S0, bits) if not b)
+            factor = expand_product_factor(S, Sp)
+            # factor >= 0
             coeffs: Dict[str, Fraction] = {}
             const = ZERO
-            for T, sign in expansion:
-                v = xvar(T)
-                if v is None:
-                    const += sign
+            for T, sign in factor:
+                if T:
+                    coeffs[f"X{T}"] = coeffs.get(f"X{T}", ZERO) + sign
                 else:
-                    coeffs[v] = coeffs.get(v, ZERO) + sign
-            prob.add_row(dict(coeffs), ">=", -const, name=f"factor{S},{Sp}",
+                    const += sign
+            prob.add_row(coeffs, ">=", -const, name=f"factor{S},{Sp}",
                          tag=("factor", S, Sp))
-            for r in range(inst.Py.m):
+            # factor * (rhs - a.x - c.y) for every row
+            for r, row in enumerate(rows):
                 rc: Dict[str, Fraction] = {}
                 rconst = ZERO
-                for T, sign in expansion:
-                    v = xvar(T)
-                    if v is None:
-                        rconst += sign * inst.Py.b[r]
+                for T, sign in factor:
+                    if T:
+                        rc[f"X{T}"] = rc.get(f"X{T}", ZERO) + sign * row.rhs
                     else:
-                        rc[v] = rc.get(v, ZERO) + sign * inst.Py.b[r]
-                    for l in range(ny):
-                        a = inst.Py.A[r][l]
-                        if a:
-                            yv = yvar(T, l)
-                            rc[yv] = rc.get(yv, ZERO) - sign * a
-                prob.add_row(rc, ">=", -rconst, name=f"ymem{S},{Sp},{r}",
+                        rconst += sign * row.rhs
+                    for j, c in enumerate(row.xcoeffs):
+                        if c:
+                            tv = f"X{tuple(sorted(set(T) | {j}))}"
+                            rc[tv] = rc.get(tv, ZERO) - sign * c
+                    for l, c in enumerate(row.ycoeffs):
+                        if c:
+                            rc[yv(T, l)] = rc.get(yv(T, l), ZERO) - sign * c
+                sense = ">=" if row.sense == "<=" else "="
+                prob.add_row(rc, sense, -rconst, name=f"ymem{S},{Sp},{r}",
                              tag=("ymem", S, Sp, r))
     obj: Dict[str, Fraction] = {}
     for l in range(ny):
-        if inst.cy[l]:
-            obj[f"y{l}"] = inst.cy[l]
+        if Fraction(obj_y[l]):
+            obj[f"y{l}"] = Fraction(obj_y[l])
     for j in range(n):
-        if inst.cx[j]:
-            obj[f"X{(j,)}"] = obj.get(f"X{(j,)}", ZERO) + inst.cx[j]
+        if Fraction(obj_x[j]):
+            obj[f"X{(j,)}"] = Fraction(obj_x[j])
         for l in range(ny):
-            if inst.Q[j][l]:
-                obj[f"Y{(j,)}_{l}"] = obj.get(f"Y{(j,)}_{l}", ZERO) + inst.Q[j][l]
+            if Q is not None and Q[j][l]:
+                obj[f"Y{(j,)}_{l}"] = Fraction(Q[j][l])
     prob.objective = obj
-    prob.obj_const = inst.c0
+    prob.obj_const = Fraction(obj_const)
     return prob
+
+
+def _rlt_box(inst: DBPInstance, k: int) -> LPProblem:
+    """Level-k RLT over the unit box: level-k Sherali-Adams on the rows of
+    Py, which have no x terms, with Q[j][l] on the monomial Y_(j),l."""
+    _check_box(inst.P)
+    if not 1 <= k <= inst.n:
+        raise ValueError("box level must be in 1..n")
+    no_x = (ZERO,) * inst.n
+    rows = [CouplingRow(no_x, inst.Py.A[r], "<=", inst.Py.b[r]) for r in range(inst.Py.m)]
+    prob = sherali_adams_01(inst.n, inst.ny, rows, inst.cx, inst.cy, inst.c0, k, Q=inst.Q)
+    prob.name = f"rltbox{k}"
+    return prob
+
 
 
 # --------------------------------------------------------------------------

@@ -341,7 +341,7 @@ class TestExactDiv:
 
 
 class TestRatFromStr:
-    @pytest.mark.parametrize("value", ["1/0", "-3/0", True, False])
+    @pytest.mark.parametrize("value", ["1/0", "-3/0", True, False, "1e5", "2.5E-1"])
     def test_rejects(self, value):
         with pytest.raises(ValueError):
             rat_from_str(value)

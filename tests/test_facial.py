@@ -24,6 +24,12 @@ from barydd.facial import (
     substitute_indicators,
 )
 from barydd.lp import lp_solve
+from reference_builders import (
+    assert_same_lp,
+    reference_brute_force_fdp,
+    reference_fdr_level,
+    reference_substitute_indicators,
+)
 
 
 def interval_block():
@@ -290,3 +296,36 @@ class TestSubstitution:
         bf = brute_force_fdp(inst)
         sub = lp_solve(substitute_indicators(inst, 2))
         assert sub.value == bf
+
+
+def as_vertex_lists(inst):
+    """inst with every face given by its vertex list instead of its cut."""
+    blocks = [
+        FDPBlock(b.P, [Face.from_vertices(E) for E in face_vertex_sets(inst, i)])
+        for i, b in enumerate(inst.blocks)
+    ]
+    return FDPInstance(blocks, inst.coupling, inst.obj_x, inst.obj_y, inst.obj_const, inst.ny)
+
+
+class TestSharedRows:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: zero_one_instance(2, random.Random(31)),
+            lambda: zero_one_instance(3, random.Random(8)),
+            lambda: zero_one_instance(3, random.Random(5), ny=2),
+            lambda: TestHierarchy().mixed_instance(),
+            lambda: as_vertex_lists(TestHierarchy().mixed_instance()),
+        ],
+        ids=["01_two", "01_three", "01_three_ny2", "mixed", "mixed_vertex_lists"],
+    )
+    def test_equals_reference_builders(self, make):
+        # one assembly of the objective, coupling, membership and face rows
+        # builds the same LPs, row names and tags included
+        inst = make()
+        for k in range(1, inst.np + 1):
+            assert_same_lp(build_fdr_level(inst, k), reference_fdr_level(inst, k))
+            assert_same_lp(
+                substitute_indicators(inst, k), reference_substitute_indicators(inst, k)
+            )
+        assert brute_force_fdp(inst) == reference_brute_force_fdp(inst)

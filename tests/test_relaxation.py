@@ -37,6 +37,7 @@ from barydd.relaxation import (
     solve_and_report,
 )
 from conftest import box_polytope, run_optimized
+from reference_builders import assert_same_lp, reference_de_linear, reference_rlt_box
 
 
 def box_bilinear():
@@ -84,6 +85,21 @@ def random_dbp(rng, n, m):
     P = HPolyhedron.make([r for r, _ in rows], [c for _, c in rows])
     Q = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(n)]
     return DBPInstance.make(Q=Q, P=P, Py=box_polytope(2), cx=[rng.randint(-5, 5) for _ in range(n)])
+
+
+def random_box_dbp(rng, n, ny):
+    """P = [0,1]^n; Py = [0,1]^ny cut by one row a.y <= b with b >= 1;
+    Q, cx, cy and c0 drawn from [-5,5]."""
+    Py = box_polytope(ny)
+    Py = HPolyhedron.make(
+        [list(r) for r in Py.A] + [[rng.randint(-2, 2) for _ in range(ny)]],
+        list(Py.b) + [rng.randint(1, 3)],
+    )
+    draw = lambda size: [rng.randint(-5, 5) for _ in range(size)]  # noqa: E731
+    return DBPInstance.make(
+        Q=[draw(ny) for _ in range(n)], P=box_polytope(n), Py=Py, cx=draw(n), cy=draw(ny),
+        c0=rng.randint(-5, 5),
+    )
 
 
 def two_block_fdp():
@@ -477,6 +493,21 @@ class TestDELinear:
             serial.wnames, serial.wdens, serial.meta
         )
 
+    @pytest.mark.parametrize(
+        "k, orders",
+        [(k, None) for k in (1, 2, 3, 4)] + [(2, [(2, 1), (1, 2)]), (4, [(3, 2, 1, 0), (1, 2, 3, 0)])],
+    )
+    def test_equals_reference_builder(self, dbp_62, k, orders):
+        # the shared row assembly builds the same LP, w numbering and
+        # denominators as the builder that wrote out every row
+        orders = orders or sorted(itertools.combinations(range(dbp_62.P.m), k))
+        got = build_de_linear(dbp_62, k, orders)
+        want = reference_de_linear(dbp_62, k, orders)
+        assert_same_lp(got.problem, want.problem)
+        assert (got.level, got.orders, got.wnames, got.wdens, got.meta) == (
+            want.level, want.orders, want.wnames, want.wdens, want.meta
+        )
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_linearizing_once_changes_nothing(self, dbp_62, k, monkeypatch):
         # the same LP, w numbering and coefficient order as linearizing at
@@ -517,6 +548,18 @@ class TestRLT:
     def test_not_box(self, dbp_62):
         with pytest.raises(NotBox):
             build_rlt_baseline(dbp_62, "box_level_k", k=1)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n, ny", [(n, ny) for n in (1, 2, 3) for ny in (1, 2)])
+    def test_box_equals_reference_builder(self, n, ny, seed):
+        # level-k RLT through the one Sherali-Adams builder: the same LP,
+        # row names and tags included, as its own builder wrote
+        inst = random_box_dbp(random.Random(100 * n + 10 * ny + seed), n, ny)
+        for k in range(1, n + 1):
+            got = build_rlt_baseline(inst, "box_level_k", k=k)
+            want = reference_rlt_box(inst, k)
+            assert_same_lp(got, want)
+            assert lp_solve(got) == lp_solve(want)
 
     def test_self_products_41_lifted_point(self, poly_41):
         rows, names = rlt_self_product_rows(poly_41)
@@ -667,6 +710,15 @@ class TestCliBadInput:
         inp = self.write(tmp_path, box2_bilinear())
         assert exit_code(["solve", inp, "--method", "rltbox", "--level", level]) == cli.EXIT_PARSE
         self.assert_one_line_error(capsys, "--level")
+
+    def test_rejects_exponent_notation(self, dbp_62, tmp_path, capsys):
+        # Fraction would multiply the exponent out, however large
+        data = dbp_62.to_json()
+        data["c0"] = "1e5"
+        inp = tmp_path / "inst.json"
+        inp.write_text(json.dumps(data))
+        assert exit_code(["solve", str(inp), "--method", "hull"]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, "bad instance file: exponent notation")
 
     def test_rltbox_rejects_non_box(self, dbp_62, tmp_path, capsys):
         inp = self.write(tmp_path, dbp_62)
