@@ -27,25 +27,19 @@ from .dd_engine import (
     EmptyInterior,
     InitPreconditionViolated,
     LedgerEntry,
-    NotSimple,
     Phase1Basis,
     Phase1BasisError,
-    closed_form_box,
-    closed_form_tworow,
     dd_init,
     dd_run,
     dd_step,
     ledger_verify,
-    product_coords,
     prune_redundant,
-    warren_simple,
 )
 from .lp import (
     LPProblem,
     LPRow,
     LPSolution,
     LPVerificationError,
-    lp_feasible,
     lp_solve,
 )
 

@@ -1,9 +1,10 @@
 """Command-line surface: barydd dd | solve | certify | fdr-check |
 verify-identities.
 
-All numeric output is exact fractions; --approx appends decimal renderings
-without ever replacing exact values.  Row orders on the command line are
-1-based to match printed constraint numbering; the Python API is 0-based.
+All numeric output is exact fractions; `solve --approx` appends a decimal
+rendering to the value without ever replacing it.  Row orders on the
+command line are 1-based to match printed constraint numbering; the Python
+API is 0-based.
 
 Exit codes: 0 ok, 2 bad input (a parse error, a file whose top level or
 part is not of the expected JSON type, a certificate file with a missing
@@ -14,8 +15,11 @@ partial:R with R in 0..n, a --samples that is not a non-negative integer,
 for `solve --method de` an --orders that names no order, a negative
 --theta-cap or a --jobs below 1, a violated assumption such as an
 unbounded P or Py for `certify` and `solve --method hull` or an x_i >= 0
-row that the orthant and partial:R inits need but P does not state, a file
-that cannot be read or written), 3 empty interior, 4 level too low (the
+row that the orthant and partial:R inits need but P does not state, an FDP
+face that is not a face of its block for `solve --method fdr` and
+`fdr-check` (a cut not valid for the block, a cut that disagrees with the
+face's vertex list, or a vertex list with no supporting row), a file that
+cannot be read or written), 3 empty interior, 4 level too low (the
 message reports the minimum usable level), 5 certificate verification
 failure (also a certificate whose variable counts differ from the
 instance's, or that names a row index outside the instance's rows).
@@ -57,7 +61,14 @@ from .relaxation import (
     solution_report,
 )
 from .certify import Certificate, extract_certificate, verify_certificate
-from .facial import FDPInstance, FacesShareVertices, brute_force_fdp, build_fdr_level, check_vertex_disjoint
+from .facial import (
+    FDPInstance,
+    FacesShareVertices,
+    InvalidFace,
+    brute_force_fdp,
+    build_fdr_level,
+    check_vertex_disjoint,
+)
 from .relaxation import barycentric_for_polytope
 
 EXIT_PARSE = 2
@@ -321,6 +332,9 @@ def cmd_solve(args) -> int:
     except (FacesShareVertices, NotBox, UnboundedInput) as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except InvalidFace as exc:
+        print(f"bad instance file: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     sol = lp_solve(prob)
     if args.report:
         report = solution_report(prob, sol)
@@ -423,6 +437,9 @@ def cmd_fdr_check(args) -> int:
     except FacesShareVertices as exc:
         print(f"FAIL assumption: {exc}")
         return 1
+    except InvalidFace as exc:
+        print(f"bad FDP file: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     for i, block_sets in enumerate(sets):
         for j, E in enumerate(block_sets):
             print(f"block {i} face {j}: vertices {list(E)}")
@@ -569,6 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-cap", type=int, dest="theta_cap")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report")
+    p.add_argument("--approx", action="store_true",
+                   help="append a decimal rendering to the value")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("certify", help="extract / verify an optimality certificate")
@@ -589,10 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order")
     p.add_argument("--samples", default="20")
     p.set_defaults(func=cmd_verify_identities)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--approx", action="store_true",
-                        help="append decimal renderings to exact values")
     return ap
 
 

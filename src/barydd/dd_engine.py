@@ -49,12 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .exactmath import Poly, RatFun, rf_equal
 from .lp import LPProblem, lp_solve
-from .polyhedra import (
-    HomCone,
-    HPolyhedron,
-    enumerate_vertices_oracle,
-    homogenize,
-)
+from .polyhedra import HomCone, HPolyhedron, homogenize
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -72,10 +67,6 @@ class Phase1BasisError(ArithmeticError):
 
 class InitPreconditionViolated(ValueError):
     """Requested initialization needs x_i >= 0 rows that are not explicit."""
-
-
-class NotSimple(ValueError):
-    """Some vertex is not tight at exactly n independent facets."""
 
 
 # --------------------------------------------------------------------------
@@ -1112,179 +1103,3 @@ def _check_generator_relation(Lprev, state_prev, state_next, entry) -> bool:
         if tuple(acc) != tuple(state_next.R[cnew]):
             return False
     return True
-
-
-# --------------------------------------------------------------------------
-# closed forms and oracles
-# --------------------------------------------------------------------------
-
-
-def _subsets_in_dd_order(T: Sequence[int]) -> List[tuple]:
-    subs: List[tuple] = [()]
-    for t in T:
-        subs = subs + [s + (t,) for s in subs]
-    return subs
-
-
-def closed_form_box(n: int, T: Sequence[int]) -> Tuple[list, list]:
-    """Rays and coordinates for {0 <= x_i <= 1 (i in T), x_i >= 0 otherwise}
-    after processing the rows x_i <= 1, i in T, from the orthant start.
-    Coordinates are homogeneous RatFuns in (x0, x1..xn); T is 1-based."""
-    T = list(T)
-    if any(i < 1 or i > n for i in T):
-        raise ValueError("T must be a subset of {1..n}")
-    nv = n + 1
-    rays = []
-    coords = []
-    x0 = Poly.variable(nv, 0)
-    for S in _subsets_in_dd_order(T):
-        col = [ONE] + [ZERO] * n
-        for i in S:
-            col[i] = ONE
-        rays.append(tuple(col))
-        num = Poly.const(nv, 1)
-        for i in S:
-            num = num * Poly.variable(nv, i)
-        for i in T:
-            if i not in S:
-                num = num * (x0 - Poly.variable(nv, i))
-        if T:
-            coords.append(RatFun(num, x0 ** (len(T) - 1)))
-        else:
-            coords.append(RatFun.from_poly(num * x0))  # x0^{k-1} with k = 0
-    for i in range(1, n + 1):
-        if i not in T:
-            col = [ZERO] * nv
-            col[i] = ONE
-            rays.append(tuple(col))
-            coords.append(RatFun.variable(nv, i))
-    return rays, coords
-
-
-def closed_form_tworow(a: Sequence, b: Sequence) -> Tuple[list, list]:
-    """Coordinates for {x >= 0, 1 - a.x >= 0, 1 - b.x >= 0} with a, b >= 0
-    (homogeneous forms).
-
-    d(x) = x0 - sum_i min(a_i, b_i) x_i: the tied coefficients participate,
-    which the printed form of the formulas omits; with them the expressions
-    match the algorithm in every degenerate case (including a = b, where the
-    whole system reduces to a single row -- a convention the source leaves
-    open)."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    if any(x < 0 for x in a) or any(x < 0 for x in b):
-        raise ValueError("a and b must be componentwise non-negative")
-    n = len(a)
-    nv = n + 1
-    x0 = Poly.variable(nv, 0)
-
-    def xv(i):
-        return Poly.variable(nv, i + 1)
-
-    def unit(i):
-        col = [ZERO] * nv
-        col[i + 1] = ONE
-        return col
-
-    Ngt = [i for i in range(n) if a[i] > b[i]]
-    Nlt = [i for i in range(n) if a[i] < b[i]]
-    Neq = [i for i in range(n) if a[i] == b[i]]
-    rays = []
-    coords = []
-    if not Ngt and not Nlt:
-        for i in Neq:
-            col = unit(i)
-            col[0] = a[i]
-            rays.append(tuple(col))
-            coords.append(RatFun.from_poly(xv(i)))
-        rays.append(tuple([ONE] + [ZERO] * n))
-        expr = x0
-        for i in range(n):
-            expr = expr - xv(i).scale(a[i])
-        coords.append(RatFun.from_poly(expr))
-        return rays, coords
-    d = x0
-    for j in range(n):
-        d = d - xv(j).scale(min(a[j], b[j]))
-    slack_a = x0
-    slack_b = x0
-    for i in range(n):
-        slack_a = slack_a - xv(i).scale(a[i])
-        slack_b = slack_b - xv(i).scale(b[i])
-    for i in Neq:
-        col = unit(i)
-        col[0] = a[i]
-        rays.append(tuple(col))
-        coords.append(RatFun.from_poly(xv(i)))
-    rays.append(tuple([ONE] + [ZERO] * n))
-    coords.append(RatFun(slack_a * slack_b, d))
-    for i in Ngt:
-        col = unit(i)
-        col[0] = a[i]
-        rays.append(tuple(col))
-        coords.append(RatFun(xv(i) * slack_b, d))
-    for j in Nlt:
-        col = unit(j)
-        col[0] = b[j]
-        rays.append(tuple(col))
-        coords.append(RatFun(xv(j) * slack_a, d))
-    for i in Ngt:
-        for j in Nlt:
-            col = [ZERO] * nv
-            col[0] = a[i] * b[j] - a[j] * b[i]
-            col[i + 1] = b[j] - a[j]
-            col[j + 1] = a[i] - b[i]
-            rays.append(tuple(col))
-            coords.append(RatFun(xv(i) * xv(j), d))
-    return rays, coords
-
-
-def warren_simple(P: HPolyhedron) -> Tuple[List[tuple], List[RatFun]]:
-    """Barycentric coordinates of a simple polytope by the explicit formula:
-    per vertex, |det of tight normals| times the product of slack constraint
-    expressions, normalized by their sum.  Returns (vertices, coords) with
-    coords as RatFuns over (x0, x), x0 unused (dehomogenized form); vertices
-    in the oracle's canonical order."""
-    verts = enumerate_vertices_oracle(P)
-    nv = P.n + 1
-    omegas = []
-    for v in verts:
-        tight = [i for i in range(P.m) if linalg.dot(P.A[i], v) == P.b[i]]
-        if len(tight) != P.n:
-            raise NotSimple(f"vertex {v} is tight at {len(tight)} facets")
-        dt = linalg.det([list(P.A[i]) for i in tight])
-        if dt == 0:
-            raise NotSimple(f"tight normals at {v} are dependent")
-        w = Poly.const(nv, abs(dt))
-        for i in range(P.m):
-            if i not in tight:
-                w = w * Poly.affine(nv, P.b[i], [ZERO] + [-c for c in P.A[i]])
-        omegas.append(w)
-    total = Poly.zero(nv)
-    for w in omegas:
-        total = total + w
-    return verts, [RatFun(w, total) for w in omegas]
-
-
-def product_coords(
-    vertsA: Sequence[tuple],
-    coordsA: Sequence[RatFun],
-    vertsB: Sequence[tuple],
-    coordsB: Sequence[RatFun],
-) -> Tuple[List[tuple], List[RatFun]]:
-    """Coordinates gamma_i * phi_j attached to vertex pairs of P1 x P2.
-    Inputs are dehomogenized: coords over (x0, block vars), vertices without
-    the leading 1."""
-    nA = len(vertsA[0]) if vertsA else 0
-    nB = len(vertsB[0]) if vertsB else 0
-    nv = 1 + nA + nB
-    mapA = [0] + list(range(1, nA + 1))
-    mapB = [0] + list(range(nA + 1, nA + nB + 1))
-    verts = []
-    coords = []
-    for vA, cA in zip(vertsA, coordsA):
-        cA2 = cA.remap(nv, mapA)
-        for vB, cB in zip(vertsB, coordsB):
-            verts.append(tuple(vA) + tuple(vB))
-            coords.append(cA2 * cB.remap(nv, mapB))
-    return verts, coords

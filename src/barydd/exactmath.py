@@ -455,11 +455,6 @@ class RatFun:
     def is_polynomial(self) -> bool:
         return self.den.is_constant()
 
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError("not a polynomial")
-        return self.num.scale(1 / self.den.constant_value())
-
     def __add__(self, other: "RatFun") -> "RatFun":
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
 

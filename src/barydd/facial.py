@@ -19,7 +19,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactmath import RatFun, rat_from_str, rat_to_str
 from .lp import LPProblem, lp_solve
@@ -33,6 +33,21 @@ ONE = Fraction(1)
 
 class FacesShareVertices(ValueError):
     """Assumption violated: two faces of one block share a vertex."""
+
+
+class InvalidFace(ValueError):
+    """A face that does not describe a face of its block: a cut that is not
+    valid for the block, a cut that disagrees with the face's vertex list,
+    or a vertex list with no supporting block row."""
+
+
+class CheckedFaces(NamedTuple):
+    """Per block: its vertices, the vertex-index set E_i(j) of each face
+    and each face's cut (tau, pi)."""
+
+    verts: List[List[tuple]]
+    sets: List[List[Tuple[int, ...]]]
+    cuts: List[List[Tuple[Fraction, tuple]]]
 
 
 @dataclass
@@ -75,6 +90,13 @@ class FDPInstance:
     @property
     def n(self) -> int:
         return sum(b.P.n for b in self.blocks)
+
+    @functools.cached_property
+    def checked_faces(self) -> CheckedFaces:
+        """``_checked_faces`` of this instance, computed on first use and
+        shared by every later caller: the blocks and faces must not change
+        after that, and the result is not to be modified."""
+        return _checked_faces(self)
 
     def block_slice(self, i: int) -> Tuple[int, int]:
         start = sum(self.blocks[t].P.n for t in range(i))
@@ -172,13 +194,13 @@ def _face_sets(inst: FDPInstance, i: int, verts: List[tuple]) -> List[Tuple[int,
                 for v in verts
             ]
             if any(s < 0 for s in slacks):
-                raise ValueError(
+                raise InvalidFace(
                     f"face cut {j} of block {i} is not valid for the block"
                 )
             from_cut = tuple(idx for idx, s in enumerate(slacks) if s == 0)
         if face.vertices is not None:
             if from_cut is not None and from_cut != face.vertices:
-                raise ValueError(
+                raise InvalidFace(
                     f"face {j} of block {i}: cut and vertex list disagree"
                 )
             out.append(face.vertices)
@@ -188,14 +210,16 @@ def _face_sets(inst: FDPInstance, i: int, verts: List[tuple]) -> List[Tuple[int,
 
 
 def check_vertex_disjoint(inst: FDPInstance) -> List[List[Tuple[int, ...]]]:
-    """Verify faces of each block are pairwise vertex-disjoint and nonempty;
+    """Verify faces of each block are pairwise vertex-disjoint and nonempty
+    (else FacesShareVertices) and are faces of the block (else InvalidFace);
     returns the E_i(j) sets."""
-    return _checked_faces(inst)[1]
+    return inst.checked_faces.sets
 
 
-def _checked_faces(inst: FDPInstance):
-    """Each block's vertices, from one oracle call per block, and its E_i(j)
-    sets, checked as in ``check_vertex_disjoint``."""
+def _checked_faces(inst: FDPInstance) -> CheckedFaces:
+    """Each block's vertices, from one oracle call per block, its E_i(j)
+    sets, checked as in ``check_vertex_disjoint``, and its face cuts.
+    Raises FacesShareVertices or InvalidFace."""
     all_verts, all_sets = [], []
     for i in range(inst.np):
         verts = block_vertices(inst, i)
@@ -213,7 +237,7 @@ def _checked_faces(inst: FDPInstance):
                     )
         all_verts.append(verts)
         all_sets.append(sets)
-    return all_verts, all_sets
+    return CheckedFaces(all_verts, all_sets, _face_cuts(inst, all_verts))
 
 
 def _face_cuts(inst: FDPInstance, verts: List[List[tuple]]) -> List[List[Tuple[Fraction, tuple]]]:
@@ -235,7 +259,7 @@ def _face_cuts(inst: FDPInstance, verts: List[List[tuple]]) -> List[List[Tuple[F
                        for v in face.vertices)
             ]
             if not tight:
-                raise ValueError(f"no supporting rows for face {j} of block {i}")
+                raise InvalidFace(f"no supporting rows for face {j} of block {i}")
             tau = sum(P.b[r] for r in tight)
             pi = tuple(sum(P.A[r][t] for r in tight) for t in range(P.n))
             cuts[i].append((tau, pi))
@@ -325,8 +349,7 @@ def build_fdr_level(inst: FDPInstance, k: int) -> LPProblem:
     membership, and the face-definition rows."""
     if not 1 <= k <= inst.np:
         raise ValueError("level must be in 1..n_p")
-    verts, _ = _checked_faces(inst)
-    cuts = _face_cuts(inst, verts)
+    cuts = inst.checked_faces.cuts
     n, ny = inst.n, inst.ny
     prob = _xy_problem(inst, f"fdr{k}")
     sels = {S: list(_selections(inst, S)) for S in _subsets(inst.np, k)}
@@ -374,8 +397,7 @@ def build_fdr_level(inst: FDPInstance, k: int) -> LPProblem:
 def brute_force_fdp(inst: FDPInstance) -> Optional[Fraction]:
     """Exact disjunctive optimum: enumerate every face combination and solve
     the face-restricted LP; None when every piece is infeasible."""
-    verts, _ = _checked_faces(inst)
-    cuts = _face_cuts(inst, verts)
+    cuts = inst.checked_faces.cuts
     lift = _Lifting(x=lambda j: (f"x{j}", ONE), y=lambda l: f"y{l}")
     best = None
     for s in _selections(inst, range(inst.np)):
@@ -444,7 +466,7 @@ def substitute_indicators(inst: FDPInstance, k: int) -> LPProblem:
     that make summing out any block give the same lower-level liftings."""
     if not 1 <= k <= inst.np:
         raise ValueError("level must be in 1..n_p")
-    verts, Es = _checked_faces(inst)
+    verts, Es, _ = inst.checked_faces
     n, ny = inst.n, inst.ny
     prob = _xy_problem(inst, f"fdrsub{k}")
 

@@ -55,26 +55,6 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
-def det(a: Matrix) -> Fraction:
-    n = len(a)
-    m = [row[:] for row in a]
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
-
-
 def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Vector]:
     """Solve a square system with integer entries exactly; None when singular.
 

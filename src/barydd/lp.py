@@ -29,8 +29,19 @@ Conventions for a reported optimal solution of min c.x + const:
   reduced[v] >= 0 when v has a finite lower bound, = 0 when v is free
   dual[i] >= 0 for '>=' rows, <= 0 for '<=' rows, free for '=' rows
 
-These identities are verified exactly on every optimal solve, and every
-Farkas certificate from lp_feasible is checked; a failed check raises
+A reported infeasibility comes with a Farkas vector y, one entry per row
+in the row's own orientation:
+
+  y[i] <= 0 for '<=' rows, >= 0 for '>=' rows, free for '=' rows
+  sum_i y[i] * a[i][v] = 0 for a free v, <= 0 for v with a lower bound
+  sum_i y[i] * (rhs[i] - a[i].lb) > 0
+
+and a reported unboundedness with a ray d: d[v] >= 0 where v has a lower
+bound, a[i].d <= 0, >= 0 or = 0 by the sense of row i, and c.d < 0 for min
+(> 0 for max).
+
+lp_solve verifies every optimal, infeasible and unbounded result exactly
+against these conditions before it returns it; a failed check raises
 LPVerificationError.
 """
 
@@ -39,9 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
-
-from .exactmath import rat_to_str
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -277,10 +286,12 @@ def _kernel(
 
 
 def lp_solve(problem: LPProblem, pivot_rule: str = "bland") -> LPSolution:
-    """Exact optimum with exact duals, or a certified infeasibility /
-    unboundedness certificate.  Never raises for those outcomes; the status
-    field encodes them.  Raises LPVerificationError if the exact check of an
-    optimal solution fails."""
+    """Exact optimum with exact duals, or an exact Farkas vector for an
+    infeasible LP, or an exact improving ray for an unbounded one.  Never
+    raises for those outcomes; the status field encodes them.  Each result
+    is checked exactly before it is returned (``_verify_optimal``,
+    ``_verify_infeasible``, ``_verify_unbounded``); a failed check raises
+    LPVerificationError."""
     minimize = problem.sense == "min"
     # -- internal columns ---------------------------------------------------
     # free var v -> columns (v,+1),(v,-1); lb var -> column (v,+1) shifted.
@@ -349,14 +360,16 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland") -> LPSolution:
         raise LPVerificationError(f"phase 1 ended {status}, not optimal")
     phase1 = tab.pivots
     if any(tab.T[i].get(ncols, 0) > 0 for i in range(nrows) if tab.basis[i] >= art0):
-        # infeasible: y from reduced costs under the unit columns.  When
-        # every row is '<=' over free variables (as lp_feasible builds it),
-        # u = -y is a Farkas certificate: u >= 0, u.A = 0 and u.b < 0.
+        # infeasible: the phase-1 duals y, read from the reduced costs under
+        # the unit columns and turned back to each row's own orientation,
+        # are a Farkas certificate (see _verify_infeasible)
         farkas = [
             (cost1[unit[i]] - Fraction(rc1.get(unit[i], 0), d1)) * sign[i]
             for i in range(nrows)
         ]
-        return LPSolution(status="infeasible", farkas=farkas, pivots=PivotCounts(phase1))
+        sol = LPSolution(status="infeasible", farkas=farkas, pivots=PivotCounts(phase1))
+        _verify_infeasible(problem, sol)
+        return sol
 
     # drive basic artificials out where possible (value is 0 here)
     for i in range(nrows):
@@ -390,7 +403,9 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland") -> LPSolution:
             if b < nstruct and enter in tab.T[i]:
                 bv, bsgn = cols[b]
                 direction[bv] -= Fraction(bsgn) * tab.value(i, enter)
-        return LPSolution(status="unbounded", ray=direction, pivots=pivots)
+        sol = LPSolution(status="unbounded", ray=direction, pivots=pivots)
+        _verify_unbounded(problem, sol)
+        return sol
 
     # -- extract primal ------------------------------------------------------
     xint = [ZERO] * ncols
@@ -476,92 +491,51 @@ def _verify_optimal(problem: LPProblem, sol: LPSolution):
         raise LPVerificationError("strong duality")
 
 
-def lp_feasible(rows: Sequence[LPRow], variables: Sequence[str]):
-    """Exact feasibility of a row system over free variables.
-
-    Returns (True, point_dict) or (False, farkas) where farkas is a list of
-    multipliers u >= 0, one per input row in <=-normalized sense, with
-    u.A = 0 and u.b < 0 exactly.
-    """
-    prob = LPProblem(sense="min")
-    for v in variables:
-        prob.add_var(v, lb=None)
-    norm_rows: List[Tuple[int, Fraction]] = []  # (orig index, orient) for <= view
-    for idx, row in enumerate(rows):
-        if row.sense == "=":
-            prob.add_row(row.coeffs, "<=", row.rhs, name=f"{row.name}+", tag=idx)
-            prob.add_row({v: -c for v, c in row.coeffs.items()}, "<=", -row.rhs,
-                         name=f"{row.name}-", tag=idx)
-            norm_rows.extend([(idx, ONE), (idx, -ONE)])
-        elif row.sense == ">=":
-            prob.add_row({v: -c for v, c in row.coeffs.items()}, "<=", -row.rhs,
-                         name=row.name, tag=idx)
-            norm_rows.append((idx, -ONE))
-        else:
-            prob.add_row(row.coeffs, "<=", row.rhs, name=row.name, tag=idx)
-            norm_rows.append((idx, ONE))
-    sol = lp_solve(prob)
-    if sol.status == "optimal":
-        return True, sol.primal
-    if sol.status != "infeasible":
-        raise LPVerificationError(f"feasibility LP over free variables is {sol.status}")
-    # internal duals are per normalized <= row: u = -y >= 0 certifies
-    # u.A = 0, u.b < 0
-    u = [-y for y in sol.farkas]
-    per_row = [ZERO] * len(rows)
-    for (idx, orient), ui in zip(norm_rows, u):
-        if ui < 0:
-            raise LPVerificationError("Farkas multiplier sign")
-        per_row[idx] += ui  # aggregated magnitude per original row
-    # exact verification in the normalized system
-    acc: Dict[str, Fraction] = {}
-    rhs_acc = ZERO
-    for (idx, orient), ui in zip(norm_rows, u):
-        row = rows[idx]
-        for v, c in row.coeffs.items():
-            acc[v] = acc.get(v, ZERO) + ui * orient * c
-        rhs_acc += ui * orient * row.rhs
-    if any(c != 0 for c in acc.values()):
-        raise LPVerificationError("Farkas: u.A != 0")
-    if rhs_acc >= 0:
-        raise LPVerificationError("Farkas: u.b not negative")
-    return False, per_row
-
-
-def export_lp_text(problem: LPProblem) -> str:
-    """Plain LP-format text for cross-checking with external solvers.
-    Values are exact decimals where terminating, otherwise fractions in
-    comments next to a decimal rendering."""
-
-    def num(x: Fraction) -> str:
-        if x.denominator == 1:
-            return str(x.numerator)
-        f = x.numerator / x.denominator
-        return f"{f!r}"
-
-    lines = [f"\\ {problem.name}" if problem.name else "\\ barydd export"]
-    lines.append("Minimize" if problem.sense == "min" else "Maximize")
-    terms = " ".join(
-        f"{'+' if c >= 0 else '-'} {num(abs(Fraction(c)))} {v}"
-        for v, c in problem.objective.items()
-    )
-    lines.append(f" obj: {terms if terms else '0 ' + (problem.variables[0] if problem.variables else 'x')}")
-    lines.append("Subject To")
-    for i, row in enumerate(problem.rows):
-        body = " ".join(
-            f"{'+' if c >= 0 else '-'} {num(abs(c))} {v}" for v, c in row.coeffs.items()
-        )
-        frac_note = " ".join(
-            f"{v}:{rat_to_str(c)}" for v, c in row.coeffs.items() if c.denominator != 1
-        )
-        comment = f"  \\ {frac_note}" if frac_note else ""
-        lines.append(f" r{i}: {body} {row.sense} {num(row.rhs)}{comment}")
-    lines.append("Bounds")
+def _verify_infeasible(problem: LPProblem, sol: LPSolution):
+    """The Farkas vector y = sol.farkas, one entry per row in the row's own
+    orientation, proves the rows and bounds infeasible: y_i <= 0 on '<='
+    rows and >= 0 on '>=' rows, sum_i y_i a_iv = 0 for each free variable v
+    and <= 0 for each v with a lower bound, and sum_i y_i (b_i - a_i.lb) > 0
+    (free variables counted at 0 in a_i.lb).  At a feasible x the sum
+    sum_i y_i (a_i.x - b_i) would then be both >= 0 and < 0.  Raises
+    LPVerificationError on the first violation."""
+    if len(sol.farkas) != len(problem.rows):
+        raise LPVerificationError("Farkas vector length")
+    acc: Dict[str, Fraction] = {v: ZERO for v in problem.variables}
+    gap = ZERO
+    for row, y in zip(problem.rows, sol.farkas):
+        if (row.sense == "<=" and y > 0) or (row.sense == ">=" and y < 0):
+            raise LPVerificationError(f"Farkas sign on {row.sense} row {row.name!r}")
+        if y:
+            for v, c in row.coeffs.items():
+                acc[v] += y * c
+            gap += y * row.rhs
     for v in problem.variables:
         lo = problem.lb.get(v)
         if lo is None:
-            lines.append(f" {v} free")
-        elif lo != 0:
-            lines.append(f" {v} >= {num(lo)}")
-    lines.append("End")
-    return "\n".join(lines)
+            if acc[v] != 0:
+                raise LPVerificationError(f"Farkas: y.A nonzero on free var {v}")
+        else:
+            if acc[v] > 0:
+                raise LPVerificationError(f"Farkas: y.A positive on bounded var {v}")
+            gap -= acc[v] * lo
+    if gap <= 0:
+        raise LPVerificationError("Farkas: y.(b - A.lb) not positive")
+
+
+def _verify_unbounded(problem: LPProblem, sol: LPSolution):
+    """The ray d = sol.ray is a recession direction that improves the
+    objective: d_v >= 0 for each variable with a lower bound, a_i.d <= 0 on
+    '<=' rows, >= 0 on '>=' rows and = 0 on '=' rows, and c.d < 0 for min
+    (> 0 for max).  Raises LPVerificationError on the first violation."""
+    d = sol.ray
+    for v in problem.variables:
+        if problem.lb.get(v) is not None and d[v] < 0:
+            raise LPVerificationError(f"ray negative on bounded var {v}")
+    for row in problem.rows:
+        ad = sum((c * d[v] for v, c in row.coeffs.items()), ZERO)
+        if ad > 0 if row.sense == "<=" else ad < 0 if row.sense == ">=" else ad != 0:
+            raise LPVerificationError(f"ray leaves {row.sense} row {row.name!r}")
+    sgn = 1 if problem.sense == "min" else -1
+    if sgn * sum((c * d[v] for v, c in problem.objective.items()), ZERO) >= 0:
+        raise LPVerificationError("ray does not improve the objective")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dd_engine import DDRun, cpr_numerator, dd_run
@@ -773,34 +772,6 @@ def _rlt_level1(inst: DBPInstance) -> LPProblem:
     return prob
 
 
-def rlt_self_product_rows(P: HPolyhedron):
-    """The linearized M X M' >= 0 system of pairwise products of the rows of
-    one polytope, over variables x_j and X_{jk} (symmetric monomials).
-    Returns (rows, var names) with rows as (coeffs, '>=', rhs)."""
-    n = P.n
-    names = [f"x{j}" for j in range(n)] + [
-        f"X{j}_{k}" for j in range(n) for k in range(j, n)
-    ]
-    rows = []
-    for i1 in range(P.m):
-        for i2 in range(i1, P.m):
-            # (b1 - A1 x)(b2 - A2 x) >= 0
-            coeffs: Dict[str, Fraction] = {}
-            const = P.b[i1] * P.b[i2]
-            for j in range(n):
-                c = -P.A[i1][j] * P.b[i2] - P.A[i2][j] * P.b[i1]
-                if c:
-                    coeffs[f"x{j}"] = coeffs.get(f"x{j}", ZERO) + c
-            for j in range(n):
-                for kk in range(n):
-                    c = P.A[i1][j] * P.A[i2][kk]
-                    if c:
-                        key = f"X{min(j,kk)}_{max(j,kk)}"
-                        coeffs[key] = coeffs.get(key, ZERO) + c
-            rows.append((coeffs, ">=", -const, (i1, i2)))
-    return rows, names
-
-
 def _check_box(P: HPolyhedron):
     verts = enumerate_vertices_oracle(P)
     n = P.n
@@ -932,43 +903,9 @@ def _rlt_box(inst: DBPInstance, k: int) -> LPProblem:
     return prob
 
 
-
 # --------------------------------------------------------------------------
-# counting identity and reporting
+# reporting
 # --------------------------------------------------------------------------
-
-
-def count_product_factors(n: int, q: int, k: int) -> int:
-    return comb(n, k) * q**k
-
-
-def count_expanded_monomials(n: int, q: int, k: int) -> int:
-    return sum(comb(n, i) * (q - 1) ** i for i in range(k + 1))
-
-
-def expanded_monomials_brute(n: int, q: int, k: int) -> int:
-    """Distinct monomials from expanding all product factors prod_{i in T}
-    x_{i j_i}, |T| <= k, after substituting x_{iq} = 1 - sum_j x_{ij}."""
-    nv = n * (q - 1)
-
-    def var(i, j):  # block i, choice j in 0..q-2
-        return Poly.variable(nv, i * (q - 1) + j)
-
-    monos = set()
-    for size in range(0, k + 1):
-        for T in itertools.combinations(range(n), size):
-            for choice in itertools.product(range(q), repeat=size):
-                f = Poly.const(nv, 1)
-                for i, j in zip(T, choice):
-                    if j < q - 1:
-                        f = f * var(i, j)
-                    else:
-                        g = Poly.const(nv, 1)
-                        for jj in range(q - 1):
-                            g = g - var(i, jj)
-                        f = f * g
-                monos.update(f.terms.keys())
-    return len(monos)
 
 
 def solve_and_report(problem, pivot_rule: str = "bland") -> dict:

@@ -4,6 +4,7 @@ HiGHS, sympy)."""
 
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -36,3 +37,17 @@ def test_one_pass(checkout, workload, out_terms):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
     assert result["metrics"]["out_terms"]["value"] == out_terms
+
+
+@pytest.mark.parametrize("workload", ["coords", "bounds", "certify"])
+def test_traced_pass(checkout, workload):
+    # the tracer patches barydd functions and attributes by name: a traced
+    # pass fails if one of them is gone, and reports every per-layer metric
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+            "--seconds", "0", "--trace", "1"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
+    metrics = runpy.run_path(os.path.join(ROOT, "bench", "spans.py"))["METRICS"]
+    assert sorted(result["metrics"]) == sorted(name for name, _ in metrics)

@@ -9,9 +9,6 @@ from barydd import (
     EmptyInterior,
     HPolyhedron,
     InitPreconditionViolated,
-    NotSimple,
-    closed_form_box,
-    closed_form_tworow,
     dd_init,
     dd_run,
     dd_step,
@@ -19,13 +16,12 @@ from barydd import (
     enumerate_vertices_oracle,
     homogenize,
     ledger_verify,
-    product_coords,
     prune_redundant,
-    warren_simple,
 )
 from barydd.dd_engine import _canonical_column, cpr_structurally_nonneg, cpr_value
 from barydd.exactmath import Poly, RatFun, rf_equal
 from barydd.linalg import dot
+from closed_forms import NotSimple, closed_form_box, closed_form_tworow, product_coords, warren_simple
 from conftest import run_optimized
 
 

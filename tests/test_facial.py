@@ -1,12 +1,13 @@
 """Facial disjunctive hierarchy, indicators, and the 0-1 specialization."""
 
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from barydd import HPolyhedron
+from barydd import HPolyhedron, cli, facial
 from barydd.exactmath import Poly, RatFun, rf_equal
 from barydd.facial import (
     CouplingRow,
@@ -115,6 +116,17 @@ class TestAssumption:
         )
         with pytest.raises(ValueError):
             face_vertex_sets(inst, 0)
+
+    def test_fdr_check_finds_block_vertices_once(self, tmp_path, monkeypatch):
+        # the face check, the level-2 model and the brute force share one
+        # vertex enumeration per block
+        calls = []
+        oracle = facial.enumerate_vertices_oracle
+        monkeypatch.setattr(facial, "enumerate_vertices_oracle", lambda P: calls.append(P) or oracle(P))
+        inp = tmp_path / "fdp.json"
+        inp.write_text(json.dumps(zero_one_instance(2, random.Random(3)).to_json()))
+        assert cli.main(["fdr-check", str(inp), "--level", "2", "--brute"]) == 0
+        assert len(calls) == 2
 
 
 class TestHierarchy:

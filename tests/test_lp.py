@@ -17,11 +17,12 @@ from barydd.lp import (
     LPRow,
     _Tableau,
     _kernel,
+    _verify_infeasible,
     _verify_optimal,
-    export_lp_text,
-    lp_feasible,
+    _verify_unbounded,
     lp_solve,
 )
+from conftest import run_optimized
 
 
 def simple_problem():
@@ -103,13 +104,13 @@ class TestRandomVsOracle:
 
 class TestFeasibility:
     def test_infeasible_golden(self):
-        rows = [
-            LPRow({"x": F(1)}, ">=", F(1)),
-            LPRow({"x": F(1)}, "<=", F(0)),
-        ]
-        feasible, cert = lp_feasible(rows, ["x"])
-        assert not feasible
-        assert cert == [F(1), F(1)]
+        p = LPProblem(sense="min")
+        p.add_var("x")
+        p.add_row({"x": F(1)}, ">=", F(1))
+        p.add_row({"x": F(1)}, "<=", F(0))
+        sol = lp_solve(p)
+        assert sol.status == "infeasible"
+        assert sol.farkas == [F(1), F(-1)]
 
     def test_redundant_point_weights(self, poly_53):
         # (0,7/13,45/13) = 6/13 (0,0,4) + 7/13 (0,1,3) over the other vertices
@@ -140,8 +141,11 @@ class TestFeasibility:
         assert weights == {2: F(6, 13), 6: F(7, 13)}
 
     def test_empty_rows_feasible_at_origin(self):
-        feasible, point = lp_feasible([], ["x", "y"])
-        assert feasible and point == {"x": 0, "y": 0}
+        p = LPProblem(sense="min")
+        p.add_var("x")
+        p.add_var("y")
+        sol = lp_solve(p)
+        assert sol.status == "optimal" and sol.primal == {"x": 0, "y": 0}
 
 
 @pytest.fixture
@@ -209,9 +213,9 @@ class TestSlackStart:
         assert all(c >= 20 for c in counts.values()), counts
 
     def test_mixed_feasibility_systems(self, tableaus):
-        # lp_feasible rows are all '<=': rhs >= 0 starts at its slack,
-        # rhs < 0 gets an artificial; points and Farkas vectors are checked
-        # here again, exactly, in the input's own senses
+        # the rows are solved as '<=' rows over free variables: rhs >= 0
+        # starts at its slack, rhs < 0 gets an artificial; points and Farkas
+        # vectors are checked here again, exactly, in the input's own senses
         rng = random.Random(11)
         seen = {True: 0, False: 0}
         mixed = 0
@@ -222,8 +226,16 @@ class TestSlackStart:
                       rng.choice(["<=", ">="]), F(rng.randint(-4, 4)))
                 for _ in range(rng.randint(2, 6))
             ]
+            p = LPProblem(sense="min")
+            for v in names:
+                p.add_var(v)
+            for row in rows:
+                o = 1 if row.sense == "<=" else -1
+                p.add_row({v: o * c for v, c in row.coeffs.items()}, "<=", o * row.rhs)
             tableaus.clear()
-            feasible, out = lp_feasible(rows, names)
+            sol = lp_solve(p)
+            feasible = sol.status == "optimal"
+            out = sol.primal if feasible else [-y for y in sol.farkas]
             (tab,) = tableaus
             nart = tab.ncols - 2 * len(names) - len(rows)
             mixed += 0 < nart < len(rows)
@@ -256,15 +268,6 @@ class TestTermination:
             sol = lp_solve(p, pivot_rule=rule)
             assert sol.status == "optimal"
             assert sol.value == F(-1, 20)
-
-
-class TestExport:
-    def test_export_smoke(self):
-        p = LPProblem(sense="min", name="demo")
-        p.add_var("x", lb=F(0), obj=F(1, 3))
-        p.add_row({"x": F(2)}, ">=", F(1))
-        text = export_lp_text(p)
-        assert "Minimize" in text and "Subject To" in text and "x" in text
 
 
 def random_lp(rng):
@@ -528,3 +531,88 @@ class TestVerification:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert out.stdout.strip() == "raised", out.stderr
+
+
+class TestInfeasibleCheck:
+    def solved(self):
+        # x + z >= 1 against x <= 0 and z <= 0, z >= -1 shifting the rhs
+        p = LPProblem(sense="min")
+        p.add_var("x", obj=F(1))
+        p.add_var("z", lb=F(-1))
+        p.add_row({"x": F(1), "z": F(1)}, ">=", F(1), name="cover")
+        p.add_row({"x": F(1)}, "<=", F(0), name="capx")
+        p.add_row({"z": F(1)}, "<=", F(0), name="capz")
+        p.add_row({"x": F(1), "z": F(-1)}, "=", F(0), name="tie")
+        sol = lp_solve(p)
+        assert sol.status == "infeasible"
+        return p, sol
+
+    def test_accepts_solver_output(self):
+        _verify_infeasible(*self.solved())
+
+    @pytest.mark.parametrize(
+        "farkas, match",
+        [
+            ([F(1), F(1), F(-2), F(0)], "sign on <= row 'capx'"),
+            ([F(-1), F(0), F(0), F(0)], "sign on >= row 'cover'"),
+            ([F(1), F(0), F(-1), F(0)], "nonzero on free var x"),
+            ([F(1), F(-1), F(0), F(0)], "positive on bounded var z"),
+            ([F(0), F(0), F(-1), F(0)], "not positive"),
+            ([F(1), F(-1), F(-1)], "length"),
+        ],
+        ids=["sign_le", "sign_ge", "free", "bounded", "rhs", "length"],
+    )
+    def test_rejects_tampered_vector(self, farkas, match):
+        p, sol = self.solved()
+        with pytest.raises(LPVerificationError, match=match):
+            _verify_infeasible(p, dataclasses.replace(sol, farkas=farkas))
+
+
+class TestUnboundedCheck:
+    def solved(self, sense="min"):
+        # x >= 0 grows without bound; y and z are held by y + z = 0
+        p = LPProblem(sense=sense)
+        p.add_var("x", lb=F(0), obj=F(-1) if sense == "min" else F(1))
+        p.add_var("y")
+        p.add_var("z")
+        p.add_row({"y": F(1)}, "<=", F(5), name="capy")
+        p.add_row({"z": F(1)}, ">=", F(-5), name="floorz")
+        p.add_row({"y": F(1), "z": F(1)}, "=", F(0), name="tie")
+        sol = lp_solve(p)
+        assert sol.status == "unbounded"
+        return p, sol
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_accepts_solver_output(self, sense):
+        _verify_unbounded(*self.solved(sense))
+
+    @pytest.mark.parametrize(
+        "sense, ray, match",
+        [
+            ("min", (-1, 0, 0), "negative on bounded var x"),
+            ("min", (1, 1, -1), "leaves <= row 'capy'"),
+            ("min", (1, -1, -1), "leaves >= row 'floorz'"),
+            ("min", (1, -1, 0), "leaves = row 'tie'"),
+            ("min", (0, -1, 1), "does not improve"),
+            ("max", (0, -1, 1), "does not improve"),
+        ],
+        ids=["bound", "le", "ge", "eq", "objective_min", "objective_max"],
+    )
+    def test_rejects_tampered_ray(self, sense, ray, match):
+        p, sol = self.solved(sense)
+        tampered = dict(zip(["x", "y", "z"], map(F, ray)))
+        with pytest.raises(LPVerificationError, match=match):
+            _verify_unbounded(p, dataclasses.replace(sol, ray=tampered))
+
+    def test_checks_survive_optimize_flag(self):
+        code = (
+            "from fractions import Fraction as F\n"
+            "from barydd.lp import LPProblem, LPVerificationError, lp_solve, _verify_infeasible, _verify_unbounded\n"
+            "p = LPProblem(); p.add_var('x', obj=F(1))\n"
+            "s = lp_solve(p); s.ray['x'] = -s.ray['x']\n"
+            "try:\n    _verify_unbounded(p, s)\nexcept LPVerificationError:\n    print('raised')\n"
+            "p.add_row({'x': F(1)}, '>=', F(1)); p.add_row({'x': F(1)}, '<=', F(0))\n"
+            "s = lp_solve(p); s.farkas = [-y for y in s.farkas]\n"
+            "try:\n    _verify_infeasible(p, s)\nexcept LPVerificationError:\n    print('raised')\n"
+        )
+        assert run_optimized(code).split() == ["raised", "raised"]

@@ -27,14 +27,16 @@ from barydd.relaxation import (
     build_hull_lp,
     build_level_lp,
     build_rlt_baseline,
-    count_expanded_monomials,
-    count_product_factors,
     envelope_eval,
-    expanded_monomials_brute,
     gap_table,
-    rlt_self_product_rows,
     solution_report,
     solve_and_report,
+)
+from closed_forms import (
+    count_expanded_monomials,
+    count_product_factors,
+    expanded_monomials_brute,
+    rlt_self_product_rows,
 )
 from conftest import box_polytope, run_optimized
 from reference_builders import assert_same_lp, reference_de_linear, reference_rlt_box
@@ -739,6 +741,38 @@ class TestCliBadInput:
         inp = self.write(tmp_path, two_block_fdp())
         assert exit_code(argv[:1] + [inp] + argv[1:]) == cli.EXIT_PARSE
         self.assert_one_line_error(capsys, "--level")
+
+    @pytest.mark.parametrize(
+        "faces",
+        [
+            [{"tau": "0", "pi": ["1"]}, {"tau": "1", "pi": ["1"]}],
+            [{"tau": "0", "pi": ["-1"], "vertices": [1]}, {"tau": "1", "pi": ["1"]}],
+            [{"vertices": [0, 1]}],
+        ],
+        ids=["cut_not_valid", "cut_disagrees_with_vertices", "no_supporting_row"],
+    )
+    @pytest.mark.parametrize(
+        "argv, start",
+        [(["solve", "--method", "fdr"], "bad instance file: "), (["fdr-check"], "bad FDP file: ")],
+        ids=["solve", "fdr_check"],
+    )
+    def test_fdr_rejects_face(self, argv, start, faces, tmp_path, capsys):
+        data = two_block_fdp().to_json()
+        data["blocks"][1]["faces"] = faces
+        inp = tmp_path / "fdp.json"
+        inp.write_text(json.dumps(data))
+        assert exit_code(argv[:1] + [str(inp)] + argv[1:]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, start)
+
+    @pytest.mark.parametrize(
+        "command", ["dd", "certify", "fdr-check", "verify-identities"]
+    )
+    def test_approx_only_for_solve(self, command, tmp_path, capsys):
+        inp = tmp_path / "input.json"
+        inp.write_text("{}")
+        assert exit_code([command, str(inp), "--approx"]) == cli.EXIT_PARSE
+        out = capsys.readouterr()
+        assert out.out == "" and "--approx" in out.err
 
     @pytest.mark.parametrize(
         "argv",
