@@ -9,9 +9,7 @@ from .exactmath import (
     Poly,
     Rat,
     RatFun,
-    rf_combine,
     rf_equal,
-    rf_eval,
 )
 from .polyhedra import (
     HomCone,

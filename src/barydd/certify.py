@@ -16,12 +16,12 @@ identity exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactmath import Poly, RatFun, rat_from_str, rat_to_str
+from .exactmath import Poly, rat_from_str, rat_to_str
 from .lp import LPProblem, LPSolution, lp_solve
 from .relaxation import BarycentricCoords, DBPInstance, build_hull_lp
 

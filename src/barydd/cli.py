@@ -6,23 +6,29 @@ rendering to the value without ever replacing it.  Row orders on the
 command line are 1-based to match printed constraint numbering; the Python
 API is 0-based.
 
-Exit codes: 0 ok, 2 bad input (a parse error, a file whose top level or
-part is not of the expected JSON type, a certificate file with a missing
-key, a bad rational (also a zero denominator, exponent notation such as
-1e5, or true/false) or a non-integer row index, a --level outside the
-method's range, an --init other than default, orthant, phase1 or
-partial:R with R in 0..n, a --samples that is not a non-negative integer,
-for `solve --method de` an --orders that names no order, a negative
---theta-cap or a --jobs below 1, a violated assumption such as an
-unbounded P or Py for `certify` and `solve --method hull` or an x_i >= 0
-row that the orthant and partial:R inits need but P does not state, an FDP
-face that is not a face of its block for `solve --method fdr` and
-`fdr-check` (a cut not valid for the block, a cut that disagrees with the
-face's vertex list, or a vertex list with no supporting row), a file that
-cannot be read or written), 3 empty interior, 4 level too low (the
-message reports the minimum usable level), 5 certificate verification
-failure (also a certificate whose variable counts differ from the
-instance's, or that names a row index outside the instance's rows).
+Exit codes: 0 ok, 1 a failed check of `fdr-check` or `verify-identities`,
+2 bad input (a parse error, a file whose top level or part is not of the
+expected JSON type, a certificate file with a missing key, a bad rational
+(also a zero denominator, exponent notation such as 1e5, or true/false) or
+a non-integer row index, a --level outside the method's range, an --init
+other than default, orthant, phase1 or partial:R with R in 0..n, a
+--samples that is not a non-negative integer, for `solve --method de` an
+--orders that names no order, a negative --theta-cap or a --jobs below 1, a
+violated assumption such as an unbounded P or Py for `certify` and `solve
+--method hull`, a polytope or FDP block whose rows have rank below n for
+`certify`, `solve --method rltbox`, `solve --method fdr` and `fdr-check`, or
+an x_i >= 0 row that the orthant and partial:R inits need but P does not
+state, an FDP face that is not a face of its block for `solve --method fdr`
+and `fdr-check` (a cut not valid for the block, a cut that disagrees with
+the face's vertex list, or a vertex list with no supporting row), a file
+that cannot be read or written), 3 empty interior, 4 level too low (the
+message reports the minimum usable level, or that no step of the order
+empties the lineality space), 5 certificate verification failure (also a
+certificate whose variable counts differ from the instance's, or that
+names a row index outside the instance's rows, and a hull LP that is not
+optimal).  Which input error exits with which code and stderr line is
+decided in one place, the table EXIT_FOR that `main` consults; codes 1 and
+5 are results that the commands print on stdout and return.
 """
 
 from __future__ import annotations
@@ -30,12 +36,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
-import random
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import __version__
 from .dd_engine import (
@@ -60,7 +64,7 @@ from .relaxation import (
     build_rlt_baseline,
     solution_report,
 )
-from .certify import Certificate, extract_certificate, verify_certificate
+from .certify import Certificate, _interior_points, extract_certificate, verify_certificate
 from .facial import (
     FDPInstance,
     FacesShareVertices,
@@ -79,49 +83,65 @@ EXIT_VERIFY = 5
 ORDERS_WARN = 64  # all-k-subsets beyond this many orders prints a warning
 
 
-def _seed() -> int:
-    return int(os.environ.get("BARYDD_SEED", "20240801"))
+class BadInput(Exception):
+    """Bad input that the CLI itself finds: an option value, or a file that
+    cannot be read, parsed or written.  The message is the whole stderr
+    line."""
 
+
+ASSUMPTION = (EXIT_PARSE, "assumption violated: ")
+
+# The one place where an exception becomes an exit code and a stderr line:
+# each input error, its exit code and the prefix of its message, where
+# {what} is the command's file noun.  Any other exception is a bug and keeps
+# its traceback.
+EXIT_FOR = {
+    BadInput: (EXIT_PARSE, ""),
+    LevelTooLow: (EXIT_LEVEL, "level too low: "),
+    EmptyInterior: (EXIT_EMPTY, "empty interior: "),
+    UnboundedInput: ASSUMPTION,
+    NotBox: ASSUMPTION,
+    NotFullRank: ASSUMPTION,
+    InitPreconditionViolated: ASSUMPTION,
+    FacesShareVertices: ASSUMPTION,
+    InvalidFace: (EXIT_PARSE, "bad {what} file: "),
+}
 
 # what a from_json raises on a file of the wrong shape or content
 BAD_FILE = (AttributeError, KeyError, TypeError, ValueError)
 
 
-def _load_json(path: str, what: str) -> dict:
-    """The JSON object in ``path``; a file that cannot be read or parsed, or
-    whose top level is not an object, exits with EXIT_PARSE."""
+def _load(path: str, what: str, parse: Callable[[dict], object]):
+    """``parse`` of the JSON object in ``path``.  A file that cannot be read
+    or parsed, whose top level is not an object, or that ``parse`` rejects
+    raises BadInput naming the file as a ``what`` file."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
-        print(
-            f"parse error in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        raise SystemExit(EXIT_PARSE)
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise BadInput(f"parse error in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BadInput(f"cannot read {path}: {exc}")
     if not isinstance(data, dict):
-        print(f"bad {what} file: the top level is not a JSON object", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-    return data
+        raise BadInput(f"bad {what} file: the top level is not a JSON object")
+    try:
+        return parse(data)
+    except BAD_FILE as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise BadInput(f"bad {what} file: {detail}")
 
 
 def _parse_indices(text: str, m: int, what: str) -> tuple:
     """Comma-separated row numbers 1..m, each at most once, as 0-based
-    indices; anything else exits with EXIT_PARSE."""
+    indices; anything else raises BadInput."""
     try:
         idx = tuple(int(t) - 1 for t in text.split(",") if t.strip())
     except ValueError:
-        print(f"bad {what} {text!r}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise BadInput(f"bad {what} {text!r}")
     if any(i < 0 or i >= m for i in idx):
-        print(f"{what} indices must be in 1..{m}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise BadInput(f"{what} indices must be in 1..{m}")
     if len(set(idx)) != len(idx):
-        print(f"{what} repeats a row in {text!r}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise BadInput(f"{what} repeats a row in {text!r}")
     return idx
 
 
@@ -143,47 +163,42 @@ def _parse_orders(text: str, m: int, k: int) -> List[tuple]:
         return orders
     out = [_parse_indices(block, m, "--orders") for block in text.split(";") if block.strip()]
     if not out:
-        print(f"bad --orders {text!r}: no order given", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise BadInput(f"bad --orders {text!r}: no order given")
     for o in out:
         if len(o) != k:
-            print(f"bad order {o} (need length {k})", file=sys.stderr)
-            raise SystemExit(EXIT_PARSE)
+            raise BadInput(f"bad order {o} (need length {k})")
     return out
 
 
 def _parse_int(text: str, what: str, lo: int, hi: Optional[int] = None) -> int:
     """An integer in lo..hi (no upper bound when hi is None); anything else
-    exits with EXIT_PARSE."""
+    raises BadInput."""
     try:
         value = int(text)
     except ValueError:
         value = None
     if value is None or value < lo or (hi is not None and value > hi):
         want = f"in {lo}..{hi}" if hi is not None else f"of at least {lo}"
-        print(f"bad {what} {text!r}: must be an integer {want}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise BadInput(f"bad {what} {text!r}: must be an integer {want}")
     return value
 
 
 def _parse_init(text: str, n: int) -> tuple:
     """--init as (mode, varrho) for ``dd_run``: default, orthant, phase1 or
-    partial:R with R in 0..n; anything else exits with EXIT_PARSE."""
+    partial:R with R in 0..n; anything else raises BadInput."""
     if text in ("default", "orthant", "phase1"):
         return text, None
     if text.startswith("partial:"):
         return "partial_orthant", _parse_int(text[len("partial:"):], "--init partial:R", 0, n)
-    print(f"bad --init {text!r}: must be default, orthant, partial:R or phase1", file=sys.stderr)
-    raise SystemExit(EXIT_PARSE)
+    raise BadInput(f"bad --init {text!r}: must be default, orthant, partial:R or phase1")
 
 
 def _check_range(value: int, what: str, lo: int, hi: Optional[int] = None) -> int:
     """value if it lies in lo..hi (no upper bound when hi is None);
-    otherwise exits with EXIT_PARSE."""
+    otherwise raises BadInput."""
     if value < lo or (hi is not None and value > hi):
         want = f"in {lo}..{hi}" if hi is not None else f"at least {lo}"
-        print(f"{what} {value} is out of range: must be {want}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise BadInput(f"{what} {value} is out of range: must be {want}")
     return value
 
 
@@ -193,8 +208,7 @@ def _write_artifact(path: str, payload: dict):
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
-        print(f"cannot write {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise BadInput(f"cannot write {path}: {exc}")
 
 
 def _manifest(command: str, input_path: str, options: dict, artifacts: List[str], t0: float) -> dict:
@@ -227,22 +241,10 @@ def _maybe_approx(value: Fraction, approx: bool) -> str:
 
 def cmd_dd(args) -> int:
     t0 = time.time()
-    data = _load_json(args.input, "polytope")
-    try:
-        P = HPolyhedron.from_json(data)
-    except BAD_FILE as exc:
-        print(f"bad polytope file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    P = _load(args.input, args.what, HPolyhedron.from_json)
     order = _parse_order(args.order, P.m)
     init, varrho = _parse_init(args.init, P.n)
-    try:
-        run = dd_run(P, order=order, prune=args.prune, init=init, varrho=varrho)
-    except EmptyInterior as exc:
-        print(f"empty interior: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except InitPreconditionViolated as exc:
-        print(f"assumption violated: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    run = dd_run(P, order=order, prune=args.prune, init=init, varrho=varrho)
     st = run.final
     dump = {
         "order": [i + 1 for i in run.order],
@@ -281,60 +283,40 @@ def cmd_dd(args) -> int:
 
 def cmd_solve(args) -> int:
     t0 = time.time()
-    data = _load_json(args.input, "instance")
     method = args.method
-    try:
-        if method == "fdr":
-            inst = FDPInstance.from_json(data)
+    parse = FDPInstance.from_json if method == "fdr" else DBPInstance.from_json
+    inst = _load(args.input, args.what, parse)
+    if method == "hull":
+        prob = build_hull_lp(inst)
+    elif method == "ddr":
+        order = _parse_order(args.order, inst.P.m)
+        top = inst.P.m if order is None else len(order)
+        k = _check_range(args.level if args.level is not None else top, "--level", 0, top)
+        if args.report:
+            # one run over the whole order; the gap table builds every
+            # level from it
+            levels = LevelRun.make(inst, order)
+            prob = levels.lp(k)
         else:
-            inst = DBPInstance.from_json(data)
-    except BAD_FILE as exc:
-        print(f"bad instance file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        if method == "hull":
-            prob = build_hull_lp(inst)
-        elif method == "ddr":
-            order = _parse_order(args.order, inst.P.m)
-            k = args.level if args.level is not None else inst.P.m
-            _check_range(k, "--level", 0, inst.P.m if order is None else len(order))
-            if args.report:
-                # one run over the whole order; the gap table builds every
-                # level from it
-                levels = LevelRun.make(inst, order)
-                prob = levels.lp(k)
-            else:
-                prob = build_level_lp(inst, k, order=order)
-        elif method == "de":
-            k = _check_range(args.level if args.level is not None else 1, "--level", 1, inst.P.m)
-            if args.theta_cap is not None:
-                _check_range(args.theta_cap, "--theta-cap", 0)
-            _check_range(args.jobs, "--jobs", 1)
-            orders = _parse_orders(args.orders or "all-k-subsets", inst.P.m, k)
-            model = build_de_linear(
-                inst, k, orders, theta_cap=args.theta_cap, jobs=args.jobs
-            )
-            prob = model.problem
-        elif method == "rlt1":
-            prob = build_rlt_baseline(inst, "level1_general")
-        elif method == "rltbox":
-            k = _check_range(args.level if args.level is not None else 1, "--level", 1, inst.n)
-            prob = build_rlt_baseline(inst, "box_level_k", k=k)
-        elif method == "fdr":
-            k = _check_range(args.level if args.level is not None else 1, "--level", 1, inst.np)
-            prob = build_fdr_level(inst, k)
-        else:
-            print(f"unknown method {method}", file=sys.stderr)
-            return EXIT_PARSE
-    except LevelTooLow as exc:
-        print(f"level too low: {exc}", file=sys.stderr)
-        return EXIT_LEVEL
-    except (FacesShareVertices, NotBox, UnboundedInput) as exc:
-        print(f"assumption violated: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InvalidFace as exc:
-        print(f"bad instance file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+            prob = build_level_lp(inst, k, order=order)
+    elif method == "de":
+        k = _check_range(args.level if args.level is not None else 1, "--level", 1, inst.P.m)
+        if args.theta_cap is not None:
+            _check_range(args.theta_cap, "--theta-cap", 0)
+        _check_range(args.jobs, "--jobs", 1)
+        orders = _parse_orders(args.orders or "all-k-subsets", inst.P.m, k)
+        model = build_de_linear(
+            inst, k, orders, theta_cap=args.theta_cap, jobs=args.jobs
+        )
+        prob = model.problem
+    elif method == "rlt1":
+        prob = build_rlt_baseline(inst, "level1_general")
+    elif method == "rltbox":
+        k = _check_range(args.level if args.level is not None else 1, "--level", 1, inst.n)
+        prob = build_rlt_baseline(inst, "box_level_k", k=k)
+    else:  # fdr
+        k = _check_range(args.level if args.level is not None else 1, "--level", 1, inst.np)
+        prob = build_fdr_level(inst, k)
     sol = lp_solve(prob)
     if args.report:
         report = solution_report(prob, sol)
@@ -371,32 +353,16 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     t0 = time.time()
-    data = _load_json(args.input, "instance")
-    try:
-        inst = DBPInstance.from_json(data)
-    except BAD_FILE as exc:
-        print(f"bad instance file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    inst = _load(args.input, args.what, DBPInstance.from_json)
     if args.check:
-        try:
-            cert = Certificate.from_json(_load_json(args.check, "certificate"))
-        except BAD_FILE as exc:
-            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            print(f"bad certificate file: {what}", file=sys.stderr)
-            return EXIT_PARSE
-    try:
-        if args.check:
-            res = verify_certificate(inst, cert, seed=_seed())
-            print("PASS" if res.ok else f"FAIL: {res.diagnostic}")
-            return 0 if res.ok else EXIT_VERIFY
-        coords = barycentric_for_polytope(inst.P)
-        prob = build_hull_lp(inst, vertices=coords.vertices)
-    except (UnboundedInput, NotFullRank) as exc:
-        print(f"assumption violated: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        res = verify_certificate(inst, _load(args.check, "certificate", Certificate.from_json))
+        print("PASS" if res.ok else f"FAIL: {res.diagnostic}")
+        return 0 if res.ok else EXIT_VERIFY
+    coords = barycentric_for_polytope(inst.P)
+    prob = build_hull_lp(inst, vertices=coords.vertices)
     sol = lp_solve(prob)
     if sol.status != "optimal":
-        print(f"hull LP not optimal: {sol.status}", file=sys.stderr)
+        print(f"hull LP not optimal: {sol.status}")
         return EXIT_VERIFY
     cert = extract_certificate(inst, sol, coords, hull_problem=prob)
     payload = cert.to_json()
@@ -409,7 +375,7 @@ def cmd_certify(args) -> int:
         )
     print(f"delta = {rat_to_str(cert.delta)}")
     if args.verify:
-        res = verify_certificate(inst, cert, seed=_seed(), vertices=coords.vertices)
+        res = verify_certificate(inst, cert, vertices=coords.vertices)
         residual = res.residual
         print(f"identity residual: {'0' if residual.is_zero() else repr(residual)}")
         print("PASS" if res.ok else f"FAIL: {res.diagnostic}")
@@ -424,12 +390,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_fdr_check(args) -> int:
-    data = _load_json(args.input, "FDP")
-    try:
-        inst = FDPInstance.from_json(data)
-    except BAD_FILE as exc:
-        print(f"bad FDP file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    inst = _load(args.input, args.what, FDPInstance.from_json)
     if args.level is not None:
         _check_range(args.level, "--level", 1, inst.np)
     try:
@@ -437,9 +398,6 @@ def cmd_fdr_check(args) -> int:
     except FacesShareVertices as exc:
         print(f"FAIL assumption: {exc}")
         return 1
-    except InvalidFace as exc:
-        print(f"bad FDP file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     for i, block_sets in enumerate(sets):
         for j, E in enumerate(block_sets):
             print(f"block {i} face {j}: vertices {list(E)}")
@@ -465,21 +423,11 @@ def cmd_fdr_check(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    data = _load_json(args.input, "polytope")
-    try:
-        P = HPolyhedron.from_json(data)
-    except BAD_FILE as exc:
-        print(f"bad polytope file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    P = _load(args.input, args.what, HPolyhedron.from_json)
     order = _parse_order(args.order, P.m)
     samples = _parse_int(args.samples, "--samples", 0)
-    rng = random.Random(_seed())
     checks = []
-    try:
-        run = dd_run(P, order=order)
-    except EmptyInterior as exc:
-        print(f"empty interior: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
+    run = dd_run(P, order=order)
     st = run.final
     nv = P.n + 1
 
@@ -534,10 +482,7 @@ def cmd_verify_identities(args) -> int:
         checks.append(("vertex indicator", ok))
         # interior positivity at sampled points
         ok = True
-        for _ in range(samples):
-            ws = [Fraction(rng.randint(1, 40)) for _ in pts]
-            tot = sum(ws)
-            x = tuple(sum(w * p[j] for w, p in zip(ws, pts)) / tot for j in range(P.n))
+        for x in _interior_points(pts, P.n, samples):
             for f in lam:
                 try:
                     if f.eval((Fraction(1),) + x) <= 0:
@@ -574,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--prune", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_dd)
+    p.set_defaults(func=cmd_dd, what="polytope")
 
     p = sub.add_parser("solve", help="build and solve a relaxation")
     p.add_argument("input")
@@ -588,40 +533,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.add_argument("--approx", action="store_true",
                    help="append a decimal rendering to the value")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, what="instance")
 
     p = sub.add_parser("certify", help="extract / verify an optimality certificate")
     p.add_argument("input")
     p.add_argument("--out")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--check", help="verify an existing certificate file")
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(func=cmd_certify, what="instance")
 
     p = sub.add_parser("fdr-check", help="check facial-disjunctive assumptions")
     p.add_argument("input")
     p.add_argument("--level", type=int)
     p.add_argument("--brute", action="store_true")
-    p.set_defaults(func=cmd_fdr_check)
+    p.set_defaults(func=cmd_fdr_check, what="FDP")
 
     p = sub.add_parser("verify-identities", help="run the invariant suite on a polytope")
     p.add_argument("input")
     p.add_argument("--order")
     p.add_argument("--samples", default="20")
-    p.set_defaults(func=cmd_verify_identities)
+    p.set_defaults(func=cmd_verify_identities, what="polytope")
     return ap
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LevelTooLow as exc:
-        print(f"level too low: {exc}", file=sys.stderr)
-        return EXIT_LEVEL
-    except EmptyInterior as exc:
-        print(f"empty interior: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
+    except tuple(EXIT_FOR) as exc:
+        code, prefix = next(v for t, v in EXIT_FOR.items() if isinstance(exc, t))
+        print(prefix.format(what=args.what) + str(exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

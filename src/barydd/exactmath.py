@@ -511,25 +511,8 @@ class RatFun:
         return f"({self.num!r}) / ({self.den!r})"
 
 
-def rf_combine(lhs: RatFun, rhs: RatFun, op: str) -> RatFun:
-    """Combine two rational functions: op in {add, sub, mul, div}."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        return lhs / rhs
-    raise ValueError(f"unknown op {op!r}")
-
-
 def rf_equal(lhs: RatFun, rhs: RatFun) -> bool:
     """Semantic equality by cross-multiplication (no gcd needed)."""
     if lhs.nvars != rhs.nvars:
         return False
     return lhs.num * rhs.den == rhs.num * lhs.den
-
-
-def rf_eval(f: RatFun, point: Sequence) -> Rat:
-    return f.eval(point)

@@ -24,8 +24,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .exactmath import RatFun, rat_from_str, rat_to_str
 from .lp import LPProblem, lp_solve
 from .polyhedra import HPolyhedron, enumerate_vertices_oracle
-# sherali_adams_01 is the 0-1 comparison oracle of the substituted model
-from .relaxation import CouplingRow, barycentric_for_polytope, sherali_adams_01  # noqa: F401
+from .relaxation import CouplingRow, barycentric_for_polytope
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

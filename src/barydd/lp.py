@@ -36,9 +36,10 @@ in the row's own orientation:
   sum_i y[i] * a[i][v] = 0 for a free v, <= 0 for v with a lower bound
   sum_i y[i] * (rhs[i] - a[i].lb) > 0
 
-and a reported unboundedness with a ray d: d[v] >= 0 where v has a lower
-bound, a[i].d <= 0, >= 0 or = 0 by the sense of row i, and c.d < 0 for min
-(> 0 for max).
+and a reported unboundedness with a point x that satisfies every row and
+lower bound (the basic solution at which phase 2 stopped) and a ray d:
+d[v] >= 0 where v has a lower bound, a[i].d <= 0, >= 0 or = 0 by the sense
+of row i, and c.d < 0 for min (> 0 for max).
 
 lp_solve verifies every optimal, infeasible and unbounded result exactly
 against these conditions before it returns it; a failed check raises
@@ -386,10 +387,6 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland") -> LPSolution:
         cost2[col_of[(v, 1)]] += c
         if (v, -1) in col_of:
             cost2[col_of[(v, -1)]] -= c
-    # shift constant: objective over shifted var v' = v - lb adds c*lb
-    shift_const = sum(
-        Fraction(problem.objective.get(v, ZERO)) * shift[v] for v in shift
-    )
     status, enter, rc2, d2 = _kernel(tab, cost2, art0, pivot_rule)
     pivots = PivotCounts(phase1, drive_out, tab.pivots - phase1 - drive_out)
     if status == "unbounded":
@@ -403,31 +400,21 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland") -> LPSolution:
             if b < nstruct and enter in tab.T[i]:
                 bv, bsgn = cols[b]
                 direction[bv] -= Fraction(bsgn) * tab.value(i, enter)
-        sol = LPSolution(status="unbounded", ray=direction, pivots=pivots)
+        sol = LPSolution(
+            status="unbounded", primal=_basic_point(problem, tab, col_of, shift), ray=direction,
+            pivots=pivots,
+        )
         _verify_unbounded(problem, sol)
         return sol
 
-    # -- extract primal ------------------------------------------------------
-    xint = [ZERO] * ncols
-    for i in range(nrows):
-        xint[tab.basis[i]] = tab.value(i, ncols)
-    primal: Dict[str, Fraction] = {}
-    for v in problem.variables:
-        val = xint[col_of[(v, 1)]]
-        if (v, -1) in col_of:
-            val -= xint[col_of[(v, -1)]]
-        primal[v] = val + shift.get(v, ZERO)
-    internal_value = sum(cost2[j] * xint[j] for j in range(ncols))
-    value = internal_value + (shift_const if minimize else -shift_const) + (
-        problem.obj_const if minimize else -problem.obj_const
-    )
+    primal = _basic_point(problem, tab, col_of, shift)
+    value = sum((c * primal[v] for v, c in problem.objective.items()), ZERO) + problem.obj_const
     # duals from reduced costs under the unit columns (phase-2 costs are 0)
     dual = [-Fraction(rc2.get(unit[i], 0), d2) * sign[i] for i in range(nrows)]
     reduced: Dict[str, Fraction] = {
         v: Fraction(rc2.get(col_of[(v, 1)], 0), d2) for v in problem.variables
     }
     if not minimize:
-        value = -value
         dual = [-d for d in dual]
         reduced = {v: -r for v, r in reduced.items()}
 
@@ -447,6 +434,25 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland") -> LPSolution:
     return sol
 
 
+def _basic_point(
+    problem: LPProblem, tab: _Tableau, col_of: Dict[Tuple[str, int], int], shift: Dict[str, Fraction]
+) -> Dict[str, Fraction]:
+    """Each variable's value at the tableau's basic solution: its internal
+    columns combined, its lower bound added back."""
+    xint: Dict[int, Fraction] = {b: tab.value(i, tab.ncols) for i, b in enumerate(tab.basis)}
+    primal: Dict[str, Fraction] = {}
+    for v in problem.variables:
+        val = xint.get(col_of[(v, 1)], ZERO)
+        if (v, -1) in col_of:
+            val -= xint.get(col_of[(v, -1)], ZERO)
+        primal[v] = val + shift.get(v, ZERO)
+    return primal
+
+
+def _in_sense(lhs: Fraction, sense: str, rhs: Fraction) -> bool:
+    return lhs <= rhs if sense == "<=" else lhs >= rhs if sense == ">=" else lhs == rhs
+
+
 def _verify_optimal(problem: LPProblem, sol: LPSolution):
     """Exact primal feasibility, dual signs, complementary slackness, the
     dual identity per variable and strong duality.  Raises
@@ -456,15 +462,9 @@ def _verify_optimal(problem: LPProblem, sol: LPSolution):
     dual_value = ZERO
     for row, y in zip(problem.rows, sol.dual):
         lhs = sum((c * sol.primal[v] for v, c in row.coeffs.items()), ZERO)
-        if row.sense == "<=":
-            ok, dual_ok = lhs <= row.rhs, sgn * y <= 0
-        elif row.sense == ">=":
-            ok, dual_ok = lhs >= row.rhs, sgn * y >= 0
-        else:
-            ok, dual_ok = lhs == row.rhs, True
-        if not ok:
+        if not _in_sense(lhs, row.sense, row.rhs):
             raise LPVerificationError(f"primal infeasible on row {row.name!r}")
-        if not dual_ok:
+        if row.sense != "=" and not _in_sense(sgn * y, row.sense, ZERO):
             raise LPVerificationError(f"dual sign on {row.sense} row {row.name!r}")
         if y:
             if lhs != row.rhs:
@@ -524,17 +524,24 @@ def _verify_infeasible(problem: LPProblem, sol: LPSolution):
 
 
 def _verify_unbounded(problem: LPProblem, sol: LPSolution):
-    """The ray d = sol.ray is a recession direction that improves the
-    objective: d_v >= 0 for each variable with a lower bound, a_i.d <= 0 on
-    '<=' rows, >= 0 on '>=' rows and = 0 on '=' rows, and c.d < 0 for min
-    (> 0 for max).  Raises LPVerificationError on the first violation."""
-    d = sol.ray
+    """The point x = sol.primal is feasible and the ray d = sol.ray is a
+    recession direction that improves the objective: x_v >= lb_v and d_v >=
+    0 for each variable with a lower bound, a_i.x <= b_i and a_i.d <= 0 on
+    '<=' rows, >= on '>=' rows and = on '=' rows, and c.d < 0 for min (> 0
+    for max).  So the LP is feasible and its objective has no bound.
+    Raises LPVerificationError on the first violation."""
+    x, d = sol.primal, sol.ray
     for v in problem.variables:
-        if problem.lb.get(v) is not None and d[v] < 0:
-            raise LPVerificationError(f"ray negative on bounded var {v}")
+        lo = problem.lb.get(v)
+        if lo is not None:
+            if x[v] < lo:
+                raise LPVerificationError(f"point below the lower bound of {v}")
+            if d[v] < 0:
+                raise LPVerificationError(f"ray negative on bounded var {v}")
     for row in problem.rows:
-        ad = sum((c * d[v] for v, c in row.coeffs.items()), ZERO)
-        if ad > 0 if row.sense == "<=" else ad < 0 if row.sense == ">=" else ad != 0:
+        if not _in_sense(sum((c * x[v] for v, c in row.coeffs.items()), ZERO), row.sense, row.rhs):
+            raise LPVerificationError(f"point violates {row.sense} row {row.name!r}")
+        if not _in_sense(sum((c * d[v] for v, c in row.coeffs.items()), ZERO), row.sense, ZERO):
             raise LPVerificationError(f"ray leaves {row.sense} row {row.name!r}")
     sgn = 1 if problem.sense == "min" else -1
     if sgn * sum((c * d[v] for v, c in problem.objective.items()), ZERO) >= 0:

@@ -15,7 +15,7 @@ from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exactmath import Poly, Rat, RatFun, rat_from_str, rat_to_str
+from .exactmath import Poly, RatFun, rat_from_str, rat_to_str
 from .lp import LPProblem, LPVerificationError, lp_solve
 
 

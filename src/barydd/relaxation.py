@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dd_engine import DDRun, cpr_numerator, dd_run
+from .dd_engine import DDRun, dd_run
 from .exactmath import Poly, RatFun, rat_from_str, rat_to_str
 from .lp import LPProblem, LPSolution, LPVerificationError, lp_solve
 from .polyhedra import (
@@ -34,9 +34,12 @@ class LevelTooLow(ValueError):
     def __init__(self, k: int, kbar: Optional[int], what: str):
         self.k = k
         self.kbar = kbar
-        super().__init__(
-            f"level {k} too low: {what}; minimum usable level kbar = {kbar}"
+        usable = (
+            f"minimum usable level kbar = {kbar}"
+            if kbar is not None
+            else "no step of the order empties the lineality space"
         )
+        super().__init__(f"level {k} too low: {what}; {usable}")
 
 
 class NotBox(ValueError):

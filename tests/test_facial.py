@@ -21,10 +21,10 @@ from barydd.facial import (
     build_fdr_level,
     check_vertex_disjoint,
     face_vertex_sets,
-    sherali_adams_01,
     substitute_indicators,
 )
 from barydd.lp import lp_solve
+from barydd.relaxation import sherali_adams_01
 from reference_builders import (
     assert_same_lp,
     reference_brute_force_fdp,

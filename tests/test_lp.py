@@ -604,6 +604,32 @@ class TestUnboundedCheck:
         with pytest.raises(LPVerificationError, match=match):
             _verify_unbounded(p, dataclasses.replace(sol, ray=tampered))
 
+    @pytest.mark.parametrize(
+        "point, match",
+        [
+            ((-1, 0, 0), "point below the lower bound of x"),
+            ((0, 6, -6), "point violates <= row 'capy'"),
+            ((0, 5, -6), "point violates >= row 'floorz'"),
+            ((0, 1, 0), "point violates = row 'tie'"),
+        ],
+        ids=["bound", "le", "ge", "eq"],
+    )
+    def test_rejects_tampered_point(self, point, match):
+        p, sol = self.solved()
+        tampered = dict(zip(["x", "y", "z"], map(F, point)))
+        with pytest.raises(LPVerificationError, match=match):
+            _verify_unbounded(p, dataclasses.replace(sol, primal=tampered))
+
+    def test_point_check_survives_optimize_flag(self):
+        code = (
+            "from fractions import Fraction as F\n"
+            "from barydd.lp import LPProblem, LPVerificationError, lp_solve, _verify_unbounded\n"
+            "p = LPProblem(); p.add_var('x', lb=F(0), obj=F(-1)); p.add_row({'x': F(1)}, '>=', F(2))\n"
+            "s = lp_solve(p); print(s.status, s.primal['x']); s.primal['x'] = F(1)\n"
+            "try:\n    _verify_unbounded(p, s)\nexcept LPVerificationError:\n    print('raised')\n"
+        )
+        assert run_optimized(code).split() == ["unbounded", "2", "raised"]
+
     def test_checks_survive_optimize_flag(self):
         code = (
             "from fractions import Fraction as F\n"

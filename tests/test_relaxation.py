@@ -707,6 +707,38 @@ class TestCliBadInput:
         out = capsys.readouterr()
         assert out.out == "" and "kbar = 2" in out.err
 
+    @pytest.mark.parametrize(
+        "args", [["--order", "3", "--level", "1"], ["--order", "3"]], ids=["level_1", "default_level"]
+    )
+    def test_ddr_order_never_empties_lineality(self, args, dbp_62, tmp_path, capsys):
+        # without --level the level is the order's length, 1 here
+        inp = self.write(tmp_path, dbp_62)
+        assert exit_code(["solve", inp, "--method", "ddr"] + args) == cli.EXIT_LEVEL
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1
+        assert out.err.startswith("level too low: level 1 too low: ")
+        assert out.err.endswith("; no step of the order empties the lineality space\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--method", "rltbox"], ["solve", "--method", "fdr"], ["fdr-check"]],
+        ids=["rltbox", "fdr", "fdr_check"],
+    )
+    def test_rank_deficient_polytope(self, argv, tmp_path, capsys):
+        # 0 <= x1 <= 1 in R^2 has no two linearly independent rows
+        slab = HPolyhedron.make([[1, 0], [-1, 0]], [1, 0])
+        if "rltbox" in argv:
+            inst = DBPInstance.make(Q=[[1, 0], [0, 1]], P=slab, Py=box_polytope(2))
+        else:
+            inst = FDPInstance(
+                blocks=[FDPBlock(slab, [Face.from_cut(0, [-1, 0]), Face.from_cut(1, [1, 0])])],
+                coupling=[CouplingRow((F(1), F(0)), (F(1),), "<=", F(1))],
+                obj_x=(F(1), F(0)), obj_y=(F(1),), obj_const=F(0), ny=1,
+            )
+        inp = self.write(tmp_path, inst)
+        assert exit_code(argv[:1] + [inp] + argv[1:]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, "assumption violated: ")
+
     @pytest.mark.parametrize("level", ["0", "3"])
     def test_rltbox_rejects_level(self, level, tmp_path, capsys):
         inp = self.write(tmp_path, box2_bilinear())
@@ -882,6 +914,16 @@ class TestCliBadInput:
         assert exit_code(["certify", inp, "--check", str(cert)]) == cli.EXIT_VERIFY
         assert capsys.readouterr().out == "FAIL: P has no vertex\n"
 
+    def test_hull_lp_not_optimal(self, tmp_path, capsys):
+        # an empty Py leaves the hull LP infeasible; like a failed check, the
+        # verdict goes to stdout
+        empty = HPolyhedron.make([[1, 0], [-1, 0], [0, 1], [0, -1]], [-1, 0, 1, 0])
+        inst = DBPInstance.make(Q=[[1, 0], [0, 1]], P=box_polytope(2), Py=empty)
+        inp = self.write(tmp_path, inst)
+        assert exit_code(["certify", inp]) == cli.EXIT_VERIFY
+        out = capsys.readouterr()
+        assert out.out == "hull LP not optimal: infeasible\n" and out.err == ""
+
     @pytest.mark.parametrize("which", ["P", "Py"])
     @pytest.mark.parametrize(
         "argv", [["certify"], ["solve", "--method", "hull"]], ids=["certify", "hull"]
@@ -940,6 +982,18 @@ class TestCliBadInput:
         inp.write_text(json.dumps(top))
         assert exit_code(argv[:1] + [str(inp)] + argv[1:]) == cli.EXIT_PARSE
         self.assert_one_line_error(capsys, start)
+
+    @pytest.mark.parametrize(
+        "content, start",
+        [(None, "cannot read "), (b"\xff{}", "cannot read "), (b"{", "parse error in ")],
+        ids=["missing", "not_utf8", "not_json"],
+    )
+    def test_unreadable_input(self, content, start, tmp_path, capsys):
+        inp = tmp_path / "P.json"
+        if content is not None:
+            inp.write_bytes(content)
+        assert exit_code(["dd", str(inp)]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, start + str(inp))
 
     def test_certificate_not_an_object(self, dbp_62, tmp_path, capsys):
         inp = self.write(tmp_path, dbp_62)
