@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import Poly, rat_from_str, rat_to_str
 from .lp import LPProblem, LPSolution, lp_solve
-from .relaxation import BarycentricCoords, DBPInstance, build_hull_lp
+from .relaxation import BarycentricCoords, DBPInstance
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -313,19 +313,17 @@ def extract_certificate(
     inst: DBPInstance,
     hull: LPSolution,
     coords: BarycentricCoords,
-    hull_problem: Optional[LPProblem] = None,
+    hull_problem: LPProblem,
 ) -> Certificate:
-    """Closed-form certificate from the hull LP duals and the symbolic
-    coordinates.  The coordinate columns must follow the same vertex order as
-    the hull LP columns (the canonical oracle order).  Each z * lambda_i is
-    factored into constraint products at most once, however many duals
-    weight it."""
+    """Closed-form certificate from ``hull``, the optimal solution of
+    ``hull_problem``, the hull LP, and the symbolic coordinates: the dual
+    values give the weights.  The coordinate columns must follow the same
+    vertex order as the hull LP columns (the canonical oracle order).  Each
+    z * lambda_i is factored into constraint products at most once, however
+    many duals weight it."""
     if hull.status != "optimal":
         raise ValueError("hull LP must be optimal")
-    verts = coords.vertices
-    if hull_problem is None:
-        hull_problem = build_hull_lp(inst, vertices=verts)
-    p = len(verts)
+    p = len(coords.vertices)
     if f"lam{p-1}" not in hull.primal or f"lam{p}" in hull.primal:
         raise OrderMismatch("hull LP columns do not match coordinate columns")
     delta, S, gamma = _hull_duals(hull, hull_problem, p)
@@ -385,18 +383,18 @@ def _misfit(inst: DBPInstance, cert: Certificate) -> str:
 def verify_certificate(
     inst: DBPInstance,
     cert: Certificate,
-    seed: int = 20240801,
     vertices: Optional[Sequence[tuple]] = None,
 ) -> VerifyResult:
     """True iff the certificate fits the instance (its variable counts, and
     every row index names a row of P or Py), and then (a) all weights are
     non-negative, (b) the polynomial identity z(x)(obj - delta) = q(x,y)
     holds exactly, and (c) z is positive at the vertex average and 20
-    random interior rational points.  The result carries the identity's
-    residual, computed before checks (a)-(c); a certificate that does not
-    fit has none.  vertices is P's vertex list in the oracle's order, when
-    the caller already holds it (``BarycentricCoords.vertices``); without
-    it the vertex oracle runs."""
+    random interior rational points, the same on every call
+    (``_interior_points`` with its default seed).  The result carries the
+    identity's residual, computed before checks (a)-(c); a certificate that
+    does not fit has none.  vertices is P's vertex list in the oracle's
+    order, when the caller already holds it
+    (``BarycentricCoords.vertices``); without it the vertex oracle runs."""
     misfit = _misfit(inst, cert)
     if misfit:
         return VerifyResult(False, misfit)
@@ -423,7 +421,7 @@ def verify_certificate(
 
     if z_at(center) <= 0:
         return VerifyResult(False, "z not positive at the vertex average", residual)
-    for pt in _interior_points(vertices, inst.P.n, 20, seed=seed):
+    for pt in _interior_points(vertices, inst.P.n, 20):
         if z_at(pt) <= 0:
             return VerifyResult(False, f"z not positive at an interior sample", residual)
     return VerifyResult(True, "", residual)

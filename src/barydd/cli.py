@@ -230,8 +230,28 @@ def _manifest(command: str, input_path: str, options: dict, artifacts: List[str]
 def _maybe_approx(value: Fraction, approx: bool) -> str:
     s = rat_to_str(value)
     if approx and value.denominator != 1:
-        s += f" (~{float(value):.9g})"
+        s += f" (~{_approx(value)})"
     return s
+
+
+def _approx(value: Fraction) -> str:
+    """The nonzero value to 9 significant digits, rounded half to even and
+    printed as ``format(x, ".9g")`` prints a float x.  It is worked out in
+    integers, so a value beyond the range of a float prints too."""
+    x = abs(value)
+    e = len(str(x.numerator)) - len(str(x.denominator))
+    if x < Fraction(10) ** e:
+        e -= 1  # now 10**e <= x < 10**(e + 1)
+    digits = round(x / Fraction(10) ** (e - 8))
+    if digits == 10**9:
+        digits, e = 10**8, e + 1
+    s, sign = str(digits), "-" if value < 0 else ""
+    if -4 <= e < 9:  # fixed point, where %g chooses it
+        s = "0" * -e + s if e < 0 else s
+        whole, frac = s[: max(e, 0) + 1], s[max(e, 0) + 1 :].rstrip("0")
+        return sign + whole + ("." + frac if frac else "")
+    frac = s[1:].rstrip("0")
+    return f"{sign}{s[0]}{'.' + frac if frac else ''}e{e:+03d}"
 
 
 # --------------------------------------------------------------------------

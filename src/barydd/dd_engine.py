@@ -854,7 +854,6 @@ def _step_ray(state, row, beta):
 
 @dataclass
 class DDRun:
-    P: Optional[HPolyhedron]
     cone: HomCone
     order: Tuple[int, ...]  # all rows processed, init-consumed first
     states: List[DDState]  # the state after each step, pruned when prune is on
@@ -871,7 +870,7 @@ class DDRun:
 
 
 def dd_run(
-    P,
+    P: HPolyhedron,
     order: Optional[Sequence[int]] = None,
     prune: bool = False,
     init: str = "default",
@@ -880,7 +879,7 @@ def dd_run(
 ) -> DDRun:
     """Run the algorithm over the given row order (0-based indices).
 
-    P may be an HPolyhedron (homogenized here) or a HomCone.  With phase1
+    P is an HPolyhedron; the run works on its homogenization.  With phase1
     init, rows not orthogonal to the lineality space are pulled forward out
     of the order; the remaining rows are processed in the order given.
     The run keeps one state per step; with prune, that is the pruned state
@@ -888,12 +887,7 @@ def dd_run(
     the run ends at the first kept state, the initial one included, for
     which stop(state) is true; the rows after it are not processed.
     """
-    if isinstance(P, HPolyhedron):
-        cone = homogenize(P)
-        poly = P
-    else:
-        cone = P
-        poly = None
+    cone = homogenize(P)
     state, init_entries, remaining = dd_init(cone, init, order, varrho)
     states = [state]
     entries = list(init_entries)
@@ -904,7 +898,6 @@ def dd_run(
         entries.append(entry)
         states.append(prune_redundant(raw) if prune else raw)
     return DDRun(
-        P=poly,
         cone=cone,
         order=states[0].processed + tuple(remaining[: len(states) - 1]),
         states=states,

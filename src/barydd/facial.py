@@ -423,7 +423,6 @@ class Indicator:
     s: tuple
     eta: RatFun  # over (x0, all block coordinates)
     vertex_sets: List[Tuple[int, ...]]  # E_i(s_i) for i in S
-    lambdas: Dict[int, List[RatFun]]  # block -> per-vertex coordinates
 
 
 def _block_coords(inst: FDPInstance, i: int):
@@ -444,18 +443,16 @@ def barycentric_indicator(inst: FDPInstance, S: Sequence[int], s: Sequence[int])
     s = tuple(s)
     nv = inst.n + 1
     eta = RatFun.const(nv, 1)
-    lambdas: Dict[int, List[RatFun]] = {}
     vertex_sets = []
     for ip, face_j in zip(S, s):
         _, lams = _block_coords(inst, ip)
-        lambdas[ip] = lams
         E = Es[ip][face_j]
         vertex_sets.append(E)
         part = RatFun.const(nv, 0)
         for r in E:
             part = part + lams[r]
         eta = eta * part
-    return Indicator(S=S, s=s, eta=eta, vertex_sets=vertex_sets, lambdas=lambdas)
+    return Indicator(S=S, s=s, eta=eta, vertex_sets=vertex_sets)
 
 
 def substitute_indicators(inst: FDPInstance, k: int) -> LPProblem:

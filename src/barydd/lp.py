@@ -1,7 +1,7 @@
 """Exact-rational two-phase simplex with primal, dual and Farkas certificates.
 
-There is no floating point anywhere.  Bland's rule is the default pivot rule
-(termination guarantee), with Dantzig-plus-Bland fallback as an option.
+There is no floating point anywhere.  The pivot rule is Bland's, which
+guarantees termination.
 Phase 1 starts from a slack crash basis (Bixby 1992): each row is negated
 where needed so that its right-hand side is >= 0, and a row whose slack then
 has coefficient +1 starts with that slack basic; only the other rows ('='
@@ -122,8 +122,6 @@ class LPSolution:
     primal: Dict[str, Fraction] = field(default_factory=dict)
     dual: List[Fraction] = field(default_factory=list)
     reduced: Dict[str, Fraction] = field(default_factory=dict)
-    basis_rows: List[int] = field(default_factory=list)
-    basis_vars: List[str] = field(default_factory=list)
     farkas: Optional[List[Fraction]] = None
     ray: Optional[Dict[str, Fraction]] = None
     # how the answer was reached, not part of it
@@ -238,9 +236,10 @@ def _reduced_costs(tab: _Tableau, cost: List[Fraction]) -> Tuple[Dict[int, int],
 
 
 def _kernel(
-    tab: _Tableau, cost: List[Fraction], ncand: int, pivot_rule: str
+    tab: _Tableau, cost: List[Fraction], ncand: int
 ) -> Tuple[str, Optional[int], Dict[int, int], int]:
-    """Run primal simplex to optimality over entering columns ``0..ncand-1``.
+    """Run primal simplex under Bland's rule to optimality over entering
+    columns ``0..ncand-1``.
     Returns ``('optimal', None, rc, d)`` or ``('unbounded', entering, rc,
     d)``, where ``rc / d`` is the reduced-cost row at that point.  The
     reduced-cost row is eliminated against each pivot row like a tableau
@@ -248,16 +247,9 @@ def _kernel(
     T = tab.T
     basis = tab.basis
     rhs = tab.ncols
-    degenerate_streak = 0
-    use_bland = pivot_rule == "bland"
     rc, d = _reduced_costs(tab, cost)
     while True:
-        if use_bland:
-            entering = min((j for j, x in rc.items() if x < 0 and j < ncand), default=-1)
-        else:
-            # most negative; ties to the lowest column
-            best = min(((x, j) for j, x in rc.items() if x < 0 and j < ncand), default=None)
-            entering = -1 if best is None else best[1]
+        entering = min((j for j, x in rc.items() if x < 0 and j < ncand), default=-1)
         if entering < 0:
             return "optimal", None, rc, d
         # ratio test on rhs_i / a_i: the row denominators cancel, so compare
@@ -276,17 +268,11 @@ def _kernel(
                         leave, best_b, best_a = i, b, a
         if leave < 0:
             return "unbounded", entering, rc, d
-        if best_b == 0:
-            degenerate_streak += 1
-            if not use_bland and degenerate_streak > 30:
-                use_bland = True  # anti-cycling fallback
-        else:
-            degenerate_streak = 0
         tab.pivot(leave, entering)
         rc, d = _eliminate(rc, d, rc[entering], T[leave], tab.D[leave])
 
 
-def lp_solve(problem: LPProblem, pivot_rule: str = "bland") -> LPSolution:
+def lp_solve(problem: LPProblem) -> LPSolution:
     """Exact optimum with exact duals, or an exact Farkas vector for an
     infeasible LP, or an exact improving ray for an unbounded one.  Never
     raises for those outcomes; the status field encodes them.  Each result
@@ -356,7 +342,7 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland") -> LPSolution:
     cost1 = [ZERO] * ncols
     for j in range(art0, ncols):
         cost1[j] = ONE
-    status, _, rc1, d1 = _kernel(tab, cost1, ncols, pivot_rule)
+    status, _, rc1, d1 = _kernel(tab, cost1, ncols)
     if status != "optimal":
         raise LPVerificationError(f"phase 1 ended {status}, not optimal")
     phase1 = tab.pivots
@@ -387,7 +373,7 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland") -> LPSolution:
         cost2[col_of[(v, 1)]] += c
         if (v, -1) in col_of:
             cost2[col_of[(v, -1)]] -= c
-    status, enter, rc2, d2 = _kernel(tab, cost2, art0, pivot_rule)
+    status, enter, rc2, d2 = _kernel(tab, cost2, art0)
     pivots = PivotCounts(phase1, drive_out, tab.pivots - phase1 - drive_out)
     if status == "unbounded":
         # the same direction certifies -infinity for min and +infinity for max
@@ -419,16 +405,7 @@ def lp_solve(problem: LPProblem, pivot_rule: str = "bland") -> LPSolution:
         reduced = {v: -r for v, r in reduced.items()}
 
     sol = LPSolution(
-        status="optimal",
-        value=value,
-        primal=primal,
-        dual=dual,
-        reduced=reduced,
-        basis_rows=list(range(nrows)),
-        basis_vars=[
-            cols[b][0] if b < nstruct else f"_slack{b}" for b in tab.basis
-        ],
-        pivots=pivots,
+        status="optimal", value=value, primal=primal, dual=dual, reduced=reduced, pivots=pivots
     )
     _verify_optimal(problem, sol)
     return sol

@@ -73,13 +73,6 @@ class HPolyhedron:
             for rhs, coeffs in self.int_rows
         )
 
-    def row_expr(self, i: int, hom: bool = True) -> Poly:
-        """Constraint expression b_i*x0 - A_i.x (>= 0 on the cone); with
-        hom=False the dehomogenized form b_i - A_i.x over (x0,x) with x0 unused."""
-        coeffs = [self.b[i] if hom else Fraction(0)] + [-a for a in self.A[i]]
-        p = Poly.affine(self.n + 1, Fraction(0) if hom else self.b[i], coeffs)
-        return p
-
     def to_json(self) -> dict:
         return {
             "variables": list(self.var_names),

@@ -1,5 +1,5 @@
 """Relaxation builders: convex-hull LP, level-k DD hierarchies, the linear
-subset of the algebraic hierarchy, RLT baselines, and envelope evaluation.
+subset of the algebraic hierarchy, and RLT baselines.
 
 All models are exact-rational LPs solved by the embedded simplex.  Row tags
 carry provenance so duals map back to the constraints they came from.
@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dd_engine import DDRun, dd_run
 from .exactmath import Poly, RatFun, rat_from_str, rat_to_str
-from .lp import LPProblem, LPSolution, LPVerificationError, lp_solve
+from .lp import LPProblem, LPSolution, lp_solve
 from .polyhedra import (
     HPolyhedron,
     dehomogenize_columns,
@@ -44,10 +44,6 @@ class LevelTooLow(ValueError):
 
 class NotBox(ValueError):
     """Box RLT flavor requires P = [0,1]^n."""
-
-
-class InfeasiblePoint(ValueError):
-    """Queried point lies outside the polytope."""
 
 
 # --------------------------------------------------------------------------
@@ -205,14 +201,17 @@ class BarycentricCoords:
     state: object  # pruned DDState
 
 
-def barycentric_for_polytope(
-    P: HPolyhedron, order: Optional[Sequence[int]] = None, prune: bool = True
-) -> BarycentricCoords:
+def barycentric_for_polytope(P: HPolyhedron) -> BarycentricCoords:
+    """Symbolic barycentric coordinates of the polytope P: one DD run in
+    the default row order, its final state pruned, the columns
+    dehomogenized and put in the vertex oracle's order.  Raises
+    UnboundedInput when P has a recession ray or the columns do not match
+    the oracle's vertices."""
     from .dd_engine import prune_redundant
     from .polyhedra import dehomogenize
 
-    run = dd_run(P, order=order)
-    state = prune_redundant(run.final) if prune else run.final
+    run = dd_run(P)
+    state = prune_redundant(run.final)
     if any(col[0] == 0 for col in state.R):
         raise UnboundedInput("polytope has a recession ray; cannot dehomogenize")
     V, lam = dehomogenize(state.R, list(state.mu))
@@ -233,7 +232,7 @@ def barycentric_for_polytope(
 
 
 # --------------------------------------------------------------------------
-# hull LP and envelope
+# hull LP
 # --------------------------------------------------------------------------
 
 
@@ -249,27 +248,6 @@ def build_hull_lp(
         raise UnboundedInput("hull LP needs bounded P and Py")
     V = list(vertices) if vertices is not None else enumerate_vertices_oracle(inst.P)
     return _vertex_form_lp(dbp_as_ac(inst), [(ONE,) + tuple(v) for v in V], name="hull")
-
-
-def envelope_eval(inst: DBPInstance, xbar: Sequence, ybar: Sequence) -> Fraction:
-    """Convex envelope of the objective over P x Py at (xbar, ybar): the hull
-    LP with x fixed and sum_i Y_:,i fixed."""
-    xbar = [Fraction(v) for v in xbar]
-    ybar = [Fraction(v) for v in ybar]
-    if not inst.P.contains(xbar):
-        raise InfeasiblePoint(f"x not in P")
-    if not inst.Py.contains(ybar):
-        raise InfeasiblePoint(f"y not in Py")
-    prob = build_hull_lp(inst)
-    for j in range(inst.n):
-        prob.add_row({f"x{j}": ONE}, "=", xbar[j], name=f"fix_x{j}")
-    for l in range(inst.ny):
-        prob.add_row({f"y{l}": ONE}, "=", ybar[l], name=f"fix_y{l}")
-    sol = lp_solve(prob)
-    if sol.status != "optimal":
-        # x and y lie in the bounded P and Py, so the LP has an optimum
-        raise LPVerificationError(f"envelope LP at a point of P x Py is {sol.status}")
-    return sol.value
 
 
 # --------------------------------------------------------------------------
@@ -911,10 +889,10 @@ def _rlt_box(inst: DBPInstance, k: int) -> LPProblem:
 # --------------------------------------------------------------------------
 
 
-def solve_and_report(problem, pivot_rule: str = "bland") -> dict:
+def solve_and_report(problem) -> dict:
     """Exact solve with a provenance-tagged report."""
     prob = problem.problem if isinstance(problem, RelaxModel) else problem
-    return solution_report(prob, lp_solve(prob, pivot_rule=pivot_rule))
+    return solution_report(prob, lp_solve(prob))
 
 
 def solution_report(prob: LPProblem, sol: LPSolution) -> dict:

@@ -10,7 +10,9 @@ from typing import Dict, List, Sequence, Tuple
 from barydd import linalg
 from barydd.linalg import Matrix
 from barydd.exactmath import Poly, RatFun
+from barydd.lp import LPVerificationError, lp_solve
 from barydd.polyhedra import HPolyhedron, enumerate_vertices_oracle
+from barydd.relaxation import DBPInstance, build_hull_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -270,3 +272,28 @@ def expanded_monomials_brute(n: int, q: int, k: int) -> int:
                         f = f * g
                 monos.update(f.terms.keys())
     return len(monos)
+
+
+class InfeasiblePoint(ValueError):
+    """Queried point lies outside the polytope."""
+
+
+def envelope_eval(inst: DBPInstance, xbar: Sequence, ybar: Sequence) -> Fraction:
+    """Convex envelope of the objective over P x Py at (xbar, ybar): the hull
+    LP with x fixed and sum_i Y_:,i fixed."""
+    xbar = [Fraction(v) for v in xbar]
+    ybar = [Fraction(v) for v in ybar]
+    if not inst.P.contains(xbar):
+        raise InfeasiblePoint(f"x not in P")
+    if not inst.Py.contains(ybar):
+        raise InfeasiblePoint(f"y not in Py")
+    prob = build_hull_lp(inst)
+    for j in range(inst.n):
+        prob.add_row({f"x{j}": ONE}, "=", xbar[j], name=f"fix_x{j}")
+    for l in range(inst.ny):
+        prob.add_row({f"y{l}": ONE}, "=", ybar[l], name=f"fix_y{l}")
+    sol = lp_solve(prob)
+    if sol.status != "optimal":
+        # x and y lie in the bounded P and Py, so the LP has an optimum
+        raise LPVerificationError(f"envelope LP at a point of P x Py is {sol.status}")
+    return sol.value

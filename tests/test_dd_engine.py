@@ -132,7 +132,7 @@ class TestGolden53:
         V, lam = dehomogenize(st.R, list(st.mu))
         return {tuple(c[1:]): f for c, f in zip(V, lam)}
 
-    def test_raw_columns(self, run53):
+    def test_raw_columns(self, run53, poly_53):
         V, _ = run53.dehomogenized()
         pts = sorted(tuple(c[1:]) for c in V)
         redundant = [
@@ -141,7 +141,7 @@ class TestGolden53:
             (F(1), F(2, 5), F(13, 5)),
             (F(1), F(9, 13), F(30, 13)),
         ]
-        oracle = enumerate_vertices_oracle(run53.P)
+        oracle = enumerate_vertices_oracle(poly_53)
         assert pts == sorted(oracle + redundant)
 
     def test_prune_drops_exactly_the_four(self, run53, poly_53):

@@ -288,8 +288,8 @@ class TestSubstitution:
         inst = zero_one_instance(3, rng)
         bf = brute_force_fdp(inst)
         for k in (1, 2, 3):
-            fdr = lp_solve(build_fdr_level(inst, k), pivot_rule="dantzig").value
-            sub = lp_solve(substitute_indicators(inst, k), pivot_rule="dantzig").value
+            fdr = lp_solve(build_fdr_level(inst, k)).value
+            sub = lp_solve(substitute_indicators(inst, k)).value
             assert fdr <= sub <= bf
 
     def test_mixed_blocks_exact_at_top(self):

@@ -255,7 +255,8 @@ class TestSlackStart:
 
 class TestTermination:
     def test_beale_cycling_instance(self):
-        # classic instance that cycles under naive most-negative pivoting
+        # classic instance that cycles under naive most-negative pivoting;
+        # Bland's rule terminates on it
         p = LPProblem(sense="min")
         p.add_var("x1", lb=F(0), obj=F(-3, 4))
         p.add_var("x2", lb=F(0), obj=F(150))
@@ -264,10 +265,9 @@ class TestTermination:
         p.add_row({"x1": F(1, 4), "x2": F(-60), "x3": F(-1, 25), "x4": F(9)}, "<=", F(0))
         p.add_row({"x1": F(1, 2), "x2": F(-90), "x3": F(-1, 50), "x4": F(3)}, "<=", F(0))
         p.add_row({"x3": F(1)}, "<=", F(1))
-        for rule in ("bland", "dantzig"):
-            sol = lp_solve(p, pivot_rule=rule)
-            assert sol.status == "optimal"
-            assert sol.value == F(-1, 20)
+        sol = lp_solve(p)
+        assert sol.status == "optimal"
+        assert sol.value == F(-1, 20)
 
 
 def random_lp(rng):
@@ -368,25 +368,17 @@ def dense_pivot(T, basis, r, c):
     basis[r] = c
 
 
-def dense_simplex(T, basis, cost, rule):
+def dense_simplex(T, basis, cost):
     """Reference primal simplex on a dense Fraction tableau, over every
     column: reduced costs recomputed from scratch before each pivot, the
-    solver's pricing (Bland, or Dantzig with strict < in ascending column
-    order and the Bland fallback) and its ratio test on Fraction ratios.
+    solver's pricing (Bland's rule) and its ratio test on Fraction ratios.
     Returns (status, entering column when unbounded, pivots, reduced costs)."""
     T, basis = [list(row) for row in T], list(basis)
     ncols = len(T[0]) - 1
-    use_bland, streak, path = rule == "bland", 0, []
+    path = []
     while True:
         rc = [cost[j] - sum(cost[basis[i]] * T[i][j] for i in range(len(T))) for j in range(ncols)]
-        entering, best = -1, 0
-        for j in range(ncols):
-            if rc[j] < 0:
-                if use_bland:
-                    entering = j
-                    break
-                if rc[j] < best:
-                    best, entering = rc[j], j
+        entering = next((j for j in range(ncols) if rc[j] < 0), -1)
         if entering < 0:
             return "optimal", None, path, rc
         leave, best_ratio = -1, None
@@ -399,9 +391,6 @@ def dense_simplex(T, basis, cost, rule):
                     best_ratio, leave = ratio, i
         if leave < 0:
             return "unbounded", entering, path, rc
-        streak = streak + 1 if best_ratio == 0 else 0
-        if streak > 30:
-            use_bland = True
         dense_pivot(T, basis, leave, entering)
         path.append((leave, entering))
 
@@ -464,8 +453,7 @@ class TestSparsePivot:
                     break
                 tab.pivot(*rng.choice(cands))
 
-    @pytest.mark.parametrize("rule", ["bland", "dantzig"])
-    def test_kernel_follows_dense_path(self, rule):
+    def test_kernel_follows_dense_path(self):
         # feasible start (rhs >= 0), costs on every column, non-negative on
         # the starting basis: the fraction-free kernel takes the reference
         # simplex's pivots (about 220 over the 120 LPs) and ends with its
@@ -481,8 +469,8 @@ class TestSparsePivot:
             cost = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nstruct)]
             cost += [F(rng.randint(0, 6)) for _ in range(nrows)]
             tab = CheckedTableau(rows, basis)
-            status, enter, rc, d = _kernel(tab, cost, ncols, rule)
-            ref_status, ref_enter, ref_path, ref_rc = dense_simplex(rows, basis, cost, rule)
+            status, enter, rc, d = _kernel(tab, cost, ncols)
+            ref_status, ref_enter, ref_path, ref_rc = dense_simplex(rows, basis, cost)
             assert (status, enter, tab.path) == (ref_status, ref_enter, ref_path)
             assert [F(rc.get(j, 0), d) for j in range(ncols)] == ref_rc
             seen[status] += 1

@@ -17,7 +17,6 @@ from barydd.relaxation import (
     ACInstance,
     DBPInstance,
     GFun,
-    InfeasiblePoint,
     LevelRun,
     LevelTooLow,
     NotBox,
@@ -27,14 +26,15 @@ from barydd.relaxation import (
     build_hull_lp,
     build_level_lp,
     build_rlt_baseline,
-    envelope_eval,
     gap_table,
     solution_report,
     solve_and_report,
 )
 from closed_forms import (
+    InfeasiblePoint,
     count_expanded_monomials,
     count_product_factors,
+    envelope_eval,
     expanded_monomials_brute,
     rlt_self_product_rows,
 )
@@ -255,12 +255,13 @@ class TestEnvelope:
     def test_status_check_survives_optimize_flag(self):
         # an LP that is not optimal at a point of P x Py raises, also under -O
         code = (
+            "import closed_forms\n"
             "from barydd import HPolyhedron, LPVerificationError, relaxation\n"
             "from barydd.lp import LPSolution\n"
             "I = HPolyhedron.make([[-1], [1]], [0, 1])\n"
             "inst = relaxation.DBPInstance.make(Q=[[1]], P=I, Py=I, cx=[0], cy=[0], c0=0)\n"
-            "relaxation.lp_solve = lambda prob: LPSolution(status='infeasible')\n"
-            "try:\n    relaxation.envelope_eval(inst, [0], [0])\n"
+            "closed_forms.lp_solve = lambda prob: LPSolution(status='infeasible')\n"
+            "try:\n    closed_forms.envelope_eval(inst, [0], [0])\n"
             "except LPVerificationError:\n    print('raised')\n"
         )
         assert run_optimized(code) == "raised"
@@ -805,6 +806,22 @@ class TestCliBadInput:
         assert exit_code([command, str(inp), "--approx"]) == cli.EXIT_PARSE
         out = capsys.readouterr()
         assert out.out == "" and "--approx" in out.err
+
+    @pytest.mark.parametrize("method", ["hull", "rlt1", "ddr"])
+    @pytest.mark.parametrize(
+        "cx, approx",
+        [("-1/3", "-0.333333333"), ("-1" + "0" * 400 + "/3", "-3.33333333e+399")],
+        ids=["in_float_range", "beyond_float_range"],
+    )
+    def test_approx_value(self, cx, approx, method, tmp_path, capsys):
+        # min cx * x over 0 <= x <= 1 is cx, printed exactly, then rounded
+        unit = HPolyhedron.make([[-1], [1]], [0, 1])
+        data = DBPInstance.make(Q=[[0]], P=unit, Py=unit, cx=[0], cy=[0], c0=0).to_json()
+        data["cx"] = [cx]
+        inp = tmp_path / "inst.json"
+        inp.write_text(json.dumps(data))
+        assert exit_code(["solve", str(inp), "--method", method, "--approx"]) == 0
+        assert capsys.readouterr().out == f"{cx} (~{approx})\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,14 +3,16 @@
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "barydd")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "barydd")
 
 
-def modules():
-    """(file name, syntax tree) of each module of the package."""
-    for name in sorted(os.listdir(SRC)):
+def modules(directory=SRC):
+    """(file name, syntax tree) of each module in ``directory``, by default
+    the package."""
+    for name in sorted(os.listdir(directory)):
         if name.endswith(".py"):
-            with open(os.path.join(SRC, name)) as fh:
+            with open(os.path.join(directory, name)) as fh:
                 yield name, ast.parse(fh.read(), name)
 
 
@@ -51,4 +53,48 @@ def test_no_unused_import():
             else:
                 continue
             found += [f"{name}:{node.lineno} {b}" for b in bound if b not in read]
+    assert found == []
+
+
+def calls_by_name():
+    """name -> [(positional count, keyword names)] of every call in the
+    package, the tests and the benchmark; None stands for a call through
+    ``*args`` or ``**kwargs``, which counts as passing every parameter."""
+    calls = {}
+    for directory in (SRC, os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")):
+        for _, tree in modules(directory):
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                keywords = {k.arg for k in node.keywords}
+                starred = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(None if starred else (len(node.args), keywords))
+    return calls
+
+
+def test_every_default_is_passed():
+    # a parameter whose default no call overrides is an option nobody uses;
+    # a class name stands for its __init__, and a method's calls skip self
+    calls = calls_by_name()
+    found = []
+    for name, tree in modules():
+        defs = [(node, node.name, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                    called = cls.name if node.name == "__init__" else node.name
+                    defs.append((node, called, 0 if static else 1))
+        for node, called, skip in defs:
+            args = node.args
+            positional = (args.posonlyargs + args.args)[skip:]
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)][len(positional) - len(args.defaults):]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for index, param in defaulted:
+                if not any(
+                    call is None or param in call[1] or (index is not None and call[0] > index)
+                    for call in calls.get(called, [])
+                ):
+                    found.append(f"{name}:{node.lineno} {node.name}({param})")
     assert found == []
