@@ -195,7 +195,8 @@ def _factor_into_products(
     factors: List[int] = []
     i = 0
     while i < len(row_exprs) and not rem.is_constant():
-        q = rem.exact_div(row_exprs[i])
+        # a constant row divides everything and would never end the scan
+        q = None if row_exprs[i].is_constant() else rem.exact_div(row_exprs[i])
         if q is not None and not q.is_zero():
             rem = q
             factors.append(i)  # the same row may divide again

@@ -9,10 +9,11 @@ API is 0-based.
 Exit codes: 0 ok, 1 a failed check of `fdr-check` or `verify-identities`,
 2 bad input (a parse error, a file whose top level or part is not of the
 expected JSON type, a certificate file with a missing key, a bad rational
-(also a zero denominator, exponent notation such as 1e5, or true/false) or
-a non-integer row index, a --level outside the method's range, an --init
-other than default, orthant, phase1 or partial:R with R in 0..n, a
---samples that is not a non-negative integer, for `solve --method de` an
+(also a zero denominator, exponent notation such as 1e5, true/false, null,
+an array or an object) or a non-integer row index, a DBP whose Q is not n x
+ny or whose cx or cy does not have length n or ny, a --level outside the
+method's range, an --init other than default, orthant, phase1 or partial:R
+with R in 0..n, a --samples that is not a non-negative integer, for `solve --method de` an
 --orders that names no order, a negative --theta-cap or a --jobs below 1, a
 violated assumption such as an unbounded P or Py for `certify` and `solve
 --method hull`, a polytope or FDP block whose rows have rank below n for

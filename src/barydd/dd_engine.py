@@ -298,23 +298,6 @@ def cpr_numerator(pool: FactorPool, c: CPR) -> Poly:
     return out
 
 
-def cpr_value(pool: FactorPool, c: CPR) -> RatFun:
-    return RatFun(cpr_numerator(pool, c), pool.cone_product(c.den))
-
-
-def cpr_structurally_nonneg(pool: FactorPool, c: CPR) -> bool:
-    """All weights >= 0 and every factor either a constraint-expression /
-    variable leaf or a pooled sum certified non-negative at its creation."""
-
-    def factor_ok(fid: int) -> bool:
-        return pool.kinds[fid] in ("var", "constraint") or fid in pool.certified
-
-    for w, fids in c.terms:
-        if w < 0 or not all(factor_ok(f) for f in fids):
-            return False
-    return all(factor_ok(f) for f in c.den)
-
-
 # --------------------------------------------------------------------------
 # DD state and ledger
 # --------------------------------------------------------------------------
@@ -862,11 +845,6 @@ class DDRun:
     @property
     def final(self) -> DDState:
         return self.states[-1]
-
-    def dehomogenized(self):
-        from .polyhedra import dehomogenize
-
-        return dehomogenize(self.final.R, list(self.final.mu))
 
 
 def dd_run(

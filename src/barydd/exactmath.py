@@ -53,9 +53,10 @@ class DenominatorVanishes(ArithmeticError):
 
 def rat_from_str(s) -> Rat:
     """Parse '3', '-5/7' or an int into an exact rational.  Anything else,
-    a zero denominator, exponent notation (whose expansion can be huge) and
-    a bool (JSON true/false) included, raises ValueError."""
-    if isinstance(s, bool):
+    a zero denominator, exponent notation (whose expansion can be huge), a
+    bool (JSON true/false) and any type but str, int, float and Fraction
+    (JSON null, an array, an object) included, raises ValueError."""
+    if isinstance(s, bool) or not isinstance(s, (str, int, float, Fraction)):
         raise ValueError(f"not a rational: {s!r}")
     if isinstance(s, Fraction):
         return s

@@ -5,12 +5,6 @@ one of several vertex-disjoint faces of its polytope P_i, with free variables
 y through linear rows.  The level-k relaxation introduces, per k-subset S of
 blocks and per face selection s, an indicator gamma^{S,s} and linearizations
 u^{S,s} (of gamma*(1;x)) and w^{S,s} (of gamma*y).
-
-The substituted model replaces the indicators by barycentric indicators
-(sums of barycentric coordinates over a face's vertices) and expands the
-liftings over products of per-block coordinates, which annihilate across
-mismatched faces; cross-subset consistency rows make the aggregation
-identities independent of which block is summed out.
 """
 
 from __future__ import annotations
@@ -21,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactmath import RatFun, rat_from_str, rat_to_str
+from .exactmath import rat_from_str, rat_to_str
 from .lp import LPProblem, lp_solve
 from .polyhedra import HPolyhedron, enumerate_vertices_oracle
-from .relaxation import CouplingRow, barycentric_for_polytope
+from .relaxation import CouplingRow
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -175,12 +169,6 @@ class FDPInstance:
 
 def block_vertices(inst: FDPInstance, i: int) -> List[tuple]:
     return enumerate_vertices_oracle(inst.blocks[i].P)
-
-
-def face_vertex_sets(inst: FDPInstance, i: int) -> List[Tuple[int, ...]]:
-    """E_i(j): indices of block-i vertices on face j, from the cut (zero
-    slack) or the explicit list; when both are given they must agree."""
-    return _face_sets(inst, i, block_vertices(inst, i))
 
 
 def _face_sets(inst: FDPInstance, i: int, verts: List[tuple]) -> List[Tuple[int, ...]]:
@@ -410,171 +398,3 @@ def brute_force_fdp(inst: FDPInstance) -> Optional[Fraction]:
         if sol.status == "optimal" and (best is None or sol.value < best):
             best = sol.value
     return best
-
-
-# --------------------------------------------------------------------------
-# barycentric indicators and the substituted model
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class Indicator:
-    S: tuple
-    s: tuple
-    eta: RatFun  # over (x0, all block coordinates)
-    vertex_sets: List[Tuple[int, ...]]  # E_i(s_i) for i in S
-
-
-def _block_coords(inst: FDPInstance, i: int):
-    """Barycentric coordinates of block i embedded in the full x-space."""
-    bc = barycentric_for_polytope(inst.blocks[i].P)
-    lo, hi = inst.block_slice(i)
-    nv = inst.n + 1
-    var_map = [0] + [1 + lo + t for t in range(inst.blocks[i].P.n)]
-    lams = [f.remap(nv, var_map) for f in bc.lam]
-    return bc.vertices, lams
-
-
-def barycentric_indicator(inst: FDPInstance, S: Sequence[int], s: Sequence[int]) -> Indicator:
-    """eta^{S,s} = prod_{i in S} sum_{r in E_i(s_i)} lambda_{ir}: evaluates to
-    1 on the selected faces and 0 on competing faces, for feasible x."""
-    Es = check_vertex_disjoint(inst)
-    S = tuple(S)
-    s = tuple(s)
-    nv = inst.n + 1
-    eta = RatFun.const(nv, 1)
-    vertex_sets = []
-    for ip, face_j in zip(S, s):
-        _, lams = _block_coords(inst, ip)
-        E = Es[ip][face_j]
-        vertex_sets.append(E)
-        part = RatFun.const(nv, 0)
-        for r in E:
-            part = part + lams[r]
-        eta = eta * part
-    return Indicator(S=S, s=s, eta=eta, vertex_sets=vertex_sets)
-
-
-def substitute_indicators(inst: FDPInstance, k: int) -> LPProblem:
-    """The level-k model after substituting barycentric indicators: product
-    liftings Lam^S_r over vertex tuples with per-product scaled rows, the
-    annihilation of mismatched products, and cross-subset consistency rows
-    that make summing out any block give the same lower-level liftings."""
-    if not 1 <= k <= inst.np:
-        raise ValueError("level must be in 1..n_p")
-    verts, Es, _ = inst.checked_faces
-    n, ny = inst.n, inst.ny
-    prob = _xy_problem(inst, f"fdrsub{k}")
-
-    def rtags(S):
-        return list(itertools.product(*[range(len(verts[i])) for i in S]))
-
-    subsets = list(_subsets(inst.np, k))
-    for S in subsets:
-        others = [i for i in range(inst.np) if i not in S]
-        for r in rtags(S):
-            key = f"[{S},{r}]"
-            prob.add_var(f"L{key}", lb=ZERO)
-            for ip in others:
-                lo, hi = inst.block_slice(ip)
-                for t in range(hi - lo):
-                    prob.add_var(f"U{lo+t}{key}")
-            for l in range(ny):
-                prob.add_var(f"W{l}{key}")
-
-    def lam_x_coeff(S, r, j):
-        """Contribution of Lam^S_r to lin(prod lambda * x_j): a constant times
-        L (when j is a selected-block coordinate) or the U variable."""
-        for pos, ip in enumerate(S):
-            lo, hi = inst.block_slice(ip)
-            if lo <= j < hi:
-                return (f"L[{S},{r}]", verts[ip][r[pos]][j - lo])
-        return (f"U{j}[{S},{r}]", ONE)
-
-    def sum_rows(S, rs, names):
-        """lin(sum over r in rs of Lam^S_r (1; x; y)) = (1; x; y)."""
-        one, xs, ys = names
-        prob.add_row({f"L[{S},{r}]": ONE for r in rs}, "=", ONE,
-                     name=f"{one}[{S}]", tag=(one, S))
-        for j in range(n):
-            coeffs = {f"x{j}": -ONE}
-            for r in rs:
-                name, scale = lam_x_coeff(S, r, j)
-                if scale:
-                    coeffs[name] = coeffs.get(name, ZERO) + scale
-            prob.add_row(coeffs, "=", ZERO, name=f"{xs}[{S},{j}]", tag=(xs, S, j))
-        for l in range(ny):
-            coeffs = {f"y{l}": -ONE}
-            for r in rs:
-                coeffs[f"W{l}[{S},{r}]"] = ONE
-            prob.add_row(coeffs, "=", ZERO, name=f"{ys}[{S},{l}]", tag=(ys, S, l))
-
-    for S in subsets:
-        others = [i for i in range(inst.np) if i not in S]
-        tags = rtags(S)
-        # per-product scaled rows
-        for r in tags:
-            key = f"[{S},{r}]"
-            lift = _Lifting(
-                x=functools.partial(lam_x_coeff, S, r),
-                y=lambda l, key=key: f"W{l}{key}",
-                g=f"L{key}", key=key, tag=(S, r),
-            )
-            lift.coupling_rows(prob, inst)
-            for ip in others:
-                lift.block_rows(prob, inst, ip)
-        # linear precision of the product coordinates over all vertex tuples
-        sum_rows(S, tags, ("unit", "lp", "lpy"))
-        # facial aggregation: gamma^{S,s} sums the products over the selected
-        # faces' vertex tuples; summing over selections must reproduce
-        # (1; x; y) -- with L >= 0 this forces every face-inconsistent
-        # product to zero (the substituted face-definition rows are the
-        # identically-zero annihilation products and are omitted)
-        fc = set()
-        for s in _selections(inst, S):
-            fc.update(itertools.product(*[Es[i][si] for i, si in zip(S, s)]))
-        sum_rows(S, sorted(fc), ("fcsum", "fcx", "fcy"))
-
-    # cross-subset consistency: summing out block l1 of S' u {l1} equals
-    # summing out block l2 of S' u {l2} for every (k-1)-subset S'
-    for Sp in itertools.combinations(range(inst.np), k - 1):
-        rest = [i for i in range(inst.np) if i not in Sp]
-        in_sp = {j for i in Sp for j in range(*inst.block_slice(i))}
-        for l1, l2 in itertools.combinations(rest, 2):
-            S1 = tuple(sorted(Sp + (l1,)))
-            S2 = tuple(sorted(Sp + (l2,)))
-            p1 = S1.index(l1)
-            p2 = S2.index(l2)
-            for rp in itertools.product(*[range(len(verts[i])) for i in Sp]):
-                def diff(term, rp=rp):
-                    """lin(term summed over block l1 of S1) minus the same
-                    over block l2 of S2; term(S, r) gives (variable, scale)."""
-                    coeffs: Dict[str, Fraction] = {}
-                    for S, pos, sign in ((S1, p1, ONE), (S2, p2, -ONE)):
-                        for v in range(len(verts[S[pos]])):
-                            name, scale = term(S, rp[:pos] + (v,) + rp[pos:])
-                            if scale:
-                                coeffs[name] = coeffs.get(name, ZERO) + sign * scale
-                    return coeffs
-
-                # lin(prod_{S'} lambda) both ways
-                prob.add_row(diff(lambda S, r: (f"L[{S},{r}]", ONE)), "=", ZERO,
-                             name=f"cons[{Sp},{rp},{l1},{l2}]",
-                             tag=("cons", Sp, rp, l1, l2))
-                # lifted with x_j for blocks outside both subsets and
-                # for the summed-out blocks themselves
-                for j in range(n):
-                    if j in in_sp:
-                        continue  # constant multiples of the L rows above
-                    coeffs = diff(lambda S, r, j=j: lam_x_coeff(S, r, j))
-                    if coeffs:
-                        prob.add_row(coeffs, "=", ZERO,
-                                     name=f"consx[{Sp},{rp},{l1},{l2},{j}]",
-                                     tag=("consx", Sp, rp, l1, l2, j))
-                for l in range(ny):
-                    prob.add_row(diff(lambda S, r, l=l: (f"W{l}[{S},{r}]", ONE)), "=", ZERO,
-                                 name=f"consy[{Sp},{rp},{l1},{l2},{l}]",
-                                 tag=("consy", Sp, rp, l1, l2, l))
-    return prob
-
-

@@ -224,5 +224,22 @@ def recession_ray(P: HPolyhedron) -> Optional[tuple]:
     return tuple(d)
 
 
+def interior_point(P: HPolyhedron) -> Optional[tuple]:
+    """A point x with A x < b, from max t over A x + t <= b, t <= 1; None
+    when P has an empty interior."""
+    names = [f"x{j}" for j in range(P.n)]
+    prob = LPProblem(sense="max")
+    prob.add_var("t", obj=1)
+    for v in names:
+        prob.add_var(v)
+    for row, rhs in zip(P.A, P.b):
+        prob.add_row({"t": 1, **dict(zip(names, row))}, "<=", rhs)
+    prob.add_row({"t": 1}, "<=", 1)
+    sol = lp_solve(prob)
+    if sol.status != "optimal" or sol.value <= 0:
+        return None
+    return tuple(sol.primal[v] for v in names)
+
+
 def is_bounded(P: HPolyhedron) -> bool:
     return recession_ray(P) is None

@@ -19,6 +19,7 @@ from .polyhedra import (
     HPolyhedron,
     dehomogenize_columns,
     enumerate_vertices_oracle,
+    interior_point,
     is_bounded,
 )
 
@@ -64,13 +65,14 @@ class DBPInstance:
 
     @staticmethod
     def make(Q, P, Py, cx=None, cy=None, c0=0) -> "DBPInstance":
+        n, ny = P.n, Py.n
         Q = tuple(tuple(Fraction(v) for v in row) for row in Q)
-        n = len(Q)
-        ny = len(Q[0]) if Q else Py.n
         cx = tuple(Fraction(v) for v in cx) if cx else (ZERO,) * n
         cy = tuple(Fraction(v) for v in cy) if cy else (ZERO,) * ny
-        if n != P.n or ny != Py.n:
-            raise ValueError("Q dimensions must match P and Py")
+        if len(Q) != n or any(len(row) != ny for row in Q):
+            raise ValueError(f"Q must be {n} x {ny}, the dimensions of P and Py")
+        if len(cx) != n or len(cy) != ny:
+            raise ValueError(f"cx must have length {n} and cy length {ny}")
         return DBPInstance(Q, cx, cy, Fraction(c0), P, Py)
 
     @property
@@ -80,17 +82,6 @@ class DBPInstance:
     @property
     def ny(self) -> int:
         return self.Py.n
-
-    def objective_value(self, x, y) -> Fraction:
-        x = [Fraction(v) for v in x]
-        y = [Fraction(v) for v in y]
-        val = self.c0
-        val += sum(c * v for c, v in zip(self.cx, x))
-        val += sum(c * v for c, v in zip(self.cy, y))
-        for j in range(self.n):
-            for l in range(self.ny):
-                val += self.Q[j][l] * x[j] * y[l]
-        return val
 
     def objective_poly(self) -> Poly:
         """Objective as a Poly over (x1..xn, y1..yny)."""
@@ -148,10 +139,6 @@ class GFun:
     @staticmethod
     def make_affine(const, coeffs) -> "GFun":
         return GFun([(Fraction(const), tuple(Fraction(c) for c in coeffs))])
-
-    @staticmethod
-    def make_max(pieces) -> "GFun":
-        return GFun([(Fraction(c0), tuple(Fraction(c) for c in cs)) for c0, cs in pieces])
 
 
 @dataclass
@@ -640,7 +627,10 @@ def build_de_linear(
                     prob.add_row(coeffs, "=", rhs, name=f"recμ[{t},{r},{l}]ς{o}",
                                  tag=("rec_mu", o, t, r, l))
 
-    # constraint-product sign rows over every denominator seen (including 1)
+    # constraint-product sign rows over every denominator seen (including
+    # 1).  A registered denominator is a primitive form, whose sign is fixed
+    # by its leading coefficient and not by its sign on P: each row is
+    # oriented by the denominator's sign at an interior point of P.
     nvfull = n + 1
     one = Poly.const(nvfull, 1)
     dens_map = dict(wreg.dens)
@@ -649,10 +639,12 @@ def build_de_linear(
     row_exprs = [
         Poly.affine(nvfull, P.b[i], [ZERO] + [-c for c in P.A[i]]) for i in range(P.m)
     ]
+    inside = interior_point(P)
     for dkey, dpoly in dens:
+        sign = -1 if inside is not None and dpoly.eval((ONE,) + inside) < 0 else 1
         for size in range(0, cap + 1):
             for theta_set in itertools.combinations(range(P.m), size):
-                num = Poly.const(nvfull, 1)
+                num = Poly.const(nvfull, sign)
                 for i in theta_set:
                     num = num * row_exprs[i]
                 coeffs, rhs = _lin_row(wreg, [(RatFun(num, dpoly), None, ONE)])

@@ -1,6 +1,6 @@
-"""Closed forms, explicit formulas and counting identities that the tests
-check the double description engine and the relaxation builders against.
-None of this runs in the ``barydd`` commands."""
+"""Closed forms, explicit formulas, counting identities and invariant
+checks that the tests hold the double description engine and the relaxation
+builders to.  None of this runs in the ``barydd`` commands."""
 
 import itertools
 from fractions import Fraction
@@ -9,10 +9,12 @@ from typing import Dict, List, Sequence, Tuple
 
 from barydd import linalg
 from barydd.linalg import Matrix
+from barydd.dd_engine import CPR, DDRun, FactorPool, cpr_numerator
 from barydd.exactmath import Poly, RatFun
+from barydd.facial import FDPInstance
 from barydd.lp import LPVerificationError, lp_solve
-from barydd.polyhedra import HPolyhedron, enumerate_vertices_oracle
-from barydd.relaxation import DBPInstance, build_hull_lp
+from barydd.polyhedra import HPolyhedron, dehomogenize, enumerate_vertices_oracle
+from barydd.relaxation import DBPInstance, barycentric_for_polytope, build_hull_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -297,3 +299,44 @@ def envelope_eval(inst: DBPInstance, xbar: Sequence, ybar: Sequence) -> Fraction
         # x and y lie in the bounded P and Py, so the LP has an optimum
         raise LPVerificationError(f"envelope LP at a point of P x Py is {sol.status}")
     return sol.value
+
+
+def dehomogenized(run: DDRun):
+    """(vertices, coordinates) of the run's final state, dehomogenized."""
+    return dehomogenize(run.final.R, list(run.final.mu))
+
+
+def cpr_value(pool: FactorPool, c: CPR) -> RatFun:
+    return RatFun(cpr_numerator(pool, c), pool.cone_product(c.den))
+
+
+def cpr_structurally_nonneg(pool: FactorPool, c: CPR) -> bool:
+    """All weights >= 0 and every factor either a constraint-expression /
+    variable leaf or a pooled sum certified non-negative at its creation."""
+
+    def factor_ok(fid: int) -> bool:
+        return pool.kinds[fid] in ("var", "constraint") or fid in pool.certified
+
+    for w, fids in c.terms:
+        if w < 0 or not all(factor_ok(f) for f in fids):
+            return False
+    return all(factor_ok(f) for f in c.den)
+
+
+def barycentric_indicator(inst: FDPInstance, S: Sequence[int], s: Sequence[int]) -> RatFun:
+    """eta^{S,s} = prod_{i in S} sum_{r in E_i(s_i)} lambda_{ir} over (x0,
+    all block coordinates), lambda_i the barycentric coordinates of block i:
+    evaluates to 1 on the selected faces and 0 on competing faces, for
+    feasible x."""
+    Es = inst.checked_faces.sets
+    nv = inst.n + 1
+    eta = RatFun.const(nv, 1)
+    for ip, face_j in zip(S, s):
+        lams = barycentric_for_polytope(inst.blocks[ip].P).lam
+        lo = inst.block_slice(ip)[0]
+        var_map = [0] + [1 + lo + t for t in range(inst.blocks[ip].P.n)]
+        part = RatFun.const(nv, 0)
+        for r in Es[ip][face_j]:
+            part = part + lams[r].remap(nv, var_map)
+        eta = eta * part
+    return eta

@@ -1,7 +1,9 @@
 """The relaxation builders as they were before they shared one
 Sherali-Adams builder and one assembly of the FDP and DE rows, kept as
 references: the shared code must build the same LPs, row for row.  The DE
-reference runs its orders serially."""
+reference runs its orders serially.  The substituted-indicator model of the
+FDP hierarchy has no builder in the package, and no command reaches it:
+``reference_substitute_indicators`` is its one copy."""
 
 import itertools
 from fractions import Fraction
@@ -11,6 +13,7 @@ from barydd.dd_engine import dd_run
 from barydd.exactmath import Poly, RatFun
 from barydd.facial import FDPInstance, _subsets, block_vertices, check_vertex_disjoint
 from barydd.lp import LPProblem, lp_solve
+from barydd.polyhedra import interior_point
 from barydd.relaxation import (
     DBPInstance,
     RelaxModel,
@@ -191,7 +194,8 @@ def reference_de_linear(
                     prob.add_row(lhs, "=", -const, name=f"recμ[{t},{r},{l}]ς{o}",
                                  tag=("rec_mu", o, t, r, l))
 
-    # constraint-product sign rows over every denominator seen (including 1)
+    # constraint-product sign rows over every denominator seen (including
+    # 1), each oriented by its sign at an interior point of P
     nvfull = n + 1
     one = Poly.const(nvfull, 1)
     dens_map = dict(wreg.dens)
@@ -200,7 +204,10 @@ def reference_de_linear(
     row_exprs = [
         Poly.affine(nvfull, P.b[i], [ZERO] + [-c for c in P.A[i]]) for i in range(P.m)
     ]
+    inside = interior_point(P)
     for dkey, dpoly in dens:
+        if inside is not None and dpoly.eval((ONE,) + inside) < 0:
+            dpoly = dpoly.scale(-1)
         for size in range(0, cap + 1):
             for theta_set in itertools.combinations(range(P.m), size):
                 num = Poly.const(nvfull, 1)

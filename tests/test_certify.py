@@ -1,7 +1,10 @@
 """Certificate extraction and exact verification."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -147,6 +150,21 @@ class TestCliVerify:
         assert capsys.readouterr().out == f"delta = -360\nidentity residual: {shown}\n{verdict}\n"
         assert rc == (0 if diagnostic is None else cli.EXIT_VERIFY)
 
+    def test_constant_first_row(self, dbp_62, tmp_path):
+        # a constant row expression divides every polynomial: first in P's
+        # rows, it kept the greedy factorization from ever finishing
+        data = dbp_62.to_json()
+        data["P"]["constraints"].insert(0, {"coeffs": ["0", "0"], "sense": "<=", "rhs": "2"})
+        path = tmp_path / "zero_row.json"
+        path.write_text(json.dumps(data))
+        out = subprocess.run(
+            [sys.executable, "-m", "barydd.cli", "certify", str(path), "--verify"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == "delta = -360\nidentity residual: 0\nPASS\n"
+
 
 class TestOracleCalls:
     """``certify --out --verify`` enumerates P's vertices once: the
@@ -262,7 +280,7 @@ class TestRoundTrip:
                 y = tuple(
                     sum(w * v[j] for w, v in zip(wy, vy)) / sum(wy) for j in range(2)
                 )
-                assert inst.objective_value(x, y) - cert.delta >= 0
+                assert inst.objective_poly().eval(x + y) - cert.delta >= 0
             done += 1
 
     def test_degree_conformance(self, dbp_62):

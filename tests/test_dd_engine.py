@@ -18,10 +18,19 @@ from barydd import (
     ledger_verify,
     prune_redundant,
 )
-from barydd.dd_engine import _canonical_column, cpr_structurally_nonneg, cpr_value
+from barydd.dd_engine import _canonical_column
 from barydd.exactmath import Poly, RatFun, rf_equal
 from barydd.linalg import dot
-from closed_forms import NotSimple, closed_form_box, closed_form_tworow, product_coords, warren_simple
+from closed_forms import (
+    NotSimple,
+    closed_form_box,
+    closed_form_tworow,
+    cpr_structurally_nonneg,
+    cpr_value,
+    dehomogenized,
+    product_coords,
+    warren_simple,
+)
 from conftest import run_optimized
 
 
@@ -71,24 +80,24 @@ class TestGolden51:
         return dd_run(poly_51)
 
     def test_columns_match_printed_order(self, poly_51):
-        V, _ = self.run(poly_51).dehomogenized()
+        V, _ = dehomogenized(self.run(poly_51))
         assert [tuple(c) for c in V] == [tuple(map(F, c)) for c in self.PRINTED_R]
 
     def test_mu1_formula(self, poly_51):
-        _, lam = self.run(poly_51).dehomogenized()
+        _, lam = dehomogenized(self.run(poly_51))
         num = aff(4, 3, [-1, -1, -1]) * aff(4, 2, [-2, -1, 0]) * aff(4, 2, [-1, -4, 0])
         den = (aff(4, 2, [-1, -1, 0]) * aff(4, 3, [-1, -1, 0])).scale(2)
         assert rf_equal(lam[0], RatFun(num, den))
 
     def test_partition_of_unity(self, poly_51):
-        _, lam = self.run(poly_51).dehomogenized()
+        _, lam = dehomogenized(self.run(poly_51))
         total = RatFun.const(4, 0)
         for f in lam:
             total = total + f
         assert rf_equal(total, RatFun.const(4, 1))
 
     def test_vertex_indicator(self, poly_51):
-        V, lam = self.run(poly_51).dehomogenized()
+        V, lam = dehomogenized(self.run(poly_51))
         for j, fj in enumerate(lam):
             for i, col in enumerate(V):
                 assert fj.eval(col) == (1 if i == j else 0)
@@ -105,7 +114,7 @@ class TestGolden51:
 
     def test_warren_agrees(self, poly_51):
         verts, omegas = warren_simple(poly_51)
-        V, lam = self.run(poly_51).dehomogenized()
+        V, lam = dehomogenized(self.run(poly_51))
         by_vertex = dict(zip(verts, omegas))
         for col, f in zip(V, lam):
             assert rf_equal(f, by_vertex[tuple(col[1:])])
@@ -133,7 +142,7 @@ class TestGolden53:
         return {tuple(c[1:]): f for c, f in zip(V, lam)}
 
     def test_raw_columns(self, run53, poly_53):
-        V, _ = run53.dehomogenized()
+        V, _ = dehomogenized(run53)
         pts = sorted(tuple(c[1:]) for c in V)
         redundant = [
             (F(0), F(7, 13), F(45, 13)),
@@ -269,7 +278,7 @@ class TestGolden53:
             assert cpr_structurally_nonneg(st.pool, c)
 
     def test_interior_positivity(self, run53, poly_53):
-        V, lam = run53.dehomogenized()
+        V, lam = dehomogenized(run53)
         verts = enumerate_vertices_oracle(poly_53)
         rng = random.Random(5)
         for _ in range(20):
@@ -568,9 +577,9 @@ class TestProductCoords:
         P1 = HPolyhedron.make([[-1], [1]], [0, 1])
         P2 = HPolyhedron.make([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
         bc1 = dd_run(P1)
-        V1, lam1 = bc1.dehomogenized()
+        V1, lam1 = dehomogenized(bc1)
         bc2 = dd_run(P2)
-        V2, lam2 = bc2.dehomogenized()
+        V2, lam2 = dehomogenized(bc2)
         verts, coords = product_coords(
             [tuple(c[1:]) for c in V1], lam1, [tuple(c[1:]) for c in V2], lam2
         )
@@ -582,7 +591,7 @@ class TestProductCoords:
             [0, 1, 0, 0, 1],
         )
         run = dd_run(stacked, prune=True)
-        V, lam = run.dehomogenized()
+        V, lam = dehomogenized(run)
         table = {tuple(c[1:]): f for c, f in zip(V, lam)}
         for vert, coord in zip(verts, coords):
             assert rf_equal(table[vert], coord)
@@ -593,7 +602,7 @@ class TestOrderIndependenceOfSets:
         base = None
         for order in ([0, 1, 2, 3, 4, 5], [3, 4, 5, 0, 1, 2], [5, 1, 4, 0, 3, 2]):
             run = dd_run(poly_51, order=order, prune=True)
-            V, _ = run.dehomogenized()
+            V, _ = dehomogenized(run)
             pts = sorted(tuple(c[1:]) for c in V)
             if base is None:
                 base = pts

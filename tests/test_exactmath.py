@@ -345,6 +345,11 @@ class TestRatFromStr:
         with pytest.raises(ValueError):
             rat_from_str(value)
 
+    @pytest.mark.parametrize("value", [None, [1], {"e": 1}])
+    def test_rejects_other_types(self, value):
+        with pytest.raises(ValueError, match="^not a rational: "):
+            rat_from_str(value)
+
     @pytest.mark.parametrize(
         "value, want", [("-5/7", F(-5, 7)), (" 3 ", F(3)), (4, F(4)), (F(1, 2), F(1, 2))]
     )

@@ -15,16 +15,14 @@ from barydd.facial import (
     FDPInstance,
     Face,
     FacesShareVertices,
-    barycentric_indicator,
     block_vertices,
     brute_force_fdp,
     build_fdr_level,
     check_vertex_disjoint,
-    face_vertex_sets,
-    substitute_indicators,
 )
 from barydd.lp import lp_solve
 from barydd.relaxation import sherali_adams_01
+from closed_forms import barycentric_indicator
 from reference_builders import (
     assert_same_lp,
     reference_brute_force_fdp,
@@ -85,7 +83,7 @@ class TestAssumption:
             obj_const=F(0),
             ny=0,
         )
-        sets = face_vertex_sets(inst, 0)
+        sets = check_vertex_disjoint(inst)[0]
         verts = block_vertices(inst, 0)
         assert verts == [(F(0), F(0)), (F(0), F(1)), (F(1), F(0))]
         assert sets[0] == (0,)  # the origin vertex
@@ -115,7 +113,7 @@ class TestAssumption:
             ny=0,
         )
         with pytest.raises(ValueError):
-            face_vertex_sets(inst, 0)
+            check_vertex_disjoint(inst)[0]
 
     def test_fdr_check_finds_block_vertices_once(self, tmp_path, monkeypatch):
         # the face check, the level-2 model and the brute force share one
@@ -223,18 +221,18 @@ class TestIndicators:
     def test_01_product_factors(self):
         rng = random.Random(1)
         inst = zero_one_instance(3, rng)
-        ind = barycentric_indicator(inst, (0, 2), (1, 0))
+        eta = barycentric_indicator(inst, (0, 2), (1, 0))
         nv = 4
         x1, x3 = Poly.variable(nv, 1), Poly.variable(nv, 3)
         want = RatFun.from_poly(x1 * (Poly.const(nv, 1) - x3))
-        assert rf_equal(ind.eta, want)
+        assert rf_equal(eta, want)
 
     def test_partition_of_unity_over_selections(self):
         rng = random.Random(2)
         inst = zero_one_instance(2, rng)
         total = RatFun.const(3, 0)
         for s in itertools.product(range(2), repeat=2):
-            total = total + barycentric_indicator(inst, (0, 1), s).eta
+            total = total + barycentric_indicator(inst, (0, 1), s)
         assert rf_equal(total, RatFun.const(3, 1))
 
     def test_eta_values_on_block_vertices(self, poly_51):
@@ -257,14 +255,14 @@ class TestIndicators:
             obj_const=F(0),
             ny=0,
         )
-        sets = face_vertex_sets(inst, 0)
+        sets = check_vertex_disjoint(inst)[0]
         assert sets[0] == low
-        ind0 = barycentric_indicator(inst, (0,), (0,))
-        ind1 = barycentric_indicator(inst, (0,), (1,))
+        eta0 = barycentric_indicator(inst, (0,), (0,))
+        eta1 = barycentric_indicator(inst, (0,), (1,))
         for i, v in enumerate(verts):
             pt = (F(1),) + v
-            assert ind0.eta.eval(pt) == (1 if i in low else 0)
-            assert ind1.eta.eval(pt) == (1 if i in high else 0)
+            assert eta0.eval(pt) == (1 if i in low else 0)
+            assert eta1.eval(pt) == (1 if i in high else 0)
 
 
 class TestSubstitution:
@@ -273,7 +271,7 @@ class TestSubstitution:
         rng = random.Random(31)
         for trial in range(2):
             inst = zero_one_instance(2, rng)
-            sub = lp_solve(substitute_indicators(inst, k))
+            sub = lp_solve(reference_substitute_indicators(inst, k))
             sa = lp_solve(
                 sherali_adams_01(
                     2, inst.ny, inst.coupling, inst.obj_x, inst.obj_y,
@@ -289,7 +287,7 @@ class TestSubstitution:
         bf = brute_force_fdp(inst)
         for k in (1, 2, 3):
             fdr = lp_solve(build_fdr_level(inst, k)).value
-            sub = lp_solve(substitute_indicators(inst, k)).value
+            sub = lp_solve(reference_substitute_indicators(inst, k)).value
             assert fdr <= sub <= bf
 
     def test_mixed_blocks_exact_at_top(self):
@@ -306,14 +304,14 @@ class TestSubstitution:
             ny=0,
         )
         bf = brute_force_fdp(inst)
-        sub = lp_solve(substitute_indicators(inst, 2))
+        sub = lp_solve(reference_substitute_indicators(inst, 2))
         assert sub.value == bf
 
 
 def as_vertex_lists(inst):
     """inst with every face given by its vertex list instead of its cut."""
     blocks = [
-        FDPBlock(b.P, [Face.from_vertices(E) for E in face_vertex_sets(inst, i)])
+        FDPBlock(b.P, [Face.from_vertices(E) for E in check_vertex_disjoint(inst)[i]])
         for i, b in enumerate(inst.blocks)
     ]
     return FDPInstance(blocks, inst.coupling, inst.obj_x, inst.obj_y, inst.obj_const, inst.ny)
@@ -337,7 +335,4 @@ class TestSharedRows:
         inst = make()
         for k in range(1, inst.np + 1):
             assert_same_lp(build_fdr_level(inst, k), reference_fdr_level(inst, k))
-            assert_same_lp(
-                substitute_indicators(inst, k), reference_substitute_indicators(inst, k)
-            )
         assert brute_force_fdp(inst) == reference_brute_force_fdp(inst)

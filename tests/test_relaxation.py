@@ -69,7 +69,7 @@ def ac_instance():
     g = [
         GFun.make_affine(0, [0]),
         GFun.make_affine(0, [1]),
-        GFun.make_max([(0, [1]), (0, [-1])]),
+        GFun([(F(0), (F(1),)), (F(0), (F(-1),))]),
     ]
     return ACInstance(P, Py, g, varrho=1)
 
@@ -87,6 +87,16 @@ def random_dbp(rng, n, m):
     P = HPolyhedron.make([r for r, _ in rows], [c for _, c in rows])
     Q = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(n)]
     return DBPInstance.make(Q=Q, P=P, Py=box_polytope(2), cx=[rng.randint(-5, 5) for _ in range(n)])
+
+
+def vertex_optimum(inst):
+    """The DBP's optimum, attained at a pair of vertices of P and Py."""
+    obj = inst.objective_poly()
+    return min(
+        obj.eval(v + w)
+        for v in enumerate_vertices_oracle(inst.P)
+        for w in enumerate_vertices_oracle(inst.Py)
+    )
 
 
 def random_box_dbp(rng, n, ny):
@@ -205,12 +215,7 @@ class TestHull:
         assert simplex_dual == -360
 
     def test_brute_force_agreement(self, dbp_62):
-        verts_x = enumerate_vertices_oracle(dbp_62.P)
-        verts_y = enumerate_vertices_oracle(dbp_62.Py)
-        brute = min(
-            dbp_62.objective_value(v, w) for v in verts_x for w in verts_y
-        )
-        assert lp_solve(build_hull_lp(dbp_62)).value == brute
+        assert lp_solve(build_hull_lp(dbp_62)).value == vertex_optimum(dbp_62)
 
     def test_zero_Q_reduces_to_lp(self, dbp_62):
         inst = DBPInstance.make(
@@ -291,12 +296,7 @@ class TestLevelHierarchy:
     def test_box_terminal_level_matches_vertex_lp(self):
         inst = box2_bilinear()
         sol = lp_solve(build_level_lp(inst, inst.P.m))
-        direct = min(
-            inst.objective_value(v, w)
-            for v in enumerate_vertices_oracle(inst.P)
-            for w in enumerate_vertices_oracle(inst.Py)
-        )
-        assert sol.value == direct
+        assert sol.value == vertex_optimum(inst)
 
     def test_gap_table(self, dbp_62):
         table = gap_table(dbp_62, order=[1, 2, 3, 0])
@@ -484,6 +484,33 @@ class TestDELinear:
         m2 = build_de_linear(dbp_62, 2, [(1, 2), (2, 1)])
         # the same denominators must reuse keys rather than fork per order
         assert len(m2.wnames) < 2 * len(m1.wnames)
+
+    @staticmethod
+    def assert_relaxes(inst, k, orders):
+        # a relaxation of a feasible program is feasible, and its optimal
+        # value is at most the program's optimum
+        sol = lp_solve(build_de_linear(inst, k, orders).problem)
+        assert sol.status in ("optimal", "unbounded"), (k, orders)
+        if sol.status == "optimal":
+            assert sol.value <= vertex_optimum(inst), (k, orders)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_every_order_relaxes_62(self, dbp_62, k):
+        for order in itertools.permutations(range(dbp_62.P.m), k):
+            self.assert_relaxes(dbp_62, k, [order])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_default_orders_relax_random(self, seed):
+        inst = random_dbp(random.Random(seed), 2, 4)
+        for k in range(1, inst.P.m + 1):
+            self.assert_relaxes(inst, k, list(itertools.combinations(range(inst.P.m), k)))
+
+    @pytest.mark.parametrize("k, value", [("3", "-450"), ("4", "-360")])
+    def test_cli_levels_62(self, k, value, dbp_62, tmp_path, capsys):
+        inp = tmp_path / "dbp62.json"
+        inp.write_text(json.dumps(dbp_62.to_json()))
+        assert cli.main(["solve", str(inp), "--method", "de", "--level", k]) == 0
+        assert capsys.readouterr().out == f"{value}\n"
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_parallel_runs_change_nothing(self, dbp_62, k):
@@ -754,6 +781,29 @@ class TestCliBadInput:
         inp.write_text(json.dumps(data))
         assert exit_code(["solve", str(inp), "--method", "hull"]) == cli.EXIT_PARSE
         self.assert_one_line_error(capsys, "bad instance file: exponent notation")
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda d: d.update(cx=["1"]), "cx must have length 2 and cy length 2"),
+            (lambda d: d["Q"][1].pop(), "Q must be 2 x 2"),
+            (lambda d: d.update(cy=["1", "2", "3"]), "cx must have length 2 and cy length 2"),
+            (lambda d: d["Q"][0].__setitem__(0, None), "not a rational: None"),
+        ],
+        ids=["short_cx", "short_Q_row", "long_cy", "null_coefficient"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--method", m] for m in ("hull", "ddr", "de", "rlt1")] + [["certify"]],
+        ids=["hull", "ddr", "de", "rlt1", "certify"],
+    )
+    def test_rejects_misshapen_instance(self, edit, reason, argv, dbp_62, tmp_path, capsys):
+        data = dbp_62.to_json()
+        edit(data)
+        inp = tmp_path / "inst.json"
+        inp.write_text(json.dumps(data))
+        assert exit_code(argv[:1] + [str(inp)] + argv[1:]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, f"bad instance file: {reason}")
 
     def test_rltbox_rejects_non_box(self, dbp_62, tmp_path, capsys):
         inp = self.write(tmp_path, dbp_62)

@@ -98,3 +98,36 @@ def test_every_default_is_passed():
                 ):
                     found.append(f"{name}:{node.lineno} {node.name}({param})")
     assert found == []
+
+
+def names_used(tree, strings=False):
+    """Every name and attribute name the module reads; with ``strings``
+    also every string constant, since ``bench/spans.py`` names the
+    functions it wraps by string."""
+    read = names_read(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_no_public_name_only_tests_read():
+    # a public function, class or method that neither the package (apart
+    # from the re-exports of __init__.py) nor the benchmark reads is code
+    # that only the tests run, and belongs in tests/
+    read = set()
+    for name, tree in modules():
+        if name != "__init__.py":
+            read |= names_used(tree)
+    for _, tree in modules(os.path.join(ROOT, "bench")):
+        read |= names_used(tree, strings=True)
+    found = []
+    for name, tree in modules():
+        for top in tree.body:
+            for node in [top] + (top.body if isinstance(top, ast.ClassDef) else []):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                    if node.name not in read:
+                        found.append(f"{name}:{node.lineno} {node.name}")
+    assert found == []
