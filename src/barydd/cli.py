@@ -11,8 +11,11 @@ Exit codes: 0 ok, 1 a failed check of `fdr-check` or `verify-identities`,
 expected JSON type, a certificate file with a missing key, a bad rational
 (also a zero denominator, exponent notation such as 1e5, true/false, null,
 an array or an object) or a non-integer row index, a DBP whose Q is not n x
-ny or whose cx or cy does not have length n or ny, a --level outside the
-method's range, an --init other than default, orthant, phase1 or partial:R
+ny or whose cx or cy does not have length n or ny, an FDP file whose
+objective x or y, coupling x_coeffs or y_coeffs or face pi does not have
+the length of the blocks' total n, ny or the block's n, or whose coupling
+row has a sense other than <=, >= or =, a --level outside the method's
+range, an --init other than default, orthant, phase1 or partial:R
 with R in 0..n, a --samples that is not a non-negative integer, for `solve --method de` an
 --orders that names no order, a negative --theta-cap or a --jobs below 1, a
 violated assumption such as an unbounded P or Py for `certify` and `solve
@@ -22,9 +25,10 @@ an x_i >= 0 row that the orthant and partial:R inits need but P does not
 state, an FDP face that is not a face of its block for `solve --method fdr`
 and `fdr-check` (a cut not valid for the block, a cut that disagrees with
 the face's vertex list, or a vertex list with no supporting row), a file
-that cannot be read or written), 3 empty interior, 4 level too low (the
-message reports the minimum usable level, or that no step of the order
-empties the lineality space), 5 certificate verification failure (also a
+that cannot be read or written), 3 empty interior (also a P with no
+interior point for `certify`), 4 level too low (the message reports the
+minimum usable level, or that no step of the order empties the lineality
+space), 5 certificate verification failure (also a
 certificate whose variable counts differ from the instance's, or that
 names a row index outside the instance's rows, and a hull LP that is not
 optimal).  Which input error exits with which code and stderr line is

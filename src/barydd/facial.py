@@ -152,7 +152,7 @@ class FDPInstance:
             for r in data.get("coupling", [])
         ]
         obj = data["objective"]
-        return FDPInstance(
+        inst = FDPInstance(
             blocks=blocks,
             coupling=coupling,
             obj_x=tuple(rat_from_str(c) for c in obj["x"]),
@@ -160,6 +160,27 @@ class FDPInstance:
             obj_const=rat_from_str(obj.get("const", 0)),
             ny=ny,
         )
+        _check_shape(inst)
+        return inst
+
+
+def _check_shape(inst: FDPInstance):
+    """Raise ValueError unless every length and sense of ``inst`` fits its
+    blocks and ny: each face cut's pi has the block's n entries, each
+    coupling row n x-coefficients, ny y-coefficients and a sense '<=', '>='
+    or '=', and the objective n x- and ny y-coefficients."""
+    n, ny = inst.n, inst.ny
+    for i, block in enumerate(inst.blocks):
+        for j, face in enumerate(block.faces):
+            if face.pi is not None and len(face.pi) != block.P.n:
+                raise ValueError(f"face {j} of block {i}: pi must have length {block.P.n}")
+    for r, row in enumerate(inst.coupling):
+        if len(row.xcoeffs) != n or len(row.ycoeffs) != ny:
+            raise ValueError(f"coupling row {r}: x_coeffs must have length {n} and y_coeffs length {ny}")
+        if row.sense not in ("<=", ">=", "="):
+            raise ValueError(f"coupling row {r}: bad sense {row.sense!r}")
+    if len(inst.obj_x) != n or len(inst.obj_y) != ny:
+        raise ValueError(f"objective x must have length {n} and y length {ny}")
 
 
 # --------------------------------------------------------------------------

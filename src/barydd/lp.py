@@ -19,8 +19,17 @@ pivot column, and in each only the pivot row's nonzero columns, plus one
 scaling by the pivot numerator and one division by the row's gcd.  The
 reduced-cost row is held and updated the same way.  Pricing tests integer
 signs and the ratio test compares integer cross-products, so the pivot path
-is the one a Fraction tableau takes.  Fractions appear only where rows are
-built and where values are read off.
+is the one a Fraction tableau takes.
+
+The edges of the solve are in integers too.  Each row enters the tableau
+scaled by the lcm of its denominators after the lower-bound shift, its sign
+flip, slack and artificial already integers.  Each reported number is made
+as one Fraction from the final tableau and reduced-cost row.  The checks of
+a result scale the point by its common denominator and each row by the lcm
+of its own, and take the dual sums over one common denominator.  Fractions
+remain in the input (LPRow and LPProblem convert each coefficient once), in
+the phase-2 costs, in the shift of a right-hand side by nonzero lower
+bounds, and in the reported numbers.
 
 Conventions for a reported optimal solution of min c.x + const:
 
@@ -54,7 +63,11 @@ from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+
+def _fraction(x) -> Fraction:
+    """``x`` as a Fraction; a Fraction is returned as it is."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class LPVerificationError(ArithmeticError):
@@ -73,8 +86,13 @@ class LPRow:
     tag: Optional[object] = None  # provenance, carried through to reports
 
     def __post_init__(self):
-        self.coeffs = {v: Fraction(c) for v, c in self.coeffs.items() if Fraction(c) != 0}
-        self.rhs = Fraction(self.rhs)
+        coeffs = {}
+        for v, c in self.coeffs.items():
+            c = _fraction(c)
+            if c:
+                coeffs[v] = c
+        self.coeffs = coeffs
+        self.rhs = _fraction(self.rhs)
         if self.sense not in ("<=", ">=", "="):
             raise ValueError(f"bad sense {self.sense!r}")
 
@@ -93,9 +111,9 @@ class LPProblem:
         if v in self.lb:
             raise ValueError(f"duplicate variable {v}")
         self.variables.append(v)
-        self.lb[v] = Fraction(lb) if lb is not None else None
+        self.lb[v] = _fraction(lb) if lb is not None else None
         if obj:
-            self.objective[v] = self.objective.get(v, ZERO) + Fraction(obj)
+            self.objective[v] = self.objective.get(v, ZERO) + _fraction(obj)
 
     def add_row(self, coeffs, sense, rhs, name="", tag=None) -> LPRow:
         row = LPRow(dict(coeffs), sense, rhs, name, tag)
@@ -140,14 +158,15 @@ class _Tableau:
     makes ``D[i]`` the lcm of the denominators of the row's entries: a row
     has one representation, and each entry is the exact rational a
     Fraction tableau would hold.  The entry of a row at its basic column
-    equals ``D[i]``.
+    equals ``D[i]``.  Rows enter through ``set_row`` already in this form;
+    the tableau holds no Fraction.
 
     A pivot on ``(r, c)`` makes row ``r`` positive at ``c``, divides it by
     its gcd and sets ``D[r]`` to the pivot numerator ``p``.  Every other row
-    with ``f = T[i][c] != 0`` is scaled by ``p`` (when ``p != 1``), has
-    ``f * T[r][j]`` subtracted at the pivot row's columns only, which
-    clears column ``c``, and is divided by its gcd.  ``pivots`` counts the
-    pivots made so far."""
+    with ``f = T[i][c] != 0`` is scaled by ``p / g`` (when that is not 1),
+    ``g = gcd(p, f)``, has ``(f / g) * T[r][j]`` subtracted at the pivot
+    row's columns only, which clears column ``c``, and is divided by its
+    gcd.  ``pivots`` counts the pivots made so far."""
 
     def __init__(self, ncols: int, nrows: int):
         self.T: List[Dict[int, int]] = [{} for _ in range(nrows)]
@@ -156,12 +175,10 @@ class _Tableau:
         self.ncols = ncols
         self.pivots = 0
 
-    def set_row(self, i: int, entries: Dict[int, Fraction]):
-        """Row ``i`` := the given rational entries (zeros are dropped)."""
-        self.T[i], self.D[i] = _scaled(entries)
-
-    def value(self, i: int, j: int) -> Fraction:
-        return Fraction(self.T[i].get(j, 0), self.D[i])
+    def set_row(self, i: int, row: Dict[int, int], d: int):
+        """Row ``i`` := ``row / d``, given primitive: nonzero int
+        numerators over ``d > 0``, their gcd with ``d`` 1."""
+        self.T[i], self.D[i] = row, d
 
     def pivot(self, r: int, c: int) -> List[int]:
         """Pivot on entry ``(r, c)``; return the pivot row's nonzero
@@ -185,19 +202,17 @@ class _Tableau:
         return list(rowr)
 
 
-def _scaled(entries: Dict[int, Fraction]) -> Tuple[Dict[int, int], int]:
-    """Fraction-free form of a row of rationals: its nonzero entries'
-    numerators over the lcm of their denominators.  Such a row is already
-    primitive."""
-    d = lcm(*(x.denominator for x in entries.values() if x))
-    return {j: x.numerator * (d // x.denominator) for j, x in entries.items() if x}, d
-
-
 def _eliminate(row: Dict[int, int], d: int, f: int, prow: Dict[int, int], p: int) -> Tuple[Dict[int, int], int]:
     """``row / d - (f / d) * (prow / p)`` as a primitive fraction-free row,
     where ``f`` is the row's entry at the pivot column and ``p`` the pivot
-    row's.  The pivot column cancels to zero and is dropped.  ``row`` is
-    updated in place when ``p == 1``; use the returned row and denominator."""
+    row's.  The pivot column cancels to zero and is dropped.  ``p`` and
+    ``f`` are divided by their gcd first, which leaves the rational row, and
+    so its primitive form, the same.  ``row`` is updated in place when the
+    reduced ``p`` is 1; use the returned row and denominator."""
+    g = gcd(p, f)
+    if g != 1:
+        p //= g
+        f //= g
     if p != 1:
         row = {j: x * p for j, x in row.items()}
         d *= p
@@ -281,67 +296,71 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     LPVerificationError."""
     minimize = problem.sense == "min"
     # -- internal columns ---------------------------------------------------
-    # free var v -> columns (v,+1),(v,-1); lb var -> column (v,+1) shifted.
+    # variable v has column col[v]; a free v also has col[v] + 1 for its
+    # negative part, and a v with a nonzero lower bound is shifted by it.
     cols: List[Tuple[str, int]] = []
-    col_of: Dict[Tuple[str, int], int] = {}
+    col: Dict[str, int] = {}
+    free = set()
     shift: Dict[str, Fraction] = {}
     for v in problem.variables:
+        col[v] = len(cols)
         lo = problem.lb.get(v)
         if lo is None:
-            for sgn in (1, -1):
-                col_of[(v, sgn)] = len(cols)
-                cols.append((v, sgn))
+            free.add(v)
+            cols += [(v, 1), (v, -1)]
         else:
-            shift[v] = lo
-            col_of[(v, 1)] = len(cols)
             cols.append((v, 1))
+            if lo:
+                shift[v] = lo
     nstruct = len(cols)
     nrows = len(problem.rows)
     # a row is negated when its rhs is negative, and a '>=' row also when
     # its rhs is 0, so every rhs is >= 0 and a '<=' row with rhs >= 0 or a
     # '>=' row with rhs <= 0 has its slack at +1: that slack starts basic.
     # unit[i] is the column that is e_i in the starting system, the slack
-    # of such a row and otherwise the row's artificial.
-    sign: List[Fraction] = [ONE] * nrows
+    # of such a row and otherwise the row's artificial.  Each row enters the
+    # tableau as integers over d, the lcm of its denominators after the
+    # shift, which is its primitive fraction-free form.
+    sign: List[int] = [1] * nrows
     unit: List[int] = [-1] * nrows
-    start: List[Tuple[Dict[int, Fraction], Fraction]] = []  # (body, rhs)
+    start: List[Tuple[Dict[int, int], int, int]] = []  # (body, rhs, d)
     scol = nstruct
     for i, row in enumerate(problem.rows):
-        rhs = row.rhs - sum(
-            c * shift.get(v, ZERO) for v, c in row.coeffs.items() if v in shift
-        )
-        body: Dict[int, Fraction] = {}
-        for v, c in row.coeffs.items():
-            body[col_of[(v, 1)]] = c
-            if (v, -1) in col_of:
-                body[col_of[(v, -1)]] = -c
-        slack = ONE if row.sense == "<=" else -ONE
-        if rhs < 0 or (rhs == 0 and row.sense == ">="):
-            sign[i], slack, rhs = -ONE, -slack, -rhs
-            body = {j: -x for j, x in body.items()}
+        rhs = row.rhs
+        if shift:
+            rhs -= sum(c * shift[v] for v, c in row.coeffs.items() if v in shift)
+        a, b, d = _int_row(row.coeffs, rhs)
+        s = -1 if b < 0 or (b == 0 and row.sense == ">=") else 1
+        sign[i] = s
+        body: Dict[int, int] = {}
+        for v, x in a.items():
+            j = col[v]
+            body[j] = s * x
+            if v in free:
+                body[j + 1] = -s * x
         if row.sense != "=":
-            body[scol] = slack
+            slack = s if row.sense == "<=" else -s
+            body[scol] = slack * d
             if slack == 1:
                 unit[i] = scol
             scol += 1
-        start.append((body, rhs))
+        start.append((body, s * b, d))
     art0 = scol
     ncols = art0 + unit.count(-1)  # artificials at the end
     tab = _Tableau(ncols, nrows)
     acol = art0
-    for i, (body, rhs) in enumerate(start):
+    for i, (body, rhs, d) in enumerate(start):
         if unit[i] < 0:
             unit[i] = acol
-            body[acol] = ONE
+            body[acol] = d
             acol += 1
-        body[ncols] = rhs
-        tab.set_row(i, body)
+        if rhs:
+            body[ncols] = rhs
+        tab.set_row(i, body, d)
         tab.basis[i] = unit[i]
 
     # -- phase 1 -------------------------------------------------------------
-    cost1 = [ZERO] * ncols
-    for j in range(art0, ncols):
-        cost1[j] = ONE
+    cost1 = [0] * art0 + [1] * (ncols - art0)
     status, _, rc1, d1 = _kernel(tab, cost1, ncols)
     if status != "optimal":
         raise LPVerificationError(f"phase 1 ended {status}, not optimal")
@@ -351,7 +370,7 @@ def lp_solve(problem: LPProblem) -> LPSolution:
         # the unit columns and turned back to each row's own orientation,
         # are a Farkas certificate (see _verify_infeasible)
         farkas = [
-            (cost1[unit[i]] - Fraction(rc1.get(unit[i], 0), d1)) * sign[i]
+            Fraction(sign[i] * (cost1[unit[i]] * d1 - rc1.get(unit[i], 0)), d1)
             for i in range(nrows)
         ]
         sol = LPSolution(status="infeasible", farkas=farkas, pivots=PivotCounts(phase1))
@@ -367,43 +386,44 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     drive_out = tab.pivots - phase1
 
     # -- phase 2 -------------------------------------------------------------
-    cost2 = [ZERO] * ncols
+    cost2: List[Fraction] = [ZERO] * ncols
     for v, c in problem.objective.items():
-        c = Fraction(c) if minimize else -Fraction(c)
-        cost2[col_of[(v, 1)]] += c
-        if (v, -1) in col_of:
-            cost2[col_of[(v, -1)]] -= c
+        c = _fraction(c) if minimize else -_fraction(c)
+        cost2[col[v]] = c
+        if v in free:
+            cost2[col[v] + 1] = -c
     status, enter, rc2, d2 = _kernel(tab, cost2, art0)
     pivots = PivotCounts(phase1, drive_out, tab.pivots - phase1 - drive_out)
+    primal = _basic_point(problem, tab, col, free)
     if status == "unbounded":
-        # the same direction certifies -infinity for min and +infinity for max
-        direction: Dict[str, Fraction] = {v: ZERO for v in problem.variables}
-        vname, sgn = cols[enter] if enter < nstruct else (None, 0)
-        if vname is not None:
-            direction[vname] += Fraction(sgn)
-        for i in range(nrows):
-            b = tab.basis[i]
+        # the same direction certifies -infinity for min and +infinity for max:
+        # +1 on the entering column, minus its tableau column on the basic
+        # structural columns, each summed into its variable
+        terms: Dict[str, List[Tuple[int, int]]] = {v: [] for v in problem.variables}
+        if enter < nstruct:
+            vname, sgn = cols[enter]
+            terms[vname].append((sgn, 1))
+        for i, b in enumerate(tab.basis):
             if b < nstruct and enter in tab.T[i]:
                 bv, bsgn = cols[b]
-                direction[bv] -= Fraction(bsgn) * tab.value(i, enter)
-        sol = LPSolution(
-            status="unbounded", primal=_basic_point(problem, tab, col_of, shift), ray=direction,
-            pivots=pivots,
-        )
+                terms[bv].append((-bsgn * tab.T[i][enter], tab.D[i]))
+        direction = {v: _sum(t) for v, t in terms.items()}
+        sol = LPSolution(status="unbounded", primal=primal, ray=direction, pivots=pivots)
         _verify_unbounded(problem, sol)
         return sol
 
-    primal = _basic_point(problem, tab, col_of, shift)
-    value = sum((c * primal[v] for v, c in problem.objective.items()), ZERO) + problem.obj_const
-    # duals from reduced costs under the unit columns (phase-2 costs are 0)
-    dual = [-Fraction(rc2.get(unit[i], 0), d2) * sign[i] for i in range(nrows)]
+    value = _sum(
+        [(c.numerator * primal[v].numerator, c.denominator * primal[v].denominator)
+         for v, c in problem.objective.items()]
+        + [(problem.obj_const.numerator, problem.obj_const.denominator)]
+    )
+    # duals from reduced costs under the unit columns (phase-2 costs are 0);
+    # for max both the duals and the reduced costs change sign
+    osgn = 1 if minimize else -1
+    dual = [Fraction(-osgn * sign[i] * rc2.get(unit[i], 0), d2) for i in range(nrows)]
     reduced: Dict[str, Fraction] = {
-        v: Fraction(rc2.get(col_of[(v, 1)], 0), d2) for v in problem.variables
+        v: Fraction(osgn * rc2.get(col[v], 0), d2) for v in problem.variables
     }
-    if not minimize:
-        dual = [-d for d in dual]
-        reduced = {v: -r for v, r in reduced.items()}
-
     sol = LPSolution(
         status="optimal", value=value, primal=primal, dual=dual, reduced=reduced, pivots=pivots
     )
@@ -411,48 +431,95 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     return sol
 
 
-def _basic_point(
-    problem: LPProblem, tab: _Tableau, col_of: Dict[Tuple[str, int], int], shift: Dict[str, Fraction]
-) -> Dict[str, Fraction]:
+def _sum(terms: List[Tuple[int, int]]) -> Fraction:
+    """The sum of the ``n / d`` over the pairs ``(n, d)``, ``d > 0``, made
+    as one Fraction over the lcm of the ``d``."""
+    d = lcm(*(e for _, e in terms))
+    return Fraction(sum(n * (d // e) for n, e in terms), d)
+
+
+def _basic_point(problem: LPProblem, tab: _Tableau, col: Dict[str, int], free) -> Dict[str, Fraction]:
     """Each variable's value at the tableau's basic solution: its internal
     columns combined, its lower bound added back."""
-    xint: Dict[int, Fraction] = {b: tab.value(i, tab.ncols) for i, b in enumerate(tab.basis)}
+    rhs = tab.ncols
+    at = {b: (tab.T[i].get(rhs, 0), tab.D[i]) for i, b in enumerate(tab.basis)}
     primal: Dict[str, Fraction] = {}
     for v in problem.variables:
-        val = xint.get(col_of[(v, 1)], ZERO)
-        if (v, -1) in col_of:
-            val -= xint.get(col_of[(v, -1)], ZERO)
-        primal[v] = val + shift.get(v, ZERO)
+        j = col[v]
+        terms = [at[j]] if j in at else []
+        if v in free and j + 1 in at:
+            n, d = at[j + 1]
+            terms.append((-n, d))
+        lo = problem.lb.get(v)
+        if lo:
+            terms.append((lo.numerator, lo.denominator))
+        primal[v] = _sum(terms)
     return primal
 
 
-def _in_sense(lhs: Fraction, sense: str, rhs: Fraction) -> bool:
+def _over_lcm(values: Dict[str, Fraction]) -> Tuple[Dict[str, int], int]:
+    """The rationals ``values`` as integers over their lcm ``L``: the
+    numerators of ``L * x``, and ``L``."""
+    m = lcm(*(x.denominator for x in values.values()))
+    return {v: x.numerator * (m // x.denominator) for v, x in values.items()}, m
+
+
+def _int_row(coeffs: Dict[str, Fraction], rhs: Fraction) -> Tuple[Dict[str, int], int, int]:
+    """The row ``coeffs.x (sense) rhs`` scaled by ``s``, the lcm of its
+    denominators: the integers ``s * coeffs`` and ``s * rhs``, and ``s``."""
+    s = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+    a = {v: c.numerator * (s // c.denominator) for v, c in coeffs.items()}
+    return a, rhs.numerator * (s // rhs.denominator), s
+
+
+def _dual_sums(problem: LPProblem, used: List[Tuple[Fraction, Dict[str, int], int, int]]):
+    """``sum_i y_i a_iv`` per variable and ``sum_i y_i b_i`` over the rows
+    ``(y_i, s_i a_i, s_i b_i, s_i)`` in ``used``, as integers over ``K =
+    lcm(den(y_i) s_i)``: returns ``(acc, total, K)``."""
+    K = lcm(*(y.denominator * s for y, _, _, s in used))
+    acc = dict.fromkeys(problem.variables, 0)
+    total = 0
+    for y, a, b, s in used:
+        q = y.numerator * (K // (y.denominator * s))
+        for v, c in a.items():
+            acc[v] += q * c
+        total += q * b
+    return acc, total, K
+
+
+def _in_sense(lhs, sense: str, rhs) -> bool:
     return lhs <= rhs if sense == "<=" else lhs >= rhs if sense == ">=" else lhs == rhs
 
 
 def _verify_optimal(problem: LPProblem, sol: LPSolution):
     """Exact primal feasibility, dual signs, complementary slackness, the
     dual identity per variable and strong duality.  Raises
-    LPVerificationError on the first violation."""
+    LPVerificationError on the first violation.  Each row is checked in
+    integers: the point scaled by its common denominator, the row by its
+    own."""
     sgn = 1 if problem.sense == "min" else -1
-    acc: Dict[str, Fraction] = {v: ZERO for v in problem.variables}
-    dual_value = ZERO
+    x, L = _over_lcm(sol.primal)
+    used = []
     for row, y in zip(problem.rows, sol.dual):
-        lhs = sum((c * sol.primal[v] for v, c in row.coeffs.items()), ZERO)
-        if not _in_sense(lhs, row.sense, row.rhs):
+        a, b, s = _int_row(row.coeffs, row.rhs)
+        lhs, rhs = sum(c * x[v] for v, c in a.items()), b * L
+        if not _in_sense(lhs, row.sense, rhs):
             raise LPVerificationError(f"primal infeasible on row {row.name!r}")
-        if row.sense != "=" and not _in_sense(sgn * y, row.sense, ZERO):
+        if row.sense != "=" and not _in_sense(sgn * y, row.sense, 0):
             raise LPVerificationError(f"dual sign on {row.sense} row {row.name!r}")
         if y:
-            if lhs != row.rhs:
+            if lhs != rhs:
                 raise LPVerificationError(f"complementary slackness on row {row.name!r}")
-            for v, c in row.coeffs.items():
-                acc[v] += y * c
-            dual_value += y * row.rhs
+            used.append((y, a, b, s))
+    acc, dual_value, K = _dual_sums(problem, used)
+    bound_terms = []
     for v in problem.variables:
-        c = Fraction(problem.objective.get(v, ZERO))
+        c = _fraction(problem.objective.get(v, ZERO))
         rc = sol.reduced[v]
-        if c != acc[v] + rc:
+        # c = acc[v] / K + rc, cross-multiplied
+        if (c.numerator * rc.denominator - rc.numerator * c.denominator) * K != (
+            acc[v] * c.denominator * rc.denominator
+        ):
             raise LPVerificationError(f"dual identity on {v}")
         lo = problem.lb.get(v)
         if lo is None:
@@ -463,8 +530,11 @@ def _verify_optimal(problem: LPProblem, sol: LPSolution):
                 raise LPVerificationError(f"reduced cost sign on {v}")
             if rc != 0 and sol.primal[v] != lo:
                 raise LPVerificationError(f"complementary slackness on the bound of {v}")
-            dual_value += rc * lo
-    if sol.value != dual_value + problem.obj_const:
+            bound_terms.append((rc.numerator * lo.numerator, rc.denominator * lo.denominator))
+    obj_const = problem.obj_const
+    if sol.value != _sum(
+        bound_terms + [(dual_value, K), (obj_const.numerator, obj_const.denominator)]
+    ):
         raise LPVerificationError("strong duality")
 
 
@@ -475,18 +545,18 @@ def _verify_infeasible(problem: LPProblem, sol: LPSolution):
     and <= 0 for each v with a lower bound, and sum_i y_i (b_i - a_i.lb) > 0
     (free variables counted at 0 in a_i.lb).  At a feasible x the sum
     sum_i y_i (a_i.x - b_i) would then be both >= 0 and < 0.  Raises
-    LPVerificationError on the first violation."""
+    LPVerificationError on the first violation.  The sums are taken in
+    integers over one common denominator."""
     if len(sol.farkas) != len(problem.rows):
         raise LPVerificationError("Farkas vector length")
-    acc: Dict[str, Fraction] = {v: ZERO for v in problem.variables}
-    gap = ZERO
+    used = []
     for row, y in zip(problem.rows, sol.farkas):
         if (row.sense == "<=" and y > 0) or (row.sense == ">=" and y < 0):
             raise LPVerificationError(f"Farkas sign on {row.sense} row {row.name!r}")
         if y:
-            for v, c in row.coeffs.items():
-                acc[v] += y * c
-            gap += y * row.rhs
+            used.append((y,) + _int_row(row.coeffs, row.rhs))
+    acc, gap, K = _dual_sums(problem, used)
+    bound_terms = [(gap, K)]
     for v in problem.variables:
         lo = problem.lb.get(v)
         if lo is None:
@@ -495,8 +565,8 @@ def _verify_infeasible(problem: LPProblem, sol: LPSolution):
         else:
             if acc[v] > 0:
                 raise LPVerificationError(f"Farkas: y.A positive on bounded var {v}")
-            gap -= acc[v] * lo
-    if gap <= 0:
+            bound_terms.append((-acc[v] * lo.numerator, K * lo.denominator))
+    if _sum(bound_terms) <= 0:
         raise LPVerificationError("Farkas: y.(b - A.lb) not positive")
 
 
@@ -506,20 +576,24 @@ def _verify_unbounded(problem: LPProblem, sol: LPSolution):
     0 for each variable with a lower bound, a_i.x <= b_i and a_i.d <= 0 on
     '<=' rows, >= on '>=' rows and = on '=' rows, and c.d < 0 for min (> 0
     for max).  So the LP is feasible and its objective has no bound.
-    Raises LPVerificationError on the first violation."""
-    x, d = sol.primal, sol.ray
+    Raises LPVerificationError on the first violation.  The point, the ray
+    and each row are checked as integers over their own denominators."""
     for v in problem.variables:
         lo = problem.lb.get(v)
         if lo is not None:
-            if x[v] < lo:
+            if sol.primal[v] < lo:
                 raise LPVerificationError(f"point below the lower bound of {v}")
-            if d[v] < 0:
+            if sol.ray[v] < 0:
                 raise LPVerificationError(f"ray negative on bounded var {v}")
+    x, L = _over_lcm(sol.primal)
+    d, _ = _over_lcm(sol.ray)
     for row in problem.rows:
-        if not _in_sense(sum((c * x[v] for v, c in row.coeffs.items()), ZERO), row.sense, row.rhs):
+        a, b, _ = _int_row(row.coeffs, row.rhs)
+        if not _in_sense(sum(c * x[v] for v, c in a.items()), row.sense, b * L):
             raise LPVerificationError(f"point violates {row.sense} row {row.name!r}")
-        if not _in_sense(sum((c * d[v] for v, c in row.coeffs.items()), ZERO), row.sense, ZERO):
+        if not _in_sense(sum(c * d[v] for v, c in a.items()), row.sense, 0):
             raise LPVerificationError(f"ray leaves {row.sense} row {row.name!r}")
     sgn = 1 if problem.sense == "min" else -1
-    if sgn * sum((c * d[v] for v, c in problem.objective.items()), ZERO) >= 0:
+    c, _ = _over_lcm(problem.objective)
+    if sgn * sum(cv * d[v] for v, cv in c.items()) >= 0:
         raise LPVerificationError("ray does not improve the objective")

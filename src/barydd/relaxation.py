@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dd_engine import DDRun, dd_run
+from .dd_engine import DDRun, EmptyInterior, dd_run
 from .exactmath import Poly, RatFun, rat_from_str, rat_to_str
 from .lp import LPProblem, LPSolution, lp_solve
 from .polyhedra import (
@@ -192,12 +192,16 @@ def barycentric_for_polytope(P: HPolyhedron) -> BarycentricCoords:
     """Symbolic barycentric coordinates of the polytope P: one DD run in
     the default row order, its final state pruned, the columns
     dehomogenized and put in the vertex oracle's order.  Raises
+    EmptyInterior when P has no interior point, which the run shows as a
+    step that found no ray strictly inside its row (``E`` not empty), and
     UnboundedInput when P has a recession ray or the columns do not match
     the oracle's vertices."""
     from .dd_engine import prune_redundant
     from .polyhedra import dehomogenize
 
     run = dd_run(P)
+    if run.final.E:
+        raise EmptyInterior(f"P has no interior point: row {run.final.E[0]} holds with equality on all of P")
     state = prune_redundant(run.final)
     if any(col[0] == 0 for col in state.R):
         raise UnboundedInput("polytope has a recession ray; cannot dehomogenize")

@@ -23,6 +23,14 @@ from barydd.lp import (
     lp_solve,
 )
 from conftest import run_optimized
+from reference_lp import (
+    Setup,
+    reference_lp_solve,
+    reference_verify_infeasible,
+    reference_verify_optimal,
+    reference_verify_unbounded,
+    scaled,
+)
 
 
 def simple_problem():
@@ -403,7 +411,7 @@ class CheckedTableau(_Tableau):
     def __init__(self, rows, basis):
         super().__init__(len(rows[0]) - 1, len(rows))
         for i, row in enumerate(rows):
-            self.set_row(i, dict(enumerate(row)))
+            self.set_row(i, *scaled(dict(enumerate(row))))
         self.basis = list(basis)
         self.ref, self.ref_basis, self.path = [list(row) for row in rows], list(basis), []
         self.check()
@@ -420,7 +428,7 @@ class CheckedTableau(_Tableau):
     def check(self):
         assert self.basis == self.ref_basis
         for i, (row, d) in enumerate(zip(self.T, self.D)):
-            assert [self.value(i, j) for j in range(self.ncols + 1)] == self.ref[i]
+            assert [F(row.get(j, 0), d) for j in range(self.ncols + 1)] == self.ref[i]
             assert type(d) is int and d > 0
             assert all(type(x) is int and x != 0 for x in row.values())
             assert math.gcd(d, *row.values()) == 1
@@ -475,6 +483,101 @@ class TestSparsePivot:
             assert [F(rc.get(j, 0), d) for j in range(ncols)] == ref_rc
             seen[status] += 1
         assert all(count >= 10 for count in seen.values()), seen
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The tableau each phase-1 kernel call of the test starts from, as
+    (rows, denominators, basis, ncols)."""
+    seen = []
+    kernel = lp_module._kernel
+
+    def recording(tab, cost, ncand):
+        seen.append(([dict(row) for row in tab.T], list(tab.D), list(tab.basis), tab.ncols))
+        return kernel(tab, cost, ncand)
+
+    monkeypatch.setattr(lp_module, "_kernel", recording)
+    return seen
+
+
+def outcome(verify, problem, sol):
+    """The message ``verify`` raises on ``sol``, or None when it accepts."""
+    try:
+        verify(problem, sol)
+    except LPVerificationError as exc:
+        return str(exc)
+    return None
+
+
+EPS = F(1, 10**12)
+
+
+def perturbed(rng, sol):
+    """``sol`` with one reported number moved by +-1/10^12: the value, one
+    primal entry, one dual and one reduced cost of an optimal result, one
+    Farkas entry of an infeasible one, one point and one ray entry of an
+    unbounded one."""
+    def moved(x):
+        return x + rng.choice([EPS, -EPS])
+
+    def one_of(d):
+        v = rng.choice(list(d))
+        return {**d, v: moved(d[v])}
+
+    def one_in(xs):
+        i = rng.randrange(len(xs))
+        return xs[:i] + [moved(xs[i])] + xs[i + 1:]
+
+    if sol.status == "optimal":
+        out = [{"value": moved(sol.value)}, {"primal": one_of(sol.primal)},
+               {"reduced": one_of(sol.reduced)}]
+        out += [{"dual": one_in(sol.dual)}] if sol.dual else []
+    elif sol.status == "infeasible":
+        out = [{"farkas": one_in(sol.farkas)}]
+    else:
+        out = [{"primal": one_of(sol.primal)}, {"ray": one_of(sol.ray)}]
+    return [dataclasses.replace(sol, **change) for change in out]
+
+
+class TestFractionReference:
+    """The integer row setup, readout and verifiers against the Fraction
+    ones they replaced (tests/reference_lp.py), on random LPs with all
+    three outcomes, free variables and shifted lower bounds."""
+
+    def test_same_start_and_solution(self, starts):
+        rng = random.Random(20241019)
+        seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        free = shifted = 0
+        for _ in range(300):
+            p = random_lp(rng)
+            starts.clear()
+            sol = lp_solve(p)
+            ref = Setup(p).tab
+            assert starts[0] == (ref.T, ref.D, ref.basis, ref.ncols)
+            assert repr(sol) == repr(reference_lp_solve(p))
+            seen[sol.status] += 1
+            free += any(lo is None for lo in p.lb.values())
+            shifted += any(lo for lo in p.lb.values())
+        assert all(count >= 50 for count in seen.values()), seen
+        assert free >= 100 and shifted >= 100, (free, shifted)
+
+    def test_verifiers_reject_what_references_reject(self):
+        rng = random.Random(1012)
+        checks = {
+            "optimal": (_verify_optimal, reference_verify_optimal),
+            "infeasible": (_verify_infeasible, reference_verify_infeasible),
+            "unbounded": (_verify_unbounded, reference_verify_unbounded),
+        }
+        verdicts = {"accepted": 0, "rejected": 0}
+        for _ in range(300):
+            p = random_lp(rng)
+            sol = lp_solve(p)
+            verify, reference = checks[sol.status]
+            for bad in [sol] + perturbed(rng, sol):
+                got = outcome(verify, p, bad)
+                assert got == outcome(reference, p, bad), (p, bad)
+                verdicts["accepted" if got is None else "rejected"] += 1
+        assert verdicts["rejected"] >= 300 and verdicts["accepted"] >= 300, verdicts
 
 
 class TestVerification:

@@ -848,6 +848,47 @@ class TestCliBadInput:
         self.assert_one_line_error(capsys, start)
 
     @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda d: d["objective"].update(x=["1"]), "objective x must have length 2 and y length 1"),
+            (lambda d: d["objective"].update(x=["1", "2", "3"]), "objective x must have length 2"),
+            (lambda d: d["objective"].update(y=[]), "objective x must have length 2 and y length 1"),
+            (lambda d: d["coupling"][0].update(x_coeffs=["1", "0", "2"]),
+             "coupling row 0: x_coeffs must have length 2 and y_coeffs length 1"),
+            (lambda d: d["coupling"][1].update(x_coeffs=["1"]), "coupling row 1: x_coeffs must have length 2"),
+            (lambda d: d["coupling"][2].update(y_coeffs=[]), "coupling row 2: x_coeffs must have length 2"),
+            (lambda d: d["coupling"][0].update(sense="<"), "coupling row 0: bad sense '<'"),
+            (lambda d: d["blocks"][0]["faces"][1].update(pi=[]), "face 1 of block 0: pi must have length 1"),
+            (lambda d: d["blocks"][1]["faces"][0].update(pi=["-1", "0"]), "face 0 of block 1: pi must have length 1"),
+        ],
+        ids=["short_obj_x", "long_obj_x", "short_obj_y", "long_x_coeffs", "short_x_coeffs",
+             "no_y_coeffs", "bad_sense", "empty_pi", "long_pi"],
+    )
+    @pytest.mark.parametrize(
+        "argv, start",
+        [(["solve", "--method", "fdr"], "bad instance file: "), (["fdr-check", "--brute"], "bad FDP file: ")],
+        ids=["solve", "fdr_check"],
+    )
+    def test_fdr_rejects_misshapen_file(self, argv, start, edit, reason, tmp_path, capsys):
+        data = two_block_fdp().to_json()
+        edit(data)
+        inp = tmp_path / "fdp.json"
+        inp.write_text(json.dumps(data))
+        assert exit_code(argv[:1] + [str(inp)] + argv[1:]) == cli.EXIT_PARSE
+        self.assert_one_line_error(capsys, start + reason)
+
+    @pytest.mark.parametrize("sense", [">=", "="])
+    def test_fdr_accepts_every_sense(self, sense, tmp_path, capsys):
+        # x1 - x2 + y >= 1 (or = 1) in place of <= 1; fdr-check --brute
+        # compares the level-2 relaxation with the brute-force optimum
+        data = two_block_fdp().to_json()
+        data["coupling"][0]["sense"] = sense
+        inp = tmp_path / "fdp.json"
+        inp.write_text(json.dumps(data))
+        assert exit_code(["fdr-check", str(inp), "--level", "2", "--brute"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
         "command", ["dd", "certify", "fdr-check", "verify-identities"]
     )
     def test_approx_only_for_solve(self, command, tmp_path, capsys):
@@ -990,6 +1031,18 @@ class TestCliBadInput:
         assert exit_code(["certify", inp]) == cli.EXIT_VERIFY
         out = capsys.readouterr()
         assert out.out == "hull LP not optimal: infeasible\n" and out.err == ""
+
+    @pytest.mark.parametrize("row", [0, 3], ids=["first_row", "last_row"])
+    def test_certify_empty_interior(self, row, dbp_62, tmp_path, capsys):
+        # an '=' row makes P a segment, which has no barycentric coordinates
+        # of full dimension; the hull LP alone would still solve
+        data = dbp_62.to_json()
+        data["P"]["constraints"][row]["sense"] = "="
+        inp = tmp_path / "inst.json"
+        inp.write_text(json.dumps(data))
+        assert exit_code(["certify", str(inp), "--verify"]) == cli.EXIT_EMPTY
+        self.assert_one_line_error(capsys, "empty interior: P has no interior point: ")
+        assert exit_code(["solve", str(inp), "--method", "hull"]) == 0
 
     @pytest.mark.parametrize("which", ["P", "Py"])
     @pytest.mark.parametrize(
