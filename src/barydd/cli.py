@@ -39,6 +39,7 @@ decided in one place, the table EXIT_FOR that `main` consults; codes 1 and
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -529,7 +530,10 @@ def cmd_verify_identities(args) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later ``main`` call: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="barydd", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)

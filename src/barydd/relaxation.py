@@ -10,13 +10,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import linalg
 from .dd_engine import DDRun, EmptyInterior, dd_run
 from .exactmath import Poly, RatFun, rat_from_str, rat_to_str
 from .lp import LPProblem, LPSolution, lp_solve
 from .polyhedra import (
     HPolyhedron,
+    NotFullRank,
     dehomogenize_columns,
     enumerate_vertices_oracle,
     interior_point,
@@ -188,26 +191,80 @@ class BarycentricCoords:
     state: object  # pruned DDState
 
 
+def _facet_rows(P: HPolyhedron, vertices: Sequence[tuple]) -> List[int]:
+    """The rows of P that define its facets, one row per facet, in row
+    order: a row is a facet row when the vertices it is tight at have
+    affine rank n - 1, that is when their points (1, v) have rank n, and
+    of the rows tight at the same vertices only the first is kept.
+
+    Empty when some row is tight at every vertex: P has no vertex (it is
+    empty, or its rows have rank below n), or a row holds with equality
+    on all of P (an '=' row, 0.x <= 0), which the DD run over every row
+    reports.  So it is empty whenever the vertices do not span n
+    dimensions, since a row tight at n affinely independent vertices then
+    holds at all of them.  In integers: each vertex v = N / d is the
+    point (d, N) and each row the integer-scaled row of ``P.int_rows``."""
+    n = P.n
+    if n == 0:
+        return []
+    pts = []
+    for v in vertices:
+        d = lcm(*(c.denominator for c in v))
+        pts.append((d,) + tuple(c.numerator * (d // c.denominator) for c in v))
+    rows, seen = [], set()
+    for i, (rhs, coeffs) in enumerate(P.int_rows):
+        tight = tuple(
+            j for j, (d, *num) in enumerate(pts)
+            if rhs * d == sum(a * x for a, x in zip(coeffs, num))
+        )
+        if len(tight) == len(pts):
+            return []
+        if tight not in seen and len(tight) >= n and linalg.int_rank([pts[j] for j in tight]) == n:
+            seen.add(tight)
+            rows.append(i)
+    return rows
+
+
 def barycentric_for_polytope(P: HPolyhedron) -> BarycentricCoords:
-    """Symbolic barycentric coordinates of the polytope P: one DD run in
-    the default row order, its final state pruned, the columns
-    dehomogenized and put in the vertex oracle's order.  Raises
-    EmptyInterior when P has no interior point, which the run shows as a
-    step that found no ray strictly inside its row (``E`` not empty), and
-    UnboundedInput when P has a recession ray or the columns do not match
-    the oracle's vertices."""
+    """Symbolic barycentric coordinates of the polytope P: one DD run over
+    P's facet rows in their row order (``_facet_rows`` of the vertex
+    oracle's vertices), its final state pruned, the columns dehomogenized
+    and put in the vertex oracle's order.  A redundant row costs no DD
+    step.  The coordinates are those of the run that processes the facet
+    rows first and the other rows after them, whose steps change neither
+    the columns nor the coordinates; in 3-D and above they can differ from
+    those of the default order when a redundant row sits between facets.
+    When ``_facet_rows`` is empty (the vertices do not span n dimensions,
+    a row is tight at every vertex, or no row is a facet row), the run
+    takes every row in the default order, so each error below reads as it
+    does for that run.
+
+    Raises EmptyInterior when P has no interior point, which the run shows
+    as a step that found no ray strictly inside its row (``E`` not empty),
+    NotFullRank when the rows of P have rank below n, and UnboundedInput
+    when P has a recession ray (a column with x0 = 0, or lineality left by
+    the facet rows of an unbounded P) or the columns do not match the
+    oracle's vertices.  So the coordinates prove P bounded."""
     from .dd_engine import prune_redundant
     from .polyhedra import dehomogenize
 
-    run = dd_run(P)
+    try:
+        oracle, rank_error = enumerate_vertices_oracle(P), None
+    except NotFullRank as exc:
+        oracle, rank_error = [], exc
+    run = dd_run(P, order=_facet_rows(P, oracle) or None)
     if run.final.E:
         raise EmptyInterior(f"P has no interior point: row {run.final.E[0]} holds with equality on all of P")
     state = prune_redundant(run.final)
-    if any(col[0] == 0 for col in state.R):
+    # no lineality and no column with x0 = 0: the rows run bound a polytope
+    # that contains P, which ``build_hull_lp`` then takes as proved bounded.
+    # With rows of rank below n the oracle's error is the one reported.
+    if any(col[0] == 0 for col in state.R) or (state.L and rank_error is None):
         raise UnboundedInput("polytope has a recession ray; cannot dehomogenize")
+    if rank_error is not None:
+        raise rank_error
     V, lam = dehomogenize(state.R, list(state.mu))
     pts = [tuple(c[1:]) for c in V]
-    oracle = enumerate_vertices_oracle(P)
     if sorted(pts) != oracle:
         raise UnboundedInput("dehomogenized columns do not match the vertex set")
     idx = {pt: i for i, pt in enumerate(pts)}
@@ -234,8 +291,10 @@ def build_hull_lp(
     simplex and scaled copies Y, rows (b^y -A^y)(lambda'; Y) >= 0, y = Y e,
     x = V lambda, objective Trace(Q Y V') plus affine terms.  It is the
     vertex form (``_vertex_form_lp``) over the points (1; v) of P's
-    vertices, given or from the oracle."""
-    if not is_bounded(inst.P) or not is_bounded(inst.Py):
+    vertices, given or from the oracle.  A caller that gives the vertices
+    has proved P bounded (``barycentric_for_polytope`` does), so then only
+    Py is checked."""
+    if (vertices is None and not is_bounded(inst.P)) or not is_bounded(inst.Py):
         raise UnboundedInput("hull LP needs bounded P and Py")
     V = list(vertices) if vertices is not None else enumerate_vertices_oracle(inst.P)
     return _vertex_form_lp(dbp_as_ac(inst), [(ONE,) + tuple(v) for v in V], name="hull")
@@ -776,7 +835,7 @@ class CouplingRow:
 
     xcoeffs: tuple  # over all block coordinates, concatenated
     ycoeffs: tuple
-    sense: str  # '<=' or '='  (cone = non-negative orthant plus equalities)
+    sense: str  # '<=', '>=' or '='
     rhs: Fraction
 
 
@@ -793,13 +852,13 @@ def sherali_adams_01(
     """Level-k Sherali-Adams (1990) for a mixed 0-1 LP over x in {0,1}^n
     and y: every product factor x^S (1-x)^S', |S u S'| = min(k, n), gives
     the row factor >= 0 (named factor{S},{Sp}) and, times each row r, the row
-    factor * (rhs - a.x - c.y) >= 0, or = 0 for an '=' row (named
-    ymem{S},{Sp},{r}).  They are linearized over the multilinear monomials
-    X_T = x^T and Y_T,l = x^T y_l (Y_(),l is y_l), up to degree
-    min(k+1, n) when some row has an x term and min(k, n) otherwise.  The
-    objective is obj_x.x + obj_y.y + obj_const, plus Q[j][l] on Y_(j),l.
-    Over the unit box, with the rows of Py, this is level-k RLT
-    (``_rlt_box``)."""
+    factor * (rhs - a.x - c.y), >= 0 for a '<=' row, <= 0 for a '>=' row
+    and = 0 for an '=' row (named ymem{S},{Sp},{r}).  They are linearized
+    over the multilinear monomials X_T = x^T and Y_T,l = x^T y_l (Y_(),l
+    is y_l), up to degree min(k+1, n) when some row has an x term and
+    min(k, n) otherwise.  The objective is obj_x.x + obj_y.y + obj_const,
+    plus Q[j][l] on Y_(j),l.  Over the unit box, with the rows of Py, this
+    is level-k RLT (``_rlt_box``)."""
     prob = LPProblem(sense="min", name=f"sa{k}")
     top = min(k + any(c for row in rows for c in row.xcoeffs), n)
     monos = [
@@ -849,7 +908,7 @@ def sherali_adams_01(
                     for l, c in enumerate(row.ycoeffs):
                         if c:
                             rc[yv(T, l)] = rc.get(yv(T, l), ZERO) - sign * c
-                sense = ">=" if row.sense == "<=" else "="
+                sense = {"<=": ">=", ">=": "<=", "=": "="}[row.sense]
                 prob.add_row(rc, sense, -rconst, name=f"ymem{S},{Sp},{r}",
                              tag=("ymem", S, Sp, r))
     obj: Dict[str, Fraction] = {}

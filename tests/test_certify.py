@@ -169,7 +169,9 @@ class TestCliVerify:
 class TestOracleCalls:
     """``certify --out --verify`` enumerates P's vertices once: the
     verification reuses the vertex list of the coordinates.  ``--check``,
-    which has no coordinates, runs the oracle itself."""
+    which has no coordinates, runs the oracle itself.  The coordinates prove
+    P bounded, so only Py gets a recession-ray LP, and DD makes one step per
+    facet row of P."""
 
     @staticmethod
     def count_oracle(monkeypatch):
@@ -198,6 +200,31 @@ class TestOracleCalls:
         assert cli.main(["certify", str(inp), "--check", str(out)]) == 0
         assert len(calls) == 1
         assert capsys.readouterr().out == "PASS\n"
+
+    def test_one_recession_lp_and_a_step_per_facet(self, dbp_62, tmp_path, monkeypatch, capsys):
+        from barydd import dd_engine, polyhedra
+
+        data = dbp_62.to_json()
+        # x1 <= 100 between the facet rows: redundant
+        data["P"]["constraints"].insert(2, {"coeffs": ["1", "0"], "sense": "<=", "rhs": "100"})
+        inp = tmp_path / "dbp62.json"
+        inp.write_text(json.dumps(data))
+        out = tmp_path / "cert.json"
+        oracle = self.count_oracle(monkeypatch)
+        rays, steps = [], []
+        real_ray, real_step = polyhedra.recession_ray, dd_engine.dd_step
+        monkeypatch.setattr(polyhedra, "recession_ray", lambda P: rays.append(P) or real_ray(P))
+        monkeypatch.setattr(dd_engine, "dd_step", lambda st, row: steps.append(row) or real_step(st, row))
+        assert cli.main(["certify", str(inp), "--out", str(out), "--verify"]) == 0
+        assert capsys.readouterr().out == "delta = -360\nidentity residual: 0\nPASS\n"
+        assert len(oracle) == 1
+        assert rays == [dbp_62.Py]
+        assert steps == [0, 1, 3, 4]
+        oracle.clear()
+        rays.clear()
+        steps.clear()
+        assert cli.main(["certify", str(inp), "--check", str(out)]) == 0
+        assert (len(oracle), rays, steps) == (1, [], [])
 
     def test_given_vertices_same_result(self, dbp_62):
         cert, _ = certified(dbp_62)
@@ -396,3 +423,229 @@ class TestCheaperPipeline:
                 for _ in range(30)
             ]
             assert cert.identity_rhs(inst) == reference(cert, inst)
+
+
+# --------------------------------------------------------------------------
+# coordinates from P's facet rows only
+# --------------------------------------------------------------------------
+
+
+def value(poly, pt):
+    """poly at pt, summed term by term from its exponent dict."""
+    total = F(0)
+    for expo, c in poly.terms.items():
+        term = c
+        for x, e in zip(pt, expo):
+            term *= x ** e
+        total += term
+    return total
+
+
+def tight_rank_facets(P, verts):
+    """Rows of P whose tight vertices (1, v) have rank n, duplicates
+    included, by Fraction elimination."""
+    from barydd.linalg import rank
+
+    facets = []
+    for i, (row, rhs) in enumerate(zip(P.A, P.b)):
+        tight = [[F(1)] + list(v) for v in verts if sum(a * x for a, x in zip(row, v)) == rhs]
+        if tight and rank(tight) == P.n:
+            facets.append(i)
+    return facets
+
+
+def polytope_with_redundant_rows(rng, n, kind):
+    """x >= 0 and rows with positive coefficients ('bounded'), or n + 1 rows
+    through (1, ..., 1) ('apex'); then, each at a random position, redundant
+    rows: a loose row, a positive combination of two rows with a larger
+    right-hand side, and a scaled duplicate of a row."""
+    rows = [([-int(j == i) for j in range(n)], 0) for i in range(n)]
+    if kind == "bounded":
+        for _ in range(rng.randint(2, 3)):
+            rows.append(([rng.randint(1, 4) for _ in range(n)], rng.randint(4, 12)))
+    else:
+        for _ in range(n + 1):
+            row = [rng.randint(1, 3) for _ in range(n)]
+            rows.append((row, sum(row)))
+    (a, r), (c, s) = rng.sample(rows[n:], 2)
+    redundant = [
+        ([rng.randint(0, 2) for _ in range(n)], 100),
+        ([x + y for x, y in zip(a, c)], r + s + rng.randint(0, 3)),
+    ]
+    a, r = rng.choice(rows)
+    k = rng.randint(1, 3)
+    redundant.append(([k * x for x in a], k * r))
+    for row in redundant:
+        rows.insert(rng.randint(1, len(rows) - 1), row)
+    return HPolyhedron.make([row for row, _ in rows], [rhs for _, rhs in rows])
+
+
+def facet_cases():
+    """Seeded 2-D and 3-D cases, and a degenerate 3-D apex (x >= 0 and four
+    rows through (1, 1, 1)), once with a duplicate row and once with a
+    loose row between its rows.  The facets-first run over every row pays
+    for each redundant row it processes, seconds per row on a 3-D apex, so
+    the 3-D cases hold few redundant rows."""
+    cases = []
+    for seed in range(11):
+        rng = random.Random(f"facets-{seed}")
+        n = 2 if seed < 8 else 3
+        kind = "apex" if n == 2 and seed % 4 == 3 else "bounded"
+        cases.append((f"{kind}{n}d-{seed}", polytope_with_redundant_rows(rng, n, kind)))
+    apex = [([-1, 0, 0], 0), ([0, -1, 0], 0), ([0, 0, -1], 0), ([3, 2, 3], 8),
+            ([2, 3, 3], 8), ([1, 1, 3], 5), ([3, 2, 1], 6)]
+    for name, row in [("apex3d-duplicate", ([6, 4, 6], 16)), ("apex3d-loose", ([1, 1, 1], 100))]:
+        rows = apex[:4] + [row] + apex[4:]
+        cases.append((name, HPolyhedron.make([r for r, _ in rows], [b for _, b in rows])))
+    return cases
+
+
+class TestFacetRows:
+    """``barycentric_for_polytope`` runs DD over P's facet rows only.  Its
+    coordinates are barycentric coordinates of P on the oracle's vertices,
+    equal to those of a run over every row with the facet rows first."""
+
+    CASES = facet_cases()
+
+    @pytest.mark.parametrize("name, P", CASES, ids=[c[0] for c in CASES])
+    def test_coordinates(self, name, P):
+        from barydd import dd_run
+        from barydd.dd_engine import prune_redundant
+        from barydd.exactmath import rf_equal
+        from barydd.polyhedra import dehomogenize
+
+        verts = enumerate_vertices_oracle(P)
+        coords = barycentric_for_polytope(P)
+        assert coords.vertices == verts
+        facets = tight_rank_facets(P, verts)
+        # one step per facet: a later row tight at the same vertices, and
+        # every redundant row, is skipped
+        tight = [frozenset(v for v in verts if sum(a * x for a, x in zip(P.A[i], v)) == P.b[i]) for i in facets]
+        assert list(coords.run.order) == [i for k, i in enumerate(facets) if tight[k] not in tight[:k]]
+        assert len(coords.run.order) < P.m
+
+        n = P.n
+        rng = random.Random(name)
+        for j, lam in enumerate(coords.lam):
+            for i, v in enumerate(verts):
+                assert value(lam.num, (F(1),) + v) == (i == j) * value(lam.den, (F(1),) + v)
+        for _ in range(5):
+            ws = [F(rng.randint(1, 20)) for _ in verts]
+            x = tuple(sum(w * v[j] for w, v in zip(ws, verts)) / sum(ws) for j in range(n))
+            vals = [value(lam.num, (F(1),) + x) / value(lam.den, (F(1),) + x) for lam in coords.lam]
+            assert all(t > 0 for t in vals)
+            assert sum(vals) == 1
+            assert tuple(sum(t * v[j] for t, v in zip(vals, verts)) for j in range(n)) == x
+
+        order = facets + [i for i in range(P.m) if i not in facets]
+        state = prune_redundant(dd_run(P, order=order).final)
+        V, lam = dehomogenize(state.R, list(state.mu))
+        by_vertex = {tuple(c[1:]): f for c, f in zip(V, lam)}
+        assert sorted(by_vertex) == verts
+        for v, f in zip(verts, coords.lam):
+            assert rf_equal(f, by_vertex[v])
+
+    # on the 3-D apex, extraction falls back to the coefficient LP of
+    # ``_factor_into_products``, which takes minutes
+    CERTIFIED = [c for c in CASES if not c[0].startswith("apex3d")]
+
+    @pytest.mark.parametrize("name, P", CERTIFIED, ids=[c[0] for c in CERTIFIED])
+    def test_certify_round_trip(self, name, P, tmp_path, capsys):
+        rng = random.Random(name)
+        Py = HPolyhedron.make([[-1, 0], [0, -1], [1, 1]], [0, 0, 2])
+        Q = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(P.n)]
+        inst = DBPInstance.make(Q=Q, P=P, Py=Py, cx=[rng.randint(-3, 3) for _ in range(P.n)])
+        best = min(
+            inst.objective_poly().eval(x + y)
+            for x in enumerate_vertices_oracle(P)
+            for y in enumerate_vertices_oracle(Py)
+        )
+        inp, out = tmp_path / "inst.json", tmp_path / "cert.json"
+        inp.write_text(json.dumps(inst.to_json()))
+        assert cli.main(["certify", str(inp), "--out", str(out), "--verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"delta = {best}" and lines[-1] == "PASS"
+        assert F(json.loads(out.read_text())["delta"]) == best
+        assert cli.main(["certify", str(inp), "--check", str(out)]) == 0
+        assert capsys.readouterr().out == "PASS\n"
+
+
+def orthant_polytope(n, m, rng):
+    """x >= 0, then m - n rows with coefficients in [1, 5] and right-hand
+    sides in [5, 20], drawn row by row: the generator of the benchmark's
+    random polytopes."""
+    A = [[-int(j == i) for j in range(n)] for i in range(n)]
+    b = [0] * n
+    for _ in range(m - n):
+        A.append([rng.randint(1, 5) for _ in range(n)])
+        b.append(rng.randint(5, 20))
+    return HPolyhedron.make(A, b)
+
+
+class TestStress:
+    """DBPs whose P is one of the DD stress polytopes, which take seconds
+    to minutes over every row in the default order and about a second or
+    less over their facet rows."""
+
+    CAP_S = 30
+
+    @pytest.mark.parametrize("n, m, seed", [(2, 8, 11208), (3, 9, 309), (3, 10, 310), (4, 9, 409)])
+    def test_certifies_within_cap(self, n, m, seed, tmp_path):
+        rng = random.Random(seed)
+        P = orthant_polytope(n, m, random.Random(seed))
+        Py = orthant_polytope(2, 4, random.Random(204))
+        Q = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(n)]
+        inst = DBPInstance.make(Q=Q, P=P, Py=Py, cx=[rng.randint(-5, 5) for _ in range(n)])
+        best = min(
+            inst.objective_poly().eval(x + y)
+            for x in enumerate_vertices_oracle(P)
+            for y in enumerate_vertices_oracle(Py)
+        )
+        inp = tmp_path / "inst.json"
+        inp.write_text(json.dumps(inst.to_json()))
+        out = subprocess.run(
+            [sys.executable, "-m", "barydd.cli", "certify", str(inp), "--out", str(tmp_path / "c.json"), "--verify"],
+            capture_output=True, text=True, timeout=self.CAP_S,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == f"delta = {best}\nidentity residual: 0\nPASS\n"
+
+
+class TestCertifyErrors:
+    """Exit code and stderr line of ``certify`` on a P that has no
+    coordinates.  DD runs over every row when P is empty or flat, and the
+    oracle's rank error waits for the DD checks, so each error reads as it
+    does for a run over every row."""
+
+    @pytest.mark.parametrize(
+        "rows, code, err",
+        [
+            ([([-1, 0], "<=", 0), ([1, 0], "<=", 1)],
+             2, "assumption violated: no n linearly independent rows"),
+            ([([-1, 0], "<=", 0), ([0, -1], "<=", 0)],
+             2, "assumption violated: polytope has a recession ray; cannot dehomogenize"),
+            # vertices (0, 1), (1/2, 1/2), (2, 0) span the plane; -x1 - x2 <= 0
+            # is redundant
+            ([([-1, 0], "<=", 0), ([0, -1], "<=", 0), ([-1, -1], "<=", 0),
+              ([-1, -1], "<=", -1), ([-1, -3], "<=", -2)],
+             2, "assumption violated: polytope has a recession ray; cannot dehomogenize"),
+            ([([1, 0], "<=", -1), ([-1, 0], "<=", 0), ([0, 1], "<=", 1), ([0, -1], "<=", 0)],
+             3, "empty interior: no rays remain after processing row 3"),
+            # the '=' row is parsed as rows 2 and 3
+            ([([-1, 1], "<=", 2), ([3, -2], "<=", 6), ([3, 4], "=", 15), ([-1, 0], "<=", 0)],
+             3, "empty interior: P has no interior point: row 3 holds with equality on all of P"),
+            ([([-1, 0], "<=", 0), ([0, -1], "<=", 0), ([0, 0], "<=", 0), ([1, 1], "<=", 1)],
+             3, "empty interior: P has no interior point: row 2 holds with equality on all of P"),
+        ],
+        ids=["strip", "unbounded", "unbounded_redundant", "empty", "equality_row", "zero_row"],
+    )
+    def test_exit_and_stderr(self, rows, code, err, dbp_62, tmp_path, capsys):
+        data = dbp_62.to_json()
+        data["P"] = {"constraints": [
+            {"coeffs": [str(a) for a in c], "sense": sense, "rhs": str(r)} for c, sense, r in rows
+        ]}
+        inp = tmp_path / "inst.json"
+        inp.write_text(json.dumps(data))
+        assert cli.main(["certify", str(inp), "--out", str(tmp_path / "c.json"), "--verify"]) == code
+        assert capsys.readouterr() == ("", err + "\n")

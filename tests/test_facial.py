@@ -281,6 +281,29 @@ class TestSubstitution:
             assert sub.status == sa.status == "optimal"
             assert sub.value == sa.value
 
+    def test_sherali_adams_ge_row_at_level_n(self):
+        # x1 + x2 + y >= 1 with -1 <= y <= 1: min -x1 - x2 - y is -3 at
+        # x = (1, 1), y = 1; read as '=', the row would force y = -1 there
+        coupling = [
+            CouplingRow((F(1), F(1)), (F(1),), ">=", F(1)),
+            CouplingRow((F(0), F(0)), (F(1),), "<=", F(1)),
+            CouplingRow((F(0), F(0)), (F(-1),), "<=", F(1)),
+        ]
+        inst = FDPInstance(
+            blocks=[interval_block(), interval_block()],
+            coupling=coupling,
+            obj_x=(F(-1), F(-1)),
+            obj_y=(F(-1),),
+            obj_const=F(0),
+            ny=1,
+        )
+        assert brute_force_fdp(inst) == -3
+        for sense, want in ((">=", -3), ("<=", -1), ("=", -1)):
+            inst.coupling[0] = CouplingRow((F(1), F(1)), (F(1),), sense, F(1))
+            sa = lp_solve(sherali_adams_01(2, 1, inst.coupling, inst.obj_x, inst.obj_y, inst.obj_const, 2))
+            assert sa.status == "optimal"
+            assert sa.value == brute_force_fdp(inst) == want
+
     def test_substituted_between_fdr_and_opt(self):
         rng = random.Random(8)
         inst = zero_one_instance(3, rng)
