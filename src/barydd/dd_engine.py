@@ -35,12 +35,26 @@ et al. 1953; Fukuda and Prodon 1996), computed in integers.  Every other
 column, and every column of a state with lineality or of the partial_orthant
 init, gets one exact LP: its Bland-order solution, when feasible, gives the
 fold weights.
+
+A run has two layers.  The double description itself is computed when a
+state is made: the columns R and L, E, ``processed``, and the ledger's
+numeric fields (beta, the N sets, F, G, D, ``perm``, xi, ``flip``,
+``dropped``); so are pruning's decisions, which read only R.  The
+coordinate layer is derived on first read: the factor pool (its seeding and
+every registration, ``certified`` included), ``fmu``, ``ftheta``, ``cpr``,
+``implied_zero`` with each ``ImpliedZero.fmu``, ``LedgerEntry.Ntot``, and
+pruning's folds.  Reading any of these, or ``mu``, ``theta`` or ``pool``,
+on any state or ledger entry of a run derives the coordinates of every
+state the run has made so far, state by state in step order, so pool ids
+and coordinates are those an eager run makes, whatever is read first.  A
+caller that reads only the columns (the level-k LP, ``LevelRun``) does no
+polynomial arithmetic.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -323,6 +337,53 @@ class ImpliedZero:
     fmu: Frf
 
 
+_PENDING = object()
+
+
+class _Coords:
+    """The coordinate layer of one run: its factor pool, made by the first
+    derivation, and the derivations not run yet, in the order their states
+    were made.  Each sets the coordinate fields of one state (and ``Ntot``
+    of its ledger entry) from those of the state it was made from."""
+
+    def __init__(self):
+        self.pool: Optional[FactorPool] = None
+        self.pending: List[Callable[[], None]] = []
+
+    def derive(self) -> None:
+        """Run every pending derivation, in order.  A read inside one finds
+        nothing pending; after an exception the rest stay pending."""
+        pending, self.pending = self.pending, []
+        try:
+            while pending:
+                pending[0]()
+                del pending[0]
+        finally:
+            self.pending = pending
+
+
+class _Derived:
+    """A field of the coordinate layer: given when its object is made, or
+    left out and then set by a derivation of the object's run
+    (``obj.coords``), which the first read runs."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner):
+        if obj is None:
+            return _PENDING  # the dataclass default: derived
+        value = obj.__dict__.get(self.name, _PENDING)
+        if value is _PENDING:
+            obj.coords.derive()
+            value = obj.__dict__[self.name]
+        return value
+
+    def __set__(self, obj, value):
+        if value is not _PENDING:
+            obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class DDState:
     """The state after k steps: ray columns R with coordinates fmu and their
@@ -330,7 +391,12 @@ class DDState:
     ftheta.  fmu and ftheta are the stored form, factored over the pool;
     mu and theta, the same coordinates as normalized RatFuns, are derived
     on first read.  The pool only grows, so the pool ids in an Frf stay
-    valid, and ``replace`` builds a new state that derives its own."""
+    valid, and ``replace`` builds a new state that derives its own.
+
+    R, L, E and ``processed`` are set when the state is made.  fmu, ftheta,
+    cpr, implied_zero and the pool belong to the run's coordinate layer
+    (``coords``) and are derived on first read (see the module docstring),
+    unless they are given to the constructor or to ``replace``."""
 
     cone: HomCone
     k: int
@@ -338,13 +404,18 @@ class DDState:
     L: Tuple[tuple, ...]
     E: Tuple[int, ...]
     processed: Tuple[int, ...]
-    pool: FactorPool
-    fmu: Tuple[Frf, ...]
-    ftheta: Tuple[Frf, ...]
-    cpr: Tuple[Optional[CPR], ...]
-    implied_zero: Tuple[ImpliedZero, ...] = ()
+    coords: _Coords
+    fmu: Tuple[Frf, ...] = _Derived()
+    ftheta: Tuple[Frf, ...] = _Derived()
+    cpr: Tuple[Optional[CPR], ...] = _Derived()
+    implied_zero: Tuple[ImpliedZero, ...] = _Derived()
     phase1: Optional[Phase1Basis] = None
     init_mode: str = "default"
+
+    @property
+    def pool(self) -> FactorPool:
+        self.coords.derive()
+        return self.coords.pool
 
     @property
     def p(self) -> int:
@@ -368,6 +439,29 @@ class DDState:
         return bool(self.E)
 
 
+def _defer(state: DDState, derive: Callable[[], dict]) -> None:
+    """The coordinate fields of ``state`` are ``derive()``, run in order
+    with the other derivations of its run."""
+    state.coords.pending.append(lambda: vars(state).update(derive()))
+
+
+def _successor(state: DDState, derive: Callable[[], dict], **eager) -> DDState:
+    """A state of the same run with the fields of ``state``, those in
+    ``eager`` and the coordinate fields that ``derive()`` returns replaced."""
+    fields = dict(
+        cone=state.cone, k=state.k, R=state.R, L=state.L, E=state.E,
+        processed=state.processed, coords=state.coords,
+        phase1=state.phase1, init_mode=state.init_mode,
+    )
+    fields.update(eager)
+    new = DDState(**fields)
+    _defer(new, lambda: {
+        "fmu": state.fmu, "ftheta": state.ftheta, "cpr": state.cpr,
+        "implied_zero": state.implied_zero, **derive(),
+    })
+    return new
+
+
 @dataclass(frozen=True)
 class LedgerEntry:
     k: int
@@ -380,12 +474,13 @@ class LedgerEntry:
     Nzero: Tuple[int, ...] = ()
     Npos: Tuple[int, ...] = ()
     Nneg: Tuple[int, ...] = ()
-    Ntot: Optional[RatFun] = None
+    Ntot: Optional[RatFun] = _Derived()  # None unless a ray step with N+
     F: tuple = ()
     G: tuple = ()
     D: tuple = ()
     perm: Tuple[int, ...] = ()  # reordered position -> previous mu index
     dropped: Tuple[int, ...] = ()  # previous mu indices dropped (N+ empty)
+    coords: Optional[_Coords] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         from .exactmath import rat_to_str
@@ -450,43 +545,44 @@ def dd_init(
     """
     n = cone.n
     nv = n + 1
-    pool = _seed_pool(cone)
     full_order = list(order) if order is not None else list(range(cone.m))
     if len(set(full_order)) != len(full_order):
         raise ValueError("order must consist of distinct row indices")
-
     if mode in ("default", "phase1"):
-        R = (tuple(ONE if j == 0 else ZERO for j in range(nv)),)
-        L = tuple(
-            tuple(ONE if j == i else ZERO for j in range(nv)) for i in range(1, nv)
-        )
-        fmu = (Frf(Poly.variable(nv, 0), ()),)
-        ftheta = tuple(Frf(Poly.variable(nv, i), ()) for i in range(1, nv))
-        cpr = (CPR(((ONE, (0,)),), ()),)
-        state = DDState(cone, 0, R, L, (), (), pool, fmu, ftheta, cpr, init_mode=mode)
-        if mode == "default":
-            return state, [], full_order
-        return _run_phase1(state, full_order)
-
-    if mode in ("orthant", "partial_orthant"):
+        ray_vars, lin_vars = [0], range(1, nv)
+    elif mode in ("orthant", "partial_orthant"):
         rho = 0 if mode == "orthant" else int(varrho)
         for i in range(rho + 1, n + 1):
             if not _orthant_certified(cone, i):
                 raise InitPreconditionViolated(
                     f"x_{i} >= 0 is not certified by an explicit row"
                 )
-        L = tuple(
-            tuple(ONE if j == i else ZERO for j in range(nv)) for i in range(1, rho + 1)
-        )
-        ray_vars = [0] + list(range(rho + 1, n + 1))
-        R = tuple(tuple(ONE if j == i else ZERO for j in range(nv)) for i in ray_vars)
-        fmu = tuple(Frf(Poly.variable(nv, i), ()) for i in ray_vars)
-        ftheta = tuple(Frf(Poly.variable(nv, i), ()) for i in range(1, rho + 1))
-        cpr = tuple(CPR(((ONE, (i,)),), ()) for i in ray_vars)
-        state = DDState(cone, 0, R, L, (), (), pool, fmu, ftheta, cpr, init_mode=mode)
-        return state, [], full_order
+        ray_vars, lin_vars = [0] + list(range(rho + 1, nv)), range(1, rho + 1)
+    else:
+        raise ValueError(f"unknown init mode {mode!r}")
 
-    raise ValueError(f"unknown init mode {mode!r}")
+    def unit(i):
+        return tuple(ONE if j == i else ZERO for j in range(nv))
+
+    coords = _Coords()
+    state = DDState(
+        cone=cone, k=0, R=tuple(unit(i) for i in ray_vars), L=tuple(unit(i) for i in lin_vars),
+        E=(), processed=(), coords=coords, init_mode=mode,
+    )
+
+    def derive():
+        coords.pool = _seed_pool(cone)
+        return dict(
+            fmu=tuple(Frf(Poly.variable(nv, i), ()) for i in ray_vars),
+            ftheta=tuple(Frf(Poly.variable(nv, i), ()) for i in lin_vars),
+            cpr=tuple(CPR(((ONE, (i,)),), ()) for i in ray_vars),
+            implied_zero=(),
+        )
+
+    _defer(state, derive)
+    if mode == "phase1":
+        return _run_phase1(state, full_order)
+    return state, [], full_order
 
 
 def _run_phase1(state: DDState, order: List[int]):
@@ -506,7 +602,7 @@ def _run_phase1(state: DDState, order: List[int]):
         state, entry = dd_step(state, r)
         entries.append(entry)
     basis = _phase1_basis(state)
-    state = replace(state, phase1=basis, init_mode="phase1")
+    state = _successor(state, dict, phase1=basis, init_mode="phase1")
     return state, entries, remaining
 
 
@@ -574,29 +670,15 @@ def dd_step(state: DDState, row: int) -> Tuple[DDState, LedgerEntry]:
 
 
 def _step_lineality(state, row, alpha, beta):
-    pool = state.pool
     q, p = state.q, state.p
     xi = next(i for i, a in enumerate(alpha) if a != 0)
     flip = alpha[xi] < 0
     Lcols = [list(c) for c in state.L]
-    theta = list(state.ftheta)
     if flip:
         Lcols[xi] = [-x for x in Lcols[xi]]
-        theta[xi] = frf_scale(theta[xi], -1)
         alpha = list(alpha)
         alpha[xi] = -alpha[xi]
     a = alpha[xi]  # > 0
-    first = theta[xi]
-    for j in range(xi + 1, q):
-        if alpha[j]:
-            first = frf_add(pool, first, frf_scale(theta[j], Fraction(alpha[j]) / a))
-    for j in range(p):
-        if beta[j]:
-            first = frf_add(pool, first, frf_scale(state.fmu[j], Fraction(beta[j]) / a))
-    new_fmu = [first] + [frf_scale(f, 1 / a) for f in state.fmu]
-    new_ftheta = [theta[j] for j in range(xi)] + [
-        frf_scale(theta[j], 1 / a) for j in range(xi + 1, q)
-    ]
     Lxi = Lcols[xi]
     new_R = [tuple(Lxi)] + [
         tuple(a * rc - beta[j] * lc for rc, lc in zip(state.R[j], Lxi))
@@ -606,19 +688,38 @@ def _step_lineality(state, row, alpha, beta):
         tuple(a * c1 - alpha[j] * c2 for c1, c2 in zip(Lcols[j], Lxi))
         for j in range(xi + 1, q)
     ]
-    # constraint-product view: the new first coordinate is row_expr / a
-    # (valid while linear precision holds as an identity, i.e. while no
-    # implied equalities have been recorded)
-    new_cpr: List[Optional[CPR]]
-    if state.had_empty_npos:
-        new_cpr = [None]
-    else:
-        scal, ids = pool.factorize(state.cone.row_poly(row), "constraint")
-        w = pool.cone_weight(scal, ids) / a
-        new_cpr = [CPR(((w, ids),), ()) if w > 0 else None]
-    new_cpr += [
-        cpr_scale(c, Fraction(1) / a) if c is not None else None for c in state.cpr
-    ]
+
+    def derive():
+        pool = state.coords.pool
+        theta = list(state.ftheta)
+        if flip:
+            theta[xi] = frf_scale(theta[xi], -1)
+        first = theta[xi]
+        for j in range(xi + 1, q):
+            if alpha[j]:
+                first = frf_add(pool, first, frf_scale(theta[j], Fraction(alpha[j]) / a))
+        for j in range(p):
+            if beta[j]:
+                first = frf_add(pool, first, frf_scale(state.fmu[j], Fraction(beta[j]) / a))
+        new_fmu = [first] + [frf_scale(f, 1 / a) for f in state.fmu]
+        new_ftheta = [theta[j] for j in range(xi)] + [
+            frf_scale(theta[j], 1 / a) for j in range(xi + 1, q)
+        ]
+        # constraint-product view: the new first coordinate is row_expr / a
+        # (valid while linear precision holds as an identity, i.e. while no
+        # implied equalities have been recorded)
+        new_cpr: List[Optional[CPR]]
+        if state.had_empty_npos:
+            new_cpr = [None]
+        else:
+            scal, ids = pool.factorize(state.cone.row_poly(row), "constraint")
+            w = pool.cone_weight(scal, ids) / a
+            new_cpr = [CPR(((w, ids),), ()) if w > 0 else None]
+        new_cpr += [
+            cpr_scale(c, Fraction(1) / a) if c is not None else None for c in state.cpr
+        ]
+        return dict(fmu=tuple(new_fmu), ftheta=tuple(new_ftheta), cpr=tuple(new_cpr))
+
     F = [[ZERO] * (q - 1) for _ in range(q)]
     for j in range(xi):
         F[j][j] = ONE
@@ -640,26 +741,24 @@ def _step_lineality(state, row, alpha, beta):
         xi=xi,
         flip=flip,
         alpha=tuple(alpha),
+        Ntot=None,
         F=tuple(tuple(r) for r in F),
         G=tuple(tuple(r) for r in G),
         D=tuple(tuple(r) for r in D),
         perm=tuple(range(p)),
     )
-    new_state = replace(
+    new_state = _successor(
         state,
+        derive,
         k=state.k + 1,
         R=tuple(new_R),
         L=tuple(new_L),
         processed=state.processed + (row,),
-        fmu=tuple(new_fmu),
-        ftheta=tuple(new_ftheta),
-        cpr=tuple(new_cpr),
     )
     return new_state, entry
 
 
 def _step_ray(state, row, beta):
-    pool = state.pool
     p = state.p
     Nneg = tuple(i for i in range(p) if beta[i] < 0)
     Nzero = tuple(i for i in range(p) if beta[i] == 0)
@@ -667,17 +766,25 @@ def _step_ray(state, row, beta):
     perm = Nzero + Npos + Nneg
 
     if not Npos:
-        dropped = tuple(
-            ImpliedZero(
-                row=row,
-                column=state.R[j],
-                name=f"mu[{state.k}][{j}]",
-                fmu=state.fmu[j],
-            )
-            for j in Nneg
-        )
         if not Nzero and state.q == 0:
             raise EmptyInterior(f"no rays remain after processing row {row}")
+
+        def derive_dropped():
+            dropped = tuple(
+                ImpliedZero(
+                    row=row,
+                    column=state.R[j],
+                    name=f"mu[{state.k}][{j}]",
+                    fmu=state.fmu[j],
+                )
+                for j in Nneg
+            )
+            return dict(
+                fmu=tuple(state.fmu[j] for j in Nzero),
+                cpr=tuple(state.cpr[j] for j in Nzero),
+                implied_zero=state.implied_zero + dropped,
+            )
+
         D = [[ZERO] * len(Nzero) for _ in range(p)]
         for c, j in enumerate(Nzero):
             D[perm.index(j)][c] = ONE
@@ -689,6 +796,7 @@ def _step_ray(state, row, beta):
             Nzero=Nzero,
             Npos=Npos,
             Nneg=Nneg,
+            Ntot=None,
             F=tuple(
                 tuple(ONE if i == j else ZERO for j in range(state.q))
                 for i in range(state.q)
@@ -698,88 +806,15 @@ def _step_ray(state, row, beta):
             perm=perm,
             dropped=Nneg,
         )
-        new_state = replace(
+        new_state = _successor(
             state,
+            derive_dropped,
             k=state.k + 1,
             R=tuple(state.R[j] for j in Nzero),
             E=state.E + (row,),
             processed=state.processed + (row,),
-            fmu=tuple(state.fmu[j] for j in Nzero),
-            cpr=tuple(state.cpr[j] for j in Nzero),
-            implied_zero=state.implied_zero + dropped,
         )
         return new_state, entry
-
-    ntot = Frf(Poly.zero(pool.nvars), ())
-    for i in Npos:
-        ntot = frf_add(pool, ntot, frf_scale(state.fmu[i], beta[i]))
-    sneg = Frf(Poly.zero(pool.nvars), ())
-    for j in Nneg:
-        sneg = frf_add(pool, sneg, frf_scale(state.fmu[j], beta[j]))
-
-    cpr_ok = not state.had_empty_npos and all(
-        state.cpr[i] is not None for i in Npos + Nneg
-    )
-    if cpr_ok:
-        ntot_cpr = cpr_combine([(Fraction(beta[i]), state.cpr[i]) for i in Npos])
-        m_poly = cpr_numerator(pool, ntot_cpr)
-        nscal, nids = pool.factorize(m_poly, "sum")
-        ntot_w = pool.cone_weight(nscal, nids)
-        rscal, rids = pool.factorize(state.cone.row_poly(row), "constraint")
-        row_w = pool.cone_weight(rscal, rids)
-        if ntot_w <= 0 or row_w <= 0:
-            # sign bookkeeping of a pre-existing pool entry does not match
-            # this site; drop the structural view rather than mis-sign it
-            cpr_ok = False
-        else:
-            # the non-negative combination m_poly divided by the certified
-            # co-factors certifies any single fresh residual on the cone
-            fresh = [
-                f
-                for f in set(nids)
-                if pool.kinds[f] == "sum" and f not in pool.certified
-            ]
-            if len(fresh) == 1:
-                pool.certified.add(fresh[0])
-
-            def over_ntot(c: CPR) -> CPR:
-                # c / N_tot, N_tot = ntot_w cone(nids) / cone(ntot_cpr.den)
-                terms = tuple(
-                    (w / ntot_w, tuple(sorted(f + ntot_cpr.den))) for w, f in c.terms
-                )
-                return CPR(terms, tuple(sorted(c.den + nids)))
-
-    # N_tot divides every new coordinate and is factored once; after the
-    # constraint-product registrations above, since registration order
-    # fixes the pool id of a new residual
-    ntot_factors = None
-    if Nneg:
-        if ntot.is_zero():
-            raise ZeroDivisionError("division by zero coordinate")
-        ntot_factors = pool.factorize(ntot.num)
-    new_fmu: List[Frf] = [state.fmu[j] for j in Nzero]
-    new_cpr: List[Optional[CPR]] = [state.cpr[j] for j in Nzero]
-    for i in Npos:
-        term = (
-            frf_div(pool, frf_mul(pool, state.fmu[i], sneg), ntot, ntot_factors)
-            if Nneg
-            else Frf(Poly.zero(pool.nvars), ())
-        )
-        new_fmu.append(frf_add(pool, state.fmu[i], term))
-        if cpr_ok:
-            prod = cpr_mul(state.cpr[i], CPR(((row_w, rids),), ()))
-            new_cpr.append(over_ntot(prod))
-        else:
-            new_cpr.append(None)
-    for i in Npos:
-        for j in Nneg:
-            new_fmu.append(
-                frf_div(pool, frf_mul(pool, state.fmu[i], state.fmu[j]), ntot, ntot_factors)
-            )
-            if cpr_ok:
-                new_cpr.append(over_ntot(cpr_mul(state.cpr[i], state.cpr[j])))
-            else:
-                new_cpr.append(None)
 
     new_R = (
         [state.R[j] for j in Nzero]
@@ -813,19 +848,93 @@ def _step_ray(state, row, beta):
         Nzero=Nzero,
         Npos=Npos,
         Nneg=Nneg,
-        Ntot=frf_to_ratfun(pool, ntot),
         F=tuple(tuple(ONE if i == j else ZERO for j in range(q)) for i in range(q)),
         G=tuple(tuple([ZERO] * pk1) for _ in range(q)),
         D=tuple(tuple(r) for r in D),
         perm=perm,
+        coords=state.coords,
     )
-    new_state = replace(
+
+    def derive():
+        pool = state.coords.pool
+        fmu, cpr = state.fmu, state.cpr
+        ntot = Frf(Poly.zero(pool.nvars), ())
+        for i in Npos:
+            ntot = frf_add(pool, ntot, frf_scale(fmu[i], beta[i]))
+        sneg = Frf(Poly.zero(pool.nvars), ())
+        for j in Nneg:
+            sneg = frf_add(pool, sneg, frf_scale(fmu[j], beta[j]))
+
+        cpr_ok = not state.had_empty_npos and all(cpr[i] is not None for i in Npos + Nneg)
+        if cpr_ok:
+            ntot_cpr = cpr_combine([(Fraction(beta[i]), cpr[i]) for i in Npos])
+            m_poly = cpr_numerator(pool, ntot_cpr)
+            nscal, nids = pool.factorize(m_poly, "sum")
+            ntot_w = pool.cone_weight(nscal, nids)
+            rscal, rids = pool.factorize(state.cone.row_poly(row), "constraint")
+            row_w = pool.cone_weight(rscal, rids)
+            if ntot_w <= 0 or row_w <= 0:
+                # sign bookkeeping of a pre-existing pool entry does not match
+                # this site; drop the structural view rather than mis-sign it
+                cpr_ok = False
+            else:
+                # the non-negative combination m_poly divided by the certified
+                # co-factors certifies any single fresh residual on the cone
+                fresh = [
+                    f
+                    for f in set(nids)
+                    if pool.kinds[f] == "sum" and f not in pool.certified
+                ]
+                if len(fresh) == 1:
+                    pool.certified.add(fresh[0])
+
+                def over_ntot(c: CPR) -> CPR:
+                    # c / N_tot, N_tot = ntot_w cone(nids) / cone(ntot_cpr.den)
+                    terms = tuple(
+                        (w / ntot_w, tuple(sorted(f + ntot_cpr.den))) for w, f in c.terms
+                    )
+                    return CPR(terms, tuple(sorted(c.den + nids)))
+
+        # N_tot divides every new coordinate and is factored once; after the
+        # constraint-product registrations above, since registration order
+        # fixes the pool id of a new residual
+        ntot_factors = None
+        if Nneg:
+            if ntot.is_zero():
+                raise ZeroDivisionError("division by zero coordinate")
+            ntot_factors = pool.factorize(ntot.num)
+        new_fmu: List[Frf] = [fmu[j] for j in Nzero]
+        new_cpr: List[Optional[CPR]] = [cpr[j] for j in Nzero]
+        for i in Npos:
+            term = (
+                frf_div(pool, frf_mul(pool, fmu[i], sneg), ntot, ntot_factors)
+                if Nneg
+                else Frf(Poly.zero(pool.nvars), ())
+            )
+            new_fmu.append(frf_add(pool, fmu[i], term))
+            if cpr_ok:
+                prod = cpr_mul(cpr[i], CPR(((row_w, rids),), ()))
+                new_cpr.append(over_ntot(prod))
+            else:
+                new_cpr.append(None)
+        for i in Npos:
+            for j in Nneg:
+                new_fmu.append(
+                    frf_div(pool, frf_mul(pool, fmu[i], fmu[j]), ntot, ntot_factors)
+                )
+                if cpr_ok:
+                    new_cpr.append(over_ntot(cpr_mul(cpr[i], cpr[j])))
+                else:
+                    new_cpr.append(None)
+        vars(entry)["Ntot"] = frf_to_ratfun(pool, ntot)
+        return dict(fmu=tuple(new_fmu), cpr=tuple(new_cpr))
+
+    new_state = _successor(
         state,
+        derive,
         k=state.k + 1,
         R=tuple(new_R),
         processed=state.processed + (row,),
-        fmu=tuple(new_fmu),
-        cpr=tuple(new_cpr),
     )
     return new_state, entry
 
@@ -951,19 +1060,25 @@ def prune_redundant(state: DDState) -> DDState:
     non-negative combination of the other columns; when one exists, its
     Bland-order solution gives the fold weights and the column goes.  A fold
     only shrinks the set of the other columns, so a column kept before it
-    stays kept and the scan goes on from the removed column's place."""
-    pool = state.pool
-    R, fmu, cpr = list(state.R), list(state.fmu), list(state.cpr)
+    stays kept and the scan goes on from the removed column's place.
+
+    The decisions read only R; the folds and removals are recorded and
+    replayed on the coordinates when they are derived."""
+    R = list(state.R)
+    # (t, j, w): column j, weighted by w, joins column t; (None, j, None):
+    # column j goes
+    ops: List[tuple] = []
     first: Dict[tuple, int] = {}
     merged = []
     for j, col in enumerate(R):
         i = first.setdefault(_canonical_column(col), j)
         if i != j:
             k0 = next(t for t, x in enumerate(R[i]) if x != 0)
-            _fold(pool, fmu, cpr, i, j, col[k0] / R[i][k0])
+            ops.append((i, j, col[k0] / R[i][k0]))
             merged.append(j)
     for j in reversed(merged):
-        del R[j], fmu[j], cpr[j]
+        del R[j]
+        ops.append((None, j, None))
     rows = _cone_rows(state)
     j = 0
     while j < len(R):
@@ -991,9 +1106,20 @@ def prune_redundant(state: DDState) -> DDState:
         for t in others:
             w = sol.primal[f"nu{t}"]
             if w:
-                _fold(pool, fmu, cpr, t, j, w)
-        del R[j], fmu[j], cpr[j]
-    return replace(state, R=tuple(R), fmu=tuple(fmu), cpr=tuple(cpr))
+                ops.append((t, j, w))
+        del R[j]
+        ops.append((None, j, None))
+
+    def derive():
+        fmu, cpr = list(state.fmu), list(state.cpr)
+        for t, j, w in ops:
+            if t is None:
+                del fmu[j], cpr[j]
+            else:
+                _fold(state.coords.pool, fmu, cpr, t, j, w)
+        return dict(fmu=tuple(fmu), cpr=tuple(cpr))
+
+    return _successor(state, derive, R=tuple(R))
 
 
 # --------------------------------------------------------------------------

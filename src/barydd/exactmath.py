@@ -62,6 +62,9 @@ def rat_from_str(s) -> Rat:
         return s
     if isinstance(s, int):
         return Fraction(s)
+    # plain ASCII [-]digits, the common case, without Fraction's regex
+    if type(s) is str and s.isascii() and (s[1:] if s[:1] == "-" else s).isdigit():
+        return Fraction(int(s))
     text = str(s).strip()
     if "e" in text.lower():
         raise ValueError(f"exponent notation is not accepted: {s!r}")

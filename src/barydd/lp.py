@@ -21,15 +21,26 @@ reduced-cost row is held and updated the same way.  Pricing tests integer
 signs and the ratio test compares integer cross-products, so the pivot path
 is the one a Fraction tableau takes.
 
-The edges of the solve are in integers too.  Each row enters the tableau
-scaled by the lcm of its denominators after the lower-bound shift, its sign
-flip, slack and artificial already integers.  Each reported number is made
-as one Fraction from the final tableau and reduced-cost row.  The checks of
-a result scale the point by its common denominator and each row by the lcm
-of its own, and take the dual sums over one common denominator.  Fractions
-remain in the input (LPRow and LPProblem convert each coefficient once), in
-the phase-2 costs, in the shift of a right-hand side by nonzero lower
-bounds, and in the reported numbers.
+The edges of the solve are in integers too.  Each row is scaled by the lcm
+of its denominators once per solve; the tableau takes that integer row (a
+row that meets a variable with a nonzero lower bound is scaled again after
+the shift), its sign flip, slack and artificial already integers, and so do
+the checks of the result.  Each reported number is made as one Fraction
+from the final tableau and reduced-cost row.  The checks scale the point by
+its common denominator and take the dual sums over one common denominator.
+Fractions remain in the input (LPRow and LPProblem convert each coefficient
+once), in the phase-2 costs, in the shift of a right-hand side by nonzero
+lower bounds, and in the reported numbers.
+
+A row with no coefficients that holds at 0 (0 = 0, 0 >= -c, 0 <= c, c >= 0)
+stays out of the tableau.  In it, such a row would meet no entering column
+and keep its slack or artificial basic at reduced cost 0, so leaving it out
+keeps the relative order of every other column: Bland's choices, the pivot
+counts and every other reported number are the same.  Its dual entry is 0,
+and its Farkas entry is what its basic unit column would price at: 1 for
+the artificial of 0 = 0, 0 for a slack.  The result is checked against
+every row of the problem.  A coefficient-free row that fails at 0 stays in,
+and its Farkas entry proves the LP infeasible.
 
 Conventions for a reported optimal solution of min c.x + const:
 
@@ -63,6 +74,7 @@ from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def _fraction(x) -> Fraction:
@@ -313,25 +325,35 @@ def lp_solve(problem: LPProblem) -> LPSolution:
             if lo:
                 shift[v] = lo
     nstruct = len(cols)
-    nrows = len(problem.rows)
-    # a row is negated when its rhs is negative, and a '>=' row also when
-    # its rhs is 0, so every rhs is >= 0 and a '<=' row with rhs >= 0 or a
-    # '>=' row with rhs <= 0 has its slack at +1: that slack starts basic.
-    # unit[i] is the column that is e_i in the starting system, the slack
-    # of such a row and otherwise the row's artificial.  Each row enters the
-    # tableau as integers over d, the lcm of its denominators after the
-    # shift, which is its primitive fraction-free form.
+    # each row as integers once, (a, b, s): the row scaled by s, the lcm of
+    # its denominators; the tableau and the checks of the result take it
+    int_rows = _int_rows(problem)
+    # a row with no coefficients that holds at 0 stays out of the tableau
+    # (see the module docstring)
+    rows = [
+        i for i, row in enumerate(problem.rows) if row.coeffs or not _in_sense(0, row.sense, row.rhs)
+    ]
+    nrows = len(rows)
+    # tableau row t is problem row rows[t].  A row is negated when its rhs
+    # is negative, and a '>=' row also when its rhs is 0, so every rhs is
+    # >= 0 and a '<=' row with rhs >= 0 or a '>=' row with rhs <= 0 has its
+    # slack at +1: that slack starts basic.  unit[t] is the column that is
+    # e_t in the starting system, the slack of such a row and otherwise the
+    # row's artificial.  Each row enters the tableau as integers over d, the
+    # lcm of its denominators after the shift, which is its primitive
+    # fraction-free form.
     sign: List[int] = [1] * nrows
     unit: List[int] = [-1] * nrows
     start: List[Tuple[Dict[int, int], int, int]] = []  # (body, rhs, d)
     scol = nstruct
-    for i, row in enumerate(problem.rows):
-        rhs = row.rhs
-        if shift:
-            rhs -= sum(c * shift[v] for v, c in row.coeffs.items() if v in shift)
-        a, b, d = _int_row(row.coeffs, rhs)
+    for t, i in enumerate(rows):
+        row = problem.rows[i]
+        a, b, d = int_rows[i]
+        if shift and any(v in shift for v in a):
+            shifted = row.rhs - sum(c * shift[v] for v, c in row.coeffs.items() if v in shift)
+            a, b, d = _int_row(row.coeffs, shifted)
         s = -1 if b < 0 or (b == 0 and row.sense == ">=") else 1
-        sign[i] = s
+        sign[t] = s
         body: Dict[int, int] = {}
         for v, x in a.items():
             j = col[v]
@@ -342,22 +364,22 @@ def lp_solve(problem: LPProblem) -> LPSolution:
             slack = s if row.sense == "<=" else -s
             body[scol] = slack * d
             if slack == 1:
-                unit[i] = scol
+                unit[t] = scol
             scol += 1
         start.append((body, s * b, d))
     art0 = scol
     ncols = art0 + unit.count(-1)  # artificials at the end
     tab = _Tableau(ncols, nrows)
     acol = art0
-    for i, (body, rhs, d) in enumerate(start):
-        if unit[i] < 0:
-            unit[i] = acol
+    for t, (body, rhs, d) in enumerate(start):
+        if unit[t] < 0:
+            unit[t] = acol
             body[acol] = d
             acol += 1
         if rhs:
             body[ncols] = rhs
-        tab.set_row(i, body, d)
-        tab.basis[i] = unit[i]
+        tab.set_row(t, body, d)
+        tab.basis[t] = unit[t]
 
     # -- phase 1 -------------------------------------------------------------
     cost1 = [0] * art0 + [1] * (ncols - art0)
@@ -369,12 +391,14 @@ def lp_solve(problem: LPProblem) -> LPSolution:
         # infeasible: the phase-1 duals y, read from the reduced costs under
         # the unit columns and turned back to each row's own orientation,
         # are a Farkas certificate (see _verify_infeasible)
-        farkas = [
-            Fraction(sign[i] * (cost1[unit[i]] * d1 - rc1.get(unit[i], 0)), d1)
-            for i in range(nrows)
-        ]
+        # a row left out of the tableau would keep its unit column basic at
+        # reduced cost 0, so its entry is that column's phase-1 cost: 1 for
+        # the artificial of 0 = 0, 0 for a slack
+        farkas = [ONE if row.sense == "=" else ZERO for row in problem.rows]
+        for t, i in enumerate(rows):
+            farkas[i] = Fraction(sign[t] * (cost1[unit[t]] * d1 - rc1.get(unit[t], 0)), d1)
         sol = LPSolution(status="infeasible", farkas=farkas, pivots=PivotCounts(phase1))
-        _verify_infeasible(problem, sol)
+        _verify_infeasible(problem, sol, int_rows)
         return sol
 
     # drive basic artificials out where possible (value is 0 here)
@@ -409,7 +433,7 @@ def lp_solve(problem: LPProblem) -> LPSolution:
                 terms[bv].append((-bsgn * tab.T[i][enter], tab.D[i]))
         direction = {v: _sum(t) for v, t in terms.items()}
         sol = LPSolution(status="unbounded", primal=primal, ray=direction, pivots=pivots)
-        _verify_unbounded(problem, sol)
+        _verify_unbounded(problem, sol, int_rows)
         return sol
 
     value = _sum(
@@ -420,14 +444,16 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     # duals from reduced costs under the unit columns (phase-2 costs are 0);
     # for max both the duals and the reduced costs change sign
     osgn = 1 if minimize else -1
-    dual = [Fraction(-osgn * sign[i] * rc2.get(unit[i], 0), d2) for i in range(nrows)]
+    dual = [ZERO] * len(problem.rows)
+    for t, i in enumerate(rows):
+        dual[i] = Fraction(-osgn * sign[t] * rc2.get(unit[t], 0), d2)
     reduced: Dict[str, Fraction] = {
         v: Fraction(osgn * rc2.get(col[v], 0), d2) for v in problem.variables
     }
     sol = LPSolution(
         status="optimal", value=value, primal=primal, dual=dual, reduced=reduced, pivots=pivots
     )
-    _verify_optimal(problem, sol)
+    _verify_optimal(problem, sol, int_rows)
     return sol
 
 
@@ -464,12 +490,19 @@ def _over_lcm(values: Dict[str, Fraction]) -> Tuple[Dict[str, int], int]:
     return {v: x.numerator * (m // x.denominator) for v, x in values.items()}, m
 
 
-def _int_row(coeffs: Dict[str, Fraction], rhs: Fraction) -> Tuple[Dict[str, int], int, int]:
+IntRow = Tuple[Dict[str, int], int, int]
+
+
+def _int_row(coeffs: Dict[str, Fraction], rhs: Fraction) -> IntRow:
     """The row ``coeffs.x (sense) rhs`` scaled by ``s``, the lcm of its
     denominators: the integers ``s * coeffs`` and ``s * rhs``, and ``s``."""
     s = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
     a = {v: c.numerator * (s // c.denominator) for v, c in coeffs.items()}
     return a, rhs.numerator * (s // rhs.denominator), s
+
+
+def _int_rows(problem: LPProblem) -> List[IntRow]:
+    return [_int_row(row.coeffs, row.rhs) for row in problem.rows]
 
 
 def _dual_sums(problem: LPProblem, used: List[Tuple[Fraction, Dict[str, int], int, int]]):
@@ -491,17 +524,16 @@ def _in_sense(lhs, sense: str, rhs) -> bool:
     return lhs <= rhs if sense == "<=" else lhs >= rhs if sense == ">=" else lhs == rhs
 
 
-def _verify_optimal(problem: LPProblem, sol: LPSolution):
+def _verify_optimal(problem: LPProblem, sol: LPSolution, int_rows: Optional[List[IntRow]] = None):
     """Exact primal feasibility, dual signs, complementary slackness, the
     dual identity per variable and strong duality.  Raises
     LPVerificationError on the first violation.  Each row is checked in
     integers: the point scaled by its common denominator, the row by its
-    own."""
+    own (``int_rows``, made here when not given)."""
     sgn = 1 if problem.sense == "min" else -1
     x, L = _over_lcm(sol.primal)
     used = []
-    for row, y in zip(problem.rows, sol.dual):
-        a, b, s = _int_row(row.coeffs, row.rhs)
+    for row, y, (a, b, s) in zip(problem.rows, sol.dual, int_rows or _int_rows(problem)):
         lhs, rhs = sum(c * x[v] for v, c in a.items()), b * L
         if not _in_sense(lhs, row.sense, rhs):
             raise LPVerificationError(f"primal infeasible on row {row.name!r}")
@@ -538,7 +570,7 @@ def _verify_optimal(problem: LPProblem, sol: LPSolution):
         raise LPVerificationError("strong duality")
 
 
-def _verify_infeasible(problem: LPProblem, sol: LPSolution):
+def _verify_infeasible(problem: LPProblem, sol: LPSolution, int_rows: Optional[List[IntRow]] = None):
     """The Farkas vector y = sol.farkas, one entry per row in the row's own
     orientation, proves the rows and bounds infeasible: y_i <= 0 on '<='
     rows and >= 0 on '>=' rows, sum_i y_i a_iv = 0 for each free variable v
@@ -546,15 +578,16 @@ def _verify_infeasible(problem: LPProblem, sol: LPSolution):
     (free variables counted at 0 in a_i.lb).  At a feasible x the sum
     sum_i y_i (a_i.x - b_i) would then be both >= 0 and < 0.  Raises
     LPVerificationError on the first violation.  The sums are taken in
-    integers over one common denominator."""
+    integers over one common denominator (``int_rows``, made here when not
+    given)."""
     if len(sol.farkas) != len(problem.rows):
         raise LPVerificationError("Farkas vector length")
     used = []
-    for row, y in zip(problem.rows, sol.farkas):
+    for row, y, ints in zip(problem.rows, sol.farkas, int_rows or _int_rows(problem)):
         if (row.sense == "<=" and y > 0) or (row.sense == ">=" and y < 0):
             raise LPVerificationError(f"Farkas sign on {row.sense} row {row.name!r}")
         if y:
-            used.append((y,) + _int_row(row.coeffs, row.rhs))
+            used.append((y,) + ints)
     acc, gap, K = _dual_sums(problem, used)
     bound_terms = [(gap, K)]
     for v in problem.variables:
@@ -570,14 +603,15 @@ def _verify_infeasible(problem: LPProblem, sol: LPSolution):
         raise LPVerificationError("Farkas: y.(b - A.lb) not positive")
 
 
-def _verify_unbounded(problem: LPProblem, sol: LPSolution):
+def _verify_unbounded(problem: LPProblem, sol: LPSolution, int_rows: Optional[List[IntRow]] = None):
     """The point x = sol.primal is feasible and the ray d = sol.ray is a
     recession direction that improves the objective: x_v >= lb_v and d_v >=
     0 for each variable with a lower bound, a_i.x <= b_i and a_i.d <= 0 on
     '<=' rows, >= on '>=' rows and = on '=' rows, and c.d < 0 for min (> 0
     for max).  So the LP is feasible and its objective has no bound.
     Raises LPVerificationError on the first violation.  The point, the ray
-    and each row are checked as integers over their own denominators."""
+    and each row are checked as integers over their own denominators
+    (``int_rows``, made here when not given)."""
     for v in problem.variables:
         lo = problem.lb.get(v)
         if lo is not None:
@@ -587,8 +621,7 @@ def _verify_unbounded(problem: LPProblem, sol: LPSolution):
                 raise LPVerificationError(f"ray negative on bounded var {v}")
     x, L = _over_lcm(sol.primal)
     d, _ = _over_lcm(sol.ray)
-    for row in problem.rows:
-        a, b, _ = _int_row(row.coeffs, row.rhs)
+    for row, (a, b, _) in zip(problem.rows, int_rows or _int_rows(problem)):
         if not _in_sense(sum(c * x[v] for v, c in a.items()), row.sense, b * L):
             raise LPVerificationError(f"point violates {row.sense} row {row.name!r}")
         if not _in_sense(sum(c * d[v] for v, c in a.items()), row.sense, 0):

@@ -197,9 +197,10 @@ def _facet_rows(P: HPolyhedron, vertices: Sequence[tuple]) -> List[int]:
     affine rank n - 1, that is when their points (1, v) have rank n, and
     of the rows tight at the same vertices only the first is kept.
 
-    Empty when some row is tight at every vertex: P has no vertex (it is
-    empty, or its rows have rank below n), or a row holds with equality
-    on all of P (an '=' row, 0.x <= 0), which the DD run over every row
+    An all-zero row that holds everywhere (0.x <= 0, 0.x = 0) is skipped.
+    Empty when some other row is tight at every vertex: P has no vertex
+    (it is empty, or its rows have rank below n), or a row holds with
+    equality on all of P (an '=' row), which the DD run over every row
     reports.  So it is empty whenever the vertices do not span n
     dimensions, since a row tight at n affinely independent vertices then
     holds at all of them.  In integers: each vertex v = N / d is the
@@ -213,6 +214,8 @@ def _facet_rows(P: HPolyhedron, vertices: Sequence[tuple]) -> List[int]:
         pts.append((d,) + tuple(c.numerator * (d // c.denominator) for c in v))
     rows, seen = [], set()
     for i, (rhs, coeffs) in enumerate(P.int_rows):
+        if rhs >= 0 and not any(coeffs):
+            continue  # 0.x <= rhs holds everywhere: no facet, no constraint
         tight = tuple(
             j for j, (d, *num) in enumerate(pts)
             if rhs * d == sum(a * x for a, x in zip(coeffs, num))
@@ -565,9 +568,13 @@ def _lin_row(wreg: _WRegistry, terms, coeffs: Optional[Dict[str, Fraction]] = No
 
 
 def _run_order_worker(pjson: dict, order: tuple):
-    """Top-level worker so order runs can execute in parallel processes."""
+    """Top-level worker so order runs can execute in parallel processes.
+    The coordinates are derived here: a run with pending derivations does
+    not pickle."""
     P = HPolyhedron.from_json(pjson)
-    return dd_run(P, order=list(order))
+    run = dd_run(P, order=list(order))
+    run.final.coords.derive()
+    return run
 
 
 def build_de_linear(

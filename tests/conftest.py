@@ -56,6 +56,18 @@ def dbp_62():
     )
 
 
+def orthant_polytope(n, m, rng):
+    """x >= 0, then m - n rows with coefficients in [1, 5] and right-hand
+    sides in [5, 20], drawn row by row: the generator of the benchmark's
+    random polytopes."""
+    A = [[-int(j == i) for j in range(n)] for i in range(n)]
+    b = [0] * n
+    for _ in range(m - n):
+        A.append([rng.randint(1, 5) for _ in range(n)])
+        b.append(rng.randint(5, 20))
+    return HPolyhedron.make(A, b)
+
+
 def box_polytope(n):
     """[0,1]^n with rows (-x_i <= 0) then (x_i <= 1)."""
     rows = []

@@ -26,7 +26,7 @@ from barydd.relaxation import (
     barycentric_for_polytope,
     build_hull_lp,
 )
-from conftest import box_polytope, run_optimized
+from conftest import box_polytope, orthant_polytope, run_optimized
 
 
 def certified(inst):
@@ -570,18 +570,6 @@ class TestFacetRows:
         assert capsys.readouterr().out == "PASS\n"
 
 
-def orthant_polytope(n, m, rng):
-    """x >= 0, then m - n rows with coefficients in [1, 5] and right-hand
-    sides in [5, 20], drawn row by row: the generator of the benchmark's
-    random polytopes."""
-    A = [[-int(j == i) for j in range(n)] for i in range(n)]
-    b = [0] * n
-    for _ in range(m - n):
-        A.append([rng.randint(1, 5) for _ in range(n)])
-        b.append(rng.randint(5, 20))
-    return HPolyhedron.make(A, b)
-
-
 class TestStress:
     """DBPs whose P is one of the DD stress polytopes, which take seconds
     to minutes over every row in the default order and about a second or
@@ -616,7 +604,8 @@ class TestCertifyErrors:
     """Exit code and stderr line of ``certify`` on a P that has no
     coordinates.  DD runs over every row when P is empty or flat, and the
     oracle's rank error waits for the DD checks, so each error reads as it
-    does for a run over every row."""
+    does for a run over every row.  An all-zero row that holds everywhere
+    (``zero_row``) is no facet and no error: P certifies, with exit 0."""
 
     @pytest.mark.parametrize(
         "rows, code, err",
@@ -636,9 +625,14 @@ class TestCertifyErrors:
             ([([-1, 1], "<=", 2), ([3, -2], "<=", 6), ([3, 4], "=", 15), ([-1, 0], "<=", 0)],
              3, "empty interior: P has no interior point: row 3 holds with equality on all of P"),
             ([([-1, 0], "<=", 0), ([0, -1], "<=", 0), ([0, 0], "<=", 0), ([1, 1], "<=", 1)],
-             3, "empty interior: P has no interior point: row 2 holds with equality on all of P"),
+             0, None),
+            ([([-1, 0], "<=", 0), ([0, -1], "<=", 0), ([0, 0], "=", 0), ([1, 1], "<=", 1)],
+             0, None),
+            ([([-1, 0], "<=", 0), ([0, -1], "<=", 0), ([0, 0], "<=", -1), ([1, 1], "<=", 1)],
+             3, "empty interior: no rays remain after processing row 3"),
         ],
-        ids=["strip", "unbounded", "unbounded_redundant", "empty", "equality_row", "zero_row"],
+        ids=["strip", "unbounded", "unbounded_redundant", "empty", "equality_row", "zero_row",
+             "zero_equality_row", "violated_zero_row"],
     )
     def test_exit_and_stderr(self, rows, code, err, dbp_62, tmp_path, capsys):
         data = dbp_62.to_json()
@@ -648,4 +642,13 @@ class TestCertifyErrors:
         inp = tmp_path / "inst.json"
         inp.write_text(json.dumps(data))
         assert cli.main(["certify", str(inp), "--out", str(tmp_path / "c.json"), "--verify"]) == code
-        assert capsys.readouterr() == ("", err + "\n")
+        if err is not None:
+            assert capsys.readouterr() == ("", err + "\n")
+            return
+        inst = DBPInstance.from_json(data)
+        best = min(
+            inst.objective_poly().eval(x + y)
+            for x in enumerate_vertices_oracle(inst.P)
+            for y in enumerate_vertices_oracle(inst.Py)
+        )
+        assert capsys.readouterr() == (f"delta = {best}\nidentity residual: 0\nPASS\n", "")

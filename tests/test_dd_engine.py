@@ -951,6 +951,7 @@ class TestNtotFactoredOnce:
                 if b > 0:
                     ntot = frf_add(state.pool, ntot, frf_scale(state.fmu[i], b))
             nxt, entry = dd_step(state, row)
+            nxt.fmu  # the step's coordinates are derived on first read
             if entry.case == "ray" and entry.Npos and entry.Nneg:
                 assert [p for p in calls if p == ntot.num] == [ntot.num]
                 ray_steps += 1
@@ -1015,3 +1016,98 @@ class TestDerivedCoordinates:
         first = run.states[0]
         assert [iz.fmu for iz in run.final.implied_zero] == [first.fmu[1], first.fmu[2]]
         assert run.final.had_empty_npos and not first.had_empty_npos
+
+
+def coordinate_layer(run):
+    """Everything a run derives on first read: the pool (ids in order, kinds,
+    signs, certified entries), each state's coordinates, constraint-product
+    views and implied zeros, and each ledger entry's N_tot."""
+    pool = run.final.pool
+    return (
+        [p.key() for p in pool.polys],
+        list(pool.kinds),
+        list(pool.cone_sign),
+        sorted(pool.certified),
+        [(st.fmu, st.ftheta, st.cpr, st.implied_zero) for st in run.states],
+        [e.Ntot.to_json() if e.Ntot is not None else None for e in run.entries],
+    )
+
+
+def eager_run(P, order, init, varrho, prune):
+    """dd_run with each state's coordinates read as soon as the state is
+    made: the order in which an eager run derives them."""
+    from barydd.dd_engine import DDRun
+
+    state, entries, remaining = dd_init(homogenize(P), init, order, varrho)
+    state.fmu
+    states, entries = [state], list(entries)
+    for row in remaining:
+        raw, entry = dd_step(states[-1], row)
+        raw.fmu
+        entries.append(entry)
+        states.append(prune_redundant(raw) if prune else raw)
+        states[-1].fmu
+    return DDRun(state.cone, tuple(order or ()), states, entries)
+
+
+class TestCoordinatesOnFirstRead:
+    """A run derives its coordinates on first read, in step order, so what
+    is read first changes no pool id and no coordinate."""
+
+    READS = {
+        "final mu first": lambda run: run.final.mu,
+        "every state in order": lambda run: [st.mu for st in run.states],
+        "ledger Ntot first": lambda run: [e.Ntot for e in run.entries],
+    }
+
+    def assert_reading_order_free(self, P, order, init="default", varrho=None, prune=True, ledger=True):
+        try:
+            want = coordinate_layer(eager_run(P, order, init, varrho, prune))
+        except EmptyInterior:
+            return
+        for name, read in self.READS.items():
+            run = dd_run(P, order=order, prune=prune, init=init, varrho=varrho)
+            read(run)
+            assert coordinate_layer(run) == want, name
+        if ledger:
+            # each step's entry relates the kept state before it to the
+            # unpruned state it made
+            made = raw_steps(run)[1:] if prune else run.states[1:]
+            steps = run.entries[len(run.entries) - len(made):]
+            for prev, nxt, entry in zip(run.states, made, steps):
+                assert ledger_verify(prev, nxt, entry)
+
+    @pytest.mark.parametrize("kind, init, seed", TestPruneByRank.CASES)
+    def test_prune_corpus(self, kind, init, seed):
+        P, order, init, varrho = TestPruneByRank.case(kind, init, seed)
+        self.assert_reading_order_free(P, order, init, varrho)
+
+    @pytest.mark.parametrize("fixture", ["poly_51", "poly_53"])
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_goldens(self, fixture, prune, request):
+        P = request.getfixturevalue(fixture)
+        self.assert_reading_order_free(P, None, prune=prune)
+
+    @pytest.mark.parametrize("n, m, seed", [(2, 8, 11208), (3, 9, 309), (3, 10, 310), (4, 9, 409)])
+    def test_stress_polytopes_over_facet_rows(self, n, m, seed):
+        from barydd.relaxation import _facet_rows
+        from conftest import orthant_polytope
+
+        P = orthant_polytope(n, m, random.Random(seed))
+        order = _facet_rows(P, enumerate_vertices_oracle(P))
+        # the ledger check of the 4-D run alone takes about 17 s
+        self.assert_reading_order_free(P, order, prune=False, ledger=n < 4)
+
+    def test_columns_alone_make_no_pool(self, poly_53, monkeypatch):
+        from barydd import dd_engine
+
+        calls = []
+        for name in ("__mul__", "exact_div"):
+            real = getattr(Poly, name)
+            monkeypatch.setattr(Poly, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        run = dd_run(poly_53, prune=True)
+        assert [st.p for st in run.states] and calls == []
+        assert run.final.coords.pool is None and run.final.coords.pending
+        run.final.pool
+        assert calls and isinstance(run.final.coords.pool, dd_engine.FactorPool)
+        assert run.final.coords.pending == []

@@ -356,6 +356,45 @@ class TestRatFromStr:
     def test_accepts(self, value, want):
         assert rat_from_str(value) == want
 
+    @staticmethod
+    def before(s):
+        """rat_from_str before plain integers took ``int``: every string
+        through ``Fraction``."""
+        if isinstance(s, bool) or not isinstance(s, (str, int, float, F)):
+            raise ValueError(f"not a rational: {s!r}")
+        if isinstance(s, F):
+            return s
+        if isinstance(s, int):
+            return F(s)
+        text = str(s).strip()
+        if "e" in text.lower():
+            raise ValueError(f"exponent notation is not accepted: {s!r}")
+        try:
+            return F(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
+
+    @staticmethod
+    def outcome(parse, s):
+        try:
+            value = parse(s)
+        except ValueError as exc:
+            return "ValueError", str(exc)
+        return type(value), value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["+5", " 7 ", "-0", "1_000", "\u0663", "0x10", "1.5", "5/0", "1e3", "-", "", "12", "-34",
+         "0007", "--5", "- 5", "5-", "7\n", "1" * 5000, "-" + "9" * 4301],
+    )
+    def test_same_as_before(self, text):
+        assert self.outcome(rat_from_str, text) == self.outcome(self.before, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=6), st.text(alphabet="0123456789-+ /._e\u0663x", max_size=8)))
+    def test_same_as_before_on_short_strings(self, text):
+        assert self.outcome(rat_from_str, text) == self.outcome(self.before, text)
+
 
 coeffs = st.fractions(
     min_value=-20, max_value=20, max_denominator=6

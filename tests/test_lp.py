@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barydd import HPolyhedron, LPVerificationError, NotFullRank, enumerate_vertices_oracle
 from barydd import lp as lp_module
@@ -178,6 +180,15 @@ def needs_artificial(p, row):
     return row.sense == "=" or (rhs < 0 if row.sense == "<=" else rhs > 0)
 
 
+def tableau_rows(p):
+    """The rows lp_solve puts in its tableau: all but those with no
+    coefficients that hold at 0 (0 = 0, 0 >= -c, 0 <= c)."""
+    return [
+        r for r in p.rows
+        if r.coeffs or not (r.rhs == 0 if r.sense == "=" else r.rhs >= 0 if r.sense == "<=" else r.rhs <= 0)
+    ]
+
+
 def struct_columns(p):
     return sum(1 if p.lb[v] is not None else 2 for v in p.variables)
 
@@ -210,8 +221,8 @@ class TestSlackStart:
             tableaus.clear()
             sol = lp_solve(p)
             (tab,) = tableaus
-            nslack = sum(1 for r in p.rows if r.sense != "=")
-            nart = sum(1 for r in p.rows if needs_artificial(p, r))
+            nslack = sum(1 for r in tableau_rows(p) if r.sense != "=")
+            nart = sum(1 for r in tableau_rows(p) if needs_artificial(p, r))
             assert tab.ncols == struct_columns(p) + nslack + nart
             if nart == 0:
                 assert sol.pivots.phase1 == 0 and sol.pivots.drive_out == 0
@@ -310,6 +321,50 @@ def random_lp(rng):
         rhs = at_x0 + slack if sense == "<=" else at_x0 - slack if sense == ">=" else at_x0
         p.add_row(coeffs, sense, rhs, name=f"r{i}")
     return p
+
+
+class TestCoefficientFreeRows:
+    """A row with no coefficients that holds at 0 stays out of the tableau:
+    the result is the one of the LP without it."""
+
+    TRIVIAL = [("=", 0), ("<=", 0), ("<=", 3), (">=", 0), (">=", -2)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        inserts=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(TRIVIAL)), min_size=1, max_size=4),
+    )
+    def test_inserted_rows_change_nothing(self, seed, inserts):
+        p = random_lp(random.Random(seed))
+        base = lp_solve(p)
+        rows = [(row, False) for row in p.rows]
+        for pos, (sense, rhs) in inserts:
+            rows.insert(min(pos, len(rows)), (LPRow({}, sense, F(rhs), name="trivial"), True))
+        q = dataclasses.replace(p, rows=[row for row, _ in rows])
+        inserted = [i for i, (_, new) in enumerate(rows) if new]
+        kept = [i for i, (_, new) in enumerate(rows) if not new]
+        sol = lp_solve(q)
+        assert (sol.status, sol.value, sol.primal, sol.reduced, sol.ray, sol.pivots) == (
+            base.status, base.value, base.primal, base.reduced, base.ray, base.pivots
+        )
+        if sol.status == "optimal":
+            assert [sol.dual[i] for i in kept] == base.dual
+            assert [sol.dual[i] for i in inserted] == [0] * len(inserted)
+        if sol.status == "infeasible":
+            assert [sol.farkas[i] for i in kept] == base.farkas
+            # each left-out row gets the entry its unit column would give:
+            # the phase-1 cost of the artificial of 0 = 0, 1, or of a slack, 0
+            assert [sol.farkas[i] for i in inserted] == [int(q.rows[i].sense == "=") for i in inserted]
+
+    @pytest.mark.parametrize("sense, rhs", [(">=", 1), ("<=", -1), ("=", 2), ("=", -1)])
+    def test_violated_row_gets_a_farkas_vector(self, sense, rhs):
+        p = LPProblem(sense="min")
+        p.add_var("x", lb=F(0), obj=F(1))
+        p.add_row({"x": F(1)}, "<=", F(4))
+        p.add_row({}, sense, F(rhs), name="violated")
+        sol = lp_solve(p)
+        assert sol.status == "infeasible" and sol.farkas[1] != 0
+        _verify_infeasible(p, sol)
 
 
 class TestAgainstHiGHS:
@@ -552,7 +607,7 @@ class TestFractionReference:
             p = random_lp(rng)
             starts.clear()
             sol = lp_solve(p)
-            ref = Setup(p).tab
+            ref = Setup(dataclasses.replace(p, rows=tableau_rows(p))).tab
             assert starts[0] == (ref.T, ref.D, ref.basis, ref.ncols)
             assert repr(sol) == repr(reference_lp_solve(p))
             seen[sol.status] += 1

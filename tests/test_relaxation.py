@@ -612,6 +612,33 @@ class TestCounting:
         assert got <= count_product_factors(n, q, k)
 
 
+class TestLevelsReadOnlyColumns:
+    """The level-k LP reads only the columns of its DD run, so no
+    coordinate is derived: no polynomial product or division, no pool."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for owner, name in ((Poly, "__mul__"), (Poly, "exact_div"), (dd_engine.FactorPool, "_register")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        return calls
+
+    @pytest.mark.parametrize("level", [2, 4])
+    @pytest.mark.parametrize("report", [False, True])
+    def test_cli_ddr(self, level, report, calls, dbp_62, tmp_path):
+        inp = tmp_path / "dbp62.json"
+        inp.write_text(json.dumps(dbp_62.to_json()))
+        argv = ["solve", str(inp), "--method", "ddr", "--level", str(level)]
+        assert cli.main(argv + (["--report", str(tmp_path / "r.json")] if report else [])) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_build_level_lp_pruned(self, k, calls, dbp_62):
+        assert lp_solve(build_level_lp(dbp_62, k, prune=True)).status in ("optimal", "unbounded")
+        assert calls == []
+
+
 class TestReport:
     def test_62_report(self, dbp_62):
         prob = build_hull_lp(dbp_62)
