@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import linalg
 from .exactmath import Poly, rat_from_str, rat_to_str
 from .lp import LPProblem, LPSolution, lp_solve
 from .relaxation import BarycentricCoords, DBPInstance
@@ -167,8 +167,8 @@ def _interior_points(verts: Sequence[tuple], n: int, count: int, seed: int = 202
     vector V_i, and coordinate j of a point with integer weights w is
     sum_i w_i V_ij / (D sum_i w_i), the only fraction made."""
     rng = random.Random(seed)
-    D = lcm(*(c.denominator for v in verts for c in v))
-    V = [[c.numerator * (D // c.denominator) for c in v] for v in verts]
+    flat, D = linalg.over_lcm([c for v in verts for c in v])
+    V = [flat[i * n:(i + 1) * n] for i in range(len(verts))]
     pts = []
     for _ in range(count):
         ws = [rng.randint(1, 50) for _ in verts]

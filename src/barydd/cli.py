@@ -513,10 +513,18 @@ def cmd_verify_identities(args) -> int:
         checks.append(("partition of unity", rf_equal(total, RatFun.const(nv, 1))))
         oracle = enumerate_vertices_oracle(P)
         checks.append(("pruned set = vertex oracle", sorted(pts) == oracle))
+        # at a vertex where a denominator vanishes, the value is the exact
+        # limit along the segment from the vertex average; a pole fails
+        centre = (Fraction(1),) + tuple(sum(c) / len(pts) for c in zip(*pts))
         ok = True
         for j, fj in enumerate(lam):
             for i, pt in enumerate(pts):
-                if fj.eval((Fraction(1),) + pt) != (1 if i == j else 0):
+                x = (Fraction(1),) + pt
+                try:
+                    value = fj.eval(x)
+                except DenominatorVanishes:
+                    value = fj.limit(x, centre)
+                if value != (1 if i == j else 0):
                     ok = False
         checks.append(("vertex indicator", ok))
         # interior positivity at sampled points

@@ -161,15 +161,11 @@ class FactorPool:
             out = out * self.polys[i]
         return out
 
-    def cone_form(self, fid: int) -> Poly:
-        p = self.polys[fid]
-        return p if self.cone_sign[fid] == 1 else -p
-
     def cone_product(self, ids: Sequence[int]) -> Poly:
-        out = Poly.const(self.nvars, 1)
-        for i in ids:
-            out = out * self.cone_form(i)
-        return out
+        """The product of the cone forms of ``ids``, each factor times its
+        ``cone_sign``."""
+        out = self.product(ids)
+        return out if self.cone_weight(1, ids) > 0 else -out
 
     def cone_weight(self, scalar: Fraction, ids: Sequence[int]) -> Fraction:
         """w such that scalar * prod(polys) = w * prod(cone forms)."""
@@ -607,38 +603,37 @@ def _run_phase1(state: DDState, order: List[int]):
 
 
 def _phase1_basis(state: DDState) -> Phase1Basis:
+    """The basis of the rows processed in phase 1, stacked under x0: its
+    columns are the first independent columns from the left, and B^-1 and
+    B^-1 N come column by column from ``linalg.solve``.  Each stacked row
+    is scaled to integers by s_i, so with S = diag(s) the scaled block is
+    S B, and B x = e_j, B x = N_j become S B x = s_j e_j, S B x = S N_j."""
     cone = state.cone
     n = cone.n
     rows_used = state.processed
     stacked = [[ONE] + [ZERO] * n] + [list(cone.Abar[r]) for r in rows_used]
-    basis_cols = [0]
-    for c in range(1, n + 1):
-        if len(basis_cols) == len(stacked):
-            break
-        cand = basis_cols + [c]
-        sub = [[row[j] for j in cand] for row in stacked]
-        if linalg.rank(sub) == len(cand):
-            basis_cols.append(c)
+    scaled = [linalg.over_lcm(row) for row in stacked]
+    basis_cols = linalg.echelon([ints for ints, _ in scaled])[1]
+    nb = len(basis_cols)
     rest = [c for c in range(n + 1) if c not in basis_cols]
-    B = [[stacked[i][j] for j in basis_cols] for i in range(len(basis_cols))]
-    N = [[stacked[i][j] for j in rest] for i in range(len(basis_cols))]
+    B = [[stacked[i][j] for j in basis_cols] for i in range(nb)]
+    N = [[stacked[i][j] for j in rest] for i in range(nb)]
     rem_rows = [r for r in range(cone.m) if r not in rows_used]
     Ups = [[cone.Abar[r][j] for j in basis_cols] for r in rem_rows]
     Psi = [[cone.Abar[r][j] for j in rest] for r in rem_rows]
-    Binv = linalg.inverse(B)
-    if Binv is None:
+    SB = [[scaled[i][0][j] for j in basis_cols] for i in range(nb)]
+    Binv_cols = [linalg.solve(SB, [scaled[i][1] * (i == j) for i in range(nb)]) for j in range(nb)]
+    if None in Binv_cols:
         raise Phase1BasisError("phase-1 basis must be invertible")
-    if Ups and rest and linalg.mat_mul(linalg.mat_mul(Ups, Binv), N) != Psi:
+    BinvN_cols = [linalg.solve(SB, [scaled[i][0][c] for i in range(nb)]) for c in rest]
+    if any(linalg.dot(u, col) != p for u, prow in zip(Ups, Psi) for col, p in zip(BinvN_cols, prow)):
         raise Phase1BasisError("Ups B^-1 N != Psi")
-    nb = len(basis_cols)
     cov = [[ZERO] * (n + 1) for _ in range(n + 1)]
-    mBinvN = [[-x for x in row] for row in linalg.mat_mul(Binv, N)] if rest else None
     for bi, c in enumerate(basis_cols):
         for j in range(nb):
-            cov[c][j] = Binv[bi][j]
-        if rest:
-            for j in range(len(rest)):
-                cov[c][nb + j] = mBinvN[bi][j]
+            cov[c][j] = Binv_cols[j][bi]
+        for j, col in enumerate(BinvN_cols):
+            cov[c][nb + j] = -col[bi]
     for ri, c in enumerate(rest):
         cov[c][nb + ri] = ONE
     return Phase1Basis(
@@ -995,10 +990,7 @@ def dd_run(
 def _int_vector(v) -> Tuple[int, ...]:
     """v scaled by the lcm of its denominators: a positive multiple of v
     with integer entries."""
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    return tuple(x.numerator * (lcm // x.denominator) for x in v)
+    return linalg.over_lcm(v)[0]
 
 
 def _canonical_column(col) -> tuple:
@@ -1036,7 +1028,7 @@ def _is_extreme(col: Tuple[int, ...], rows: Sequence[Tuple[int, ...]]) -> bool:
     if not any(col):
         return False
     tight = [a for a in rows if not sum(x * y for x, y in zip(a, col))]
-    return len(tight) >= len(col) - 1 and linalg.int_rank(tight) == len(col) - 1
+    return len(tight) >= len(col) - 1 and len(linalg.echelon(tight)[1]) == len(col) - 1
 
 
 def _fold(pool: FactorPool, fmu: list, cpr: list, t: int, j: int, w) -> None:

@@ -410,6 +410,20 @@ class Poly:
         return " + ".join(parts)
 
 
+def _along(p: Poly, point: Sequence, step: Sequence) -> list:
+    """The coefficients of p(point + t step) as a polynomial in t, lowest
+    power first."""
+    out = [ZERO] * (p.degree() + 1)
+    for e, c in p.terms.items():
+        term = [c]
+        for a, b, k in zip(point, step, e):
+            for _ in range(k):  # term * (a + b t)
+                term = [a * x + b * y for x, y in zip(term + [ZERO], [ZERO] + term)]
+        for i, x in enumerate(term):
+            out[i] += x
+    return out
+
+
 class RatFun:
     """Normalized ratio of two polynomials."""
 
@@ -490,6 +504,21 @@ class RatFun:
         if d == 0:
             raise DenominatorVanishes(point)
         return self.num.eval(point) / d
+
+    def limit(self, point: Sequence, toward: Sequence) -> Optional[Rat]:
+        """The exact one-sided limit of self at ``point`` along the segment
+        to ``toward``: num and den are expanded as polynomials in t at
+        x = point + t (toward - point), the lowest power of t in den is
+        cancelled, and t = 0 is taken.  Equal to ``eval`` where den does
+        not vanish at ``point``.  None when the limit is a pole, or when den
+        vanishes on the whole segment."""
+        step = [Fraction(c) - Fraction(x) for x, c in zip(point, toward)]
+        num = _along(self.num, point, step)
+        den = _along(self.den, point, step)
+        k = next((i for i, c in enumerate(den) if c), None)
+        if k is None or any(num[:k]):
+            return None
+        return num[k] / den[k] if k < len(num) else ZERO
 
     def __eq__(self, other):
         return isinstance(other, RatFun) and rf_equal(self, other)

@@ -1,61 +1,30 @@
-"""Small exact linear algebra over Fraction matrices (lists of row lists);
-``solve`` takes integer matrices and eliminates fraction-free."""
+"""Exact linear algebra in integers.
+
+Matrices are lists of integer rows.  A rational vector enters as integers
+over one denominator (``over_lcm``), and elimination is fraction-free
+(Bareiss 1968): the only fractions made are the entries of a solution of
+``solve``.  ``dot`` is the one routine on rationals."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
-
-Matrix = List[List[Fraction]]
-Vector = List[Fraction]
+from math import lcm
+from typing import List, Optional, Sequence, Tuple
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+def over_lcm(values: Sequence) -> Tuple[Tuple[int, ...], int]:
+    """The rationals ``values`` as integers over the lcm ``d`` of their
+    denominators: ``(N, d)`` with ``values = N / d`` and ``d > 0``, so N is
+    a positive multiple of ``values``."""
+    d = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (d // x.denominator) for x in values), d
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v)), Fraction(0))
+    return sum((x * y for x, y in zip(u, v)), Fraction(0))
 
 
-def rref(a: Matrix) -> tuple:
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    m = [row[:] for row in a]
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
-
-
-def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Vector]:
+def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[List[Fraction]]:
     """Solve a square system with integer entries exactly; None when singular.
 
     Fraction-free Gauss-Jordan elimination (Bareiss 1968): step k replaces
@@ -86,18 +55,29 @@ def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Vector]:
     return [Fraction(row[n], prev) for row in m]
 
 
-def int_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination to row echelon
-    form (Bareiss 1968): the division by the previous pivot is exact as in
-    ``solve``, since every entry is then a minor of ``a``."""
+def echelon(a: Sequence[Sequence[int]]) -> Tuple[List[int], List[int]]:
+    """The pivots of an integer matrix: ``(rows, cols)``, where ``cols``
+    are its first linearly independent columns from the left and ``rows``
+    are row indices of ``a`` such that the block ``rows x cols`` is
+    invertible; the rank is their number.
+
+    Fraction-free elimination to row echelon form (Bareiss 1968): the
+    division by the previous pivot is exact as in ``solve``, since every
+    entry is then a minor of ``a``.  A row of the echelon form is its
+    original row scaled plus a combination of the pivot rows above it,
+    so the original pivot rows span what the echelon rows span."""
     m = [list(row) for row in a]
+    index = list(range(len(m)))
     ncols = len(m[0]) if m else 0
-    r, prev = 0, 1
+    cols, r, prev = [], 0, 1
     for c in range(ncols):
+        if r == len(m):
+            break
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        index[r], index[piv] = index[piv], index[r]
         rr = m[r]
         arc = rr[c]
         for i in range(r + 1, len(m)):
@@ -105,17 +85,6 @@ def int_rank(a: Sequence[Sequence[int]]) -> int:
             aic = ri[c]
             m[i] = [(arc * x - aic * y) // prev for x, y in zip(ri, rr)]
         prev = arc
+        cols.append(c)
         r += 1
-        if r == len(m):
-            break
-    return r
-
-
-def inverse(a: Matrix) -> Optional[Matrix]:
-    n = len(a)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red]
-
+    return index[:r], cols

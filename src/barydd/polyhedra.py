@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -36,12 +35,8 @@ class HPolyhedron:
     int_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = []
-        for row, rhs in zip(self.A, self.b):
-            s = lcm(rhs.denominator, *(a.denominator for a in row))
-            rows.append((rhs.numerator * (s // rhs.denominator),
-                         tuple(a.numerator * (s // a.denominator) for a in row)))
-        object.__setattr__(self, "int_rows", tuple(rows))
+        rows = (linalg.over_lcm((rhs, *row))[0] for row, rhs in zip(self.A, self.b))
+        object.__setattr__(self, "int_rows", tuple((r[0], r[1:]) for r in rows))
 
     @staticmethod
     def make(A, b, var_names: Optional[Sequence[str]] = None) -> "HPolyhedron":
@@ -66,8 +61,7 @@ class HPolyhedron:
         common denominator d > 0 of its entries, row i holds iff
         b_i d - A_i.N >= 0 on the integer-scaled row."""
         pt = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in point]
-        d = lcm(*(c.denominator for c in pt))
-        num = [c.numerator * (d // c.denominator) for c in pt]
+        num, d = linalg.over_lcm(pt)
         return all(
             rhs * d >= sum(a * x for a, x in zip(coeffs, num))
             for rhs, coeffs in self.int_rows
@@ -190,20 +184,25 @@ def recession_ray(P: HPolyhedron) -> Optional[tuple]:
     """A nonzero recession direction d of P (A d <= 0) when one exists,
     else None.
 
-    When rank A < n, d is an exact null-space vector of A.  Otherwise
+    When rank A < n, d is an exact null-space vector of A: 1 at the first
+    column that is not a pivot of the integer rows ``P.int_rows``, 0 at the
+    other non-pivot columns, and at the pivot columns the solution over
+    the invertible pivot block (``linalg.echelon``).  Otherwise
     {d | -1 <= A d <= 0} is bounded, and min 1.A d over it is 0 exactly
     when A d <= 0 forces d = 0; a negative optimum's primal d is a ray.
     The ray is checked exactly; a failed check raises LPVerificationError.
     """
     n = P.n
     rows = [list(row) for row in P.A]
-    red, pivots = linalg.rref(rows)
-    if len(pivots) < n:
-        free = min(set(range(n)) - set(pivots))
+    coeffs = [c for _, c in P.int_rows]
+    prows, pcols = linalg.echelon(coeffs)
+    if len(pcols) < n:
+        free = min(set(range(n)) - set(pcols))
+        x = linalg.solve([[coeffs[i][c] for c in pcols] for i in prows], [-coeffs[i][free] for i in prows])
         d = [Fraction(0)] * n
         d[free] = Fraction(1)
-        for k, c in enumerate(pivots):
-            d[c] = -red[k][free]
+        for c, v in zip(pcols, x):
+            d[c] = v
     else:
         names = [f"d{j}" for j in range(n)]
         prob = LPProblem(sense="min")

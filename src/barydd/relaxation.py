@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -210,8 +209,8 @@ def _facet_rows(P: HPolyhedron, vertices: Sequence[tuple]) -> List[int]:
         return []
     pts = []
     for v in vertices:
-        d = lcm(*(c.denominator for c in v))
-        pts.append((d,) + tuple(c.numerator * (d // c.denominator) for c in v))
+        num, d = linalg.over_lcm(v)
+        pts.append((d,) + num)
     rows, seen = [], set()
     for i, (rhs, coeffs) in enumerate(P.int_rows):
         if rhs >= 0 and not any(coeffs):
@@ -222,7 +221,7 @@ def _facet_rows(P: HPolyhedron, vertices: Sequence[tuple]) -> List[int]:
         )
         if len(tight) == len(pts):
             return []
-        if tight not in seen and len(tight) >= n and linalg.int_rank([pts[j] for j in tight]) == n:
+        if tight not in seen and len(tight) >= n and len(linalg.echelon([pts[j] for j in tight])[1]) == n:
             seen.add(tight)
             rows.append(i)
     return rows

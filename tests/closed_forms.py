@@ -8,13 +8,14 @@ from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from barydd import linalg
-from barydd.linalg import Matrix
 from barydd.dd_engine import CPR, DDRun, FactorPool, cpr_numerator
 from barydd.exactmath import Poly, RatFun
 from barydd.facial import FDPInstance
 from barydd.lp import LPVerificationError, lp_solve
 from barydd.polyhedra import HPolyhedron, dehomogenize, enumerate_vertices_oracle
 from barydd.relaxation import DBPInstance, barycentric_for_polytope, build_hull_lp
+
+Matrix = List[List[Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from barydd import HPolyhedron
 from barydd.relaxation import DBPInstance
@@ -66,6 +67,15 @@ def orthant_polytope(n, m, rng):
         A.append([rng.randint(1, 5) for _ in range(n)])
         b.append(rng.randint(5, 20))
     return HPolyhedron.make(A, b)
+
+
+def sympy_rref(rows, ncols=None):
+    """The reduced row echelon form of a rational matrix by sympy, the
+    reference for ``barydd.linalg``: (rows of Fractions, pivot columns).
+    ``ncols`` gives the width of a matrix without rows."""
+    ncols = len(rows[0]) if rows else ncols
+    red, pivots = sympy.Matrix(len(rows), ncols, [x for row in rows for x in row]).rref()
+    return [[F(int(x.p), int(x.q)) for x in red.row(i)] for i in range(red.rows)], list(pivots)
 
 
 def box_polytope(n):

@@ -26,7 +26,7 @@ from barydd.relaxation import (
     barycentric_for_polytope,
     build_hull_lp,
 )
-from conftest import box_polytope, orthant_polytope, run_optimized
+from conftest import box_polytope, orthant_polytope, run_optimized, sympy_rref
 
 
 def certified(inst):
@@ -443,13 +443,11 @@ def value(poly, pt):
 
 def tight_rank_facets(P, verts):
     """Rows of P whose tight vertices (1, v) have rank n, duplicates
-    included, by Fraction elimination."""
-    from barydd.linalg import rank
-
+    included, by sympy's elimination."""
     facets = []
     for i, (row, rhs) in enumerate(zip(P.A, P.b)):
         tight = [[F(1)] + list(v) for v in verts if sum(a * x for a, x in zip(row, v)) == rhs]
-        if tight and rank(tight) == P.n:
+        if tight and len(sympy_rref(tight)[1]) == P.n:
             facets.append(i)
     return facets
 

@@ -1,4 +1,5 @@
-"""The artifact files of the command line: their bytes and their digest."""
+"""The command line: the bytes and the digest of its artifact files, and
+``verify-identities`` on a polytope that is not simple."""
 
 import hashlib
 import io
@@ -90,3 +91,28 @@ class TestArtifactBytes:
         assert cli.main(argv) == 0
         data = (tmp_path / artifact).read_bytes()
         assert data == streamed(json.loads(data))
+
+
+class TestVerifyIdentities:
+    # the square pyramid z >= 0, z <= x, z <= y, z <= 2 - x, z <= 2 - y:
+    # four facets meet at the apex (1, 1, 1), where denominators of the
+    # base-vertex coordinates vanish, so the vertex indicator there is a limit
+    PYRAMID = {
+        "variables": ["x", "y", "z"],
+        "constraints": [
+            {"coeffs": c, "sense": "<=", "rhs": r}
+            for c, r in [(["0", "0", "-1"], "0"), (["-1", "0", "1"], "0"), (["0", "-1", "1"], "0"),
+                         (["1", "0", "1"], "2"), (["0", "1", "1"], "2")]
+        ],
+    }
+
+    @pytest.mark.parametrize("order", [[], ["--order", "2,3,4,5,1"], ["--order", "1,3,2,4,5"]],
+                             ids=["default", "2,3,4,5,1", "1,3,2,4,5"])
+    def test_square_pyramid_passes(self, order, tmp_path, capsys):
+        inp = tmp_path / "pyramid.json"
+        inp.write_text(json.dumps(self.PYRAMID))
+        assert cli.main(["verify-identities", str(inp)] + order) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert err == "" and any(line.startswith("vertex indicator") for line in lines)
+        assert all(line.endswith(" PASS") for line in lines), out

@@ -130,6 +130,32 @@ class TestEval51:
             f.eval([1, 1, 0])
 
 
+class TestLimit:
+    """The one-sided limit of a rational function at a point along the
+    segment to another point."""
+
+    at, toward = [F(1), F(1), F(1)], [F(1), F(0), F(2)]  # x1 = 1 - t, x2 = 1 + t
+
+    def test_equals_eval_where_defined(self):
+        f = TestEval51().mu1()
+        pt = [F(1), F(1, 2), F(1, 4), F(1, 2)]
+        assert f.limit(pt, [F(1), F(0), F(0), F(0)]) == f.eval(pt)
+
+    def test_removable_zero(self):
+        # (x1^2 - x2^2) / (x1 - x2) is -4t / -2t on the segment
+        assert RatFun(x1 * x1 - x2 * x2, x1 - x2).limit(self.at, self.toward) == 2
+        assert RatFun((x1 - x2) * (x1 - x2), x1 - x2).limit(self.at, self.toward) == 0
+
+    def test_pole(self):
+        f = RatFun(x1, x1 - x2)
+        with pytest.raises(DenominatorVanishes):
+            f.eval(self.at)
+        assert f.limit(self.at, self.toward) is None
+
+    def test_denominator_zero_on_segment(self):
+        assert RatFun(x1, x1 - x2).limit(self.at, [F(1), F(2), F(2)]) is None
+
+
 def random_poly(rng, nvars, deg, nterms):
     terms = {}
     for _ in range(nterms):

@@ -17,6 +17,7 @@ from barydd import (
 from barydd import linalg
 from barydd.exactmath import RatFun
 from barydd.polyhedra import is_bounded, recession_ray
+from conftest import sympy_rref
 
 
 class TestHomogenize:
@@ -146,7 +147,7 @@ class TestBoundedness:
                 assert any(ray) and all(sum(a * d for a, d in zip(row, ray)) <= 0 for row in P.A)
             seen["bounded" if ray is None else "unbounded"] += 1
             seen["no rows"] += m == 0
-            seen["rank deficient"] += 0 < m and linalg.rank([list(r) for r in A]) < n
+            seen["rank deficient"] += 0 < m and len(sympy_rref(A)[1]) < n
         assert all(count >= 30 for count in seen.values()), seen
 
     def test_bad_ray_raises(self, monkeypatch):
@@ -199,17 +200,17 @@ class TestJson:
 
 
 def fraction_oracle(P):
-    """The vertex oracle in Fraction arithmetic: rank check, then each
-    n-row subset solved by reduced row echelon form and tested row by row.
-    The reference for the integer oracle."""
+    """The vertex oracle by sympy: rank check, then each n-row subset
+    solved by reduced row echelon form and tested row by row in Fraction
+    arithmetic.  The reference for the integer oracle."""
     n = P.n
     if n == 0:
         return [()]
-    if linalg.rank([list(row) for row in P.A]) < n:
+    if len(sympy_rref(P.A, n)[1]) < n:
         raise NotFullRank("no n linearly independent rows")
     seen = set()
     for subset in itertools.combinations(range(P.m), n):
-        red, pivots = linalg.rref([list(P.A[i]) + [P.b[i]] for i in subset])
+        red, pivots = sympy_rref([list(P.A[i]) + [P.b[i]] for i in subset])
         if len(pivots) < n or pivots[-1] == n:
             continue
         pt = tuple(red[i][n] for i in range(n))
@@ -259,7 +260,7 @@ def seeded_polyhedron(rng):
 
 class TestIntegerOracle:
     """The integer vertex oracle, ``linalg.solve`` and ``contains`` against
-    their Fraction references."""
+    their sympy and Fraction references."""
 
     def test_oracle_matches_fraction_oracle(self):
         rng = random.Random(20240)
@@ -287,7 +288,7 @@ class TestIntegerOracle:
             n = rng.randint(1, 5)
             a = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
             b = [rng.randint(-9, 9) for _ in range(n)]
-            red, pivots = linalg.rref([[F(x) for x in row] + [F(r)] for row, r in zip(a, b)])
+            red, pivots = sympy_rref([row + [r] for row, r in zip(a, b)])
             want = None if len(pivots) < n or pivots[-1] == n else [red[i][n] for i in range(n)]
             assert linalg.solve(a, b) == want, (a, b)
             singular += want is None

@@ -131,3 +131,19 @@ def test_no_public_name_only_tests_read():
                     if node.name not in read:
                         found.append(f"{name}:{node.lineno} {node.name}")
     assert found == []
+
+
+def test_one_exact_linear_algebra():
+    # exact elimination lives in linalg, in integers: only linalg and lp's
+    # per-row scaling take an lcm, and no module keeps a Fraction
+    # Gauss-Jordan beside it
+    found = []
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            takes_lcm = isinstance(node, ast.Attribute) and node.attr == "lcm"
+            takes_lcm |= isinstance(node, ast.ImportFrom) and any(a.name == "lcm" for a in node.names)
+            if takes_lcm and name not in ("linalg.py", "lp.py"):
+                found.append(f"{name}:{node.lineno} takes lcm")
+            elif isinstance(node, ast.FunctionDef) and node.name in ("rref", "inverse"):
+                found.append(f"{name}:{node.lineno} defines {node.name}")
+    assert found == []
