@@ -15,6 +15,7 @@ identity exactly.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .exactmath import Poly, rat_from_str, rat_to_str
 from .lp import LPProblem, LPSolution, lp_solve
+from .polyhedra import enumerate_vertices_oracle
 from .relaxation import BarycentricCoords, DBPInstance
 
 ZERO = Fraction(0)
@@ -159,7 +161,12 @@ def _dehom_prim(pool, fid) -> Optional[Poly]:
     return prim
 
 
-def _interior_points(verts: Sequence[tuple], n: int, count: int, seed: int = 20240801) -> List[tuple]:
+def vertex_average(verts: Sequence[tuple]) -> tuple:
+    """The average of the points ``verts``, exactly."""
+    return tuple(Fraction(sum(c), len(verts)) for c in zip(*verts))
+
+
+def interior_points(verts: Sequence[tuple], n: int, count: int, seed: int = 20240801) -> List[tuple]:
     """Random rational strictly-interior points of the polytope with vertices
     ``verts`` in dimension ``n``: positive convex combinations of the
     vertices (all weights > 0).  The sums are taken in integers: over the
@@ -210,11 +217,9 @@ def _factor_into_products(
             return []
     # LP fallback: poly = sum c_T prod_T with c >= 0 over row multisets
     deg = poly.degree()
-    import itertools as _it
-
     cols: List[Tuple[tuple, Poly]] = [((), Poly.const(nv, 1))]
     for size in range(1, deg + 1):
-        for T in _it.combinations_with_replacement(range(len(row_exprs)), size):
+        for T in itertools.combinations_with_replacement(range(len(row_exprs)), size):
             p = Poly.const(nv, 1)
             for i in T:
                 p = p * row_exprs[i]
@@ -291,11 +296,7 @@ def _weighted_numerators(
     for prim, mult in maxmult.values():
         for _ in range(mult):
             z_hom = z_hom * prim
-    verts = coords.vertices
-    center = tuple(
-        sum(v[j] for v in verts) / Fraction(len(verts)) for j in range(inst.P.n)
-    )
-    if z_hom.eval((ONE,) + center) < 0:
+    if z_hom.eval((ONE,) + vertex_average(coords.vertices)) < 0:
         z_hom = -z_hom
     # the x0 slot has degree 0 in every dehomogenized poly, so its image is
     # irrelevant
@@ -391,7 +392,7 @@ def verify_certificate(
     non-negative, (b) the polynomial identity z(x)(obj - delta) = q(x,y)
     holds exactly, and (c) z is positive at the vertex average and 20
     random interior rational points, the same on every call
-    (``_interior_points`` with its default seed).  The result carries the
+    (``interior_points`` with its default seed).  The result carries the
     identity's residual, computed before checks (a)-(c); a certificate that
     does not fit has none.  vertices is P's vertex list in the oracle's
     order, when the caller already holds it
@@ -407,22 +408,17 @@ def verify_certificate(
     if not residual.is_zero():
         return VerifyResult(False, "identity residual nonzero", residual)
     if vertices is None:
-        from .polyhedra import enumerate_vertices_oracle
-
         vertices = enumerate_vertices_oracle(inst.P)
     if not vertices:
         return VerifyResult(False, "P has no vertex", residual)
-    center = tuple(
-        sum(v[j] for v in vertices) / Fraction(len(vertices)) for j in range(inst.P.n)
-    )
     zx = cert.zpoly
 
     def z_at(pt):
         return zx.eval(tuple(pt) + (ZERO,) * cert.ny)
 
-    if z_at(center) <= 0:
+    if z_at(vertex_average(vertices)) <= 0:
         return VerifyResult(False, "z not positive at the vertex average", residual)
-    for pt in _interior_points(vertices, inst.P.n, 20):
+    for pt in interior_points(vertices, inst.P.n, 20):
         if z_at(pt) <= 0:
             return VerifyResult(False, f"z not positive at an interior sample", residual)
     return VerifyResult(True, "", residual)

@@ -70,7 +70,7 @@ from .relaxation import (
     build_rlt_baseline,
     solution_report,
 )
-from .certify import Certificate, _interior_points, extract_certificate, verify_certificate
+from .certify import Certificate, extract_certificate, interior_points, vertex_average, verify_certificate
 from .facial import (
     FDPInstance,
     FacesShareVertices,
@@ -515,7 +515,7 @@ def cmd_verify_identities(args) -> int:
         checks.append(("pruned set = vertex oracle", sorted(pts) == oracle))
         # at a vertex where a denominator vanishes, the value is the exact
         # limit along the segment from the vertex average; a pole fails
-        centre = (Fraction(1),) + tuple(sum(c) / len(pts) for c in zip(*pts))
+        centre = (Fraction(1),) + vertex_average(pts)
         ok = True
         for j, fj in enumerate(lam):
             for i, pt in enumerate(pts):
@@ -529,7 +529,7 @@ def cmd_verify_identities(args) -> int:
         checks.append(("vertex indicator", ok))
         # interior positivity at sampled points
         ok = True
-        for x in _interior_points(pts, P.n, samples):
+        for x in interior_points(pts, P.n, samples):
             for f in lam:
                 try:
                     if f.eval((Fraction(1),) + x) <= 0:

@@ -24,17 +24,16 @@ first read.
 Each coordinate also carries a constraint-product view (CPR): a non-negative
 combination of products of pool factors over a factored denominator, where
 each factor is taken in the sign that is non-negative on the cone.  It is
-maintained alongside the reduced form and feeds the structural relaxation
-rows and certificate extraction.
+maintained alongside the reduced form and feeds the structural rows of the
+linear algebraic relaxation (DE).
 
 Pruning (``prune_redundant``) removes the columns that are not extreme rays
 and folds their coordinates into the others.  In a state without lineality
 a column is kept, without an LP, when the constraint rows tight at it have
 rank d - 1, the algebraic extremality test of double description (Motzkin
 et al. 1953; Fukuda and Prodon 1996), computed in integers.  Every other
-column, and every column of a state with lineality or of the partial_orthant
-init, gets one exact LP: its Bland-order solution, when feasible, gives the
-fold weights.
+column, and every column of a state with lineality, gets one exact LP: its
+Bland-order solution, when feasible, gives the fold weights.
 
 A run has two layers.  The double description itself is computed when a
 state is made: the columns R and L, E, ``processed``, and the ledger's
@@ -61,7 +60,7 @@ from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exactmath import Poly, RatFun, rf_equal
+from .exactmath import Poly, RatFun, rat_to_str, rf_equal
 from .lp import LPProblem, lp_solve
 from .polyhedra import HomCone, HPolyhedron, homogenize
 
@@ -389,6 +388,7 @@ class DDState:
     on first read.  The pool only grows, so the pool ids in an Frf stay
     valid, and ``replace`` builds a new state that derives its own.
 
+    The run started from x0 >= 0 and x_i >= 0 for i > varrho (``dd_init``).
     R, L, E and ``processed`` are set when the state is made.  fmu, ftheta,
     cpr, implied_zero and the pool belong to the run's coordinate layer
     (``coords``) and are derived on first read (see the module docstring),
@@ -400,13 +400,13 @@ class DDState:
     L: Tuple[tuple, ...]
     E: Tuple[int, ...]
     processed: Tuple[int, ...]
+    varrho: int
     coords: _Coords
     fmu: Tuple[Frf, ...] = _Derived()
     ftheta: Tuple[Frf, ...] = _Derived()
     cpr: Tuple[Optional[CPR], ...] = _Derived()
     implied_zero: Tuple[ImpliedZero, ...] = _Derived()
     phase1: Optional[Phase1Basis] = None
-    init_mode: str = "default"
 
     @property
     def pool(self) -> FactorPool:
@@ -446,8 +446,8 @@ def _successor(state: DDState, derive: Callable[[], dict], **eager) -> DDState:
     ``eager`` and the coordinate fields that ``derive()`` returns replaced."""
     fields = dict(
         cone=state.cone, k=state.k, R=state.R, L=state.L, E=state.E,
-        processed=state.processed, coords=state.coords,
-        phase1=state.phase1, init_mode=state.init_mode,
+        processed=state.processed, varrho=state.varrho, coords=state.coords,
+        phase1=state.phase1,
     )
     fields.update(eager)
     new = DDState(**fields)
@@ -479,8 +479,6 @@ class LedgerEntry:
     coords: Optional[_Coords] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
-        from .exactmath import rat_to_str
-
         return {
             "k": self.k,
             "row": self.row,
@@ -534,28 +532,27 @@ def dd_init(
 ):
     """Initial DD state.  Returns (state, init_entries, remaining_order).
 
-    Modes: 'default' (lineality = all of x-space), 'orthant' (x >= 0 already
-    processed), 'partial_orthant' (x_i >= 0 for i > varrho already processed),
-    'phase1' (lineality-eliminating steps run up front, reordering rows of
-    the given order so the first ones are not orthogonal to L).
+    Every mode starts from the cone x0 >= 0, x_i >= 0 for i > varrho: rays
+    x0 and x_i for i > varrho, lineality x_1..x_varrho.  The x_i >= 0 rows
+    count as processed, so each must be an explicit row of the cone.
+    'default' and 'phase1' take varrho = n (lineality = all of x-space),
+    'orthant' varrho = 0 (x >= 0), 'partial_orthant' the varrho given.
+    'phase1' then runs the lineality-eliminating steps up front, reordering
+    rows of the given order so the first ones are not orthogonal to L.
     """
     n = cone.n
     nv = n + 1
     full_order = list(order) if order is not None else list(range(cone.m))
     if len(set(full_order)) != len(full_order):
         raise ValueError("order must consist of distinct row indices")
-    if mode in ("default", "phase1"):
-        ray_vars, lin_vars = [0], range(1, nv)
-    elif mode in ("orthant", "partial_orthant"):
-        rho = 0 if mode == "orthant" else int(varrho)
-        for i in range(rho + 1, n + 1):
-            if not _orthant_certified(cone, i):
-                raise InitPreconditionViolated(
-                    f"x_{i} >= 0 is not certified by an explicit row"
-                )
-        ray_vars, lin_vars = [0] + list(range(rho + 1, nv)), range(1, rho + 1)
-    else:
+    starts = {"default": n, "phase1": n, "orthant": 0, "partial_orthant": varrho}
+    if mode not in starts:
         raise ValueError(f"unknown init mode {mode!r}")
+    rho = int(starts[mode])
+    for i in range(rho + 1, nv):
+        if not _orthant_certified(cone, i):
+            raise InitPreconditionViolated(f"x_{i} >= 0 is not certified by an explicit row")
+    ray_vars, lin_vars = [0, *range(rho + 1, nv)], range(1, rho + 1)
 
     def unit(i):
         return tuple(ONE if j == i else ZERO for j in range(nv))
@@ -563,7 +560,7 @@ def dd_init(
     coords = _Coords()
     state = DDState(
         cone=cone, k=0, R=tuple(unit(i) for i in ray_vars), L=tuple(unit(i) for i in lin_vars),
-        E=(), processed=(), coords=coords, init_mode=mode,
+        E=(), processed=(), varrho=rho, coords=coords,
     )
 
     def derive():
@@ -598,7 +595,7 @@ def _run_phase1(state: DDState, order: List[int]):
         state, entry = dd_step(state, r)
         entries.append(entry)
     basis = _phase1_basis(state)
-    state = _successor(state, dict, phase1=basis, init_mode="phase1")
+    state = _successor(state, dict, phase1=basis)
     return state, entries, remaining
 
 
@@ -754,63 +751,17 @@ def _step_lineality(state, row, alpha, beta):
 
 
 def _step_ray(state, row, beta):
-    p = state.p
+    """The ray update.  With N+ empty it makes no new column and no N_tot:
+    N0 stays, and N- drops out, its coordinates recorded as implied zeros
+    (they vanish on the cone) and the row in E."""
+    p, q = state.p, state.q
     Nneg = tuple(i for i in range(p) if beta[i] < 0)
     Nzero = tuple(i for i in range(p) if beta[i] == 0)
     Npos = tuple(i for i in range(p) if beta[i] > 0)
+    if not Npos and not Nzero and not q:
+        raise EmptyInterior(f"no rays remain after processing row {row}")
     perm = Nzero + Npos + Nneg
-
-    if not Npos:
-        if not Nzero and state.q == 0:
-            raise EmptyInterior(f"no rays remain after processing row {row}")
-
-        def derive_dropped():
-            dropped = tuple(
-                ImpliedZero(
-                    row=row,
-                    column=state.R[j],
-                    name=f"mu[{state.k}][{j}]",
-                    fmu=state.fmu[j],
-                )
-                for j in Nneg
-            )
-            return dict(
-                fmu=tuple(state.fmu[j] for j in Nzero),
-                cpr=tuple(state.cpr[j] for j in Nzero),
-                implied_zero=state.implied_zero + dropped,
-            )
-
-        D = [[ZERO] * len(Nzero) for _ in range(p)]
-        for c, j in enumerate(Nzero):
-            D[perm.index(j)][c] = ONE
-        entry = LedgerEntry(
-            k=state.k + 1,
-            row=row,
-            case="ray",
-            beta=tuple(beta),
-            Nzero=Nzero,
-            Npos=Npos,
-            Nneg=Nneg,
-            Ntot=None,
-            F=tuple(
-                tuple(ONE if i == j else ZERO for j in range(state.q))
-                for i in range(state.q)
-            ),
-            G=tuple(tuple([ZERO] * len(Nzero)) for _ in range(state.q)),
-            D=tuple(tuple(r) for r in D),
-            perm=perm,
-            dropped=Nneg,
-        )
-        new_state = _successor(
-            state,
-            derive_dropped,
-            k=state.k + 1,
-            R=tuple(state.R[j] for j in Nzero),
-            E=state.E + (row,),
-            processed=state.processed + (row,),
-        )
-        return new_state, entry
-
+    dropped = () if Npos else Nneg
     new_R = (
         [state.R[j] for j in Nzero]
         + [state.R[i] for i in Npos]
@@ -834,7 +785,6 @@ def _step_ray(state, row, beta):
         r = perm.index(j)
         for c, i in enumerate(Npos):
             D[r][nz + npp + c * nn + jj] = beta[i]
-    q = state.q
     entry = LedgerEntry(
         k=state.k + 1,
         row=row,
@@ -843,16 +793,26 @@ def _step_ray(state, row, beta):
         Nzero=Nzero,
         Npos=Npos,
         Nneg=Nneg,
+        Ntot=_PENDING if Npos else None,
         F=tuple(tuple(ONE if i == j else ZERO for j in range(q)) for i in range(q)),
         G=tuple(tuple([ZERO] * pk1) for _ in range(q)),
         D=tuple(tuple(r) for r in D),
         perm=perm,
+        dropped=dropped,
         coords=state.coords,
     )
 
     def derive():
         pool = state.coords.pool
         fmu, cpr = state.fmu, state.cpr
+        new_fmu: List[Frf] = [fmu[j] for j in Nzero]
+        new_cpr: List[Optional[CPR]] = [cpr[j] for j in Nzero]
+        if not Npos:
+            zeros = tuple(
+                ImpliedZero(row=row, column=state.R[j], name=f"mu[{state.k}][{j}]", fmu=fmu[j])
+                for j in dropped
+            )
+            return dict(fmu=tuple(new_fmu), cpr=tuple(new_cpr), implied_zero=state.implied_zero + zeros)
         ntot = Frf(Poly.zero(pool.nvars), ())
         for i in Npos:
             ntot = frf_add(pool, ntot, frf_scale(fmu[i], beta[i]))
@@ -898,8 +858,6 @@ def _step_ray(state, row, beta):
             if ntot.is_zero():
                 raise ZeroDivisionError("division by zero coordinate")
             ntot_factors = pool.factorize(ntot.num)
-        new_fmu: List[Frf] = [fmu[j] for j in Nzero]
-        new_cpr: List[Optional[CPR]] = [cpr[j] for j in Nzero]
         for i in Npos:
             term = (
                 frf_div(pool, frf_mul(pool, fmu[i], sneg), ntot, ntot_factors)
@@ -929,6 +887,7 @@ def _step_ray(state, row, beta):
         derive,
         k=state.k + 1,
         R=tuple(new_R),
+        E=state.E if Npos else state.E + (row,),
         processed=state.processed + (row,),
     )
     return new_state, entry
@@ -1005,13 +964,13 @@ def _canonical_column(col) -> tuple:
 
 def _cone_rows(state: DDState) -> Optional[List[Tuple[int, ...]]]:
     """Integer-scaled rows a with a.r >= 0 for every ray column r of a state
-    without lineality: x0 >= 0, x_i >= 0 for the orthant init, and the
-    processed rows of Abar.  None for a state with lineality, and for the
-    partial_orthant init, whose x_i >= 0 rows the state does not record."""
-    if state.q or state.init_mode == "partial_orthant":
+    without lineality, the rows that cut out its cone: x0 >= 0, the start's
+    x_i >= 0 for i > varrho, and the processed rows of Abar.  None for a
+    state with lineality."""
+    if state.q:
         return None
     nv = state.cone.n + 1
-    units = range(nv) if state.init_mode == "orthant" else range(1)
+    units = [0, *range(state.varrho + 1, nv)]
     rows = [tuple(int(i == j) for j in range(nv)) for i in units]
     rows += [_int_vector(state.cone.Abar[i]) for i in state.processed]
     return rows
@@ -1121,26 +1080,21 @@ def prune_redundant(state: DDState) -> DDState:
 
 def ledger_verify(state_prev: DDState, state_next: DDState, entry: LedgerEntry) -> bool:
     """Check the affine inter-level relation symbolically (when it holds by
-    construction) and the generator relation numerically for one step."""
+    construction) and the generator relation numerically for one step.  A
+    coordinate the step drops must be named among the implied zeros; its D
+    row, which is zero, is not checked against it."""
     for row in entry.D:
         if any(x < 0 for x in row):
             return False
+    names = {iz.name for iz in state_next.implied_zero}
+    if any(f"mu[{state_prev.k}][{j}]" not in names for j in entry.dropped):
+        return False
     q, p = state_prev.q, state_prev.p
     theta_prev = list(state_prev.theta)
     Lprev = [list(c) for c in state_prev.L]
     if entry.case == "lineality" and entry.flip:
         theta_prev[entry.xi] = theta_prev[entry.xi].scale(-1)
         Lprev[entry.xi] = [-x for x in Lprev[entry.xi]]
-
-    if entry.case == "ray" and not entry.Npos:
-        names = {iz.name for iz in state_next.implied_zero}
-        for j in entry.dropped:
-            if f"mu[{state_prev.k}][{j}]" not in names:
-                return False
-        for c, j in enumerate(entry.Nzero):
-            if not rf_equal(state_prev.mu[j], state_next.mu[c]):
-                return False
-        return _check_generator_relation(Lprev, state_prev, state_next, entry)
 
     new_theta = list(state_next.theta)
     new_mu = list(state_next.mu)
@@ -1156,6 +1110,8 @@ def ledger_verify(state_prev: DDState, state_next: DDState, entry: LedgerEntry) 
         if not rf_equal(theta_prev[j], rhs):
             return False
     for r in range(p):
+        if entry.perm[r] in entry.dropped:
+            continue
         acc = RatFun.const(nv, 0)
         for c, d in zip(new_mu, entry.D[r]):
             if d:

@@ -13,12 +13,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .dd_engine import DDRun, EmptyInterior, dd_run
+from .dd_engine import DDRun, EmptyInterior, dd_run, prune_redundant
 from .exactmath import Poly, RatFun, rat_from_str, rat_to_str
 from .lp import LPProblem, LPSolution, lp_solve
 from .polyhedra import (
     HPolyhedron,
     NotFullRank,
+    dehomogenize,
     dehomogenize_columns,
     enumerate_vertices_oracle,
     interior_point,
@@ -247,9 +248,6 @@ def barycentric_for_polytope(P: HPolyhedron) -> BarycentricCoords:
     when P has a recession ray (a column with x0 = 0, or lineality left by
     the facet rows of an unbounded P) or the columns do not match the
     oracle's vertices.  So the coordinates prove P bounded."""
-    from .dd_engine import prune_redundant
-    from .polyhedra import dehomogenize
-
     try:
         oracle, rank_error = enumerate_vertices_oracle(P), None
     except NotFullRank as exc:
@@ -337,9 +335,12 @@ class LevelRun:
         the order is processed.  With k, which must be in 0..len(order), the
         run stops after step max(k, kbar), kbar being the first step whose
         lineality space is empty; when no step empties it, the whole order
-        runs, so LevelTooLow still reports kbar.  Both inits used here
-        (default, and partial_orthant for non-affine g) keep the order, so a
-        stopped run holds exactly the first states of the whole run."""
+        runs, so LevelTooLow still reports kbar.  The run starts from
+        x_i >= 0 for i > varrho (``partial_orthant``): varrho = n, the
+        default start, when every g is affine, and ``ac.varrho`` otherwise,
+        the alternate start that keeps the generator rows scaling a
+        non-affine g non-negative.  That start keeps the order, so a stopped
+        run holds exactly the first states of the whole run."""
         ac = dbp_as_ac(inst) if isinstance(inst, DBPInstance) else inst
         order = list(order) if order is not None else list(range(ac.P.m))
         stop = None
@@ -347,11 +348,8 @@ class LevelRun:
             if not 0 <= k <= len(order):
                 raise ValueError(f"level {k} is not in 0..{len(order)}, the order length")
             stop = lambda st: st.k >= k and st.q == 0  # noqa: E731
-        if all(g.affine for g in ac.g):
-            return LevelRun(ac, dd_run(ac.P, order=order, stop=stop))
-        return LevelRun(
-            ac, dd_run(ac.P, order=order, init="partial_orthant", varrho=ac.varrho, stop=stop)
-        )
+        varrho = ac.n if all(g.affine for g in ac.g) else ac.varrho
+        return LevelRun(ac, dd_run(ac.P, order=order, init="partial_orthant", varrho=varrho, stop=stop))
 
     @property
     def kbar(self) -> Optional[int]:
@@ -365,8 +363,6 @@ class LevelRun:
             raise LevelTooLow(k, kbar, "lineality space not empty at this level")
         st = self.run.states[k]
         if prune:
-            from .dd_engine import prune_redundant
-
             st = prune_redundant(st)
         return _vertex_form_lp(self.ac, dehomogenize_columns(st.R), name=f"level{k}")
 

@@ -186,6 +186,7 @@ class TestOracleCalls:
 
         monkeypatch.setattr(polyhedra, "enumerate_vertices_oracle", counted)
         monkeypatch.setattr(relaxation, "enumerate_vertices_oracle", counted)
+        monkeypatch.setattr(certify, "enumerate_vertices_oracle", counted)
         return calls
 
     def test_one_call_per_job(self, dbp_62, tmp_path, monkeypatch, capsys):
@@ -363,7 +364,7 @@ class TestCheaperPipeline:
                 for _ in range(rng.randint(1, 7))
             ]
             seed = rng.randrange(10**6)
-            assert certify._interior_points(verts, n, 20, seed) == reference(verts, n, 20, seed)
+            assert certify.interior_points(verts, n, 20, seed) == reference(verts, n, 20, seed)
 
     def test_extract_factors_each_vertex_once(self, dbp_62, monkeypatch):
         real = certify._factor_into_products

@@ -899,26 +899,29 @@ class TestPruneByRank:
     @pytest.mark.parametrize("kind", ["bounded", "apex", "equality", "unbounded", "centered"])
     def test_rank_test_agrees_with_lp(self, kind):
         # in a state without lineality, after duplicates are merged, a column
-        # passes the rank test exactly when the reference LP is infeasible
+        # passes the rank test exactly when the reference LP is infeasible,
+        # from the default start and from the x >= 0 starts alike
         from barydd.dd_engine import _cone_rows, _int_vector, _is_extreme
 
-        checked = 0
-        for seed in range(4):
-            P, order, init, _ = self.case(kind, "default", seed)
-            try:
-                run = dd_run(P, order=order, prune=True)
-            except EmptyInterior:
-                continue
-            for st in raw_steps(run):
-                rows = _cone_rows(st)
-                if rows is None:
+        inits = ("default", "orthant", "partial:1") if kind != "centered" else ("default",)
+        checked = dict.fromkeys(inits, 0)
+        for init in inits:
+            for seed in range(4):
+                P, order, mode, varrho = self.case(kind, init, seed)
+                try:
+                    run = dd_run(P, order=order, prune=True, init=mode, varrho=varrho)
+                except EmptyInterior:
                     continue
-                R = list({_canonical_column(c): c for c in reversed(st.R)}.values())
-                for j, col in enumerate(R):
-                    extreme = _is_extreme(_int_vector(col), rows)
-                    assert extreme == (reference_lp_weights(R, j) is None), (st.k, col)
-                    checked += 1
-        assert checked > 0
+                for st in raw_steps(run):
+                    rows = _cone_rows(st)
+                    if rows is None:
+                        continue
+                    R = list({_canonical_column(c): c for c in reversed(st.R)}.values())
+                    for j, col in enumerate(R):
+                        extreme = _is_extreme(_int_vector(col), rows)
+                        assert extreme == (reference_lp_weights(R, j) is None), (init, st.k, col)
+                        checked[init] += 1
+        assert all(checked.values()), checked
 
 
 class TestNtotFactoredOnce:
@@ -1109,3 +1112,196 @@ class TestCoordinatesOnFirstRead:
         run.final.pool
         assert calls and isinstance(run.final.coords.pool, dd_engine.FactorPool)
         assert run.final.coords.pending == []
+
+
+def run_record(run):
+    """What two runs must share to be the same run: the order, each state's
+    columns, E, processed rows, start and phase-1 basis, each ledger entry,
+    and the coordinate layer."""
+    return (
+        run.order,
+        [(st.k, st.R, st.L, st.E, st.processed, st.varrho, st.phase1) for st in run.states],
+        [e.to_json() for e in run.entries],
+        coordinate_layer(run),
+    )
+
+
+class TestOneStart:
+    """Every init is the start x0 >= 0, x_i >= 0 for i > varrho: default is
+    varrho = n and orthant is varrho = 0."""
+
+    ORTHANT_CASES = [(kind, seed) for kind, init, seed in TestPruneByRank.CASES if init == "orthant"]
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_partial_at_n_is_default(self, dbp_62, prune):
+        import itertools
+
+        P = dbp_62.P
+        for order in itertools.permutations(range(P.m)):
+            want = run_record(dd_run(P, order=order, prune=prune))
+            got = dd_run(P, order=order, prune=prune, init="partial_orthant", varrho=P.n)
+            assert run_record(got) == want, order
+
+    @staticmethod
+    def lp_counted(monkeypatch, P, order, **init):
+        """run_record of the pruned run, or None when the cone is {0}, and
+        the number of LPs its pruning solved."""
+        from barydd import dd_engine
+
+        calls = []
+        real = dd_engine.lp_solve
+        monkeypatch.setattr(dd_engine, "lp_solve", lambda prob: calls.append(prob) or real(prob))
+        try:
+            record = run_record(dd_run(P, order=order, prune=True, **init))
+        except EmptyInterior:
+            record = None
+        monkeypatch.setattr(dd_engine, "lp_solve", real)
+        return record, len(calls)
+
+    @pytest.mark.parametrize("kind, seed", ORTHANT_CASES)
+    def test_partial_at_0_is_orthant(self, kind, seed, monkeypatch):
+        # the same run, and pruning proves the same columns extreme without
+        # an LP, so it solves as many LPs
+        P, order, _, _ = TestPruneByRank.case(kind, "orthant", seed)
+        want, want_lps = self.lp_counted(monkeypatch, P, order, init="orthant")
+        got, got_lps = self.lp_counted(monkeypatch, P, order, init="partial_orthant", varrho=0)
+        assert got == want
+        assert got_lps == want_lps
+
+
+# x >= 0 with x1 + x2 <= 0 (the polytope of test_implied_zero_tracking)
+COLLAPSE = HPolyhedron.make([[-1, 0], [0, -1], [1, 1]], [0, 0, 0])
+# the line x1 + x2 = 1, an equality as two rows
+LINE = HPolyhedron.make([[1, 1], [-1, -1]], [1, -1])
+
+
+def collapse_step():
+    """COLLAPSE's row 3 from the orthant start: N+ is empty, the x0 column
+    stays and columns 1 and 2 drop out."""
+    run = dd_run(COLLAPSE, order=[2], init="orthant")
+    return run.states[0], run.final, run.entries[0]
+
+
+def line_step():
+    """LINE's second row: the step finds N+ empty with one lineality
+    direction left."""
+    run = dd_run(LINE)
+    return run.states[1], run.final, run.entries[1]
+
+
+def ordinary_step(P):
+    """The first ray step of P's default run with N+ and N- both nonempty."""
+    run = dd_run(P)
+    k = next(k for k, e in enumerate(run.entries) if e.case == "ray" and e.Npos and e.Nneg)
+    return run.states[k], run.states[k + 1], run.entries[k]
+
+
+class TestLedgerMutations:
+    """``ledger_verify`` accepts each step as made and rejects it after one
+    change to the next state or to the entry."""
+
+    @staticmethod
+    def scaled(fs, i, w):
+        from barydd.dd_engine import frf_scale
+
+        return fs[:i] + (frf_scale(fs[i], w),) + fs[i + 1:]
+
+    def test_unchanged_steps_pass(self, poly_53):
+        for prev, nxt, entry in (collapse_step(), line_step(), ordinary_step(poly_53)):
+            assert ledger_verify(prev, nxt, entry)
+
+    def test_missing_implied_zero_name(self):
+        from dataclasses import replace
+
+        prev, nxt, entry = collapse_step()
+        assert not ledger_verify(prev, replace(nxt, implied_zero=nxt.implied_zero[1:]), entry)
+
+    def test_changed_n0_coordinate(self):
+        from dataclasses import replace
+
+        prev, nxt, entry = collapse_step()
+        assert entry.Nzero == (0,)
+        assert not ledger_verify(prev, replace(nxt, fmu=self.scaled(nxt.fmu, 0, 2)), entry)
+
+    def test_changed_theta_of_an_empty_npos_step(self):
+        from dataclasses import replace
+
+        prev, nxt, entry = line_step()
+        assert entry.Npos == () and nxt.q == 1
+        assert not ledger_verify(prev, replace(nxt, ftheta=self.scaled(nxt.ftheta, 0, 2)), entry)
+
+    def test_negative_d_entry(self):
+        # the dropped column 1 joins the kept column with weight -1, and the
+        # kept column moves to match: every relation holds but D >= 0
+        from dataclasses import replace
+
+        prev, nxt, entry = collapse_step()
+        D = (entry.D[0], (F(-1),), entry.D[2])
+        R = (tuple(a - b for a, b in zip(prev.R[0], prev.R[1])),)
+        assert not ledger_verify(prev, replace(nxt, R=R), replace(entry, D=D))
+
+    def test_moved_r_column(self, poly_53):
+        from dataclasses import replace
+
+        prev, nxt, entry = ordinary_step(poly_53)
+        R = (nxt.R[1], nxt.R[0]) + nxt.R[2:]
+        assert R != nxt.R
+        assert not ledger_verify(prev, replace(nxt, R=R), entry)
+
+    def test_scaled_mu_of_an_ordinary_ray_step(self, poly_53):
+        from dataclasses import replace
+
+        prev, nxt, entry = ordinary_step(poly_53)
+        assert not ledger_verify(prev, replace(nxt, fmu=self.scaled(nxt.fmu, nxt.p - 1, 2)), entry)
+
+
+class TestEmptyNposGoldens:
+    """The ledger entry and ``dd --out`` dump of a run whose last step finds
+    N+ empty, pinned: with no lineality left, and with one direction left."""
+
+    COLLAPSE_DUMP = {
+        "E": [3], "L": [], "R": [["1", "0", "0"]],
+        "implied_zero": ["mu[0][1]", "mu[0][2]"],
+        "ledger": [
+            {"D": [["1"], ["0"], ["0"]], "F": [], "G": [], "Nneg": [1, 2], "Npos": [], "Ntot": None,
+             "Nzero": [0], "alpha": None, "beta": ["0", "-1", "-1"], "case": "ray", "dropped": [1, 2],
+             "flip": False, "k": 1, "perm": [0, 1, 2], "row": 2, "xi": None},
+        ],
+        "mu": [{"den": [["1", [0, 0, 0]]], "num": [["1", [1, 0, 0]]]}],
+        "order": [3], "theta": [],
+    }
+    LINE_DUMP = {
+        "E": [2], "L": [["0", "-1", "1"]], "R": [["1", "1", "0"]],
+        "implied_zero": ["mu[1][0]"],
+        "ledger": [
+            {"D": [["0", "1"]], "F": [["1"], ["1"]], "G": [["1", "-1"], ["0", "0"]], "Nneg": [], "Npos": [],
+             "Ntot": None, "Nzero": [], "alpha": ["1", "-1"], "beta": ["1"], "case": "lineality",
+             "dropped": [], "flip": True, "k": 1, "perm": [0], "row": 0, "xi": 0},
+            {"D": [["1"], ["0"]], "F": [["1"]], "G": [["0"]], "Nneg": [0], "Npos": [], "Ntot": None,
+             "Nzero": [1], "alpha": None, "beta": ["-1", "0"], "case": "ray", "dropped": [0],
+             "flip": False, "k": 2, "perm": [1, 0], "row": 1, "xi": None},
+        ],
+        "mu": [{"den": [["1", [0, 0, 0]]], "num": [["1", [1, 0, 0]]]}],
+        "order": [1, 2],
+        "theta": [{"den": [["1", [0, 0, 0]]], "num": [["1", [0, 0, 1]]]}],
+    }
+
+    @pytest.mark.parametrize("P, step, argv, dump", [
+        (COLLAPSE, collapse_step, ["--order", "3", "--init", "orthant"], COLLAPSE_DUMP),
+        (LINE, line_step, [], LINE_DUMP),
+    ], ids=["collapse", "line"])
+    def test_entry_and_dump(self, P, step, argv, dump, tmp_path, capsys):
+        import json
+
+        from barydd import cli
+
+        assert step()[2].to_json() == dump["ledger"][-1]
+        inp, out = tmp_path / "P.json", tmp_path / "P.dd.json"
+        inp.write_text(json.dumps(P.to_json()))
+        assert cli.main(["dd", str(inp), "--out", str(out)] + argv) == 0
+        assert out.read_text() == json.dumps(dump, indent=2, sort_keys=True) + "\n"
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "order: " + ",".join(map(str, dump["order"])),
+            f"columns: {len(dump['R'])} rays, {len(dump['L'])} lineality",
+        ]

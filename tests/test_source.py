@@ -147,3 +147,29 @@ def test_one_exact_linear_algebra():
             elif isinstance(node, ast.FunctionDef) and node.name in ("rref", "inverse"):
                 found.append(f"{name}:{node.lineno} defines {node.name}")
     assert found == []
+
+
+def test_no_function_local_import():
+    # a module's imports run once, when it loads; two stay lazy on purpose:
+    # multiprocessing, whose import every CLI start would pay for, and the
+    # sha256 fallbacks, of which a given Python has only some
+    lazy = {
+        ("relaxation.py", "build_de_linear"): {"multiprocessing"},
+        ("cli.py", "_sha256_hex"): {"_sha2", "_sha256", "hashlib"},
+    }
+    found = []
+    for name, tree in modules():
+        inside = {}  # import node -> innermost enclosing function
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        inside[node] = func.name
+        for node, func in inside.items():
+            if isinstance(node, ast.Import):
+                imported = {a.name for a in node.names}
+            else:
+                imported = {node.module or "."}
+            if not imported <= lazy.get((name, func), set()):
+                found.append(f"{name}:{node.lineno} {func} imports {', '.join(sorted(imported))}")
+    assert found == []
