@@ -9,8 +9,11 @@ coordinates lambda(x), the objective satisfies the polynomial identity
 where z is the least common denominator of the lambda (a product of tracked
 denominator factors; no multivariate gcd is used) and q is a non-negative
 combination of products of P-constraint expressions, each optionally
-multiplied by one Py-constraint expression.  Verification re-expands the
-identity exactly.
+multiplied by one Py-constraint expression.  Both sides are affine in y, so
+verification compares their ny + 1 coefficients in y, each a polynomial in
+x alone, exactly.  It also checks z > 0 on the interior of P: exactly, from
+z's values at P's vertices, when z is affine or constant; at sampled
+interior points otherwise.
 """
 
 from __future__ import annotations
@@ -75,27 +78,42 @@ class Certificate:
     n: int
     ny: int
 
-    def identity_rhs(self, inst: DBPInstance) -> Poly:
-        """q(x, y), expanding each distinct product of P rows once: the terms
-        that share a ``pfactors`` product are summed into one factor, linear
-        in y, before it multiplies the product, and a product extends the
-        expansion of its prefix by one row."""
-        nv = self.n + self.ny
-        products = {(): Poly.const(nv, 1)}
+    def rhs_in_x(self, inst: DBPInstance) -> List[Poly]:
+        """q(x, y) by its coefficients in y, each a Poly over x1..xn, as
+        ``DBPInstance.objective_in_x`` gives the objective.  A term with Py
+        row r adds weight * (b_r, -A_r) to the ny + 1 scalars of its
+        ``pfactors`` product, a term without one weight * (1, 0, ..., 0).
+        Each distinct product is expanded once, extending the expansion of
+        its prefix by one row, and added to each coefficient times its
+        scalar."""
+        n = self.n
+        products = {(): Poly.const(n, 1)}
 
         def product(pf: tuple) -> Poly:
             if pf not in products:
-                products[pf] = product(pf[:-1]) * _p_row_expr(inst, pf[-1], nv)
+                products[pf] = product(pf[:-1]) * _p_row_expr(inst, pf[-1], n)
             return products[pf]
 
-        ysums: Dict[tuple, Poly] = {}
+        scalars: Dict[tuple, List[Fraction]] = {}
         for t in self.terms:
-            y = Poly.const(nv, 1) if t.yfactor is None else _py_row_expr(inst, t.yfactor, nv)
-            ysums[t.pfactors] = ysums.get(t.pfactors, Poly.zero(nv)) + y.scale(t.weight)
-        rhs = Poly.zero(nv)
-        for pf, y in ysums.items():
-            rhs = rhs + product(pf) * y
-        return rhs
+            s = scalars.setdefault(t.pfactors, [ZERO] * (self.ny + 1))
+            if t.yfactor is None:
+                s[0] += t.weight
+            else:
+                s[0] += t.weight * inst.Py.b[t.yfactor]
+                for l, a in enumerate(inst.Py.A[t.yfactor]):
+                    s[1 + l] -= t.weight * a
+        pieces: List[dict] = [{} for _ in range(self.ny + 1)]
+        for pf, s in scalars.items():
+            for piece, c in zip(pieces, s):
+                if c:
+                    for e, v in product(pf).terms.items():
+                        piece[e] = piece.get(e, ZERO) + c * v
+        return [Poly(n, piece) for piece in pieces]
+
+    def identity_rhs(self, inst: DBPInstance) -> Poly:
+        """q(x, y) over (x1..xn, y1..yny), from ``rhs_in_x``."""
+        return inst.in_xy(self.rhs_in_x(inst))
 
     def to_json(self) -> dict:
         return {
@@ -141,16 +159,9 @@ class Certificate:
 
 
 def _p_row_expr(inst: DBPInstance, i: int, nv: int) -> Poly:
-    """b_i - A_i.x as a Poly over (x1..xn, y1..yny)."""
-    return Poly.affine(
-        nv, inst.P.b[i], [-a for a in inst.P.A[i]] + [ZERO] * inst.ny
-    )
-
-
-def _py_row_expr(inst: DBPInstance, r: int, nv: int) -> Poly:
-    return Poly.affine(
-        nv, inst.Py.b[r], [ZERO] * inst.n + [-a for a in inst.Py.A[r]]
-    )
+    """b_i - A_i.x as a Poly over nv variables, x1..xn first: over x alone
+    (nv = n) or over (x1..xn, y1..yny)."""
+    return Poly.affine(nv, inst.P.b[i], [-a for a in inst.P.A[i]])
 
 
 def _dehom_prim(pool, fid) -> Optional[Poly]:
@@ -374,6 +385,8 @@ def _misfit(inst: DBPInstance, cert: Certificate) -> str:
             f"certificate has {cert.n} x and {cert.ny} y variables, "
             f"the instance {inst.n} and {inst.ny}"
         )
+    if any(any(e[cert.n:]) for e in cert.zpoly.terms):
+        return "z depends on y"
     for t in cert.terms:
         if not all(0 <= i < inst.P.m for i in t.pfactors):
             return f"P row index outside 0..{inst.P.m - 1}"
@@ -387,22 +400,44 @@ def verify_certificate(
     cert: Certificate,
     vertices: Optional[Sequence[tuple]] = None,
 ) -> VerifyResult:
-    """True iff the certificate fits the instance (its variable counts, and
-    every row index names a row of P or Py), and then (a) all weights are
-    non-negative, (b) the polynomial identity z(x)(obj - delta) = q(x,y)
-    holds exactly, and (c) z is positive at the vertex average and 20
-    random interior rational points, the same on every call
-    (``interior_points`` with its default seed).  The result carries the
-    identity's residual, computed before checks (a)-(c); a certificate that
-    does not fit has none.  vertices is P's vertex list in the oracle's
-    order, when the caller already holds it
+    """True iff the certificate fits the instance (its variable counts, a z
+    over x alone, and every row index names a row of P or Py), and then (a)
+    all weights are non-negative, (b) the polynomial identity
+    z(x)(obj - delta) = q(x,y) holds exactly, and (c) z > 0 on the interior
+    of P.
+
+    (b) compares the two sides' ny + 1 coefficients in y, each a
+    polynomial over x alone (``DBPInstance.objective_in_x``,
+    ``Certificate.rhs_in_x``); both sides are affine in y, so they agree
+    exactly when these do.
+
+    (c) requires z > 0 at the vertex average.  When deg z <= 1 it also
+    requires z >= 0 at every vertex, and the check is exact: every
+    interior point x of P is a convex combination of all vertices with
+    positive weights, and z(x) is the same combination of the vertex
+    values, so it is >= 0, and 0 only if z vanishes at every vertex, which
+    z > 0 at the average rules out; conversely z >= 0 on all of P by
+    continuity.  When deg z >= 2 it requires z > 0 at 20 random interior
+    rational points instead, the same on every call (``interior_points``
+    with its default seed).
+
+    The result carries the identity's residual z(x)(obj - delta) - q(x,y)
+    over (x, y), decided before checks (a)-(c) and expanded only when it is
+    not zero; a certificate that does not fit has none.  vertices is P's
+    vertex list in the oracle's order, when the caller already holds it
     (``BarycentricCoords.vertices``); without it the vertex oracle runs."""
     misfit = _misfit(inst, cert)
     if misfit:
         return VerifyResult(False, misfit)
-    nv = cert.n + cert.ny
-    obj = inst.objective_poly() - Poly.const(nv, cert.delta)
-    residual = cert.zpoly * obj - cert.identity_rhs(inst)
+    n, nv = cert.n, cert.n + cert.ny
+    zx = cert.zpoly.remap(n, range(n))
+    obj = inst.objective_in_x()
+    obj[0] = obj[0] - Poly.const(n, cert.delta)
+    if all(zx * o == q for o, q in zip(obj, cert.rhs_in_x(inst))):
+        residual = Poly.zero(nv)
+    else:
+        obj_xy = inst.objective_poly() - Poly.const(nv, cert.delta)
+        residual = cert.zpoly * obj_xy - cert.identity_rhs(inst)
     if any(t.weight < 0 for t in cert.terms):
         return VerifyResult(False, "negative weight", residual)
     if not residual.is_zero():
@@ -411,14 +446,13 @@ def verify_certificate(
         vertices = enumerate_vertices_oracle(inst.P)
     if not vertices:
         return VerifyResult(False, "P has no vertex", residual)
-    zx = cert.zpoly
-
-    def z_at(pt):
-        return zx.eval(tuple(pt) + (ZERO,) * cert.ny)
-
-    if z_at(vertex_average(vertices)) <= 0:
+    if zx.eval(vertex_average(vertices)) <= 0:
         return VerifyResult(False, "z not positive at the vertex average", residual)
-    for pt in interior_points(vertices, inst.P.n, 20):
-        if z_at(pt) <= 0:
-            return VerifyResult(False, f"z not positive at an interior sample", residual)
+    if zx.degree() <= 1:
+        if any(zx.eval(v) < 0 for v in vertices):
+            return VerifyResult(False, "z negative at a vertex", residual)
+    else:
+        for pt in interior_points(vertices, inst.P.n, 20):
+            if zx.eval(pt) <= 0:
+                return VerifyResult(False, "z not positive at an interior sample", residual)
     return VerifyResult(True, "", residual)

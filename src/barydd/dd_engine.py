@@ -79,7 +79,8 @@ class Phase1BasisError(ArithmeticError):
 
 
 class InitPreconditionViolated(ValueError):
-    """Requested initialization needs x_i >= 0 rows that are not explicit."""
+    """Requested initialization needs x_i >= 0 rows that are not explicit,
+    or a varrho outside 0..n."""
 
 
 # --------------------------------------------------------------------------
@@ -122,7 +123,14 @@ class FactorPool:
         """p = scalar * prod(pool[ids]) with pool entries primitive; residuals
         not matching an existing entry are pooled under `kind` (cone sign of a
         new residual defaults to the sign of its scalar so that the cone-form
-        product is a positive multiple of p; adjust via set_cone_sign)."""
+        product is a positive multiple of p; adjust via set_cone_sign).
+
+        A linear form is looked up, not divided: once its monomial content
+        is gone, a primitive form of degree 1 is divisible by no variable,
+        and a non-constant pool entry (primitive, positive leading
+        coefficient) divides it only if it equals it, which registering
+        the form finds.  A form of higher degree is divided by the pool
+        entries in one scan."""
         if p.is_zero():
             raise ValueError("cannot pool the zero polynomial")
         ids: List[int] = []
@@ -132,18 +140,19 @@ class FactorPool:
             for i, k in enumerate(mono):
                 ids.extend([i] * k)
         scalar, prim = p.primitive()
-        # one scan over the pool: an entry that does not divide prim does not
-        # divide any quotient of it, so only the entry that just divided is
-        # tried again
-        j = self.nvars
-        while j < len(self.polys) and not prim.is_constant():
-            q = prim.exact_div(self.polys[j])
-            if q is not None and not q.is_zero():
-                s2, prim = q.primitive()
-                ids.append(j)
-                scalar *= s2
-            else:
-                j += 1
+        if prim.degree() > 1:
+            # one scan over the pool: an entry that does not divide prim does
+            # not divide any quotient of it, so only the entry that just
+            # divided is tried again
+            j = self.nvars
+            while j < len(self.polys) and not prim.is_constant():
+                q = prim.exact_div(self.polys[j])
+                if q is not None and not q.is_zero():
+                    s2, prim = q.primitive()
+                    ids.append(j)
+                    scalar *= s2
+                else:
+                    j += 1
         if not prim.is_constant():
             sign_so_far = 1
             for j in ids:
@@ -536,7 +545,8 @@ def dd_init(
     x0 and x_i for i > varrho, lineality x_1..x_varrho.  The x_i >= 0 rows
     count as processed, so each must be an explicit row of the cone.
     'default' and 'phase1' take varrho = n (lineality = all of x-space),
-    'orthant' varrho = 0 (x >= 0), 'partial_orthant' the varrho given.
+    'orthant' varrho = 0 (x >= 0), 'partial_orthant' the varrho given,
+    which must lie in 0..n (else InitPreconditionViolated).
     'phase1' then runs the lineality-eliminating steps up front, reordering
     rows of the given order so the first ones are not orthogonal to L.
     """
@@ -548,7 +558,10 @@ def dd_init(
     starts = {"default": n, "phase1": n, "orthant": 0, "partial_orthant": varrho}
     if mode not in starts:
         raise ValueError(f"unknown init mode {mode!r}")
-    rho = int(starts[mode])
+    rho = starts[mode]
+    if rho is None or not 0 <= rho <= n:
+        raise InitPreconditionViolated(f"varrho = {rho} is outside 0..{n}")
+    rho = int(rho)
     for i in range(rho + 1, nv):
         if not _orthant_certified(cone, i):
             raise InitPreconditionViolated(f"x_{i} >= 0 is not certified by an explicit row")

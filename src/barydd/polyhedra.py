@@ -145,11 +145,15 @@ def dehomogenize_columns(R: Sequence) -> tuple:
 def dehomogenize(R: Sequence, mu: Sequence[RatFun]) -> Tuple[tuple, list]:
     """Definition: columns with positive first entry are rescaled to first
     entry 1 and the coordinate scaled by that entry; every coordinate gets
-    x0 := 1 substituted."""
+    x0 := 1 substituted.  Each coordinate is normalized once, from its
+    substituted numerator, times the column's first entry, over its
+    substituted denominator: the same num and den as normalizing after
+    the substitution and again after the scaling, since normalization
+    fixes a ratio of polynomials up to its joint content."""
     if len(mu) != len(R):
         raise ValueError("mu length must equal column count of R")
     lam = [
-        f.subs_one(0).scale(col[0]) if col[0] > 0 else f.subs_one(0)
+        RatFun(f.num.subs_one(0).scale(col[0] if col[0] > 0 else 1), f.den.subs_one(0))
         for col, f in zip(R, mu)
     ]
     return dehomogenize_columns(R), lam

@@ -86,23 +86,28 @@ class DBPInstance:
     def ny(self) -> int:
         return self.Py.n
 
+    def objective_in_x(self) -> List[Poly]:
+        """The objective by its coefficients in y, each a Poly over
+        x1..xn: entry 0 is the y-free part cx.x + c0, entry 1 + l the
+        coefficient (Q^T x)_l + cy_l of y_l."""
+        return [Poly.affine(self.n, self.c0, self.cx)] + [
+            Poly.affine(self.n, self.cy[l], [row[l] for row in self.Q])
+            for l in range(self.ny)
+        ]
+
+    def in_xy(self, pieces: Sequence[Poly]) -> Poly:
+        """pieces[0] + sum_l pieces[1 + l] * y_l as a Poly over
+        (x1..xn, y1..yny), for pieces over x1..xn."""
+        terms = {}
+        for k, piece in enumerate(pieces):
+            y = tuple(int(k == 1 + l) for l in range(self.ny))
+            for e, c in piece.terms.items():
+                terms[e + y] = c
+        return Poly(self.n + self.ny, terms)
+
     def objective_poly(self) -> Poly:
         """Objective as a Poly over (x1..xn, y1..yny)."""
-        nv = self.n + self.ny
-        p = Poly.const(nv, self.c0)
-        for j in range(self.n):
-            if self.cx[j]:
-                p = p + Poly.variable(nv, j).scale(self.cx[j])
-        for l in range(self.ny):
-            if self.cy[l]:
-                p = p + Poly.variable(nv, self.n + l).scale(self.cy[l])
-        for j in range(self.n):
-            for l in range(self.ny):
-                if self.Q[j][l]:
-                    p = p + (
-                        Poly.variable(nv, j) * Poly.variable(nv, self.n + l)
-                    ).scale(self.Q[j][l])
-        return p
+        return self.in_xy(self.objective_in_x())
 
     def to_json(self) -> dict:
         return {

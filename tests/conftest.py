@@ -1,5 +1,7 @@
 """Shared fixtures: the worked examples used as golden data throughout."""
 
+import functools
+import importlib.util
 import os
 import subprocess
 import sys
@@ -109,3 +111,15 @@ def run_optimized(code):
     )
     assert out.returncode == 0, out.stderr
     return out.stdout.strip()
+
+
+@functools.lru_cache(maxsize=None)
+def bench_inputs():
+    """``bench/inputs.py``, the generator of the benchmark's input files,
+    loaded as a module (it is only read)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("bench_inputs", os.path.join(root, "bench", "inputs.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

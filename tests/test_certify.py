@@ -1,5 +1,6 @@
 """Certificate extraction and exact verification."""
 
+import hashlib
 import json
 import os
 import random
@@ -26,7 +27,7 @@ from barydd.relaxation import (
     barycentric_for_polytope,
     build_hull_lp,
 )
-from conftest import box_polytope, orthant_polytope, run_optimized, sympy_rref
+from conftest import bench_inputs, box_polytope, orthant_polytope, run_optimized, sympy_rref
 
 
 def certified(inst):
@@ -342,6 +343,13 @@ def certify_sweep():
     return out
 
 
+def py_row_expr(inst, r):
+    """b_r - A_r.y as a Poly over (x1..xn, y1..yny)."""
+    return Poly.affine(
+        inst.n + inst.ny, inst.Py.b[r], [F(0)] * inst.n + [-a for a in inst.Py.A[r]]
+    )
+
+
 class TestCheaperPipeline:
     """The certificate pipeline against the Fraction formulas and
     per-term loops it replaces."""
@@ -405,7 +413,7 @@ class TestCheaperPipeline:
                 for i in t.pfactors:
                     p = p * certify._p_row_expr(inst, i, nv)
                 if t.yfactor is not None:
-                    p = p * certify._py_row_expr(inst, t.yfactor, nv)
+                    p = p * py_row_expr(inst, t.yfactor)
                 rhs = rhs + p
             return rhs
 
@@ -651,3 +659,172 @@ class TestCertifyErrors:
             for y in enumerate_vertices_oracle(inst.Py)
         )
         assert capsys.readouterr() == (f"delta = {best}\nidentity residual: 0\nPASS\n", "")
+
+
+# --------------------------------------------------------------------------
+# the identity by coefficients in y, and z's sign at the vertices
+# --------------------------------------------------------------------------
+
+
+def xy_objective(inst):
+    """The objective over (x, y), term by term."""
+    nv = inst.n + inst.ny
+    p = Poly.const(nv, inst.c0)
+    for j in range(inst.n):
+        p = p + Poly.variable(nv, j).scale(inst.cx[j])
+        for l in range(inst.ny):
+            p = p + (Poly.variable(nv, j) * Poly.variable(nv, inst.n + l)).scale(inst.Q[j][l])
+    for l in range(inst.ny):
+        p = p + Poly.variable(nv, inst.n + l).scale(inst.cy[l])
+    return p
+
+
+def xy_residual(inst, cert):
+    """z(x)(obj - delta) - q(x, y) expanded over (x, y): the terms that share
+    a product of P rows are summed into one factor, linear in y, before it
+    multiplies the product."""
+    nv = cert.n + cert.ny
+    ysums = {}
+    for t in cert.terms:
+        y = Poly.const(nv, 1) if t.yfactor is None else py_row_expr(inst, t.yfactor)
+        ysums[t.pfactors] = ysums.get(t.pfactors, Poly.zero(nv)) + y.scale(t.weight)
+    rhs = Poly.zero(nv)
+    for pf, y in ysums.items():
+        p = Poly.const(nv, 1)
+        for i in pf:
+            p = p * certify._p_row_expr(inst, i, nv)
+        rhs = rhs + p * y
+    return cert.zpoly * (xy_objective(inst) - Poly.const(nv, cert.delta)) - rhs
+
+
+def bench_certify_instances(seed, workdir):
+    """name -> (input path, DBPInstance) of the benchmark's certify workload,
+    its files written to ``workdir``."""
+    workdir.mkdir(exist_ok=True)
+    inputs = bench_inputs().make_inputs("certify", seed, str(workdir))
+    out = {}
+    for name, (path, _) in inputs.files.items():
+        with open(path) as fh:
+            out[name] = (path, DBPInstance.from_json(json.load(fh)))
+    return out
+
+
+class TestIdentityByY:
+    """``verify_certificate`` compares the identity's coefficients in y,
+    each over x alone; its residual is the one expanded over (x, y)."""
+
+    TAMPER = {
+        "none": lambda c: None,
+        "negated_weight": lambda c: setattr(c, "terms", [CertTerm(-c.terms[0].weight, c.terms[0].pfactors, c.terms[0].yfactor)] + c.terms[1:]),
+        "dropped_term": lambda c: setattr(c, "terms", c.terms[1:]),
+        "shifted_delta": lambda c: setattr(c, "delta", c.delta + 1),
+        "weight_plus_one": lambda c: setattr(c, "terms", [CertTerm(c.terms[-1].weight + 1, c.terms[-1].pfactors, c.terms[-1].yfactor)] + c.terms[:-1]),
+    }
+
+    def test_against_xy_expansion(self, dbp_62, tmp_path):
+        instances = [dbp_62] + certify_sweep()
+        for seed in (1, 7):
+            instances += [inst for _, inst in bench_certify_instances(seed, tmp_path / str(seed)).values()]
+        for inst in instances:
+            cert, _ = certified(inst)
+            assert xy_objective(inst) == inst.objective_poly()
+            for name, tamper in self.TAMPER.items():
+                c = Certificate.from_json(cert.to_json())
+                tamper(c)
+                want = xy_residual(inst, c)
+                zx = c.zpoly.remap(inst.n, range(inst.n))
+                obj = inst.objective_in_x()
+                obj[0] = obj[0] - Poly.const(inst.n, c.delta)
+                by_y = inst.in_xy([zx * o - q for o, q in zip(obj, c.rhs_in_x(inst))])
+                assert by_y == want, name
+                assert want.is_zero() == (name == "none"), name
+                res = verify_certificate(inst, c)
+                assert res.residual == want, name
+                assert res.ok == (name == "none"), name
+
+
+class TestExactZSign:
+    """An affine z is checked at P's vertices, exactly; a z of degree 2 or
+    more at the seeded interior samples.  The instance has a constant
+    objective equal to delta and a certificate without terms, so the
+    identity holds for every z: only the sign check decides."""
+
+    # dbp_62's P: vertices (0, -3), (0, 2), (1, 3), (3, 3/2), average (1, 7/8)
+    P = HPolyhedron.make([[-1, 1], [3, -2], [3, 4], [-1, 0]], [2, 6, 15, 0])
+
+    def verdict(self, z):
+        """The diagnostic, or PASS, for z over x or over (x, y1)."""
+        Py = HPolyhedron.make([[-1], [1]], [0, 1])
+        inst = DBPInstance.make(Q=[[0], [0]], P=self.P, Py=Py, cx=[0, 0], cy=[0], c0=7)
+        zpoly = z if z.nvars == 3 else z.remap(3, [0, 1])
+        res = verify_certificate(inst, Certificate(delta=F(7), zpoly=zpoly, terms=[], n=2, ny=1))
+        return res.diagnostic if not res.ok else "PASS"
+
+    def samples_and_average(self):
+        verts = enumerate_vertices_oracle(self.P)
+        return certify.interior_points(verts, 2, 20) + [certify.vertex_average(verts)]
+
+    def test_affine_negative_at_a_vertex(self):
+        # x2 + 2: -1 at (0, -3), positive at the average and every sample
+        z = Poly.affine(2, 2, [0, 1])
+        assert all(z.eval(pt) > 0 for pt in self.samples_and_average())
+        assert self.verdict(z) == "z negative at a vertex"
+
+    def test_affine_zero_at_a_vertex(self):
+        # x2 + 3 vanishes at (0, -3), a boundary point: z > 0 inside P
+        assert self.verdict(Poly.affine(2, 3, [0, 1])) == "PASS"
+
+    @pytest.mark.parametrize("c", [0, -1])
+    def test_constant_not_positive(self, c):
+        assert self.verdict(Poly.const(2, c)) == "z not positive at the vertex average"
+
+    def test_degree_two_negative_at_a_sample(self):
+        # 1 - 4 (x1 - 1)^2: 1 at the average, negative where |x1 - 1| > 1/2
+        d = Poly.affine(2, -1, [1, 0])
+        z = Poly.const(2, 1) - (d * d).scale(4)
+        assert self.verdict(z) == "z not positive at an interior sample"
+
+    def test_degree_two_goes_through_the_samples(self):
+        # (x2 + 2)(x1 + 1) is -1 at (0, -3) and positive at every sample:
+        # from degree 2 on, the check reads the samples only
+        z = Poly.affine(2, 2, [0, 1]) * Poly.affine(2, 1, [1, 0])
+        assert all(z.eval(pt) > 0 for pt in self.samples_and_average())
+        assert self.verdict(z) == "PASS"
+
+    def test_z_over_y_does_not_fit(self):
+        # 1 + y1 is positive at every sample with y = 0, but a certificate's
+        # z is a function of x
+        assert self.verdict(Poly.affine(3, 1, [0, 0, 1])) == "z depends on y"
+
+
+class TestGoldenBenchmarkCertify:
+    """The 20 ``certify`` jobs of the benchmark on seed 1, run in this
+    process: exit code, standard output and the SHA-256 of each written
+    certificate, as recorded before verification compared coefficients in
+    y and checked an affine z at the vertices."""
+
+    # name -> (printed delta, SHA-256 of the .cert.json)
+    WRITTEN = {
+        "dbp62": ("-360", "8cfc08eb4a2ef8694d3bb8710792d7f07d29a040fa0392a8c867755b4f6d8981"),
+        "dbp2424": ("-59/5", "f9842cef808fdd8157184a4efcb4e416772c6960f4e1629658d1d18ff7ee882f"),
+        "dbp2425": ("-9", "52d154009a0c31fa73fe2a0ac881e31b1a259faa020f9afa85514278379b4422"),
+        "dbp2524": ("-5239/120", "f724f5e4befecf7aa81700acc179de9e0cb01d9e0a01e82ce7226c9f9c659fcd"),
+        "dbp2525": ("-765/7", "35b046fade673cea1ad1e97478a8560fbfedd15d5406b81adfa569259358a043"),
+        "dbp2624": ("-50", "3329867f177afaeb25277e97fa98333bf525a66d86fcdb85b1489a93b7c1924b"),
+        "dbp2625": ("-113/5", "c5aef8bdc1d2104dd85184fce207c376729215bbfca07f2ae01910e805431b7b"),
+        "dbp3524": ("-335/2", "1556792736bdd61ae25e990fca88366f82b1dbd9a749251ea408daaf82773da6"),
+        "dbp3624": ("-40", "79a5dc39a0ec6892c5039415bcd78284bf81b3d3dbe54c59a8bffda387f8781e"),
+        "dbp2535": ("-77", "d3fe3fe4599ddd3aaaa477232fcbadd408cc0207f15ce65c2137682e017e811b"),
+    }
+
+    def test_seed_1(self, tmp_path, capsys):
+        instances = bench_certify_instances(1, tmp_path)
+        assert list(instances) == list(self.WRITTEN)
+        for name, (path, _) in instances.items():
+            delta, digest = self.WRITTEN[name]
+            cert = tmp_path / (name + ".cert.json")
+            assert cli.main(["certify", path, "--out", str(cert), "--verify"]) == 0
+            assert capsys.readouterr().out == f"delta = {delta}\nidentity residual: 0\nPASS\n"
+            assert hashlib.sha256(cert.read_bytes()).hexdigest() == digest, name
+            assert cli.main(["certify", path, "--check", str(cert)]) == 0
+            assert capsys.readouterr().out == "PASS\n"

@@ -319,6 +319,17 @@ class TestInit:
         assert st.L[0] == (F(0), F(1), F(0))
         assert [c[0] for c in st.R] == [F(1), F(0)]
 
+    @pytest.mark.parametrize("varrho", [-1, 3, 4, None])
+    def test_partial_orthant_varrho_outside_range(self, varrho):
+        # above n, the start had all-zero lineality columns (q = varrho);
+        # below 0, it failed only by chance, on x_0 >= 0; without a
+        # varrho, with a TypeError from int(None)
+        P = HPolyhedron.make([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
+        with pytest.raises(InitPreconditionViolated, match=rf"^varrho = {varrho} is outside 0\.\.2$"):
+            dd_init(homogenize(P), "partial_orthant", varrho=varrho)
+        with pytest.raises(InitPreconditionViolated):
+            dd_run(P, init="partial_orthant", varrho=varrho)
+
     def test_phase1_41(self, poly_41):
         st, entries, remaining = dd_init(homogenize(poly_41), "phase1")
         assert st.q == 0  # lineality exhausted after two steps
@@ -679,6 +690,91 @@ class TestDivisorScan:
             A.append([rng.randint(1, 5) for _ in range(3)])
             b.append(rng.randint(5, 20))
         assert self.retries(HPolyhedron.make(A, b), monkeypatch) == []
+
+
+def scan_factorize(pool, p, kind):
+    """``FactorPool.factorize`` dividing every p, linear forms included, by
+    the pool entries in one scan: the reference for the lookup."""
+    ids = []
+    mono = p.monomial_content()
+    if any(mono):
+        p = p.div_monomial(mono)
+        for i, k in enumerate(mono):
+            ids.extend([i] * k)
+    scalar, prim = p.primitive()
+    j = pool.nvars
+    while j < len(pool.polys) and not prim.is_constant():
+        q = prim.exact_div(pool.polys[j])
+        if q is not None and not q.is_zero():
+            s2, prim = q.primitive()
+            ids.append(j)
+            scalar *= s2
+        else:
+            j += 1
+    if not prim.is_constant():
+        sign = 1
+        for j in ids:
+            sign *= pool.cone_sign[j]
+        ids.append(pool._register(prim, kind, 1 if scalar * sign > 0 else -1))
+    else:
+        scalar *= prim.constant_value()
+    return scalar, tuple(sorted(ids))
+
+
+class TestLinearLookup:
+    """``FactorPool.factorize`` looks a linear form up in the pool instead
+    of dividing it by the entries: the same (scalar, ids) and the same pool
+    as the scan."""
+
+    @staticmethod
+    def polys(rng, nv):
+        """Seeded polynomials over x0..x(nv-1): linear forms, some without
+        x0 (a zero constant), their duplicates and scaled and negated
+        copies, single-variable forms, and products of a form with a
+        variable or with another form."""
+        forms, out = [], []
+        while len(out) < 400:
+            r = rng.random()
+            if forms and r < 0.35:
+                p = rng.choice(forms).scale(rng.choice([F(1), F(-1), F(2), F(-3, 2), F(1, 7)]))
+            elif r < 0.45:
+                p = Poly.variable(nv, rng.randrange(nv)).scale(rng.choice([1, -2, F(5, 3)]))
+            elif forms and r < 0.55:
+                p = rng.choice(forms) * Poly.variable(nv, rng.randrange(nv))
+            elif forms and r < 0.65:
+                p = rng.choice(forms) * rng.choice(forms)
+            else:
+                coeffs = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nv)]
+                if rng.random() < 0.4:
+                    coeffs[0] = F(0)
+                p = Poly.affine(nv, 0, coeffs)
+                if p.is_zero():
+                    continue
+                forms.append(p)
+            out.append(p)
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_as_scan(self, seed, monkeypatch):
+        from barydd.dd_engine import FactorPool
+
+        rng = random.Random(f"lookup-{seed}")
+        nv = 3 + seed % 2
+        got, want = FactorPool(nv), FactorPool(nv)
+        real_div = Poly.exact_div
+        divided = []
+        monkeypatch.setattr(Poly, "exact_div", lambda a, b: divided.append(a) or real_div(a, b))
+        linear = 0
+        for p in self.polys(rng, nv):
+            kind = rng.choice(["sum", "constraint"])
+            divided.clear()
+            result = got.factorize(p, kind)
+            if p.div_monomial(p.monomial_content()).degree() == 1:
+                linear += 1
+                assert divided == []  # looked up, not divided
+            assert result == scan_factorize(want, p, kind)
+        assert linear > 150
+        assert (got.polys, got.kinds, got.cone_sign) == (want.polys, want.kinds, want.cone_sign)
 
 
 # --------------------------------------------------------------------------
