@@ -26,11 +26,11 @@ state, an FDP face that is not a face of its block for `solve --method fdr`
 and `fdr-check` (a cut not valid for the block, a cut that disagrees with
 the face's vertex list, or a vertex list with no supporting row), a file
 that cannot be read or written), 3 empty interior (also a P with no
-interior point for `certify`), 4 level too low (the message reports the
-minimum usable level, or that no step of the order empties the lineality
-space), 5 certificate verification failure (also a
-certificate whose variable counts differ from the instance's, or that
-names a row index outside the instance's rows, and a hull LP that is not
+interior point for `certify` and `solve --method de`), 4 level too low
+(the message reports the minimum usable level, or that no step of the
+order empties the lineality space), 5 certificate verification failure
+(also a certificate whose variable counts differ from the instance's, or
+that names a row index outside the instance's rows, and a hull LP that is not
 optimal).  Which input error exits with which code and stderr line is
 decided in one place, the table EXIT_FOR that `main` consults; codes 1 and
 5 are results that the commands print on stdout and return.

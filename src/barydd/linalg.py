@@ -1,9 +1,9 @@
 """Exact linear algebra in integers.
 
 Matrices are lists of integer rows.  A rational vector enters as integers
-over one denominator (``over_lcm``), and elimination is fraction-free
-(Bareiss 1968): the only fractions made are the entries of a solution of
-``solve``.  ``dot`` is the one routine on rationals."""
+over one denominator (``over_lcm``, ``ratios_over_lcm``), and elimination
+is fraction-free (Bareiss 1968): the only fractions made are the entries of
+a solution of ``solve``.  ``dot`` is the one routine on rationals."""
 
 from __future__ import annotations
 
@@ -18,6 +18,14 @@ def over_lcm(values: Sequence) -> Tuple[Tuple[int, ...], int]:
     a positive multiple of ``values``."""
     d = lcm(*(x.denominator for x in values))
     return tuple(x.numerator * (d // x.denominator) for x in values), d
+
+
+def ratios_over_lcm(pairs: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, ...], int]:
+    """The rationals p / q of ``pairs`` (integers, q > 0, not necessarily
+    in lowest terms) as integers over the lcm ``d`` of the q: ``(N, d)``
+    with ``N[i] / d = p_i / q_i``."""
+    d = lcm(*(q for _, q in pairs))
+    return tuple(p * (d // q) for p, q in pairs), d
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:

@@ -229,13 +229,16 @@ def recession_ray(P: HPolyhedron) -> Optional[tuple]:
 
 def interior_point(P: HPolyhedron) -> Optional[tuple]:
     """A point x with A x < b, from max t over A x + t <= b, t <= 1; None
-    when P has an empty interior."""
+    when P has an empty interior.  A row without coefficients that holds
+    everywhere (0.x <= b, b >= 0) bounds nothing and is left out."""
     names = [f"x{j}" for j in range(P.n)]
     prob = LPProblem(sense="max")
     prob.add_var("t", obj=1)
     for v in names:
         prob.add_var(v)
     for row, rhs in zip(P.A, P.b):
+        if rhs >= 0 and not any(row):
+            continue
         prob.add_row({"t": 1, **dict(zip(names, row))}, "<=", rhs)
     prob.add_row({"t": 1}, "<=", 1)
     sol = lp_solve(prob)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -492,79 +493,197 @@ class RelaxModel:
 
 class _WRegistry:
     """Shared linearization variables w_{d,alpha,l} for atoms x^alpha y_l / d.
-    Denominators are keyed by their primitive form so identical denominators
-    arising under different orders share variables."""
+    A denominator d is a primitive form, interned once by its key
+    (``Poly.key``) as a small id, so identical denominators arising under
+    different orders share variables.  ``names`` maps (den id, alpha, l) to
+    a variable, and ``dens`` the key of each denominator that has a
+    variable to its form, both in the order the variables were made."""
 
-    def __init__(self, prob: LPProblem, n: int, ny: int):
+    def __init__(self, prob: LPProblem):
         self.prob = prob
-        self.n = n
-        self.ny = ny
+        self.keys: List[tuple] = []  # den id -> key
+        self.forms: List[Poly] = []  # den id -> form
+        self.ids: Dict[tuple, int] = {}  # key -> den id
         self.names: Dict[tuple, str] = {}
         self.dens: Dict[tuple, Poly] = {}
-        self.linearized: Dict[tuple, tuple] = {}  # see _lin_ratfun
 
-    def var(self, dprim: Poly, alpha: tuple, l: Optional[int]) -> str:
-        dkey = dprim.key()
-        key = (dkey, alpha, l)
-        if key not in self.names:
-            name = f"w{len(self.names)}"
-            self.names[key] = name
-            self.dens[dkey] = dprim
+    def den_id(self, form: Poly) -> int:
+        key = form.key()
+        if key not in self.ids:
+            self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.forms.append(form)
+        return self.ids[key]
+
+    def var(self, d: int, alpha: tuple, l: Optional[int]) -> str:
+        name = self.names.get((d, alpha, l))
+        if name is None:
+            name = self.names[d, alpha, l] = f"w{len(self.names)}"
+            self.dens.setdefault(self.keys[d], self.forms[d])
             self.prob.add_var(name)
-        return self.names[key]
+        return name
+
+    def wnames(self) -> Dict[tuple, str]:
+        """``names`` keyed by the denominators' keys."""
+        return {(self.keys[d], alpha, l): name for (d, alpha, l), name in self.names.items()}
 
 
-def _lin_ratfun(wreg: _WRegistry, f: RatFun, l: Optional[int]):
-    """Linearize a dehomogenized rational function (times y_l when l given)
-    into (coeffs dict, constant); callers must not modify the dict.  Each
-    (num, den, l), terms in order, is linearized once per registry: a repeat
-    would register no new variable, so the first result stands for it and
-    the w numbering follows the first calls."""
-    key = (tuple(f.num.terms.items()), tuple(f.den.terms.items()), l)
-    if key not in wreg.linearized:
-        wreg.linearized[key] = _linearize(wreg, f, l)
-    return wreg.linearized[key]
+class _Den:
+    """A dehomogenized denominator D over (x0, x), x0 absent: D = sd *
+    form with form primitive (``Poly.primitive``), the den id of form, and
+    the common monomial factor of D over x (``mono``)."""
+
+    __slots__ = ("poly", "sd", "id", "trivial", "mono")
+
+    def __init__(self, poly: Poly, wreg: _WRegistry):
+        self.poly = poly
+        self.sd, form = poly.primitive()
+        self.id = wreg.den_id(form)
+        self.trivial = form.is_constant()
+        self.mono = poly.monomial_content()[1:]
 
 
-def _linearize(wreg: _WRegistry, f: RatFun, l: Optional[int]):
-    coeffs: Dict[str, Fraction] = {}
-    const = ZERO
-    if f.is_zero():
-        return coeffs, const
-    s, dprim = f.den.primitive()  # s > 0: den leading coefficient is positive
-    trivial = dprim.is_constant()
-    for e, c in f.num.terms.items():
-        alpha = e[1:]  # drop x0 (already substituted to 1)
-        val = c / s
-        deg = sum(alpha)
-        if trivial:
-            if deg == 0:
-                if l is None:
-                    const += val
-                else:
-                    coeffs[f"y{l}"] = coeffs.get(f"y{l}", ZERO) + val
-                continue
-            if deg == 1 and l is None:
-                j = alpha.index(1)
-                coeffs[f"x{j}"] = coeffs.get(f"x{j}", ZERO) + val
-                continue
-        name = wreg.var(dprim, alpha, l)
-        coeffs[name] = coeffs.get(name, ZERO) + val
-    return coeffs, const
+class _Lin:
+    """A coordinate N / D, dehomogenized and linearized in integers: N / D
+    = sum_alpha a_alpha x^alpha / (S form), S > 0, with the common monomial
+    factor of N and D cancelled as ``RatFun`` cancels it.  The atom x^alpha
+    y_l / form is the variable w_{form, alpha, l}, except over a constant
+    form: there x^0 is the constant 1 when l is None and y_l otherwise, and
+    x_j is x_j when l is None."""
+
+    __slots__ = ("den", "terms", "S", "named")
+
+    def __init__(self, den: Optional[_Den], terms: List[Tuple[tuple, int]], S: int):
+        self.den = den
+        self.terms = terms  # (alpha, a), alpha over x1..xn
+        self.S = S
+        self.named: Dict[Optional[int], tuple] = {}
+
+    def degree(self) -> int:
+        """The degree of N; -1 when N / D is zero."""
+        return max((sum(alpha) for alpha, _ in self.terms), default=-1)
+
+    def negated(self) -> "_Lin":
+        return _Lin(self.den, [(alpha, -a) for alpha, a in self.terms], self.S)
+
+    def at(self, wreg: _WRegistry, l: Optional[int]):
+        """lin(N / D y_l), lin(N / D) when l is None: its (variable, a)
+        pairs and its constant, over S.  Made once per l, which registers
+        the variables in term order."""
+        got = self.named.get(l)
+        if got is None:
+            pairs, const = [], 0
+            trivial = bool(self.terms) and self.den.trivial
+            for alpha, a in self.terms:
+                if trivial:
+                    deg = sum(alpha)
+                    if deg == 0:
+                        if l is None:
+                            const += a
+                        else:
+                            pairs.append((f"y{l}", a))
+                        continue
+                    if deg == 1 and l is None:
+                        pairs.append((f"x{alpha.index(1)}", a))
+                        continue
+                pairs.append((wreg.var(self.den.id, alpha, l), a))
+            got = self.named[l] = (pairs, const)
+        return got
 
 
-def _lin_row(wreg: _WRegistry, terms, coeffs: Optional[Dict[str, Fraction]] = None):
+def _dehomogenized(p: Poly) -> Tuple[Dict[tuple, int], int]:
+    """p at x0 = 1 over one common denominator: (N, q) with p(1, x) =
+    sum_alpha N[alpha] x^alpha / q, alpha over x1..xn.  Terms merge as
+    ``Poly.subs_one`` merges them, so N keeps that term order."""
+    nums, q = linalg.over_lcm(p.terms.values())
+    out: Dict[tuple, int] = {}
+    for e, c in zip(p.terms, nums):
+        alpha = e[1:]
+        s = out.get(alpha, 0) + c
+        if s:
+            out[alpha] = s
+        else:
+            out.pop(alpha, None)
+    return out, q
+
+
+def _linearized(N: Dict[tuple, int], q: int, den: _Den, sign: int, wreg: _WRegistry) -> _Lin:
+    """sign * N / (q D) as a ``_Lin``, N from ``_dehomogenized``: N / (q D)
+    is what ``RatFun`` makes of it, num / (s form) with num's coefficients
+    integers, and a_alpha / S the coefficient num_alpha / s that the atom
+    x^alpha / form takes."""
+    if not N:
+        return _Lin(None, [], 1)
+    if any(den.mono):
+        m = tuple(min(k, min(alpha[i] for alpha in N)) for i, k in enumerate(den.mono))
+        if any(m):
+            N = {tuple(map(sub, alpha, m)): a for alpha, a in N.items()}
+            den = _Den(den.poly.div_monomial((0,) + m), wreg)
+    S, r = q * den.sd.numerator, sign * den.sd.denominator
+    if S < 0:
+        S, r = -S, -r
+    return _Lin(den, [(alpha, a * r) for alpha, a in N.items()], S)
+
+
+class _RunLins:
+    """The coordinates of one DD run, linearized on first use: each
+    state's mu and theta from their stored form (``fmu``, ``ftheta``: a
+    numerator over a multiset of pool ids), each denominator's product
+    once per run."""
+
+    def __init__(self, run: DDRun, wreg: _WRegistry):
+        self.run = run
+        self.wreg = wreg
+        self.pool = run.final.pool
+        self.dens: Dict[tuple, _Den] = {}  # pool-id multiset -> _Den
+        self.lins: Dict[tuple, List[_Lin]] = {}  # (t, 'fmu' | 'ftheta') -> coordinates
+
+    def den(self, ids: tuple) -> _Den:
+        if ids not in self.dens:
+            self.dens[ids] = _Den(self.pool.product(ids).subs_one(0), self.wreg)
+        return self.dens[ids]
+
+    def coords(self, t: int, kind: str) -> List[_Lin]:
+        """mu (kind 'fmu') or theta ('ftheta') of state t."""
+        if (t, kind) not in self.lins:
+            self.lins[t, kind] = [
+                _linearized(*_dehomogenized(f.num), self.den(f.den), 1, self.wreg)
+                for f in getattr(self.run.states[t], kind)
+            ]
+        return self.lins[t, kind]
+
+    def summands(self, i: int) -> List[_Lin]:
+        """The top-level summands w * prod(cone forms) / prod(cone forms)
+        of the final state's constraint-product view of coordinate i."""
+        pool, view = self.pool, self.run.final.cpr[i]
+        den, dsign = self.den(view.den), pool.cone_weight(1, view.den)
+        out = []
+        for w, fids in view.terms:
+            N, q = _dehomogenized(pool.product(fids))
+            out.append(_linearized(
+                {alpha: a * w.numerator for alpha, a in N.items()}, q * w.denominator,
+                den, dsign * pool.cone_weight(1, fids), self.wreg,
+            ))
+        return out
+
+
+def _lin_row(wreg: _WRegistry, terms, first: Sequence[str] = ()):
     """The row sum of scale * lin(f y_l) (lin(f) when l is None) over terms
-    (f, l, scale), added to coeffs, as (coefficients, right-hand side): the
-    constants of the linearizations move to the right-hand side."""
-    coeffs = dict(coeffs or {})
-    const = ZERO
-    for f, l, scale in terms:
-        cfs, cst = _lin_ratfun(wreg, f, l)
-        for v, c in cfs.items():
-            coeffs[v] = coeffs.get(v, ZERO) + scale * c
-        const += scale * cst
-    return coeffs, -const
+    (f, l, scale), after coefficient 1 on each variable of first, as
+    (coefficients, right-hand side): the constants of the linearizations
+    move to the right-hand side.  The sum is taken in integers over one
+    common denominator; each coefficient becomes a Fraction once."""
+    ms, L = linalg.ratios_over_lcm(
+        [(scale.numerator, f.S * scale.denominator) for f, _, scale in terms]
+    )
+    acc = dict.fromkeys(first, L)
+    const = 0
+    for (f, l, _), m in zip(terms, ms):
+        pairs, c = f.at(wreg, l)
+        const += m * c
+        for v, a in pairs:
+            acc[v] = acc.get(v, 0) + m * a
+    return {v: Fraction(a, L) for v, a in acc.items() if a}, Fraction(-const, L)
 
 
 def _run_order_worker(pjson: dict, order: tuple):
@@ -592,7 +711,21 @@ def build_de_linear(
     non-negativity, the inter-level affine recursions for mu and mu*y', and
     constraint-product sign rows for all row subsets up to theta_cap over
     every denominator seen.  Linearization variables are shared across orders
-    whenever the (denominator, exponent, y-index) key coincides.
+    whenever the (denominator, exponent, y-index) key coincides.  z_j is in
+    the objective only when row j of Q is not zero, since only then does a
+    row bound it.
+
+    Each exact step runs once.  Each coordinate of each state, mu and theta,
+    is dehomogenized from its stored form and linearized once per build
+    (``_RunLins``), into integer atoms over its denominator's primitive
+    form, and these serve every l in {None} u y.  Each row is summed in
+    integers over one common denominator; Fractions appear only in the
+    coefficients and right-hand side given to ``LPProblem.add_row``.  Each
+    product of P's row expressions over a row subset is made once, from
+    the product of its prefix, and serves every denominator.
+
+    The sign rows are oriented by each denominator's sign at an interior
+    point of P, so P must have one: EmptyInterior otherwise.
     """
     n, ny = inst.n, inst.ny
     P = inst.P
@@ -600,6 +733,9 @@ def build_de_linear(
     for o in orders:
         if len(o) != k:
             raise ValueError("each order must have length k")
+    inside = interior_point(P)
+    if inside is None:
+        raise EmptyInterior("P has no interior point, at which DE orients its sign rows")
     prob = LPProblem(sense="min", name=f"de{k}")
     for j in range(n):
         prob.add_var(f"x{j}")
@@ -607,7 +743,7 @@ def build_de_linear(
         prob.add_var(f"y{l}")
     for j in range(n):
         prob.add_var(f"z{j}")
-    wreg = _WRegistry(prob, n, ny)
+    wreg = _WRegistry(prob)
 
     orders = sorted(orders)  # deterministic merge regardless of build order
     if jobs > 1 and len(orders) > 1:
@@ -619,37 +755,33 @@ def build_de_linear(
             )
     else:
         runs = [dd_run(P, order=o) for o in orders]
-    eta = 1
-    for run in runs:
-        for st in run.states[1:]:
-            for m in st.mu:
-                eta = max(eta, m.subs_one(0).num.degree())
+    lins = [_RunLins(run, wreg) for run in runs]
+    eta = max(
+        [1] + [f.degree() for rl in lins for t in range(1, len(rl.run.states)) for f in rl.coords(t, "fmu")]
+    )
     cap = theta_cap if theta_cap is not None else eta
 
     ycols = list(range(ny))
-    for o, run in zip(orders, runs):
+    for o, run, rl in zip(orders, runs, lins):
         final = run.final
-        dehom_mu = [m.subs_one(0) for m in final.mu]
-        dehom_theta = [t.subs_one(0) for t in final.theta]
+        mu = rl.coords(len(run.states) - 1, "fmu")
+        theta = rl.coords(len(run.states) - 1, "ftheta")
         # objective rows z_j >= sum_i R_{j+1,i} Q_j. (y mu_i) (+ L part)
         for j in range(n):
-            if all(q == 0 for q in inst.Q[j]):
+            if not any(inst.Q[j]):
                 continue
             coeffs, rhs = _lin_row(wreg, [
                 (f, l, -col[j + 1] * inst.Q[j][l])
-                for cols, fs in ((final.R, dehom_mu), (final.L, dehom_theta))
+                for cols, fs in ((final.R, mu), (final.L, theta))
                 for col, f in zip(cols, fs) if col[j + 1]
                 for l in ycols if inst.Q[j][l]
-            ], {f"z{j}": ONE})
+            ], (f"z{j}",))
             prob.add_row(coeffs, ">=", rhs, name=f"obj[{j}]ς{o}", tag=("obj", o, j))
         # membership and non-negativity rows per coordinate
         for i in range(final.p):
-            pieces = [dehom_mu[i]]
+            pieces = [mu[i]]
             if final.cpr[i] is not None and len(final.cpr[i].terms) > 1:
-                pool = final.pool
-                dpoly = pool.cone_product(final.cpr[i].den).subs_one(0)
-                for w, fids in final.cpr[i].terms:
-                    pieces.append(RatFun(pool.cone_product(fids).subs_one(0).scale(w), dpoly))
+                pieces += rl.summands(i)
             for piece_no, g in enumerate(pieces):
                 coeffs, rhs = _lin_row(wreg, [(g, None, ONE)])
                 if piece_no == 0:
@@ -668,16 +800,15 @@ def build_de_linear(
         # inter-level recursion rows, t = 1..k over the (unpruned) states
         for t in range(1, len(run.entries) + 1):
             prev = run.states[t - 1]
-            nxt = run.states[t]
             entry = run.entries[t - 1]
             if entry.case == "ray" and not entry.Npos:
                 continue  # dropped coordinates are handled as implied zeros
-            th_prev = [f.subs_one(0) for f in prev.theta]
-            mu_prev = [f.subs_one(0) for f in prev.mu]
+            th_prev = list(rl.coords(t - 1, "ftheta"))
+            mu_prev = rl.coords(t - 1, "fmu")
             if entry.flip:
-                th_prev[entry.xi] = th_prev[entry.xi].scale(-1)
-            th_next = [f.subs_one(0) for f in nxt.theta]
-            mu_next = [f.subs_one(0) for f in nxt.mu]
+                th_prev[entry.xi] = th_prev[entry.xi].negated()
+            th_next = rl.coords(t, "ftheta")
+            mu_next = rl.coords(t, "fmu")
             for l in [None] + ycols:
                 for j in range(prev.q):
                     coeffs, rhs = _lin_row(
@@ -701,28 +832,29 @@ def build_de_linear(
     # 1).  A registered denominator is a primitive form, whose sign is fixed
     # by its leading coefficient and not by its sign on P: each row is
     # oriented by the denominator's sign at an interior point of P.
-    nvfull = n + 1
-    one = Poly.const(nvfull, 1)
-    dens_map = dict(wreg.dens)
-    dens_map.setdefault(one.key(), one)
-    dens = sorted(dens_map.items(), key=lambda kv: kv[0])
+    one = Poly.const(n + 1, 1)
+    forms = dict(wreg.dens)
+    forms.setdefault(one.key(), one)
     row_exprs = [
-        Poly.affine(nvfull, P.b[i], [ZERO] + [-c for c in P.A[i]]) for i in range(P.m)
+        Poly.affine(n + 1, P.b[i], [ZERO] + [-c for c in P.A[i]]) for i in range(P.m)
     ]
-    inside = interior_point(P)
-    for dkey, dpoly in dens:
-        sign = -1 if inside is not None and dpoly.eval((ONE,) + inside) < 0 else 1
-        for size in range(0, cap + 1):
-            for theta_set in itertools.combinations(range(P.m), size):
-                num = Poly.const(nvfull, sign)
-                for i in theta_set:
-                    num = num * row_exprs[i]
-                coeffs, rhs = _lin_row(wreg, [(RatFun(num, dpoly), None, ONE)])
-                prob.add_row(coeffs, ">=", rhs,
-                             name=f"prod{theta_set}/den",
-                             tag=("prodcons", dkey, theta_set))
+    # the row subsets up to theta_cap by size, each product made once, from
+    # its prefix's, and dehomogenized once for every denominator
+    products = {(): one}
+    for size in range(1, cap + 1):
+        for theta_set in itertools.combinations(range(P.m), size):
+            products[theta_set] = products[theta_set[:-1]] * row_exprs[theta_set[-1]]
+    nums = {theta_set: _dehomogenized(prod) for theta_set, prod in products.items()}
+    for dkey, form in sorted(forms.items(), key=lambda kv: kv[0]):
+        den = _Den(form, wreg)
+        sign = -1 if form.eval((ONE,) + inside) < 0 else 1
+        for theta_set, (N, q) in nums.items():
+            coeffs, rhs = _lin_row(wreg, [(_linearized(N, q, den, sign, wreg), None, ONE)])
+            prob.add_row(coeffs, ">=", rhs,
+                         name=f"prod{theta_set}/den",
+                         tag=("prodcons", dkey, theta_set))
 
-    prob.objective = {f"z{j}": ONE for j in range(n)}
+    prob.objective = {f"z{j}": ONE for j in range(n) if any(inst.Q[j])}
     for j in range(n):
         if inst.cx[j]:
             prob.objective[f"x{j}"] = inst.cx[j]
@@ -734,7 +866,7 @@ def build_de_linear(
         problem=prob,
         level=k,
         orders=list(orders),
-        wnames=dict(wreg.names),
+        wnames=wreg.wnames(),
         wdens=dict(wreg.dens),
         meta={"eta": eta, "theta_cap": cap},
     )

@@ -1,7 +1,10 @@
 """The relaxation builders as they were before they shared one
 Sherali-Adams builder and one assembly of the FDP and DE rows, kept as
 references: the shared code must build the same LPs, row for row.  The DE
-reference runs its orders serially.  The substituted-indicator model of the
+reference runs its orders serially and has its own linearization
+(``_WRegistry``, ``_lin_ratfun``, ``_linearize``): each dehomogenized
+coordinate a normalized RatFun, linearized in Fractions per (coordinate, l).
+The substituted-indicator model of the
 FDP hierarchy has no builder in the package, and no command reaches it:
 ``reference_substitute_indicators`` is its one copy."""
 
@@ -14,14 +17,7 @@ from barydd.exactmath import Poly, RatFun
 from barydd.facial import FDPInstance, _subsets, block_vertices, check_vertex_disjoint
 from barydd.lp import LPProblem, lp_solve
 from barydd.polyhedra import interior_point
-from barydd.relaxation import (
-    DBPInstance,
-    RelaxModel,
-    _check_box,
-    _lin_ratfun,
-    _WRegistry,
-    expand_product_factor,
-)
+from barydd.relaxation import DBPInstance, RelaxModel, _check_box, expand_product_factor
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -46,6 +42,67 @@ def assert_same_lp(got, want):
 def _merge(into: Dict[str, Fraction], frm: Dict[str, Fraction], scale=ONE):
     for k, v in frm.items():
         into[k] = into.get(k, ZERO) + scale * v
+
+
+class _WRegistry:
+    """Shared linearization variables w_{d,alpha,l} for atoms x^alpha y_l / d.
+    Denominators are keyed by their primitive form so identical denominators
+    arising under different orders share variables."""
+
+    def __init__(self, prob: LPProblem):
+        self.prob = prob
+        self.names: Dict[tuple, str] = {}
+        self.dens: Dict[tuple, Poly] = {}
+        self.linearized: Dict[tuple, tuple] = {}  # see _lin_ratfun
+
+    def var(self, dprim: Poly, alpha: tuple, l: Optional[int]) -> str:
+        dkey = dprim.key()
+        key = (dkey, alpha, l)
+        if key not in self.names:
+            name = f"w{len(self.names)}"
+            self.names[key] = name
+            self.dens[dkey] = dprim
+            self.prob.add_var(name)
+        return self.names[key]
+
+
+def _lin_ratfun(wreg: _WRegistry, f: RatFun, l: Optional[int]):
+    """Linearize a dehomogenized rational function (times y_l when l given)
+    into (coeffs dict, constant); callers must not modify the dict.  Each
+    (num, den, l), terms in order, is linearized once per registry: a repeat
+    would register no new variable, so the first result stands for it and
+    the w numbering follows the first calls."""
+    key = (tuple(f.num.terms.items()), tuple(f.den.terms.items()), l)
+    if key not in wreg.linearized:
+        wreg.linearized[key] = _linearize(wreg, f, l)
+    return wreg.linearized[key]
+
+
+def _linearize(wreg: _WRegistry, f: RatFun, l: Optional[int]):
+    coeffs: Dict[str, Fraction] = {}
+    const = ZERO
+    if f.is_zero():
+        return coeffs, const
+    s, dprim = f.den.primitive()  # s > 0: den leading coefficient is positive
+    trivial = dprim.is_constant()
+    for e, c in f.num.terms.items():
+        alpha = e[1:]  # drop x0 (already substituted to 1)
+        val = c / s
+        deg = sum(alpha)
+        if trivial:
+            if deg == 0:
+                if l is None:
+                    const += val
+                else:
+                    coeffs[f"y{l}"] = coeffs.get(f"y{l}", ZERO) + val
+                continue
+            if deg == 1 and l is None:
+                j = alpha.index(1)
+                coeffs[f"x{j}"] = coeffs.get(f"x{j}", ZERO) + val
+                continue
+        name = wreg.var(dprim, alpha, l)
+        coeffs[name] = coeffs.get(name, ZERO) + val
+    return coeffs, const
 
 
 def reference_de_linear(
@@ -77,7 +134,7 @@ def reference_de_linear(
         prob.add_var(f"y{l}")
     for j in range(n):
         prob.add_var(f"z{j}")
-    wreg = _WRegistry(prob, n, ny)
+    wreg = _WRegistry(prob)
 
     orders = sorted(orders)  # deterministic merge regardless of build order
     runs = [dd_run(P, order=o) for o in orders]
@@ -219,7 +276,8 @@ def reference_de_linear(
                              name=f"prod{theta_set}/den",
                              tag=("prodcons", dkey, theta_set))
 
-    prob.objective = {f"z{j}": ONE for j in range(n)}
+    # z_j only where its obj row bounds it
+    prob.objective = {f"z{j}": ONE for j in range(n) if not all(q == 0 for q in inst.Q[j])}
     for j in range(n):
         if inst.cx[j]:
             prob.objective[f"x{j}"] = inst.cx[j]

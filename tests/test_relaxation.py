@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from barydd import HPolyhedron, cli, dd_engine, dd_run, enumerate_vertices_oracle, relaxation
-from barydd.exactmath import Poly
+from barydd.exactmath import Poly, RatFun
 from barydd.facial import CouplingRow, Face, FDPBlock, FDPInstance
 from barydd.lp import LPProblem, lp_solve
 from barydd.relaxation import (
@@ -39,6 +39,7 @@ from closed_forms import (
     rlt_self_product_rows,
 )
 from conftest import box_polytope, run_optimized
+import reference_builders
 from reference_builders import assert_same_lp, reference_de_linear, reference_rlt_box
 
 
@@ -87,6 +88,19 @@ def random_dbp(rng, n, m):
     P = HPolyhedron.make([r for r, _ in rows], [c for _, c in rows])
     Q = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(n)]
     return DBPInstance.make(Q=Q, P=P, Py=box_polytope(2), cx=[rng.randint(-5, 5) for _ in range(n)])
+
+
+def zero_q_row_dbp():
+    """Row 0 of Q is zero, so DE has no obj row for z_0; optimum -4."""
+    P = HPolyhedron.make([[-1, 0, 0], [4, 3, 1], [0, 0, -1], [0, -1, 0]], [0, 4, 0, 0])
+    return DBPInstance.make(Q=[[0, 0], [-5, -1], [2, -2]], P=P, Py=box_polytope(2), cx=[1, 3, 3])
+
+
+def flat_p_dbp():
+    """P is the segment x1 + x2 = 2, x >= 0, 4 x1 + x2 <= 8, written as
+    two opposite rows: it has no interior point.  Its optimum is -10."""
+    P = HPolyhedron.make([[4, 4], [-1, 0], [-4, -4], [0, -1], [4, 1]], [8, 0, -8, 0, 8])
+    return DBPInstance.make(Q=[[-1, -3], [-4, 4]], P=P, Py=box_polytope(2), cx=[-1, 3])
 
 
 def vertex_optimum(inst):
@@ -512,7 +526,7 @@ class TestDELinear:
         assert cli.main(["solve", str(inp), "--method", "de", "--level", k]) == 0
         assert capsys.readouterr().out == f"{value}\n"
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_parallel_runs_change_nothing(self, dbp_62, k):
         # with jobs > 1 the order runs come back pickled from worker processes
         orders = sorted(itertools.combinations(range(dbp_62.P.m), k))
@@ -538,16 +552,126 @@ class TestDELinear:
             want.level, want.orders, want.wnames, want.wdens, want.meta
         )
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_linearizing_once_changes_nothing(self, dbp_62, k, monkeypatch):
-        # the same LP, w numbering and coefficient order as linearizing at
-        # every call
-        orders = sorted(itertools.combinations(range(dbp_62.P.m), k))
-        once = build_de_linear(dbp_62, k, orders)
-        monkeypatch.setattr(relaxation, "_lin_ratfun", relaxation._linearize)
-        every = build_de_linear(dbp_62, k, orders)
-        assert repr(once.problem) == repr(every.problem)
-        assert (once.wnames, once.meta) == (every.wnames, every.meta)
+    @staticmethod
+    def assert_equals_reference(inst, k, orders):
+        got = build_de_linear(inst, k, orders)
+        want = reference_de_linear(inst, k, orders)
+        assert_same_lp(got.problem, want.problem)
+        assert repr(got.problem) == repr(want.problem), (k, orders)
+        assert (got.level, got.orders, got.wnames, got.wdens, got.meta) == (
+            want.level, want.orders, want.wnames, want.wdens, want.meta
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_order_equals_reference_62(self, dbp_62, k):
+        # the reference dehomogenizes and linearizes each (coordinate, l) on
+        # its own, in Fractions: every ordered k-tuple of rows alone and the
+        # set of all k-subsets build the same LP, coefficient order, w
+        # numbering and denominators
+        m = dbp_62.P.m
+        sets = [[o] for o in itertools.permutations(range(m), k)]
+        for orders in sets + [list(itertools.combinations(range(m), k))]:
+            self.assert_equals_reference(dbp_62, k, orders)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_reference_random(self, seed):
+        inst = random_dbp(random.Random(seed), 2, 5)
+        for k in range(1, inst.P.m + 1):
+            self.assert_equals_reference(inst, k, list(itertools.combinations(range(inst.P.m), k)))
+
+    def test_equals_reference_zero_q_row(self):
+        inst = zero_q_row_dbp()
+        for k in (1, inst.P.m):
+            self.assert_equals_reference(inst, k, list(itertools.combinations(range(inst.P.m), k)))
+
+    @staticmethod
+    def random_fraction_poly(rng, nvars, nterms, degree):
+        terms = {}
+        for _ in range(nterms):
+            e = tuple(rng.randint(0, degree) for _ in range(nvars))
+            terms[e] = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+        return Poly(nvars, terms)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_linearized_coordinate_matches_ratfun(self, seed):
+        # one coordinate num / den over (x0, x1, x2), linearized in
+        # integers, against the reference: RatFun(num(1, x), den(1, x))
+        # linearized in Fractions.  The cases include a monomial factor
+        # common to num and den, which RatFun cancels, a zero num, a
+        # constant den and negated dens.
+        rng = random.Random(seed)
+        got_wreg = relaxation._WRegistry(LPProblem())
+        want_wreg = reference_builders._WRegistry(LPProblem())
+        for prob in (got_wreg.prob, want_wreg.prob):
+            for v in ("x0", "x1", "y0", "y1"):
+                prob.add_var(v)
+        for case in range(60):
+            num = self.random_fraction_poly(rng, 3, rng.randint(0, 4), 2)
+            den = self.random_fraction_poly(rng, 3, rng.randint(1, 3), 2 if case % 3 else 0)
+            if den.is_zero():
+                continue
+            if case % 4 == 0:
+                mono = Poly(3, {(rng.randint(0, 1), 1, rng.randint(0, 1)): 1})
+                num, den = num * mono, den * mono
+            got = relaxation._linearized(
+                *relaxation._dehomogenized(num),
+                relaxation._Den(den.subs_one(0), got_wreg), 1, got_wreg,
+            )
+            want = RatFun(num.subs_one(0), den.subs_one(0))
+            for l in (None, 0, 1):
+                pairs, const = got.at(got_wreg, l)
+                coeffs, want_const = reference_builders._lin_ratfun(want_wreg, want, l)
+                assert [(v, F(a, got.S)) for v, a in pairs] == list(coeffs.items()), case
+                assert F(const, got.S) == want_const, case
+        assert got_wreg.prob.variables == want_wreg.prob.variables
+        assert got_wreg.wnames() == want_wreg.names
+        assert got_wreg.dens == want_wreg.dens
+
+    @pytest.mark.parametrize("seed", ["zero_q_row"] + list(range(12)))
+    def test_full_level_is_the_optimum(self, seed):
+        # at k = m DE is exact: from each of two full orders its value is
+        # the DBP's optimum (a z_j that no row bounds would make it
+        # unbounded)
+        rng = random.Random(seed)
+        inst = zero_q_row_dbp() if seed == "zero_q_row" else random_dbp(rng, 2, 4)
+        m = inst.P.m
+        for order in rng.sample(list(itertools.permutations(range(m))), 2):
+            sol = lp_solve(build_de_linear(inst, m, [order]).problem)
+            assert (sol.status, sol.value) == ("optimal", vertex_optimum(inst)), order
+
+    def test_zero_q_row_leaves_z_out(self):
+        model = build_de_linear(zero_q_row_dbp(), 1, [(0,), (1,)])
+        assert set(model.problem.objective) == {"z1", "z2", "x0", "x1", "x2"}
+        assert not any("z0" in row.coeffs for row in model.problem.rows)
+
+    @pytest.mark.parametrize("level", ["1", "4"])
+    def test_cli_zero_q_row(self, level, tmp_path, capsys):
+        inp = tmp_path / "zq.json"
+        inp.write_text(json.dumps(zero_q_row_dbp().to_json()))
+        assert cli.main(["solve", str(inp), "--method", "de", "--level", level]) == 0
+        assert capsys.readouterr().out == "-4\n"
+
+    def test_flat_p_is_empty_interior(self, tmp_path, capsys):
+        # the sign rows are oriented at an interior point; a flat P has none
+        with pytest.raises(dd_engine.EmptyInterior):
+            build_de_linear(flat_p_dbp(), 3, [(0, 1, 4)])
+        inp = tmp_path / "flat.json"
+        inp.write_text(json.dumps(flat_p_dbp().to_json()))
+        assert cli.main(["solve", str(inp), "--method", "hull"]) == 0
+        assert capsys.readouterr().out == "-10\n"
+        assert exit_code(["solve", str(inp), "--method", "de", "--level", "3"]) == cli.EXIT_EMPTY
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("empty interior: P has no interior point")
+
+    @pytest.mark.parametrize("k, value", [(3, -450), (4, -360)])
+    def test_zero_row_keeps_the_interior(self, dbp_62, k, value):
+        # a row 0.x <= 0 holds everywhere: P still has an interior point,
+        # and the sign rows are oriented at it (the orders of
+        # test_cli_levels_62)
+        P = HPolyhedron.make([list(r) for r in dbp_62.P.A] + [[0, 0]], list(dbp_62.P.b) + [0])
+        inst = DBPInstance.make(Q=dbp_62.Q, P=P, Py=dbp_62.Py, cx=dbp_62.cx, cy=dbp_62.cy)
+        orders = list(itertools.combinations(range(dbp_62.P.m), k))
+        assert lp_solve(build_de_linear(inst, k, orders).problem).value == value
 
 
 class TestRLT:
