@@ -25,8 +25,6 @@ from .dd_engine import (
     EmptyInterior,
     InitPreconditionViolated,
     LedgerEntry,
-    Phase1Basis,
-    Phase1BasisError,
     dd_init,
     dd_run,
     dd_step,

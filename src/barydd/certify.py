@@ -177,14 +177,18 @@ def vertex_average(verts: Sequence[tuple]) -> tuple:
     return tuple(Fraction(sum(c), len(verts)) for c in zip(*verts))
 
 
-def interior_points(verts: Sequence[tuple], n: int, count: int, seed: int = 20240801) -> List[tuple]:
+INTERIOR_SEED = 20240801  # the seed of every interior_points draw
+
+
+def interior_points(verts: Sequence[tuple], n: int, count: int) -> List[tuple]:
     """Random rational strictly-interior points of the polytope with vertices
     ``verts`` in dimension ``n``: positive convex combinations of the
-    vertices (all weights > 0).  The sums are taken in integers: over the
-    common denominator D of the vertex entries each vertex is an integer
-    vector V_i, and coordinate j of a point with integer weights w is
-    sum_i w_i V_ij / (D sum_i w_i), the only fraction made."""
-    rng = random.Random(seed)
+    vertices (all weights > 0), the same on every call (``INTERIOR_SEED``).
+    The sums are taken in integers: over the common denominator D of the
+    vertex entries each vertex is an integer vector V_i, and coordinate j
+    of a point with integer weights w is sum_i w_i V_ij / (D sum_i w_i),
+    the only fraction made."""
+    rng = random.Random(INTERIOR_SEED)
     flat, D = linalg.over_lcm([c for v in verts for c in v])
     V = [flat[i * n:(i + 1) * n] for i in range(len(verts))]
     pts = []
@@ -418,8 +422,7 @@ def verify_certificate(
     values, so it is >= 0, and 0 only if z vanishes at every vertex, which
     z > 0 at the average rules out; conversely z >= 0 on all of P by
     continuity.  When deg z >= 2 it requires z > 0 at 20 random interior
-    rational points instead, the same on every call (``interior_points``
-    with its default seed).
+    rational points instead, the same on every call (``interior_points``).
 
     The result carries the identity's residual z(x)(obj - delta) - q(x,y)
     over (x, y), decided before checks (a)-(c) and expanded only when it is

@@ -4,7 +4,10 @@ verify-identities.
 All numeric output is exact fractions; `solve --approx` appends a decimal
 rendering to the value without ever replacing it.  Row orders on the
 command line are 1-based to match printed constraint numbering; the Python
-API is 0-based.
+API is 0-based.  `dd --init` picks the start x0 >= 0, x_i >= 0 for
+i > R of double description: default is R = n, orthant R = 0 and partial:R
+that R; phase1 is the default start over the order with its first
+independent rows moved forward.
 
 Exit codes: 0 ok, 1 a failed check of `fdr-check` or `verify-identities`,
 2 bad input (a parse error, a file whose top level or part is not of the
@@ -53,6 +56,7 @@ from .dd_engine import (
     InitPreconditionViolated,
     dd_run,
     ledger_verify,
+    phase1_order,
     prune_redundant,
 )
 from .exactmath import DenominatorVanishes, RatFun, rat_to_str, rf_equal
@@ -189,13 +193,17 @@ def _parse_int(text: str, what: str, lo: int, hi: Optional[int] = None) -> int:
     return value
 
 
-def _parse_init(text: str, n: int) -> tuple:
-    """--init as (mode, varrho) for ``dd_run``: default, orthant, phase1 or
-    partial:R with R in 0..n; anything else raises BadInput."""
-    if text in ("default", "orthant", "phase1"):
-        return text, None
+def _parse_init(text: str, P: HPolyhedron, order: Optional[List[int]]) -> tuple:
+    """--init as (order, varrho) for ``dd_run``: default is varrho = n,
+    orthant varrho = 0, partial:R varrho = R with R in 0..n, and phase1 the
+    default start over the order with its first independent rows moved
+    forward (``phase1_order``); anything else raises BadInput."""
+    if text == "phase1":
+        return phase1_order(P, order if order is not None else range(P.m)), P.n
+    if text in ("default", "orthant"):
+        return order, P.n if text == "default" else 0
     if text.startswith("partial:"):
-        return "partial_orthant", _parse_int(text[len("partial:"):], "--init partial:R", 0, n)
+        return order, _parse_int(text[len("partial:"):], "--init partial:R", 0, P.n)
     raise BadInput(f"bad --init {text!r}: must be default, orthant, partial:R or phase1")
 
 
@@ -281,9 +289,8 @@ def _approx(value: Fraction) -> str:
 def cmd_dd(args) -> int:
     t0 = time.time()
     P = _load(args.input, args.what, HPolyhedron.from_json)
-    order = _parse_order(args.order, P.m)
-    init, varrho = _parse_init(args.init, P.n)
-    run = dd_run(P, order=order, prune=args.prune, init=init, varrho=varrho)
+    order, varrho = _parse_init(args.init, P, _parse_order(args.order, P.m))
+    run = dd_run(P, order=order, prune=args.prune, varrho=varrho)
     st = run.final
     dump = {
         "order": [i + 1 for i in run.order],
@@ -565,7 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--init",
         default="default",
-        help="default | orthant | partial:R | phase1",
+        help="default | orthant | partial:R | phase1; phase1 is the default "
+        "start over the order with its first independent rows moved forward",
     )
     p.add_argument("--prune", action="store_true")
     p.add_argument("--out")

@@ -5,6 +5,13 @@ maintains rays R, lineality directions L and their coordinate functions mu,
 theta so that R.mu + L.theta = (x0; x) holds as an identity of rational
 functions, with mu >= 0 on the cone.
 
+Every run starts from the cone x0 >= 0, x_i >= 0 for i > varrho
+(``dd_init``): rays x0 and x_i for i > varrho, lineality directions
+x_1..x_varrho.  varrho = n, the default, needs no row of P; a smaller
+varrho needs each x_i >= 0 for i > varrho as an explicit row.  The
+paper's phase 1, which first processes rows that shrink the lineality
+space, is a row order over this start (``phase1_order``).
+
 Two kinds of step exist.  When the new row is not orthogonal to the lineality
 space, one lineality direction becomes a ray and the coordinates transform
 affinely.  Otherwise rays are classified by the sign of their slack beta and
@@ -70,12 +77,6 @@ ONE = Fraction(1)
 
 class EmptyInterior(RuntimeError):
     """No rays remain and the lineality space is empty: the cone is {0}."""
-
-
-class Phase1BasisError(ArithmeticError):
-    """The exact check of a phase-1 basis failed: its basis block is
-    singular, or the unprocessed rows do not satisfy ``Ups B^-1 N = Psi``.
-    Raised explicitly, so ``python -O`` cannot strip the check."""
 
 
 class InitPreconditionViolated(ValueError):
@@ -322,18 +323,6 @@ def cpr_numerator(pool: FactorPool, c: CPR) -> Poly:
 
 
 @dataclass(frozen=True)
-class Phase1Basis:
-    rho: int
-    rows_used: Tuple[int, ...]
-    basis_cols: Tuple[int, ...]  # variable permutation, x0 first
-    Bmat: tuple
-    Nmat: tuple
-    Upsilon: tuple
-    Psi: tuple
-    change_of_vars: tuple  # (n+1) x (n+1): (sigma; psi) -> (x0; x)
-
-
-@dataclass(frozen=True)
 class ImpliedZero:
     row: int
     column: Tuple[Fraction, ...]
@@ -415,7 +404,6 @@ class DDState:
     ftheta: Tuple[Frf, ...] = _Derived()
     cpr: Tuple[Optional[CPR], ...] = _Derived()
     implied_zero: Tuple[ImpliedZero, ...] = _Derived()
-    phase1: Optional[Phase1Basis] = None
 
     @property
     def pool(self) -> FactorPool:
@@ -456,7 +444,6 @@ def _successor(state: DDState, derive: Callable[[], dict], **eager) -> DDState:
     fields = dict(
         cone=state.cone, k=state.k, R=state.R, L=state.L, E=state.E,
         processed=state.processed, varrho=state.varrho, coords=state.coords,
-        phase1=state.phase1,
     )
     fields.update(eager)
     new = DDState(**fields)
@@ -533,39 +520,23 @@ def _seed_pool(cone: HomCone) -> FactorPool:
     return pool
 
 
-def dd_init(
-    cone: HomCone,
-    mode: str = "default",
-    order: Optional[Sequence[int]] = None,
-    varrho: Optional[int] = None,
-):
-    """Initial DD state.  Returns (state, init_entries, remaining_order).
+def dd_init(cone: HomCone, varrho: int) -> DDState:
+    """The start of every run: the cone x0 >= 0, x_i >= 0 for i > varrho,
+    with rays x0 and x_i for i > varrho and lineality x_1..x_varrho.
 
-    Every mode starts from the cone x0 >= 0, x_i >= 0 for i > varrho: rays
-    x0 and x_i for i > varrho, lineality x_1..x_varrho.  The x_i >= 0 rows
-    count as processed, so each must be an explicit row of the cone.
-    'default' and 'phase1' take varrho = n (lineality = all of x-space),
-    'orthant' varrho = 0 (x >= 0), 'partial_orthant' the varrho given,
-    which must lie in 0..n (else InitPreconditionViolated).
-    'phase1' then runs the lineality-eliminating steps up front, reordering
-    rows of the given order so the first ones are not orthogonal to L.
-    """
+    varrho must lie in 0..n, and each x_i >= 0 for i > varrho must be an
+    explicit row of the cone (else InitPreconditionViolated).  Those rows
+    are not marked processed: a run that meets one takes an ordinary ray
+    step, whose N- is empty since every column already satisfies the row.
+    varrho = n starts from x0 >= 0 alone, varrho = 0 from the orthant."""
     n = cone.n
     nv = n + 1
-    full_order = list(order) if order is not None else list(range(cone.m))
-    if len(set(full_order)) != len(full_order):
-        raise ValueError("order must consist of distinct row indices")
-    starts = {"default": n, "phase1": n, "orthant": 0, "partial_orthant": varrho}
-    if mode not in starts:
-        raise ValueError(f"unknown init mode {mode!r}")
-    rho = starts[mode]
-    if rho is None or not 0 <= rho <= n:
-        raise InitPreconditionViolated(f"varrho = {rho} is outside 0..{n}")
-    rho = int(rho)
-    for i in range(rho + 1, nv):
+    if not (isinstance(varrho, int) and 0 <= varrho <= n):
+        raise InitPreconditionViolated(f"varrho = {varrho} is outside 0..{n}")
+    for i in range(varrho + 1, nv):
         if not _orthant_certified(cone, i):
             raise InitPreconditionViolated(f"x_{i} >= 0 is not certified by an explicit row")
-    ray_vars, lin_vars = [0, *range(rho + 1, nv)], range(1, rho + 1)
+    ray_vars, lin_vars = [0, *range(varrho + 1, nv)], range(1, varrho + 1)
 
     def unit(i):
         return tuple(ONE if j == i else ZERO for j in range(nv))
@@ -573,7 +544,7 @@ def dd_init(
     coords = _Coords()
     state = DDState(
         cone=cone, k=0, R=tuple(unit(i) for i in ray_vars), L=tuple(unit(i) for i in lin_vars),
-        E=(), processed=(), varrho=rho, coords=coords,
+        E=(), processed=(), varrho=varrho, coords=coords,
     )
 
     def derive():
@@ -586,76 +557,22 @@ def dd_init(
         )
 
     _defer(state, derive)
-    if mode == "phase1":
-        return _run_phase1(state, full_order)
-    return state, [], full_order
+    return state
 
 
-def _run_phase1(state: DDState, order: List[int]):
-    """Process rows not orthogonal to L first (swap-forward within order)."""
-    entries = []
-    remaining = list(order)
-    while state.q > 0:
-        pick = None
-        for idx, r in enumerate(remaining):
-            alpha = [linalg.dot(state.cone.Abar[r], col) for col in state.L]
-            if any(a != 0 for a in alpha):
-                pick = idx
-                break
-        if pick is None:
-            break
-        r = remaining.pop(pick)
-        state, entry = dd_step(state, r)
-        entries.append(entry)
-    basis = _phase1_basis(state)
-    state = _successor(state, dict, phase1=basis)
-    return state, entries, remaining
+def phase1_order(P: HPolyhedron, order: Sequence[int]) -> List[int]:
+    """The order with the rows of phase 1 moved forward: in order, each row
+    whose x-part is linearly independent of those of the rows before it
+    that were moved, up to n rows; the other rows follow in their order.
 
-
-def _phase1_basis(state: DDState) -> Phase1Basis:
-    """The basis of the rows processed in phase 1, stacked under x0: its
-    columns are the first independent columns from the left, and B^-1 and
-    B^-1 N come column by column from ``linalg.solve``.  Each stacked row
-    is scaled to integers by s_i, so with S = diag(s) the scaled block is
-    S B, and B x = e_j, B x = N_j become S B x = s_j e_j, S B x = S N_j."""
-    cone = state.cone
-    n = cone.n
-    rows_used = state.processed
-    stacked = [[ONE] + [ZERO] * n] + [list(cone.Abar[r]) for r in rows_used]
-    scaled = [linalg.over_lcm(row) for row in stacked]
-    basis_cols = linalg.echelon([ints for ints, _ in scaled])[1]
-    nb = len(basis_cols)
-    rest = [c for c in range(n + 1) if c not in basis_cols]
-    B = [[stacked[i][j] for j in basis_cols] for i in range(nb)]
-    N = [[stacked[i][j] for j in rest] for i in range(nb)]
-    rem_rows = [r for r in range(cone.m) if r not in rows_used]
-    Ups = [[cone.Abar[r][j] for j in basis_cols] for r in rem_rows]
-    Psi = [[cone.Abar[r][j] for j in rest] for r in rem_rows]
-    SB = [[scaled[i][0][j] for j in basis_cols] for i in range(nb)]
-    Binv_cols = [linalg.solve(SB, [scaled[i][1] * (i == j) for i in range(nb)]) for j in range(nb)]
-    if None in Binv_cols:
-        raise Phase1BasisError("phase-1 basis must be invertible")
-    BinvN_cols = [linalg.solve(SB, [scaled[i][0][c] for i in range(nb)]) for c in rest]
-    if any(linalg.dot(u, col) != p for u, prow in zip(Ups, Psi) for col, p in zip(BinvN_cols, prow)):
-        raise Phase1BasisError("Ups B^-1 N != Psi")
-    cov = [[ZERO] * (n + 1) for _ in range(n + 1)]
-    for bi, c in enumerate(basis_cols):
-        for j in range(nb):
-            cov[c][j] = Binv_cols[j][bi]
-        for j, col in enumerate(BinvN_cols):
-            cov[c][nb + j] = -col[bi]
-    for ri, c in enumerate(rest):
-        cov[c][nb + ri] = ONE
-    return Phase1Basis(
-        rho=len(rows_used),
-        rows_used=tuple(rows_used),
-        basis_cols=tuple(basis_cols),
-        Bmat=tuple(tuple(r) for r in B),
-        Nmat=tuple(tuple(r) for r in N),
-        Upsilon=tuple(tuple(r) for r in Ups),
-        Psi=tuple(tuple(r) for r in Psi),
-        change_of_vars=tuple(tuple(r) for r in cov),
-    )
+    From the default start these rows are exactly the lineality steps: the
+    lineality space is the x-space orthogonal to the processed rows, so a
+    row is orthogonal to it just when its x-part lies in the span of
+    theirs.  This is the double-description start from independent rows
+    (Fukuda and Prodon 1996)."""
+    columns = list(zip(*(P.int_rows[r][1] for r in order)))
+    first = [order[c] for c in linalg.echelon(columns)[1]]
+    return first + [r for r in order if r not in first]
 
 
 # --------------------------------------------------------------------------
@@ -914,9 +831,9 @@ def _step_ray(state, row, beta):
 @dataclass
 class DDRun:
     cone: HomCone
-    order: Tuple[int, ...]  # all rows processed, init-consumed first
+    order: Tuple[int, ...]  # the rows processed, in order
     states: List[DDState]  # the state after each step, pruned when prune is on
-    entries: List[LedgerEntry]
+    entries: List[LedgerEntry]  # entries[i]: the step from states[i] to states[i + 1]
 
     @property
     def final(self) -> DDState:
@@ -927,36 +844,32 @@ def dd_run(
     P: HPolyhedron,
     order: Optional[Sequence[int]] = None,
     prune: bool = False,
-    init: str = "default",
     varrho: Optional[int] = None,
     stop: Optional[Callable[[DDState], bool]] = None,
 ) -> DDRun:
-    """Run the algorithm over the given row order (0-based indices).
+    """Run the algorithm over the given row order (0-based indices, all rows
+    by default) from the start x0 >= 0, x_i >= 0 for i > varrho
+    (``dd_init``; varrho = n by default).
 
-    P is an HPolyhedron; the run works on its homogenization.  With phase1
-    init, rows not orthogonal to the lineality space are pulled forward out
-    of the order; the remaining rows are processed in the order given.
-    The run keeps one state per step; with prune, that is the pruned state
+    P is an HPolyhedron; the run works on its homogenization.  The run
+    keeps one state per step; with prune, that is the pruned state
     (``prune_redundant``), and the next step starts from it.  With stop,
     the run ends at the first kept state, the initial one included, for
     which stop(state) is true; the rows after it are not processed.
     """
     cone = homogenize(P)
-    state, init_entries, remaining = dd_init(cone, init, order, varrho)
-    states = [state]
-    entries = list(init_entries)
-    for row in remaining:
+    order = list(order) if order is not None else list(range(cone.m))
+    if len(set(order)) != len(order):
+        raise ValueError("order must consist of distinct row indices")
+    states = [dd_init(cone, cone.n if varrho is None else varrho)]
+    entries = []
+    for row in order:
         if stop is not None and stop(states[-1]):
             break
         raw, entry = dd_step(states[-1], row)
         entries.append(entry)
         states.append(prune_redundant(raw) if prune else raw)
-    return DDRun(
-        cone=cone,
-        order=states[0].processed + tuple(remaining[: len(states) - 1]),
-        states=states,
-        entries=entries,
-    )
+    return DDRun(cone=cone, order=tuple(order[: len(entries)]), states=states, entries=entries)
 
 
 def _int_vector(v) -> Tuple[int, ...]:

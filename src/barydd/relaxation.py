@@ -311,12 +311,7 @@ def build_hull_lp(
 # --------------------------------------------------------------------------
 
 
-def build_level_lp(
-    inst,
-    k: int,
-    order: Optional[Sequence[int]] = None,
-    prune: bool = False,
-) -> LPProblem:
+def build_level_lp(inst, k: int, order: Optional[Sequence[int]] = None) -> LPProblem:
     """Level-k relaxation over the outer approximation from the first k rows
     of the order.  Uses the affine-convex form, which only needs the lineality
     space to be empty at level k (ray columns are allowed); for a pure
@@ -324,7 +319,7 @@ def build_level_lp(
     Instances with non-affine g use the alternate initialization, keeping the
     generator rows that scale them non-negative.  DD runs only through step
     max(k, kbar) of the order (see LevelRun.make)."""
-    return LevelRun.make(inst, order, k).lp(k, prune)
+    return LevelRun.make(inst, order, k).lp(k)
 
 
 @dataclass
@@ -342,7 +337,7 @@ class LevelRun:
         run stops after step max(k, kbar), kbar being the first step whose
         lineality space is empty; when no step empties it, the whole order
         runs, so LevelTooLow still reports kbar.  The run starts from
-        x_i >= 0 for i > varrho (``partial_orthant``): varrho = n, the
+        x_i >= 0 for i > varrho (``dd_init``): varrho = n, the
         default start, when every g is affine, and ``ac.varrho`` otherwise,
         the alternate start that keeps the generator rows scaling a
         non-affine g non-negative.  That start keeps the order, so a stopped
@@ -355,36 +350,31 @@ class LevelRun:
                 raise ValueError(f"level {k} is not in 0..{len(order)}, the order length")
             stop = lambda st: st.k >= k and st.q == 0  # noqa: E731
         varrho = ac.n if all(g.affine for g in ac.g) else ac.varrho
-        return LevelRun(ac, dd_run(ac.P, order=order, init="partial_orthant", varrho=varrho, stop=stop))
+        return LevelRun(ac, dd_run(ac.P, order=order, varrho=varrho, stop=stop))
 
     @property
     def kbar(self) -> Optional[int]:
         """The smallest step count with empty lineality, if the run has one."""
         return next((t for t, st in enumerate(self.run.states) if st.q == 0), None)
 
-    def lp(self, k: int, prune: bool = False) -> LPProblem:
+    def lp(self, k: int) -> LPProblem:
         """The level-k LP from the state after step k."""
         kbar = self.kbar
         if kbar is None or k < kbar:
             raise LevelTooLow(k, kbar, "lineality space not empty at this level")
-        st = self.run.states[k]
-        if prune:
-            st = prune_redundant(st)
-        return _vertex_form_lp(self.ac, dehomogenize_columns(st.R), name=f"level{k}")
+        return _vertex_form_lp(self.ac, dehomogenize_columns(self.run.states[k].R), name=f"level{k}")
 
-    def gap_table(
-        self, prune: bool = False, solved: Optional[Dict[int, LPSolution]] = None
-    ) -> List[dict]:
+    def gap_table(self, solved: Optional[Dict[int, LPSolution]] = None) -> List[dict]:
         """(k, status, value) of every usable level the run reaches.  solved
-        maps a level to a solution of its LP (built with the same prune);
-        that level is neither built nor solved again."""
+        maps a level to a solution of its LP; that level is neither built
+        nor solved again."""
         solved = solved or {}
         kbar = self.kbar
         if kbar is None:
             return []
         table = []
         for k in range(kbar, len(self.run.states)):
-            sol = solved[k] if k in solved else lp_solve(self.lp(k, prune))
+            sol = solved[k] if k in solved else lp_solve(self.lp(k))
             table.append(
                 {
                     "level": k,
@@ -467,13 +457,11 @@ def _vertex_form_lp(ac: ACInstance, W: Sequence[tuple], name: str) -> LPProblem:
     return prob
 
 
-def gap_table(
-    inst, order: Optional[Sequence[int]] = None, prune: bool = False
-) -> List[dict]:
+def gap_table(inst) -> List[dict]:
     """Solve every usable level and report (k, status, value).  DD runs once,
-    over the whole order; each level is built from the state after its
-    step."""
-    return LevelRun.make(inst, order).gap_table(prune)
+    over all rows in their order; each level is built from the state after
+    its step."""
+    return LevelRun.make(inst).gap_table()
 
 
 # --------------------------------------------------------------------------
@@ -725,11 +713,14 @@ def build_de_linear(
     the product of its prefix, and serves every denominator.
 
     The sign rows are oriented by each denominator's sign at an interior
-    point of P, so P must have one: EmptyInterior otherwise.
+    point of P, so P must have one: EmptyInterior otherwise.  Without an
+    order no row bounds z, so orders must not be empty: ValueError.
     """
     n, ny = inst.n, inst.ny
     P = inst.P
     orders = [tuple(o) for o in orders]
+    if not orders:
+        raise ValueError("build_de_linear needs at least one order")
     for o in orders:
         if len(o) != k:
             raise ValueError("each order must have length k")

@@ -1,9 +1,12 @@
 """The double description engine: golden runs, ledger, closed forms, pruning."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from barydd import (
     EmptyInterior,
@@ -18,7 +21,7 @@ from barydd import (
     ledger_verify,
     prune_redundant,
 )
-from barydd.dd_engine import _canonical_column
+from barydd.dd_engine import _canonical_column, phase1_order
 from barydd.exactmath import Poly, RatFun, rf_equal
 from barydd.linalg import dot
 from closed_forms import (
@@ -31,7 +34,7 @@ from closed_forms import (
     product_coords,
     warren_simple,
 )
-from conftest import run_optimized, sympy_rref
+from conftest import box_polytope, orthant_polytope
 
 
 def aff(nv, c0, cs):
@@ -292,16 +295,16 @@ class TestGolden53:
 class TestInit:
     def test_default(self, poly_51):
         cone = homogenize(poly_51)
-        st, entries, remaining = dd_init(cone)
+        st = dd_init(cone, cone.n)
         assert st.p == 1 and st.q == 3
         assert st.R[0] == (F(1), F(0), F(0), F(0))
         assert rf_equal(st.mu[0], RatFun.variable(4, 0))
-        assert remaining == [0, 1, 2, 3, 4, 5]
+        assert dd_run(poly_51).order == (0, 1, 2, 3, 4, 5)
 
     def test_orthant(self, unit_box):
         P = unit_box(3)
         cone = homogenize(P)
-        st, _, _ = dd_init(cone, "orthant")
+        st = dd_init(cone, 0)
         assert st.q == 0 and st.p == 4
         for i, f in enumerate(st.mu):
             assert rf_equal(f, RatFun.variable(4, i))
@@ -309,12 +312,12 @@ class TestInit:
     def test_orthant_requires_explicit_rows(self):
         P = HPolyhedron.make([[1, 0], [0, 1]], [1, 1])  # no x >= 0 rows
         with pytest.raises(InitPreconditionViolated):
-            dd_init(homogenize(P), "orthant")
+            dd_init(homogenize(P), 0)
 
     def test_partial_orthant(self):
         # x2 >= 0 explicit, x1 unconstrained below
         P = HPolyhedron.make([[0, -1], [1, 0], [-1, 0], [0, 1]], [0, 1, 1, 1])
-        st, _, _ = dd_init(homogenize(P), "partial_orthant", varrho=1)
+        st = dd_init(homogenize(P), 1)
         assert st.q == 1 and st.p == 2
         assert st.L[0] == (F(0), F(1), F(0))
         assert [c[0] for c in st.R] == [F(1), F(0)]
@@ -322,38 +325,47 @@ class TestInit:
     @pytest.mark.parametrize("varrho", [-1, 3, 4, None])
     def test_partial_orthant_varrho_outside_range(self, varrho):
         # above n, the start had all-zero lineality columns (q = varrho);
-        # below 0, it failed only by chance, on x_0 >= 0; without a
-        # varrho, with a TypeError from int(None)
+        # below 0, it failed only by chance, on x_0 >= 0.  dd_run reads no
+        # varrho as the default start, varrho = n
         P = HPolyhedron.make([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
         with pytest.raises(InitPreconditionViolated, match=rf"^varrho = {varrho} is outside 0\.\.2$"):
-            dd_init(homogenize(P), "partial_orthant", varrho=varrho)
-        with pytest.raises(InitPreconditionViolated):
-            dd_run(P, init="partial_orthant", varrho=varrho)
+            dd_init(homogenize(P), varrho)
+        if varrho is None:
+            assert run_record(dd_run(P, varrho=varrho)) == run_record(dd_run(P, varrho=P.n))
+        else:
+            with pytest.raises(InitPreconditionViolated):
+                dd_run(P, varrho=varrho)
 
     def test_phase1_41(self, poly_41):
-        st, entries, remaining = dd_init(homogenize(poly_41), "phase1")
+        order = phase1_order(poly_41, range(poly_41.m))
+        assert order == [0, 1, 2, 3]
+        run = dd_run(poly_41, order=order)
+        st = run.states[2]
         assert st.q == 0  # lineality exhausted after two steps
-        assert len(entries) == 2
-        assert all(e.case == "lineality" for e in entries)
+        assert [e.case for e in run.entries[:2]] == ["lineality", "lineality"]
         for f in st.mu:
             assert f.num.degree() <= 1 and f.den.is_constant()  # all affine
-        basis = st.phase1
-        assert basis is not None and basis.rho == 2
-        # Upsilon B^-1 N == Psi and the change of variables reproduces (R; L)
-        B = [list(r) for r in basis.Bmat]
-        assert len(sympy_rref(B)[1]) == len(B)
 
     def test_phase1_change_of_vars(self, poly_53):
-        st, entries, remaining = dd_init(homogenize(poly_53), "phase1")
-        basis = st.phase1
-        cov = [list(r) for r in basis.change_of_vars]
-        # columns 0..rho of the map span the same cone columns as R (up to
-        # positive scaling)
-        from barydd.dd_engine import _canonical_column
+        # after phase 1 the rays are, up to positive scaling, the columns of
+        # B^-1, B being the rows phase 1 used stacked under x0: the paper's
+        # change of variables, here by sympy's inverse
+        order = phase1_order(poly_53, range(poly_53.m))
+        st = dd_run(poly_53, order=order).states[poly_53.n]
+        assert st.q == 0
+        cone = homogenize(poly_53)
+        B = sympy.Matrix([[1] + [0] * poly_53.n] + [list(cone.Abar[r]) for r in order[: poly_53.n]])
+        inverse = [tuple(F(int(x.p), int(x.q)) for x in B.inv().col(j)) for j in range(B.cols)]
+        assert {_canonical_column(c) for c in inverse} == {_canonical_column(c) for c in st.R}
 
-        cols_cov = {_canonical_column(tuple(row[j] for row in cov)) for j in range(basis.rho + 1)}
-        cols_R = {_canonical_column(c) for c in st.R}
-        assert cols_cov == cols_R
+    def test_skipped_orthant_rows_are_ray_steps(self, unit_box):
+        # the x_i >= 0 rows of the start are not marked processed: a run
+        # meets each with an ordinary ray step, N+ its own column, N- empty
+        run = dd_run(unit_box(2), varrho=0)
+        assert run.states[0].processed == ()
+        for entry in run.entries[:2]:
+            assert (entry.case, entry.Npos, entry.Nneg, entry.dropped) == ("ray", (1,), (), ())
+        assert [(e.Nzero, e.perm) for e in run.entries[:2]] == [((0, 2), (0, 2, 1))] * 2
 
 
 class TestStop:
@@ -361,9 +373,10 @@ class TestStop:
     def test_stopped_run_is_a_prefix(self, poly_53, init):
         # partial_orthant takes x2, x3 >= 0 from rows 1 and 2
         order = [3, 1, 5, 0, 2, 4]
-        whole = dd_run(poly_53, order=order, init=init, varrho=1)
+        varrho = 1 if init == "partial_orthant" else None
+        whole = dd_run(poly_53, order=order, varrho=varrho)
         for steps in range(len(order) + 1):
-            run = dd_run(poly_53, order=order, init=init, varrho=1,
+            run = dd_run(poly_53, order=order, varrho=varrho,
                          stop=lambda st: st.k >= steps)
             assert run.order == tuple(order[:steps])
             assert len(run.states) == steps + 1 and len(run.entries) == steps
@@ -378,38 +391,12 @@ class TestStop:
         assert run.order == () and run.entries == [] and len(run.states) == 1
 
 
-class TestPhase1Check:
-    @pytest.mark.parametrize(
-        "abar, processed, message",
-        [
-            # basis block [[1, 0], [1, 0]] from two equal leading rows
-            ([[1, 0, 0], [0, 1, 0]], (0, 1), "invertible"),
-            # the unprocessed row x2 >= 0 is not Ups B^-1 N = 0
-            ([[0, 1, 0], [0, 0, 1]], (0,), "Psi"),
-        ],
-        ids=["singular", "span"],
-    )
-    def test_check_survives_optimize_flag(self, abar, processed, message):
-        code = (
-            "from fractions import Fraction as F\n"
-            "from types import SimpleNamespace as NS\n"
-            "from barydd import Phase1BasisError\n"
-            "from barydd.dd_engine import _phase1_basis\n"
-            f"cone = NS(n=2, m=2, Abar=[[F(x) for x in r] for r in {abar!r}])\n"
-            "try:\n"
-            f"    _phase1_basis(NS(cone=cone, processed={processed!r}))\n"
-            "except Phase1BasisError as exc:\n    print('raised', exc)\n"
-        )
-        out = run_optimized(code)
-        assert out.startswith("raised") and message in out, out
-
-
 class TestStepGoldens:
     def test_orthant_first_box_row(self):
         # n = 2, process x1 <= 1 from the orthant start
         P = HPolyhedron.make([[-1, 0], [0, -1], [1, 0], [0, 1]], [0, 0, 1, 1])
         cone = homogenize(P)
-        st, _, _ = dd_init(cone, "orthant")
+        st = dd_init(cone, 0)
         nxt, entry = dd_step(st, 2)
         assert entry.beta == (F(1), F(-1), F(0))
         assert entry.Npos == (0,) and entry.Nneg == (1,) and entry.Nzero == (2,)
@@ -462,7 +449,7 @@ class TestEmptyAndDrops:
     def test_implied_zero_tracking(self):
         # x >= 0 with x1 + x2 <= 0 collapses to the origin ray
         P = HPolyhedron.make([[-1, 0], [0, -1], [1, 1]], [0, 0, 0])
-        run = dd_run(P, order=[2], init="orthant")
+        run = dd_run(P, order=[2], varrho=0)
         st = run.final
         assert st.E == (2,)
         assert len(st.implied_zero) == 2
@@ -480,7 +467,7 @@ class TestClosedForms:
         P = unit_box(n)
         rays, coords = closed_form_box(n, T)
         order = [n + (i - 1) for i in T]  # rows x_i <= 1 sit after the x >= 0 block
-        st = dd_run(P, order=order, init="orthant").final
+        st = dd_run(P, order=order, varrho=0).final
         assert match_by_ray(st, rays, coords)
 
     def test_box_formula_n2(self):
@@ -529,9 +516,9 @@ class TestClosedForms:
             P = HPolyhedron.make(rows, rhs)
             rays, coords = closed_form_tworow(a, b)
             if a == b:
-                st = dd_run(P, order=[n], init="orthant").final
+                st = dd_run(P, order=[n], varrho=0).final
             else:
-                st = dd_run(P, order=[n, n + 1], init="orthant").final
+                st = dd_run(P, order=[n, n + 1], varrho=0).final
             assert match_by_ray(st, rays, coords)
             done += 1
 
@@ -898,16 +885,14 @@ def random_polyhedron(rng, n, kind):
 def raw_steps(run):
     """The unpruned state after each step of a pruned run: each step
     re-taken from the run's previous (pruned) state."""
-    init = run.states[0]
-    rows = run.order[len(init.processed):]
-    return [init] + [dd_step(st, row)[0] for st, row in zip(run.states, rows)]
+    return run.states[:1] + [dd_step(st, row)[0] for st, row in zip(run.states, run.order)]
 
 
-def reference_run(P, order, init, varrho=None):
+def reference_run(P, order, varrho=None):
     """dd_run(..., prune=True) with the reference prune: the pruned states."""
-    state, _, remaining = dd_init(homogenize(P), init, order, varrho)
-    states = [state]
-    for row in remaining:
+    cone = homogenize(P)
+    states = [dd_init(cone, cone.n if varrho is None else varrho)]
+    for row in order:
         raw, _ = dd_step(states[-1], row)
         states.append(reference_prune(raw))
     return states
@@ -935,21 +920,20 @@ class TestPruneByRank:
         P = random_polyhedron(rng, n, kind)
         order = list(range(P.m))
         rng.shuffle(order)
-        varrho = None
-        if init.startswith("partial:"):
-            init, varrho = "partial_orthant", int(init.split(":")[1])
-        return P, order, init, varrho
+        if init == "phase1":
+            order = phase1_order(P, order)
+        return P, order, {"orthant": 0, "partial:1": 1}.get(init)
 
     @pytest.mark.parametrize("kind, init, seed", CASES)
     def test_equals_reference_prune(self, kind, init, seed):
-        P, order, init, varrho = self.case(kind, init, seed)
+        P, order, varrho = self.case(kind, init, seed)
         try:
-            want = reference_run(P, order, init, varrho)
+            want = reference_run(P, order, varrho)
         except EmptyInterior:
             with pytest.raises(EmptyInterior):
-                dd_run(P, order=order, prune=True, init=init, varrho=varrho)
+                dd_run(P, order=order, prune=True, varrho=varrho)
             return
-        got = dd_run(P, order=order, prune=True, init=init, varrho=varrho).states
+        got = dd_run(P, order=order, prune=True, varrho=varrho).states
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert prune_fields(g) == prune_fields(w)
@@ -959,9 +943,9 @@ class TestPruneByRank:
         # columns, implied equalities, and columns folded by the LP
         seen = set()
         for kind, init, seed in self.CASES:
-            P, order, init, varrho = self.case(kind, init, seed)
+            P, order, varrho = self.case(kind, init, seed)
             try:
-                run = dd_run(P, order=order, prune=True, init=init, varrho=varrho)
+                run = dd_run(P, order=order, prune=True, varrho=varrho)
             except EmptyInterior:
                 continue
             for raw, pruned in zip(raw_steps(run)[1:], run.states[1:]):
@@ -1003,9 +987,9 @@ class TestPruneByRank:
         checked = dict.fromkeys(inits, 0)
         for init in inits:
             for seed in range(4):
-                P, order, mode, varrho = self.case(kind, init, seed)
+                P, order, varrho = self.case(kind, init, seed)
                 try:
-                    run = dd_run(P, order=order, prune=True, init=mode, varrho=varrho)
+                    run = dd_run(P, order=order, prune=True, varrho=varrho)
                 except EmptyInterior:
                     continue
                 for st in raw_steps(run):
@@ -1038,9 +1022,10 @@ class TestNtotFactoredOnce:
             return real(self, p, *args, **kwargs)
 
         monkeypatch.setattr(dd_engine.FactorPool, "factorize", factorize)
-        state, _, order = dd_init(homogenize(P))
+        cone = homogenize(P)
+        state = dd_init(cone, cone.n)
         ray_steps = 0
-        for row in order:
+        for row in range(cone.m):
             calls.clear()
             beta = [dot(state.cone.Abar[row], col) for col in state.R]
             ntot = Frf(Poly.zero(state.cone.n + 1), ())
@@ -1078,9 +1063,9 @@ class TestDerivedCoordinates:
 
     @pytest.mark.parametrize("kind, init, seed", TestPruneByRank.CASES)
     def test_every_state_of_the_prune_corpus(self, kind, init, seed):
-        P, order, init, varrho = TestPruneByRank.case(kind, init, seed)
+        P, order, varrho = TestPruneByRank.case(kind, init, seed)
         try:
-            run = dd_run(P, order=order, prune=True, init=init, varrho=varrho)
+            run = dd_run(P, order=order, prune=True, varrho=varrho)
         except EmptyInterior:
             return
         for st in run.states + raw_steps(run)[1:]:
@@ -1109,7 +1094,7 @@ class TestDerivedCoordinates:
     def test_dropped_column_keeps_its_stored_coordinate(self):
         # x >= 0 with x1 + x2 <= 0: the step drops columns 1 and 2
         P = HPolyhedron.make([[-1, 0], [0, -1], [1, 1]], [0, 0, 0])
-        run = dd_run(P, order=[2], init="orthant")
+        run = dd_run(P, order=[2], varrho=0)
         first = run.states[0]
         assert [iz.fmu for iz in run.final.implied_zero] == [first.fmu[1], first.fmu[2]]
         assert run.final.had_empty_npos and not first.had_empty_npos
@@ -1130,15 +1115,16 @@ def coordinate_layer(run):
     )
 
 
-def eager_run(P, order, init, varrho, prune):
+def eager_run(P, order, varrho, prune):
     """dd_run with each state's coordinates read as soon as the state is
     made: the order in which an eager run derives them."""
     from barydd.dd_engine import DDRun
 
-    state, entries, remaining = dd_init(homogenize(P), init, order, varrho)
+    cone = homogenize(P)
+    state = dd_init(cone, cone.n if varrho is None else varrho)
     state.fmu
-    states, entries = [state], list(entries)
-    for row in remaining:
+    states, entries = [state], []
+    for row in order if order is not None else range(cone.m):
         raw, entry = dd_step(states[-1], row)
         raw.fmu
         entries.append(entry)
@@ -1157,27 +1143,26 @@ class TestCoordinatesOnFirstRead:
         "ledger Ntot first": lambda run: [e.Ntot for e in run.entries],
     }
 
-    def assert_reading_order_free(self, P, order, init="default", varrho=None, prune=True, ledger=True):
+    def assert_reading_order_free(self, P, order, varrho=None, prune=True, ledger=True):
         try:
-            want = coordinate_layer(eager_run(P, order, init, varrho, prune))
+            want = coordinate_layer(eager_run(P, order, varrho, prune))
         except EmptyInterior:
             return
         for name, read in self.READS.items():
-            run = dd_run(P, order=order, prune=prune, init=init, varrho=varrho)
+            run = dd_run(P, order=order, prune=prune, varrho=varrho)
             read(run)
             assert coordinate_layer(run) == want, name
         if ledger:
             # each step's entry relates the kept state before it to the
             # unpruned state it made
             made = raw_steps(run)[1:] if prune else run.states[1:]
-            steps = run.entries[len(run.entries) - len(made):]
-            for prev, nxt, entry in zip(run.states, made, steps):
+            for prev, nxt, entry in zip(run.states, made, run.entries):
                 assert ledger_verify(prev, nxt, entry)
 
     @pytest.mark.parametrize("kind, init, seed", TestPruneByRank.CASES)
     def test_prune_corpus(self, kind, init, seed):
-        P, order, init, varrho = TestPruneByRank.case(kind, init, seed)
-        self.assert_reading_order_free(P, order, init, varrho)
+        P, order, varrho = TestPruneByRank.case(kind, init, seed)
+        self.assert_reading_order_free(P, order, varrho)
 
     @pytest.mark.parametrize("fixture", ["poly_51", "poly_53"])
     @pytest.mark.parametrize("prune", [False, True])
@@ -1212,19 +1197,19 @@ class TestCoordinatesOnFirstRead:
 
 def run_record(run):
     """What two runs must share to be the same run: the order, each state's
-    columns, E, processed rows, start and phase-1 basis, each ledger entry,
-    and the coordinate layer."""
+    columns, E, processed rows and start, each ledger entry, and the
+    coordinate layer."""
     return (
         run.order,
-        [(st.k, st.R, st.L, st.E, st.processed, st.varrho, st.phase1) for st in run.states],
+        [(st.k, st.R, st.L, st.E, st.processed, st.varrho) for st in run.states],
         [e.to_json() for e in run.entries],
         coordinate_layer(run),
     )
 
 
 class TestOneStart:
-    """Every init is the start x0 >= 0, x_i >= 0 for i > varrho: default is
-    varrho = n and orthant is varrho = 0."""
+    """Every start is x0 >= 0, x_i >= 0 for i > varrho: the default is
+    varrho = n, and --init orthant is varrho = 0."""
 
     ORTHANT_CASES = [(kind, seed) for kind, init, seed in TestPruneByRank.CASES if init == "orthant"]
 
@@ -1235,11 +1220,11 @@ class TestOneStart:
         P = dbp_62.P
         for order in itertools.permutations(range(P.m)):
             want = run_record(dd_run(P, order=order, prune=prune))
-            got = dd_run(P, order=order, prune=prune, init="partial_orthant", varrho=P.n)
+            got = dd_run(P, order=order, prune=prune, varrho=P.n)
             assert run_record(got) == want, order
 
     @staticmethod
-    def lp_counted(monkeypatch, P, order, **init):
+    def lp_counted(monkeypatch, P, order, varrho):
         """run_record of the pruned run, or None when the cone is {0}, and
         the number of LPs its pruning solved."""
         from barydd import dd_engine
@@ -1248,7 +1233,7 @@ class TestOneStart:
         real = dd_engine.lp_solve
         monkeypatch.setattr(dd_engine, "lp_solve", lambda prob: calls.append(prob) or real(prob))
         try:
-            record = run_record(dd_run(P, order=order, prune=True, **init))
+            record = run_record(dd_run(P, order=order, prune=True, varrho=varrho))
         except EmptyInterior:
             record = None
         monkeypatch.setattr(dd_engine, "lp_solve", real)
@@ -1256,13 +1241,108 @@ class TestOneStart:
 
     @pytest.mark.parametrize("kind, seed", ORTHANT_CASES)
     def test_partial_at_0_is_orthant(self, kind, seed, monkeypatch):
-        # the same run, and pruning proves the same columns extreme without
-        # an LP, so it solves as many LPs
-        P, order, _, _ = TestPruneByRank.case(kind, "orthant", seed)
-        want, want_lps = self.lp_counted(monkeypatch, P, order, init="orthant")
-        got, got_lps = self.lp_counted(monkeypatch, P, order, init="partial_orthant", varrho=0)
+        # --init orthant and --init partial:0 make the same run, and pruning
+        # proves the same columns extreme without an LP, so it solves as
+        # many LPs
+        from barydd.cli import _parse_init
+
+        P, order, _ = TestPruneByRank.case(kind, "orthant", seed)
+        want, want_lps = self.lp_counted(monkeypatch, P, *_parse_init("orthant", P, order))
+        got, got_lps = self.lp_counted(monkeypatch, P, *_parse_init("partial:0", P, order))
         assert got == want
         assert got_lps == want_lps
+
+
+def swap_forward_order(P, order):
+    """The row order of the former phase-1 start: from the default start,
+    the first remaining row of the order that is not orthogonal to the
+    lineality space is processed next, while lineality is left; the other
+    rows follow in their order."""
+    cone = homogenize(P)
+    state, picked, rest = dd_init(cone, cone.n), [], list(order)
+    while state.q:
+        pick = next((r for r in rest if any(dot(cone.Abar[r], col) for col in state.L)), None)
+        if pick is None:
+            break
+        rest.remove(pick)
+        picked.append(pick)
+        state = dd_step(state, pick)[0]
+    return picked + rest
+
+
+class TestPhase1Order:
+    """``phase1_order`` is the row order of the former phase-1 start, and
+    ``dd --init phase1`` prints what that start printed."""
+
+    def test_equals_swap_forward(self, poly_41, poly_53, dbp_62):
+        rng = random.Random(2502)
+        strip = HPolyhedron.make([[1, 0], [-1, 0]], [1, 0])  # rank 1: lineality stays
+        polytopes = [poly_41, poly_53, dbp_62.P, box_polytope(3), strip]
+        for n, m in [(2, 4), (2, 6), (3, 5), (3, 7), (4, 7)]:
+            P = orthant_polytope(n, m, rng)
+            A, b = list(P.A), list(P.b)
+            polytopes += [
+                P,
+                HPolyhedron.make(A + [[0] * n], b + [1]),  # a zero x-part
+                HPolyhedron.make(A + [[2 * x for x in A[-1]]], b + [2 * b[-1]]),  # a repeated row
+            ]
+        for P in polytopes:
+            for order in [list(range(P.m))] + [rng.sample(range(P.m), P.m) for _ in range(4)]:
+                assert phase1_order(P, order) == swap_forward_order(P, order), (P, order)
+
+    # sha256 of the stdout of `dd --init phase1`, recorded from the former
+    # phase-1 start, in the row order given or reversed, unpruned and pruned
+    STDOUT_SHA256 = {
+        ("poly_41", False, False): "3e1a9934f3e8987dfbe8cc51392fd8c8d00680acfbafed9016150d505bac1e73",
+        ("poly_41", False, True): "76466bad12dcad23bef9d50be18fa7928dceca892dd4a5646c4ad37fe850da42",
+        ("poly_41", True, False): "e1516573177f9a89a3710804f90794ea8689323c559555b62c9456669d1aea2e",
+        ("poly_41", True, True): "bf592dab82d7d96b1546ea41ea8308db6cad22813f5ea4bbcb904b7a1d72c5e3",
+        ("poly_53", False, False): "a80e1eaf202a0f96c89a8135f34b128d904abca0429c851d917f8a35d2cc6fc7",
+        ("poly_53", False, True): "4497ad28c65d3b61b8b35c050c338e1b8e848108d92bd4e2784a4b9a39e8a90e",
+        ("poly_53", True, False): "3dd8433408cd4859f4cf700620d3527d8a5241b206d45c8f52f5c4cb022c7832",
+        ("poly_53", True, True): "e815411808085e5f1f1ffcf56be696c8cbbfc5926a5685e8803d93f20a671438",
+        ("box2", False, False): "2b0a29871f9051676715a722d8ef5aa1863bc5b6197a3b7892ea1cf477c70c57",
+        ("box2", False, True): "2b0a29871f9051676715a722d8ef5aa1863bc5b6197a3b7892ea1cf477c70c57",
+        ("box2", True, False): "0251eb9581ce7515766ff8a63f56dce7f9dc2a78f4e4d15e316d46e324bc7b6f",
+        ("box2", True, True): "0251eb9581ce7515766ff8a63f56dce7f9dc2a78f4e4d15e316d46e324bc7b6f",
+    }
+
+    @pytest.mark.parametrize("name, reverse, prune", list(STDOUT_SHA256))
+    def test_cli_output_unchanged(self, name, reverse, prune, request, tmp_path, capsys):
+        from barydd import cli
+
+        P = box_polytope(2) if name == "box2" else request.getfixturevalue(name)
+        path = tmp_path / "P.json"
+        path.write_text(json.dumps(P.to_json()))
+        argv = ["dd", str(path), "--init", "phase1"]
+        argv += ["--order", ",".join(str(i) for i in range(P.m, 0, -1))] if reverse else []
+        argv += ["--prune"] if prune else []
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[name, reverse, prune]
+
+
+class TestEveryStart:
+    """Whatever the start, entries[i] is the step from states[i] to
+    states[i + 1], and its ledger verifies."""
+
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize("start", ["default", "orthant", "partial:1", "phase1"])
+    def test_one_entry_per_step(self, start, prune):
+        rng = random.Random(f"every-start-{start}")
+        for P in [box_polytope(2)] + [orthant_polytope(n, n + 2, rng) for n in (2, 2, 3)]:
+            order = rng.sample(range(P.m), P.m)
+            if start == "phase1":
+                order = phase1_order(P, order)
+            run = dd_run(P, order=order, prune=prune, varrho={"orthant": 0, "partial:1": 1}.get(start))
+            assert len(run.entries) == len(run.states) - 1 == len(order)
+            for i, entry in enumerate(run.entries):
+                # a pruned run keeps the pruned state; the entry describes
+                # the step to the state before pruning
+                made = dd_step(run.states[i], order[i])[0] if prune else run.states[i + 1]
+                assert ledger_verify(run.states[i], made, entry)
+                if prune:
+                    assert prune_redundant(made).R == run.states[i + 1].R
 
 
 # x >= 0 with x1 + x2 <= 0 (the polytope of test_implied_zero_tracking)
@@ -1274,7 +1354,7 @@ LINE = HPolyhedron.make([[1, 1], [-1, -1]], [1, -1])
 def collapse_step():
     """COLLAPSE's row 3 from the orthant start: N+ is empty, the x0 column
     stays and columns 1 and 2 drop out."""
-    run = dd_run(COLLAPSE, order=[2], init="orthant")
+    run = dd_run(COLLAPSE, order=[2], varrho=0)
     return run.states[0], run.final, run.entries[0]
 
 

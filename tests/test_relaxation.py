@@ -13,6 +13,7 @@ from barydd import HPolyhedron, cli, dd_engine, dd_run, enumerate_vertices_oracl
 from barydd.exactmath import Poly, RatFun
 from barydd.facial import CouplingRow, Face, FDPBlock, FDPInstance
 from barydd.lp import LPProblem, lp_solve
+from barydd.polyhedra import dehomogenize_columns
 from barydd.relaxation import (
     ACInstance,
     DBPInstance,
@@ -286,6 +287,20 @@ class TestEnvelope:
         assert run_optimized(code) == "raised"
 
 
+def pruned_lp(levels, k):
+    """The level-k LP of ``levels`` over its state after step k pruned:
+    ``prune_redundant`` then ``_vertex_form_lp``, as ``LevelRun.lp`` builds
+    it unpruned.  LevelTooLow below kbar."""
+    levels.lp(k)
+    W = dehomogenize_columns(dd_engine.prune_redundant(levels.run.states[k]).R)
+    return relaxation._vertex_form_lp(levels.ac, W, name=f"level{k}")
+
+
+def level_lp(inst, k, order=None, prune=False):
+    """build_level_lp, or with prune the same LP over the pruned state."""
+    return pruned_lp(LevelRun.make(inst, order, k), k) if prune else build_level_lp(inst, k, order=order)
+
+
 class TestLevelHierarchy:
     def test_level_m_equals_hull(self, dbp_62):
         sol = lp_solve(build_level_lp(dbp_62, 4))
@@ -313,7 +328,7 @@ class TestLevelHierarchy:
         assert sol.value == vertex_optimum(inst)
 
     def test_gap_table(self, dbp_62):
-        table = gap_table(dbp_62, order=[1, 2, 3, 0])
+        table = LevelRun.make(dbp_62, [1, 2, 3, 0]).gap_table()
         vals = [F(r["value"]) for r in table if r["status"] == "optimal"]
         assert vals == sorted(vals) and vals[-1] == -360
 
@@ -325,17 +340,17 @@ class TestLevelHierarchy:
         if all(g.affine for g in ac.g):
             whole = dd_run(ac.P, order=order)
         else:
-            whole = dd_run(ac.P, order=order, init="partial_orthant", varrho=ac.varrho)
+            whole = dd_run(ac.P, order=order, varrho=ac.varrho)
         reference = LevelRun(ac, whole)
         for k in range(len(order) + 1):
             try:
-                want = reference.lp(k, prune)
+                want = pruned_lp(reference, k) if prune else reference.lp(k)
             except LevelTooLow as exc:
                 with pytest.raises(LevelTooLow) as err:
-                    build_level_lp(inst, k, order=order, prune=prune)
+                    level_lp(inst, k, order, prune)
                 assert err.value.kbar == exc.kbar
                 continue
-            assert repr(build_level_lp(inst, k, order=order, prune=prune)) == repr(want)
+            assert repr(level_lp(inst, k, order, prune)) == repr(want)
 
     def test_stopped_run_matches_whole_run_62(self, dbp_62):
         for order in itertools.permutations(range(dbp_62.P.m)):
@@ -364,8 +379,6 @@ class TestLevelHierarchy:
         """The level LPs equal the ones built by dehomogenizing the
         coordinates too and discarding them, as ``dehomogenize`` did before
         it shared ``dehomogenize_columns``."""
-        from barydd.dd_engine import prune_redundant
-
         def dehomogenize(R, mu):
             cols, lam = [], []
             for col, f in zip(R, mu):
@@ -382,10 +395,10 @@ class TestLevelHierarchy:
         levels = LevelRun.make(inst, order)
         for k in range(levels.kbar, len(order) + 1):
             st = levels.run.states[k]
-            st = prune_redundant(st) if prune else st
+            st = dd_engine.prune_redundant(st) if prune else st
             W, _ = dehomogenize(st.R, list(st.mu))
             want = relaxation._vertex_form_lp(ac, W, name=f"level{k}")
-            assert repr(levels.lp(k, prune)) == repr(want)
+            assert repr(pruned_lp(levels, k) if prune else levels.lp(k)) == repr(want)
 
     @pytest.mark.parametrize("prune", [False, True])
     def test_level_lp_from_columns_alone(self, dbp_62, prune):
@@ -420,17 +433,19 @@ class TestLevelHierarchy:
 
     @pytest.mark.parametrize("prune", [False, True])
     def test_gap_table_matches_each_level(self, dbp_62, prune):
-        # one DD run per order gives the same table as one build per level
+        # one DD run per order gives the same table as one build per level,
+        # and pruning each level's state changes no value
         for order in (None, [3, 1, 0, 2]):
             expected = []
             for k in range(dbp_62.P.m + 1):
                 try:
-                    sol = lp_solve(build_level_lp(dbp_62, k, order=order, prune=prune))
+                    sol = lp_solve(level_lp(dbp_62, k, order, prune))
                 except LevelTooLow:
                     continue
                 value = str(sol.value) if sol.status == "optimal" else None
                 expected.append({"level": k, "status": sol.status, "value": value})
-            assert gap_table(dbp_62, order=order, prune=prune) == expected
+            table = gap_table(dbp_62) if order is None else LevelRun.make(dbp_62, order).gap_table()
+            assert table == expected
 
 
 class TestACHierarchy:
@@ -478,6 +493,12 @@ class TestDELinear:
         model = build_de_linear(dbp_62, 4, [(1, 2, 3, 0)])
         sol = lp_solve(model.problem)
         assert sol.value == -360
+
+    def test_de_without_orders_is_refused(self, dbp_62):
+        # no order builds no row that bounds z, while Q puts z in the
+        # objective: the LP would be unbounded
+        with pytest.raises(ValueError, match="at least one order"):
+            build_de_linear(dbp_62, 2, [])
 
     def test_de_dominates_level(self, dbp_62):
         model = build_de_linear(dbp_62, 3, [(1, 2, 3)])
@@ -759,7 +780,7 @@ class TestLevelsReadOnlyColumns:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_build_level_lp_pruned(self, k, calls, dbp_62):
-        assert lp_solve(build_level_lp(dbp_62, k, prune=True)).status in ("optimal", "unbounded")
+        assert lp_solve(level_lp(dbp_62, k, prune=True)).status in ("optimal", "unbounded")
         assert calls == []
 
 

@@ -58,10 +58,10 @@ def test_no_unused_import():
 
 def calls_by_name():
     """name -> [(positional count, keyword names)] of every call in the
-    package, the tests and the benchmark; None stands for a call through
-    ``*args`` or ``**kwargs``, which counts as passing every parameter."""
+    package and the benchmark; None stands for a call through ``*args`` or
+    ``**kwargs``, which counts as passing every parameter."""
     calls = {}
-    for directory in (SRC, os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")):
+    for directory in (SRC, os.path.join(ROOT, "bench")):
         for _, tree in modules(directory):
             for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
@@ -74,8 +74,9 @@ def calls_by_name():
 
 
 def test_every_default_is_passed():
-    # a parameter whose default no call overrides is an option nobody uses;
-    # a class name stands for its __init__, and a method's calls skip self
+    # a parameter whose default no call in the package or the benchmark
+    # overrides is an option nobody uses, even when a test overrides it; a
+    # class name stands for its __init__, and a method's calls skip self
     calls = calls_by_name()
     found = []
     for name, tree in modules():
