@@ -11,9 +11,9 @@ denominator factors; no multivariate gcd is used) and q is a non-negative
 combination of products of P-constraint expressions, each optionally
 multiplied by one Py-constraint expression.  Both sides are affine in y, so
 verification compares their ny + 1 coefficients in y, each a polynomial in
-x alone, exactly.  It also checks z > 0 on the interior of P: exactly, from
-z's values at P's vertices, when z is affine or constant; at sampled
-interior points otherwise.
+x alone, exactly.  It also checks z > 0 on the interior of P from z's
+values at P's vertices, which decides it when z is affine or constant; a z
+of higher degree is also read at sampled interior points.
 """
 
 from __future__ import annotations
@@ -110,10 +110,6 @@ class Certificate:
                     for e, v in product(pf).terms.items():
                         piece[e] = piece.get(e, ZERO) + c * v
         return [Poly(n, piece) for piece in pieces]
-
-    def identity_rhs(self, inst: DBPInstance) -> Poly:
-        """q(x, y) over (x1..xn, y1..yny), from ``rhs_in_x``."""
-        return inst.in_xy(self.rhs_in_x(inst))
 
     def to_json(self) -> dict:
         return {
@@ -415,32 +411,29 @@ def verify_certificate(
     ``Certificate.rhs_in_x``); both sides are affine in y, so they agree
     exactly when these do.
 
-    (c) requires z > 0 at the vertex average.  When deg z <= 1 it also
-    requires z >= 0 at every vertex, and the check is exact: every
+    (c) requires z > 0 at the vertex average and z >= 0 at every vertex,
+    for every degree of z.  When deg z <= 1 the check is exact: every
     interior point x of P is a convex combination of all vertices with
     positive weights, and z(x) is the same combination of the vertex
     values, so it is >= 0, and 0 only if z vanishes at every vertex, which
     z > 0 at the average rules out; conversely z >= 0 on all of P by
-    continuity.  When deg z >= 2 it requires z > 0 at 20 random interior
-    rational points instead, the same on every call (``interior_points``).
+    continuity.  When deg z >= 2 it also requires z > 0 at 20 random
+    interior rational points, the same on every call
+    (``interior_points``).
 
     The result carries the identity's residual z(x)(obj - delta) - q(x,y)
-    over (x, y), decided before checks (a)-(c) and expanded only when it is
-    not zero; a certificate that does not fit has none.  vertices is P's
+    over (x, y), computed from the coefficients in y before checks
+    (a)-(c); a certificate that does not fit has none.  vertices is P's
     vertex list in the oracle's order, when the caller already holds it
     (``BarycentricCoords.vertices``); without it the vertex oracle runs."""
     misfit = _misfit(inst, cert)
     if misfit:
         return VerifyResult(False, misfit)
-    n, nv = cert.n, cert.n + cert.ny
+    n = cert.n
     zx = cert.zpoly.remap(n, range(n))
     obj = inst.objective_in_x()
     obj[0] = obj[0] - Poly.const(n, cert.delta)
-    if all(zx * o == q for o, q in zip(obj, cert.rhs_in_x(inst))):
-        residual = Poly.zero(nv)
-    else:
-        obj_xy = inst.objective_poly() - Poly.const(nv, cert.delta)
-        residual = cert.zpoly * obj_xy - cert.identity_rhs(inst)
+    residual = inst.in_xy([zx * o - q for o, q in zip(obj, cert.rhs_in_x(inst))])
     if any(t.weight < 0 for t in cert.terms):
         return VerifyResult(False, "negative weight", residual)
     if not residual.is_zero():
@@ -451,10 +444,9 @@ def verify_certificate(
         return VerifyResult(False, "P has no vertex", residual)
     if zx.eval(vertex_average(vertices)) <= 0:
         return VerifyResult(False, "z not positive at the vertex average", residual)
-    if zx.degree() <= 1:
-        if any(zx.eval(v) < 0 for v in vertices):
-            return VerifyResult(False, "z negative at a vertex", residual)
-    else:
+    if any(zx.eval(v) < 0 for v in vertices):
+        return VerifyResult(False, "z negative at a vertex", residual)
+    if zx.degree() > 1:
         for pt in interior_points(vertices, inst.P.n, 20):
             if zx.eval(pt) <= 0:
                 return VerifyResult(False, "z not positive at an interior sample", residual)

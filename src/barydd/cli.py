@@ -70,7 +70,6 @@ from .relaxation import (
     UnboundedInput,
     build_de_linear,
     build_hull_lp,
-    build_level_lp,
     build_rlt_baseline,
     solution_report,
 )
@@ -338,13 +337,10 @@ def cmd_solve(args) -> int:
         order = _parse_order(args.order, inst.P.m)
         top = inst.P.m if order is None else len(order)
         k = _check_range(args.level if args.level is not None else top, "--level", 0, top)
-        if args.report:
-            # one run over the whole order; the gap table builds every
-            # level from it
-            levels = LevelRun.make(inst, order)
-            prob = levels.lp(k)
-        else:
-            prob = build_level_lp(inst, k, order=order)
+        # with a report, one run over the whole order: the gap table
+        # builds every level from it
+        levels = LevelRun.make(inst, order, None if args.report else k)
+        prob = levels.lp(k)
     elif method == "de":
         k = _check_range(args.level if args.level is not None else 1, "--level", 1, inst.P.m)
         if args.theta_cap is not None:

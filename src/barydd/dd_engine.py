@@ -35,12 +35,12 @@ maintained alongside the reduced form and feeds the structural rows of the
 linear algebraic relaxation (DE).
 
 Pruning (``prune_redundant``) removes the columns that are not extreme rays
-and folds their coordinates into the others.  In a state without lineality
-a column is kept, without an LP, when the constraint rows tight at it have
-rank d - 1, the algebraic extremality test of double description (Motzkin
-et al. 1953; Fukuda and Prodon 1996), computed in integers.  Every other
-column, and every column of a state with lineality, gets one exact LP: its
-Bland-order solution, when feasible, gives the fold weights.
+and folds their coordinates into the others.  One test decides, in every
+state: a column is kept when the constraint rows tight at it have rank
+d - 1 - q, the algebraic extremality test of double description (Motzkin
+et al. 1953; Fukuda and Prodon 1996), computed in integers.  A column that
+fails it is a non-negative combination of the other columns, and one exact
+LP computes the weights of its fold: its Bland-order solution.
 
 A run has two layers.  The double description itself is computed when a
 state is made: the columns R and L, E, ``processed``, and the ledger's
@@ -888,13 +888,11 @@ def _canonical_column(col) -> tuple:
     return tuple(Fraction(v, g) for v in ints)
 
 
-def _cone_rows(state: DDState) -> Optional[List[Tuple[int, ...]]]:
-    """Integer-scaled rows a with a.r >= 0 for every ray column r of a state
-    without lineality, the rows that cut out its cone: x0 >= 0, the start's
-    x_i >= 0 for i > varrho, and the processed rows of Abar.  None for a
-    state with lineality."""
-    if state.q:
-        return None
+def _cone_rows(state: DDState) -> List[Tuple[int, ...]]:
+    """Integer-scaled rows that cut out the cone of a state, each with
+    a.r >= 0 for every ray column r and a.l = 0 for every lineality
+    column l: x0 >= 0, the start's x_i >= 0 for i > varrho, and the
+    processed rows of Abar."""
     nv = state.cone.n + 1
     units = [0, *range(state.varrho + 1, nv)]
     rows = [tuple(int(i == j) for j in range(nv)) for i in units]
@@ -902,18 +900,37 @@ def _cone_rows(state: DDState) -> Optional[List[Tuple[int, ...]]]:
     return rows
 
 
-def _is_extreme(col: Tuple[int, ...], rows: Sequence[Tuple[int, ...]]) -> bool:
-    """True when the rows tight at the nonzero column col have rank d - 1.
+def _is_extreme(col: Tuple[int, ...], rows: Sequence[Tuple[int, ...]], q: int) -> bool:
+    """True when the rows tight at the column col of a state with q
+    lineality columns have rank d - 1 - q: col is then an extreme ray of
+    cone(R), and otherwise, once columns equal up to positive scaling are
+    merged, a non-negative combination of the other columns of R.
 
-    col then spans a one-dimensional face of {x : rows.x >= 0}; a
-    non-negative combination of cone members equal to col uses only members
-    of that face, that is positive multiples of col (Motzkin et al. 1953;
-    Fukuda and Prodon 1996).  False means only that the test is
-    inconclusive."""
-    if not any(col):
-        return False
+    Why.  Let C = {x : rows.x >= 0} = cone(R) + span(L), the cone of the
+    state (``_cone_rows``).
+    - span(R) and span(L) meet only in 0: the start's columns are distinct
+      unit vectors, a lineality step turns one column of L into a ray and
+      keeps the sum direct, and ray steps and pruning only combine or drop
+      columns of R.
+    - span(L) = ker(rows), the lineality space of C: at the start both are
+      spanned by x_1..x_varrho, a lineality step cuts both by the new row,
+      and a ray step's row is orthogonal to span(L).  So C/L is pointed,
+      and cone(R) is isomorphic to it.
+    - The face of C spanned by col and L is cut out by the rows tight at
+      col and has dimension q + 1 just when col is extreme in C/L, that is
+      when those rows have rank d - 1 - q (Motzkin et al. 1953; Fukuda and
+      Prodon 1996).
+    - If col is extreme, a combination col = sum w_t R_t, w >= 0, makes
+      each R_t with w_t > 0 equal to a positive multiple of col modulo L,
+      hence equal to it (the sum is direct), which merging rules out.  If
+      it is not, col modulo L is a sum of extreme rays of C/L, each the
+      class of another column; the difference lies in span(R) and span(L),
+      so it is 0.
+    So the pruning LP of a column that fails the test is always optimal,
+    and only its weights are read."""
     tight = [a for a in rows if not sum(x * y for x, y in zip(a, col))]
-    return len(tight) >= len(col) - 1 and len(linalg.echelon(tight)[1]) == len(col) - 1
+    rank = len(col) - 1 - q
+    return len(tight) >= rank and len(linalg.echelon(tight)[1]) == rank
 
 
 def _fold(pool: FactorPool, fmu: list, cpr: list, t: int, j: int, w) -> None:
@@ -931,13 +948,14 @@ def prune_redundant(state: DDState) -> DDState:
     decrease.
 
     Columns equal up to positive scaling are merged first.  Then each column
-    is tested in turn.  In a state without lineality, a column at which the
-    tight constraint rows have rank d - 1 is an extreme ray (``_is_extreme``,
-    in integers) and is kept.  Every other column gets an exact LP for a
-    non-negative combination of the other columns; when one exists, its
-    Bland-order solution gives the fold weights and the column goes.  A fold
-    only shrinks the set of the other columns, so a column kept before it
-    stays kept and the scan goes on from the removed column's place.
+    is tested in turn.  A column at which the tight constraint rows have
+    rank d - 1 - q is an extreme ray (``_is_extreme``, in integers) and is
+    kept.  Every other column is a non-negative combination of the other
+    columns, and an exact LP finds one: its Bland-order solution gives the
+    fold weights, and the column goes.  An LP that is not optimal
+    contradicts the test and raises ArithmeticError.  A fold only shrinks
+    the set of the other columns, so a column kept before it stays kept
+    and the scan goes on from the removed column's place.
 
     The decisions read only R; the folds and removals are recorded and
     replayed on the coordinates when they are derived."""
@@ -959,13 +977,10 @@ def prune_redundant(state: DDState) -> DDState:
     rows = _cone_rows(state)
     j = 0
     while j < len(R):
-        if rows is not None and _is_extreme(_int_vector(R[j]), rows):
+        if _is_extreme(_int_vector(R[j]), rows, state.q):
             j += 1
             continue
         others = [t for t in range(len(R)) if t != j]
-        if not others:
-            j += 1
-            continue
         prob = LPProblem(sense="min")
         for t in others:
             prob.add_var(f"nu{t}", lb=ZERO)
@@ -978,8 +993,7 @@ def prune_redundant(state: DDState) -> DDState:
             )
         sol = lp_solve(prob)
         if sol.status != "optimal":
-            j += 1
-            continue
+            raise ArithmeticError(f"column {j} fails the rank test but its pruning LP is {sol.status}")
         for t in others:
             w = sol.primal[f"nu{t}"]
             if w:

@@ -106,10 +106,6 @@ class DBPInstance:
                 terms[e + y] = c
         return Poly(self.n + self.ny, terms)
 
-    def objective_poly(self) -> Poly:
-        """Objective as a Poly over (x1..xn, y1..yny)."""
-        return self.in_xy(self.objective_in_x())
-
     def to_json(self) -> dict:
         return {
             "Q": [[rat_to_str(v) for v in row] for row in self.Q],
@@ -311,15 +307,15 @@ def build_hull_lp(
 # --------------------------------------------------------------------------
 
 
-def build_level_lp(inst, k: int, order: Optional[Sequence[int]] = None) -> LPProblem:
-    """Level-k relaxation over the outer approximation from the first k rows
-    of the order.  Uses the affine-convex form, which only needs the lineality
+def build_level_lp(inst, k: int) -> LPProblem:
+    """Level-k relaxation over the outer approximation from the first k
+    rows.  Uses the affine-convex form, which only needs the lineality
     space to be empty at level k (ray columns are allowed); for a pure
     bilinear instance all g_i are affine so the form is exact at k = m.
     Instances with non-affine g use the alternate initialization, keeping the
     generator rows that scale them non-negative.  DD runs only through step
-    max(k, kbar) of the order (see LevelRun.make)."""
-    return LevelRun.make(inst, order, k).lp(k)
+    max(k, kbar) (see LevelRun.make)."""
+    return LevelRun.make(inst, None, k).lp(k)
 
 
 @dataclass

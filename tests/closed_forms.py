@@ -341,3 +341,14 @@ def barycentric_indicator(inst: FDPInstance, S: Sequence[int], s: Sequence[int])
             part = part + lams[r].remap(nv, var_map)
         eta = eta * part
     return eta
+
+
+def objective_poly(inst: DBPInstance) -> Poly:
+    """The objective as a Poly over (x1..xn, y1..yny)."""
+    return inst.in_xy(inst.objective_in_x())
+
+
+def identity_rhs(inst: DBPInstance, cert) -> Poly:
+    """A certificate's q(x, y) over (x1..xn, y1..yny), from its
+    coefficients in y (``Certificate.rhs_in_x``)."""
+    return inst.in_xy(cert.rhs_in_x(inst))

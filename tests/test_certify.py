@@ -27,6 +27,7 @@ from barydd.relaxation import (
     barycentric_for_polytope,
     build_hull_lp,
 )
+from closed_forms import identity_rhs, objective_poly
 from conftest import bench_inputs, box_polytope, orthant_polytope, run_optimized, sympy_rref
 
 
@@ -62,8 +63,8 @@ class TestGolden62:
     def test_identity_exact(self, dbp_62):
         cert, _ = certified(dbp_62)
         nv = cert.n + cert.ny
-        lhs = cert.zpoly * (dbp_62.objective_poly() - Poly.const(nv, cert.delta))
-        assert lhs == cert.identity_rhs(dbp_62)
+        lhs = cert.zpoly * (objective_poly(dbp_62) - Poly.const(nv, cert.delta))
+        assert lhs == identity_rhs(dbp_62, cert)
 
     def test_json_roundtrip(self, dbp_62):
         cert, _ = certified(dbp_62)
@@ -144,8 +145,8 @@ class TestCliVerify:
         tamper(cert)
         nv = cert.n + cert.ny
         residual = cert.zpoly * (
-            dbp_62.objective_poly() - Poly.const(nv, cert.delta)
-        ) - cert.identity_rhs(dbp_62)
+            objective_poly(dbp_62) - Poly.const(nv, cert.delta)
+        ) - identity_rhs(dbp_62, cert)
         shown = "0" if residual.is_zero() else repr(residual)
         verdict = "PASS" if diagnostic is None else f"FAIL: {diagnostic}"
         assert capsys.readouterr().out == f"delta = -360\nidentity residual: {shown}\n{verdict}\n"
@@ -309,7 +310,7 @@ class TestRoundTrip:
                 y = tuple(
                     sum(w * v[j] for w, v in zip(wy, vy)) / sum(wy) for j in range(2)
                 )
-                assert inst.objective_poly().eval(x + y) - cert.delta >= 0
+                assert objective_poly(inst).eval(x + y) - cert.delta >= 0
             done += 1
 
     def test_degree_conformance(self, dbp_62):
@@ -421,7 +422,7 @@ class TestCheaperPipeline:
         rng = random.Random(9)
         for inst in [dbp_62] + certify_sweep():
             cert, _ = certified(inst)
-            assert cert.identity_rhs(inst) == reference(cert, inst)
+            assert identity_rhs(inst, cert) == reference(cert, inst)
             # shared, repeated, unsorted and empty products, with and
             # without a Py factor
             cert.terms = [
@@ -432,7 +433,7 @@ class TestCheaperPipeline:
                 )
                 for _ in range(30)
             ]
-            assert cert.identity_rhs(inst) == reference(cert, inst)
+            assert identity_rhs(inst, cert) == reference(cert, inst)
 
 
 # --------------------------------------------------------------------------
@@ -564,7 +565,7 @@ class TestFacetRows:
         Q = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(P.n)]
         inst = DBPInstance.make(Q=Q, P=P, Py=Py, cx=[rng.randint(-3, 3) for _ in range(P.n)])
         best = min(
-            inst.objective_poly().eval(x + y)
+            objective_poly(inst).eval(x + y)
             for x in enumerate_vertices_oracle(P)
             for y in enumerate_vertices_oracle(Py)
         )
@@ -593,7 +594,7 @@ class TestStress:
         Q = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(n)]
         inst = DBPInstance.make(Q=Q, P=P, Py=Py, cx=[rng.randint(-5, 5) for _ in range(n)])
         best = min(
-            inst.objective_poly().eval(x + y)
+            objective_poly(inst).eval(x + y)
             for x in enumerate_vertices_oracle(P)
             for y in enumerate_vertices_oracle(Py)
         )
@@ -655,7 +656,7 @@ class TestCertifyErrors:
             return
         inst = DBPInstance.from_json(data)
         best = min(
-            inst.objective_poly().eval(x + y)
+            objective_poly(inst).eval(x + y)
             for x in enumerate_vertices_oracle(inst.P)
             for y in enumerate_vertices_oracle(inst.Py)
         )
@@ -728,7 +729,7 @@ class TestIdentityByY:
             instances += [inst for _, inst in bench_certify_instances(seed, tmp_path / str(seed)).values()]
         for inst in instances:
             cert, _ = certified(inst)
-            assert xy_objective(inst) == inst.objective_poly()
+            assert xy_objective(inst) == objective_poly(inst)
             for name, tamper in self.TAMPER.items():
                 c = Certificate.from_json(cert.to_json())
                 tamper(c)
@@ -745,10 +746,10 @@ class TestIdentityByY:
 
 
 class TestExactZSign:
-    """An affine z is checked at P's vertices, exactly; a z of degree 2 or
-    more at the seeded interior samples.  The instance has a constant
-    objective equal to delta and a certificate without terms, so the
-    identity holds for every z: only the sign check decides."""
+    """z is checked at P's vertices, which is exact for an affine z; a z of
+    degree 2 or more also at the seeded interior samples.  The instance has
+    a constant objective equal to delta and a certificate without terms, so
+    the identity holds for every z: only the sign check decides."""
 
     # dbp_62's P: vertices (0, -3), (0, 2), (1, 3), (3, 3/2), average (1, 7/8)
     P = HPolyhedron.make([[-1, 1], [3, -2], [3, 4], [-1, 0]], [2, 6, 15, 0])
@@ -780,17 +781,19 @@ class TestExactZSign:
         assert self.verdict(Poly.const(2, c)) == "z not positive at the vertex average"
 
     def test_degree_two_negative_at_a_sample(self):
-        # 1 - 4 (x1 - 1)^2: 1 at the average, negative where |x1 - 1| > 1/2
-        d = Poly.affine(2, -1, [1, 0])
-        z = Poly.const(2, 1) - (d * d).scale(4)
+        # x1 (2 x2 - 1): 0, 0, 5 and 6 at the vertices, 3/4 at the average,
+        # negative inside P where x2 < 1/2
+        z = Poly.variable(2, 0) * Poly.affine(2, -1, [0, 2])
+        verts = enumerate_vertices_oracle(self.P)
+        assert all(z.eval(v) >= 0 for v in verts) and z.eval(certify.vertex_average(verts)) > 0
         assert self.verdict(z) == "z not positive at an interior sample"
 
     def test_degree_two_goes_through_the_samples(self):
         # (x2 + 2)(x1 + 1) is -1 at (0, -3) and positive at every sample:
-        # from degree 2 on, the check reads the samples only
+        # the vertices catch it for every degree of z
         z = Poly.affine(2, 2, [0, 1]) * Poly.affine(2, 1, [1, 0])
         assert all(z.eval(pt) > 0 for pt in self.samples_and_average())
-        assert self.verdict(z) == "PASS"
+        assert self.verdict(z) == "z negative at a vertex"
 
     def test_z_over_y_does_not_fit(self):
         # 1 + y1 is positive at every sample with y = 0, but a certificate's

@@ -852,7 +852,9 @@ def random_polyhedron(rng, n, kind):
     rows, an implied equality of the DD run; 'unbounded' rows with mixed
     signs, which may leave recession rays; 'centered' the box [-2, 2]^n
     cut by rows with mixed signs, so the columns of a state need not lie in
-    x >= 0."""
+    x >= 0; 'parallel' a bounded polytope with scaled or shifted copies of
+    its rows; 'plane' a polygon in the x1-x2 plane (x1, x2 >= 0 and three
+    rows with mixed signs around (1, 1)) lifted by x_i <= 1 for i > 2."""
     A = [[-int(j == i) for j in range(n)] for i in range(n)]
     b = [0] * n
     if kind == "centered":
@@ -861,10 +863,24 @@ def random_polyhedron(rng, n, kind):
         for _ in range(2):
             A.append([rng.randint(-2, 2) for _ in range(n)])
             b.append(rng.randint(1, 3))
-    if kind in ("bounded", "equality"):
-        for _ in range(rng.randint(2, 3)):
+    if kind in ("bounded", "equality", "parallel"):
+        for _ in range(2 if kind == "parallel" else rng.randint(2, 3)):
             A.append([rng.randint(1, 4) for _ in range(n)])
             b.append(rng.randint(4, 12))
+    if kind == "parallel":
+        for i in rng.sample([n, n + 1], rng.randint(1, 2)):
+            c = rng.choice([1, 2])
+            A.append([c * x for x in A[i]])
+            b.append(c * b[i] + rng.randint(0, 2))
+    if kind == "plane":
+        for _ in range(3):
+            a = [0, 0]
+            while a == [0, 0]:
+                a = [rng.randint(-1, 1), rng.randint(-1, 1)]
+            A.append(a + [0] * (n - 2))
+            b.append(a[0] + a[1] + rng.randint(1, 2))
+        A += [[int(j == i) for j in range(n)] for i in range(2, n)]
+        b += [1] * (n - 2)
     if kind == "apex":
         for _ in range(n + 1):
             row = [rng.randint(1, 3) for _ in range(n)]
@@ -898,13 +914,37 @@ def reference_run(P, order, varrho=None):
     return states
 
 
+def pruned_run_lps(monkeypatch, P, order=None, varrho=None):
+    """dd_run(P, prune=True), or None when the cone is {0}, and the status
+    of each LP its pruning solved, in order."""
+    from barydd import dd_engine
+
+    statuses = []
+    real = dd_engine.lp_solve
+
+    def counted(prob):
+        sol = real(prob)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(dd_engine, "lp_solve", counted)
+    try:
+        run = dd_run(P, order=order, prune=True, varrho=varrho)
+    except EmptyInterior:
+        run = None
+    monkeypatch.setattr(dd_engine, "lp_solve", real)
+    return run, statuses
+
+
 class TestPruneByRank:
     """``prune_redundant`` keeps a column without an LP when the rank test
-    proves it extreme; its outputs equal the LP-per-column prune's."""
+    proves it extreme, in every state; its outputs equal the LP-per-column
+    prune's."""
 
+    KINDS = ("bounded", "apex", "equality", "unbounded", "centered", "parallel", "plane")
     CASES = [
         (kind, init, seed)
-        for kind in ("bounded", "apex", "equality", "unbounded", "centered")
+        for kind in KINDS
         for init in ("default", "orthant", "phase1", "partial:1")
         for seed in range(3)
         # the orthant inits need the x >= 0 rows that centered polytopes lack
@@ -916,10 +956,14 @@ class TestPruneByRank:
         rng = random.Random(f"{kind}-{init}-{seed}")
         # apex and centered polytopes stay in the plane: in 3-D some runs
         # take seconds
-        n = 2 if kind in ("apex", "centered") else rng.choice([2, 3])
+        n = {"apex": 2, "centered": 2}.get(kind) or rng.choice([3, 4] if kind == "plane" else [2, 3])
         P = random_polyhedron(rng, n, kind)
         order = list(range(P.m))
         rng.shuffle(order)
+        if kind == "plane":
+            # the rows in the x1-x2 plane first: from the default start,
+            # the later ones are ray steps in states with lineality
+            order.sort(key=lambda r: any(P.A[r][2:]))
         if init == "phase1":
             order = phase1_order(P, order)
         return P, order, {"orthant": 0, "partial:1": 1}.get(init)
@@ -940,7 +984,8 @@ class TestPruneByRank:
 
     def test_cases_cover_the_state_kinds(self):
         # the corpus above has states with and without lineality, duplicate
-        # columns, implied equalities, and columns folded by the LP
+        # columns, implied equalities, and columns folded by the LP, in
+        # states with lineality too
         seen = set()
         for kind, init, seed in self.CASES:
             P, order, varrho = self.case(kind, init, seed)
@@ -956,8 +1001,36 @@ class TestPruneByRank:
                 if raw.E:
                     seen.add("implied equality")
                 if pruned.p < len(set(keys)):
-                    seen.add("fold")
-        assert seen == {"lineality", "pointed", "duplicates", "implied equality", "fold"}
+                    seen.add("fold with lineality" if raw.q else "fold")
+        assert seen == {"lineality", "pointed", "duplicates", "implied equality", "fold", "fold with lineality"}
+
+    def test_every_pruning_lp_folds(self, monkeypatch):
+        # a column that fails the rank test is a non-negative combination
+        # of the others, so its LP is optimal: no LP only confirms a column
+        statuses = []
+        for kind, init, seed in self.CASES:
+            statuses += pruned_run_lps(monkeypatch, *self.case(kind, init, seed))[1]
+        assert statuses and set(statuses) == {"optimal"}
+
+    def test_pruning_lp_counts(self, monkeypatch, poly_53):
+        # every column of a box is extreme in every state, lineality or
+        # not, and the phase-1 order of poly_53 solves 11 LPs, each a fold
+        # (5, 9, 14 and 16 LPs when states with lineality were decided by LP)
+        for n in (3, 4, 5):
+            assert pruned_run_lps(monkeypatch, box_polytope(n))[1] == []
+        order = phase1_order(poly_53, [3, 4, 5, 0, 1, 2])
+        assert pruned_run_lps(monkeypatch, poly_53, order)[1] == ["optimal"] * 11
+
+    def test_lp_that_contradicts_the_rank_test_raises(self, monkeypatch, poly_53):
+        # column 5 of poly_53's unpruned final state fails the rank test, so
+        # an LP that finds it no combination of the others cannot be right
+        from barydd import dd_engine
+        from barydd.lp import LPSolution
+
+        raw = dd_run(poly_53).final
+        monkeypatch.setattr(dd_engine, "lp_solve", lambda prob: LPSolution("infeasible"))
+        with pytest.raises(ArithmeticError, match="column 5 fails the rank test"):
+            prune_redundant(raw)
 
     def test_split_column_is_merged_back(self, poly_53):
         # a column split into R and 2R, each with a third of its coordinate
@@ -976,11 +1049,12 @@ class TestPruneByRank:
         assert prune_fields(prune_redundant(split)) == prune_fields(reference_prune(split))
         assert rf_equal(prune_redundant(split).mu[0], prune_redundant(st).mu[0])
 
-    @pytest.mark.parametrize("kind", ["bounded", "apex", "equality", "unbounded", "centered"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_rank_test_agrees_with_lp(self, kind):
-        # in a state without lineality, after duplicates are merged, a column
-        # passes the rank test exactly when the reference LP is infeasible,
-        # from the default start and from the x >= 0 starts alike
+        # in every state, after duplicates are merged, a column passes the
+        # rank test exactly when the reference LP is infeasible, with
+        # lineality and without, from the default start and from the x >= 0
+        # starts alike
         from barydd.dd_engine import _cone_rows, _int_vector, _is_extreme
 
         inits = ("default", "orthant", "partial:1") if kind != "centered" else ("default",)
@@ -994,11 +1068,9 @@ class TestPruneByRank:
                     continue
                 for st in raw_steps(run):
                     rows = _cone_rows(st)
-                    if rows is None:
-                        continue
                     R = list({_canonical_column(c): c for c in reversed(st.R)}.values())
                     for j, col in enumerate(R):
-                        extreme = _is_extreme(_int_vector(col), rows)
+                        extreme = _is_extreme(_int_vector(col), rows, st.q)
                         assert extreme == (reference_lp_weights(R, j) is None), (init, st.k, col)
                         checked[init] += 1
         assert all(checked.values()), checked
@@ -1227,17 +1299,8 @@ class TestOneStart:
     def lp_counted(monkeypatch, P, order, varrho):
         """run_record of the pruned run, or None when the cone is {0}, and
         the number of LPs its pruning solved."""
-        from barydd import dd_engine
-
-        calls = []
-        real = dd_engine.lp_solve
-        monkeypatch.setattr(dd_engine, "lp_solve", lambda prob: calls.append(prob) or real(prob))
-        try:
-            record = run_record(dd_run(P, order=order, prune=True, varrho=varrho))
-        except EmptyInterior:
-            record = None
-        monkeypatch.setattr(dd_engine, "lp_solve", real)
-        return record, len(calls)
+        run, statuses = pruned_run_lps(monkeypatch, P, order, varrho)
+        return (run_record(run) if run is not None else None), len(statuses)
 
     @pytest.mark.parametrize("kind, seed", ORTHANT_CASES)
     def test_partial_at_0_is_orthant(self, kind, seed, monkeypatch):

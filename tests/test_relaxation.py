@@ -37,6 +37,7 @@ from closed_forms import (
     count_product_factors,
     envelope_eval,
     expanded_monomials_brute,
+    objective_poly,
     rlt_self_product_rows,
 )
 from conftest import box_polytope, run_optimized
@@ -106,7 +107,7 @@ def flat_p_dbp():
 
 def vertex_optimum(inst):
     """The DBP's optimum, attained at a pair of vertices of P and Py."""
-    obj = inst.objective_poly()
+    obj = objective_poly(inst)
     return min(
         obj.eval(v + w)
         for v in enumerate_vertices_oracle(inst.P)
@@ -297,8 +298,10 @@ def pruned_lp(levels, k):
 
 
 def level_lp(inst, k, order=None, prune=False):
-    """build_level_lp, or with prune the same LP over the pruned state."""
-    return pruned_lp(LevelRun.make(inst, order, k), k) if prune else build_level_lp(inst, k, order=order)
+    """The level-k LP of a run stopped at level k, or with prune the same
+    LP over the pruned state."""
+    levels = LevelRun.make(inst, order, k)
+    return pruned_lp(levels, k) if prune else levels.lp(k)
 
 
 class TestLevelHierarchy:
@@ -310,7 +313,7 @@ class TestLevelHierarchy:
         order = [1, 2, 3, 0]
         values = []
         for k in range(2, 5):
-            sol = lp_solve(build_level_lp(dbp_62, k, order=order))
+            sol = lp_solve(LevelRun.make(dbp_62, order, k).lp(k))
             values.append(None if sol.status == "unbounded" else sol.value)
         cleaned = [v for v in values if v is not None]
         assert cleaned == sorted(cleaned)
@@ -334,7 +337,7 @@ class TestLevelHierarchy:
 
     @staticmethod
     def assert_stopped_runs_match(inst, order, prune=False):
-        """build_level_lp, whose DD stops after step max(k, kbar), gives the
+        """A level-k run, whose DD stops after step max(k, kbar), gives the
         LP built from a run over the whole order, and the same kbar."""
         ac = relaxation.dbp_as_ac(inst) if isinstance(inst, DBPInstance) else inst
         if all(g.affine for g in ac.g):
@@ -413,7 +416,7 @@ class TestLevelHierarchy:
     def test_level_out_of_range(self, dbp_62):
         for k, order in [(-1, None), (5, None), (3, [0, 1])]:
             with pytest.raises(ValueError) as err:
-                build_level_lp(dbp_62, k, order=order)
+                LevelRun.make(dbp_62, order, k).lp(k)
             assert not isinstance(err.value, LevelTooLow)
 
     def test_cli_ddr_steps_only_to_its_level(self, dbp_62, tmp_path, monkeypatch, capsys):
@@ -503,7 +506,7 @@ class TestDELinear:
     def test_de_dominates_level(self, dbp_62):
         model = build_de_linear(dbp_62, 3, [(1, 2, 3)])
         de = lp_solve(model.problem).value
-        ddr = lp_solve(build_level_lp(dbp_62, 3, order=[1, 2, 3, 0])).value
+        ddr = lp_solve(LevelRun.make(dbp_62, [1, 2, 3, 0], 3).lp(3)).value
         assert de >= ddr
         assert de <= -360  # still a relaxation
 
