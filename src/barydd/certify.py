@@ -290,7 +290,7 @@ def _weighted_numerators(
     """(z, [z * lambda_i]) in the certificate space (x1..xn, y1..yny): z is
     the least common denominator of the lambda over the tracked factors,
     oriented positive at the vertex average."""
-    pool = coords.state.pool
+    pool = coords.run.final.pool
     maxmult: Dict[tuple, Tuple[Poly, int]] = {}
     for fac in coords.den_factors:
         counts: Dict[tuple, int] = {}

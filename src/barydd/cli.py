@@ -20,7 +20,7 @@ the length of the blocks' total n, ny or the block's n, or whose coupling
 row has a sense other than <=, >= or =, a --level outside the method's
 range, an --init other than default, orthant, phase1 or partial:R
 with R in 0..n, a --samples that is not a non-negative integer, for `solve --method de` an
---orders that names no order, a negative --theta-cap or a --jobs below 1, a
+--orders that names no order, a negative --theta-cap or a --jobs other than 1, a
 violated assumption such as an unbounded P or Py for `certify` and `solve
 --method hull`, a polytope or FDP block whose rows have rank below n for
 `certify`, `solve --method rltbox`, `solve --method fdr` and `fdr-check`, or
@@ -298,7 +298,7 @@ def cmd_dd(args) -> int:
         "mu": [f.to_json() for f in st.mu],
         "theta": [f.to_json() for f in st.theta],
         "ledger": [e.to_json() for e in run.entries],
-        "implied_zero": [iz.name for iz in st.implied_zero],
+        "implied_zero": [f"mu[{e.k - 1}][{j}]" for e in run.entries for j in e.dropped],
         "E": [i + 1 for i in st.E],
     }
     if args.out:
@@ -345,12 +345,9 @@ def cmd_solve(args) -> int:
         k = _check_range(args.level if args.level is not None else 1, "--level", 1, inst.P.m)
         if args.theta_cap is not None:
             _check_range(args.theta_cap, "--theta-cap", 0)
-        _check_range(args.jobs, "--jobs", 1)
+        _check_range(args.jobs, "--jobs", 1, 1)
         orders = _parse_orders(args.orders or "all-k-subsets", inst.P.m, k)
-        model = build_de_linear(
-            inst, k, orders, theta_cap=args.theta_cap, jobs=args.jobs
-        )
-        prob = model.problem
+        prob = build_de_linear(inst, k, orders, theta_cap=args.theta_cap).problem
     elif method == "rlt1":
         prob = build_rlt_baseline(inst, "level1_general")
     elif method == "rltbox":
@@ -583,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", help="1-based row order for ddr")
     p.add_argument("--orders", help="semicolon-separated 1-based orders, or all-k-subsets")
     p.add_argument("--theta-cap", type=int, dest="theta_cap")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="must be 1: the DE orders run in this process")
     p.add_argument("--report")
     p.add_argument("--approx", action="store_true",
                    help="append a decimal rendering to the value")

@@ -48,13 +48,12 @@ numeric fields (beta, the N sets, F, G, D, ``perm``, xi, ``flip``,
 ``dropped``); so are pruning's decisions, which read only R.  The
 coordinate layer is derived on first read: the factor pool (its seeding and
 every registration, ``certified`` included), ``fmu``, ``ftheta``, ``cpr``,
-``implied_zero`` with each ``ImpliedZero.fmu``, ``LedgerEntry.Ntot``, and
-pruning's folds.  Reading any of these, or ``mu``, ``theta`` or ``pool``,
-on any state or ledger entry of a run derives the coordinates of every
-state the run has made so far, state by state in step order, so pool ids
-and coordinates are those an eager run makes, whatever is read first.  A
-caller that reads only the columns (the level-k LP, ``LevelRun``) does no
-polynomial arithmetic.
+``LedgerEntry.Ntot``, and pruning's folds.  Reading any of these, or
+``mu``, ``theta`` or ``pool``, on any state or ledger entry of a run
+derives the coordinates of every state the run has made so far, state by
+state in step order, so pool ids and coordinates are those an eager run
+makes, whatever is read first.  A caller that reads only the columns (the
+level-k LP, ``LevelRun``) does no polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -322,14 +321,6 @@ def cpr_numerator(pool: FactorPool, c: CPR) -> Poly:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ImpliedZero:
-    row: int
-    column: Tuple[Fraction, ...]
-    name: str
-    fmu: Frf
-
-
 _PENDING = object()
 
 
@@ -387,13 +378,14 @@ class DDState:
     valid, and ``replace`` builds a new state that derives its own.
 
     The run started from x0 >= 0 and x_i >= 0 for i > varrho (``dd_init``).
-    R, L, E and ``processed`` are set when the state is made.  fmu, ftheta,
-    cpr, implied_zero and the pool belong to the run's coordinate layer
-    (``coords``) and are derived on first read (see the module docstring),
-    unless they are given to the constructor or to ``replace``."""
+    R, L, E and ``processed`` are set when the state is made; k, the step
+    count, is the number of processed rows.  fmu, ftheta, cpr and the pool
+    belong to the run's coordinate layer (``coords``) and are derived on
+    first read (see the module docstring), unless they are given to the
+    constructor or to ``replace``.  A coordinate that a step drops is
+    recorded once, in the step's ledger entry (``LedgerEntry.dropped``)."""
 
     cone: HomCone
-    k: int
     R: Tuple[tuple, ...]
     L: Tuple[tuple, ...]
     E: Tuple[int, ...]
@@ -403,7 +395,10 @@ class DDState:
     fmu: Tuple[Frf, ...] = _Derived()
     ftheta: Tuple[Frf, ...] = _Derived()
     cpr: Tuple[Optional[CPR], ...] = _Derived()
-    implied_zero: Tuple[ImpliedZero, ...] = _Derived()
+
+    @property
+    def k(self) -> int:
+        return len(self.processed)
 
     @property
     def pool(self) -> FactorPool:
@@ -442,15 +437,12 @@ def _successor(state: DDState, derive: Callable[[], dict], **eager) -> DDState:
     """A state of the same run with the fields of ``state``, those in
     ``eager`` and the coordinate fields that ``derive()`` returns replaced."""
     fields = dict(
-        cone=state.cone, k=state.k, R=state.R, L=state.L, E=state.E,
+        cone=state.cone, R=state.R, L=state.L, E=state.E,
         processed=state.processed, varrho=state.varrho, coords=state.coords,
     )
     fields.update(eager)
     new = DDState(**fields)
-    _defer(new, lambda: {
-        "fmu": state.fmu, "ftheta": state.ftheta, "cpr": state.cpr,
-        "implied_zero": state.implied_zero, **derive(),
-    })
+    _defer(new, lambda: {"fmu": state.fmu, "ftheta": state.ftheta, "cpr": state.cpr, **derive()})
     return new
 
 
@@ -543,7 +535,7 @@ def dd_init(cone: HomCone, varrho: int) -> DDState:
 
     coords = _Coords()
     state = DDState(
-        cone=cone, k=0, R=tuple(unit(i) for i in ray_vars), L=tuple(unit(i) for i in lin_vars),
+        cone=cone, R=tuple(unit(i) for i in ray_vars), L=tuple(unit(i) for i in lin_vars),
         E=(), processed=(), varrho=varrho, coords=coords,
     )
 
@@ -553,7 +545,6 @@ def dd_init(cone: HomCone, varrho: int) -> DDState:
             fmu=tuple(Frf(Poly.variable(nv, i), ()) for i in ray_vars),
             ftheta=tuple(Frf(Poly.variable(nv, i), ()) for i in lin_vars),
             cpr=tuple(CPR(((ONE, (i,)),), ()) for i in ray_vars),
-            implied_zero=(),
         )
 
     _defer(state, derive)
@@ -672,7 +663,6 @@ def _step_lineality(state, row, alpha, beta):
     new_state = _successor(
         state,
         derive,
-        k=state.k + 1,
         R=tuple(new_R),
         L=tuple(new_L),
         processed=state.processed + (row,),
@@ -682,8 +672,8 @@ def _step_lineality(state, row, alpha, beta):
 
 def _step_ray(state, row, beta):
     """The ray update.  With N+ empty it makes no new column and no N_tot:
-    N0 stays, and N- drops out, its coordinates recorded as implied zeros
-    (they vanish on the cone) and the row in E."""
+    N0 stays, and N- drops out, recorded as the entry's ``dropped``
+    columns (their coordinates vanish on the cone), and the row joins E."""
     p, q = state.p, state.q
     Nneg = tuple(i for i in range(p) if beta[i] < 0)
     Nzero = tuple(i for i in range(p) if beta[i] == 0)
@@ -704,17 +694,15 @@ def _step_ray(state, row, beta):
     nz, npp, nn = len(Nzero), len(Npos), len(Nneg)
     pk1 = nz + npp + npp * nn
     D = [[ZERO] * pk1 for _ in range(p)]
-    for c, j in enumerate(Nzero):
-        D[perm.index(j)][c] = ONE
-    for c, i in enumerate(Npos):
-        r = perm.index(i)
-        D[r][nz + c] = ONE
+    # row r of D belongs to perm[r]: N0, then N+, then N-
+    for c in range(nz + npp):
+        D[c][c] = ONE
+    for c in range(npp):
         for jj, j in enumerate(Nneg):
-            D[r][nz + npp + c * nn + jj] = -beta[j]
+            D[nz + c][nz + npp + c * nn + jj] = -beta[j]
     for jj, j in enumerate(Nneg):
-        r = perm.index(j)
         for c, i in enumerate(Npos):
-            D[r][nz + npp + c * nn + jj] = beta[i]
+            D[nz + npp + jj][nz + npp + c * nn + jj] = beta[i]
     entry = LedgerEntry(
         k=state.k + 1,
         row=row,
@@ -738,11 +726,7 @@ def _step_ray(state, row, beta):
         new_fmu: List[Frf] = [fmu[j] for j in Nzero]
         new_cpr: List[Optional[CPR]] = [cpr[j] for j in Nzero]
         if not Npos:
-            zeros = tuple(
-                ImpliedZero(row=row, column=state.R[j], name=f"mu[{state.k}][{j}]", fmu=fmu[j])
-                for j in dropped
-            )
-            return dict(fmu=tuple(new_fmu), cpr=tuple(new_cpr), implied_zero=state.implied_zero + zeros)
+            return dict(fmu=tuple(new_fmu), cpr=tuple(new_cpr))
         ntot = Frf(Poly.zero(pool.nvars), ())
         for i in Npos:
             ntot = frf_add(pool, ntot, frf_scale(fmu[i], beta[i]))
@@ -815,7 +799,6 @@ def _step_ray(state, row, beta):
     new_state = _successor(
         state,
         derive,
-        k=state.k + 1,
         R=tuple(new_R),
         E=state.E if Npos else state.E + (row,),
         processed=state.processed + (row,),
@@ -1021,14 +1004,12 @@ def prune_redundant(state: DDState) -> DDState:
 def ledger_verify(state_prev: DDState, state_next: DDState, entry: LedgerEntry) -> bool:
     """Check the affine inter-level relation symbolically (when it holds by
     construction) and the generator relation numerically for one step.  A
-    coordinate the step drops must be named among the implied zeros; its D
-    row, which is zero, is not checked against it."""
+    coordinate the step drops (``entry.dropped``) vanishes on the cone, not
+    as an identity, so its D row, which is zero, is not checked against
+    it."""
     for row in entry.D:
         if any(x < 0 for x in row):
             return False
-    names = {iz.name for iz in state_next.implied_zero}
-    if any(f"mu[{state_prev.k}][{j}]" not in names for j in entry.dropped):
-        return False
     q, p = state_prev.q, state_prev.p
     theta_prev = list(state_prev.theta)
     Lprev = [list(c) for c in state_prev.L]

@@ -35,10 +35,9 @@ class InvalidFace(ValueError):
 
 
 class CheckedFaces(NamedTuple):
-    """Per block: its vertices, the vertex-index set E_i(j) of each face
-    and each face's cut (tau, pi)."""
+    """Per block: the vertex-index set E_i(j) of each face and each
+    face's cut (tau, pi)."""
 
-    verts: List[List[tuple]]
     sets: List[List[Tuple[int, ...]]]
     cuts: List[List[Tuple[Fraction, tuple]]]
 
@@ -225,8 +224,8 @@ def check_vertex_disjoint(inst: FDPInstance) -> List[List[Tuple[int, ...]]]:
 
 
 def _checked_faces(inst: FDPInstance) -> CheckedFaces:
-    """Each block's vertices, from one oracle call per block, its E_i(j)
-    sets, checked as in ``check_vertex_disjoint``, and its face cuts.
+    """Each block's E_i(j) sets, from its vertices (one oracle call per
+    block) and checked as in ``check_vertex_disjoint``, and its face cuts.
     Raises FacesShareVertices or InvalidFace."""
     all_verts, all_sets = [], []
     for i in range(inst.np):
@@ -245,7 +244,7 @@ def _checked_faces(inst: FDPInstance) -> CheckedFaces:
                     )
         all_verts.append(verts)
         all_sets.append(sets)
-    return CheckedFaces(all_verts, all_sets, _face_cuts(inst, all_verts))
+    return CheckedFaces(all_sets, _face_cuts(inst, all_verts))
 
 
 def _face_cuts(inst: FDPInstance, verts: List[List[tuple]]) -> List[List[Tuple[Fraction, tuple]]]:

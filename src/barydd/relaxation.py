@@ -14,7 +14,7 @@ from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .dd_engine import DDRun, EmptyInterior, dd_run, prune_redundant
+from .dd_engine import DDRun, EmptyInterior, dd_run
 from .exactmath import Poly, RatFun, rat_from_str, rat_to_str
 from .lp import LPProblem, LPSolution, lp_solve
 from .polyhedra import (
@@ -189,8 +189,7 @@ class BarycentricCoords:
     vertices: List[tuple]  # oracle order
     lam: List[RatFun]  # dehomogenized, over (x0, x) with x0 unused
     den_factors: List[tuple]  # pool-id multisets of the homogeneous dens
-    run: DDRun
-    state: object  # pruned DDState
+    run: DDRun  # pruned in every state; its final state gives lam
 
 
 def _facet_rows(P: HPolyhedron, vertices: Sequence[tuple]) -> List[int]:
@@ -233,12 +232,13 @@ def _facet_rows(P: HPolyhedron, vertices: Sequence[tuple]) -> List[int]:
 def barycentric_for_polytope(P: HPolyhedron) -> BarycentricCoords:
     """Symbolic barycentric coordinates of the polytope P: one DD run over
     P's facet rows in their row order (``_facet_rows`` of the vertex
-    oracle's vertices), its final state pruned, the columns dehomogenized
-    and put in the vertex oracle's order.  A redundant row costs no DD
-    step.  The coordinates are those of the run that processes the facet
-    rows first and the other rows after them, whose steps change neither
-    the columns nor the coordinates; in 3-D and above they can differ from
-    those of the default order when a redundant row sits between facets.
+    oracle's vertices), pruned in every state as ``dd --prune`` is, its
+    final columns dehomogenized and put in the vertex oracle's order.  A
+    redundant row costs no DD step.  The coordinates are those of the run
+    that processes the facet rows first and the other rows after them,
+    whose steps change neither the columns nor the coordinates; in 3-D and
+    above they can differ from those of the default order when a redundant
+    row sits between facets.
     When ``_facet_rows`` is empty (the vertices do not span n dimensions,
     a row is tight at every vertex, or no row is a facet row), the run
     takes every row in the default order, so each error below reads as it
@@ -254,10 +254,10 @@ def barycentric_for_polytope(P: HPolyhedron) -> BarycentricCoords:
         oracle, rank_error = enumerate_vertices_oracle(P), None
     except NotFullRank as exc:
         oracle, rank_error = [], exc
-    run = dd_run(P, order=_facet_rows(P, oracle) or None)
-    if run.final.E:
-        raise EmptyInterior(f"P has no interior point: row {run.final.E[0]} holds with equality on all of P")
-    state = prune_redundant(run.final)
+    run = dd_run(P, order=_facet_rows(P, oracle) or None, prune=True)
+    state = run.final
+    if state.E:
+        raise EmptyInterior(f"P has no interior point: row {state.E[0]} holds with equality on all of P")
     # no lineality and no column with x0 = 0: the rows run bound a polytope
     # that contains P, which ``build_hull_lp`` then takes as proved bounded.
     # With rows of rank below n the oracle's error is the one reported.
@@ -277,7 +277,6 @@ def barycentric_for_polytope(P: HPolyhedron) -> BarycentricCoords:
         lam=[lam[i] for i in ordered],
         den_factors=[state.fmu[i].den for i in ordered],
         run=run,
-        state=state,
     )
 
 
@@ -670,16 +669,6 @@ def _lin_row(wreg: _WRegistry, terms, first: Sequence[str] = ()):
     return {v: Fraction(a, L) for v, a in acc.items() if a}, Fraction(-const, L)
 
 
-def _run_order_worker(pjson: dict, order: tuple):
-    """Top-level worker so order runs can execute in parallel processes.
-    The coordinates are derived here: a run with pending derivations does
-    not pickle."""
-    P = HPolyhedron.from_json(pjson)
-    run = dd_run(P, order=list(order))
-    run.final.coords.derive()
-    return run
-
-
 def build_de_linear(
     inst: DBPInstance,
     k: int,
@@ -710,10 +699,14 @@ def build_de_linear(
 
     The sign rows are oriented by each denominator's sign at an interior
     point of P, so P must have one: EmptyInterior otherwise.  Without an
-    order no row bounds z, so orders must not be empty: ValueError.
+    order no row bounds z, so orders must not be empty: ValueError.  The
+    orders run one after another in this process, so jobs must be 1:
+    ValueError otherwise.
     """
     n, ny = inst.n, inst.ny
     P = inst.P
+    if jobs != 1:
+        raise ValueError(f"jobs = {jobs}: the orders run in one process, so jobs must be 1")
     orders = [tuple(o) for o in orders]
     if not orders:
         raise ValueError("build_de_linear needs at least one order")
@@ -733,15 +726,7 @@ def build_de_linear(
     wreg = _WRegistry(prob)
 
     orders = sorted(orders)  # deterministic merge regardless of build order
-    if jobs > 1 and len(orders) > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(min(jobs, len(orders))) as pool:
-            runs = pool.starmap(
-                _run_order_worker, [(P.to_json(), o) for o in orders]
-            )
-    else:
-        runs = [dd_run(P, order=o) for o in orders]
+    runs = [dd_run(P, order=o) for o in orders]
     lins = [_RunLins(run, wreg) for run in runs]
     eta = max(
         [1] + [f.degree() for rl in lins for t in range(1, len(rl.run.states)) for f in rl.coords(t, "fmu")]
@@ -789,7 +774,7 @@ def build_de_linear(
             prev = run.states[t - 1]
             entry = run.entries[t - 1]
             if entry.case == "ray" and not entry.Npos:
-                continue  # dropped coordinates are handled as implied zeros
+                continue  # the dropped coordinates vanish on the cone
             th_prev = list(rl.coords(t - 1, "ftheta"))
             mu_prev = rl.coords(t - 1, "fmu")
             if entry.flip:

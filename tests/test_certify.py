@@ -554,6 +554,44 @@ class TestFacetRows:
         for v, f in zip(verts, coords.lam):
             assert rf_equal(f, by_vertex[v])
 
+    def test_apex_in_a_slow_order(self):
+        # the 3-D apex with its rows in the order 7,3,5,1,6,4,2, all seven of
+        # them facets: a run that prunes only its final state takes over
+        # 20 s, one that prunes every state about 1.5 s
+        from barydd.exactmath import DenominatorVanishes
+
+        rows = [([3, 2, 1], 6), ([0, 0, -1], 0), ([2, 3, 3], 8), ([-1, 0, 0], 0),
+                ([1, 1, 3], 5), ([3, 2, 3], 8), ([0, -1, 0], 0)]
+        P = HPolyhedron.make([r for r, _ in rows], [b for _, b in rows])
+        verts = enumerate_vertices_oracle(P)
+        coords = barycentric_for_polytope(P)
+        assert list(coords.run.order) == list(range(7))
+        assert len(verts) == 9 and coords.vertices == verts
+        # partition of unity (row 0) and linear precision (rows 1..3): the
+        # homogeneous coordinates satisfy R mu = (x0; x), checked over the
+        # lcm of their denominators: summing the RatFuns takes half a minute
+        st = coords.run.final
+        common = Counter()
+        for f in st.fmu:
+            common |= Counter(f.den)
+        whole = st.pool.product(list(common.elements()))
+        for r in range(4):
+            acc = Poly.zero(4)
+            for col, f in zip(st.R, st.fmu):
+                cofactor = st.pool.product(list((common - Counter(f.den)).elements()))
+                acc = acc + (f.num * cofactor).scale(col[r])
+            assert acc == Poly.variable(4, r) * whole, r
+        # vertex indicators, by the exact limit from the vertex average
+        # where a denominator vanishes
+        centre = (F(1),) + tuple(sum(v[j] for v in verts) / len(verts) for j in range(3))
+        for j, lam in enumerate(coords.lam):
+            for i, v in enumerate(verts):
+                try:
+                    got = lam.eval((F(1),) + v)
+                except DenominatorVanishes:
+                    got = lam.limit((F(1),) + v, centre)
+                assert got == (i == j), (j, v)
+
     # on the 3-D apex, extraction falls back to the coefficient LP of
     # ``_factor_into_products``, which takes minutes
     CERTIFIED = [c for c in CASES if not c[0].startswith("apex3d")]

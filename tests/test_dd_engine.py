@@ -21,7 +21,7 @@ from barydd import (
     ledger_verify,
     prune_redundant,
 )
-from barydd.dd_engine import _canonical_column, phase1_order
+from barydd.dd_engine import Frf, _canonical_column, phase1_order
 from barydd.exactmath import Poly, RatFun, rf_equal
 from barydd.linalg import dot
 from closed_forms import (
@@ -452,11 +452,9 @@ class TestEmptyAndDrops:
         run = dd_run(P, order=[2], varrho=0)
         st = run.final
         assert st.E == (2,)
-        assert len(st.implied_zero) == 2
-        names = {iz.name for iz in st.implied_zero}
-        assert names == {"mu[0][1]", "mu[0][2]"}
         entry = run.entries[-1]
-        assert entry.Npos == () and entry.dropped == (1, 2)
+        assert entry.k == 1 and entry.Npos == () and entry.dropped == (1, 2)
+        assert st.p == 1 and st.fmu == (run.states[0].fmu[0],)
         assert ledger_verify(run.states[0], st, entry)
         assert st.had_empty_npos
 
@@ -1167,23 +1165,25 @@ class TestDerivedCoordinates:
         # x >= 0 with x1 + x2 <= 0: the step drops columns 1 and 2
         P = HPolyhedron.make([[-1, 0], [0, -1], [1, 1]], [0, 0, 0])
         run = dd_run(P, order=[2], varrho=0)
-        first = run.states[0]
-        assert [iz.fmu for iz in run.final.implied_zero] == [first.fmu[1], first.fmu[2]]
+        first, entry = run.states[0], run.entries[0]
+        assert [first.fmu[j] for j in entry.dropped] == [Frf(Poly.variable(3, i), ()) for i in (1, 2)]
+        assert run.final.fmu == (first.fmu[0],)
         assert run.final.had_empty_npos and not first.had_empty_npos
 
 
 def coordinate_layer(run):
     """Everything a run derives on first read: the pool (ids in order, kinds,
-    signs, certified entries), each state's coordinates, constraint-product
-    views and implied zeros, and each ledger entry's N_tot."""
+    signs, certified entries), each state's coordinates and
+    constraint-product views, and each ledger entry's N_tot, with the
+    columns whose coordinates it drops."""
     pool = run.final.pool
     return (
         [p.key() for p in pool.polys],
         list(pool.kinds),
         list(pool.cone_sign),
         sorted(pool.certified),
-        [(st.fmu, st.ftheta, st.cpr, st.implied_zero) for st in run.states],
-        [e.Ntot.to_json() if e.Ntot is not None else None for e in run.entries],
+        [(st.fmu, st.ftheta, st.cpr) for st in run.states],
+        [(e.Ntot.to_json() if e.Ntot is not None else None, e.dropped) for e in run.entries],
     )
 
 
@@ -1448,12 +1448,6 @@ class TestLedgerMutations:
     def test_unchanged_steps_pass(self, poly_53):
         for prev, nxt, entry in (collapse_step(), line_step(), ordinary_step(poly_53)):
             assert ledger_verify(prev, nxt, entry)
-
-    def test_missing_implied_zero_name(self):
-        from dataclasses import replace
-
-        prev, nxt, entry = collapse_step()
-        assert not ledger_verify(prev, replace(nxt, implied_zero=nxt.implied_zero[1:]), entry)
 
     def test_changed_n0_coordinate(self):
         from dataclasses import replace

@@ -550,16 +550,10 @@ class TestDELinear:
         assert cli.main(["solve", str(inp), "--method", "de", "--level", k]) == 0
         assert capsys.readouterr().out == f"{value}\n"
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_parallel_runs_change_nothing(self, dbp_62, k):
-        # with jobs > 1 the order runs come back pickled from worker processes
-        orders = sorted(itertools.combinations(range(dbp_62.P.m), k))
-        serial = build_de_linear(dbp_62, k, orders, jobs=1)
-        parallel = build_de_linear(dbp_62, k, orders, jobs=2)
-        assert repr(parallel.problem) == repr(serial.problem)
-        assert (parallel.wnames, parallel.wdens, parallel.meta) == (
-            serial.wnames, serial.wdens, serial.meta
-        )
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_one_process(self, dbp_62, jobs):
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            build_de_linear(dbp_62, 1, [(0,)], jobs=jobs)
 
     @pytest.mark.parametrize(
         "k, orders",
@@ -1126,8 +1120,9 @@ class TestCliBadInput:
             (["--theta-cap", "-1"], "--theta-cap"),
             (["--jobs", "0"], "--jobs"),
             (["--jobs", "-2"], "--jobs"),
+            (["--jobs", "2"], "--jobs"),
         ],
-        ids=["no_order", "negative_theta_cap", "zero_jobs", "negative_jobs"],
+        ids=["no_order", "negative_theta_cap", "zero_jobs", "negative_jobs", "two_jobs"],
     )
     def test_de_rejects_option(self, args, start, dbp_62, tmp_path, capsys):
         inp = self.write(tmp_path, dbp_62)

@@ -151,11 +151,9 @@ def test_one_exact_linear_algebra():
 
 
 def test_no_function_local_import():
-    # a module's imports run once, when it loads; two stay lazy on purpose:
-    # multiprocessing, whose import every CLI start would pay for, and the
-    # sha256 fallbacks, of which a given Python has only some
+    # a module's imports run once, when it loads; the sha256 fallbacks stay
+    # lazy on purpose, since a given Python has only some of them
     lazy = {
-        ("relaxation.py", "build_de_linear"): {"multiprocessing"},
         ("cli.py", "_sha256_hex"): {"_sha2", "_sha256", "hashlib"},
     }
     found = []
