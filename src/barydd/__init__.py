@@ -29,6 +29,7 @@ from .dd_engine import (
     dd_run,
     dd_step,
     ledger_verify,
+    linear_precision,
     prune_redundant,
 )
 from .lp import (

@@ -56,10 +56,11 @@ from .dd_engine import (
     InitPreconditionViolated,
     dd_run,
     ledger_verify,
+    linear_precision,
     phase1_order,
     prune_redundant,
 )
-from .exactmath import DenominatorVanishes, RatFun, rat_to_str, rf_equal
+from .exactmath import DenominatorVanishes, rat_to_str
 from .lp import lp_solve
 from .polyhedra import HPolyhedron, NotFullRank, dehomogenize, enumerate_vertices_oracle
 from .relaxation import (
@@ -468,22 +469,13 @@ def cmd_verify_identities(args) -> int:
     checks = []
     run = dd_run(P, order=order)
     st = run.final
-    nv = P.n + 1
 
-    # linear precision as a symbolic identity
-    ok = True
-    for r in range(nv):
-        acc = RatFun.const(nv, 0)
-        for col, f in zip(st.R, st.mu):
-            if col[r]:
-                acc = acc + f.scale(col[r])
-        for col, f in zip(st.L, st.theta):
-            if col[r]:
-                acc = acc + f.scale(col[r])
-        if not rf_equal(acc, RatFun.variable(nv, r)):
-            ok = False
-    checks.append(("linear precision (symbolic)", ok))
+    # linear precision as a symbolic identity, R mu + L theta = (x0; x),
+    # on the stored coordinates
+    checks.append(("linear precision (symbolic)", linear_precision(st, range(P.n + 1))))
 
+    # every step's F/G and D relations, each row over one common
+    # denominator, and its generator relation
     ok = all(
         ledger_verify(run.states[i], run.states[i + 1], run.entries[i])
         for i in range(len(run.entries))
@@ -507,10 +499,9 @@ def cmd_verify_identities(args) -> int:
         pruned = prune_redundant(st)
         V, lam = dehomogenize(pruned.R, list(pruned.mu))
         pts = [tuple(c[1:]) for c in V]
-        total = RatFun.const(nv, 0)
-        for f in lam:
-            total = total + f
-        checks.append(("partition of unity", rf_equal(total, RatFun.const(nv, 1))))
+        # each mu is homogeneous of degree 1, so the x0 row of linear
+        # precision at x0 = 1 says that the lam sum to 1
+        checks.append(("partition of unity", linear_precision(pruned, [0])))
         oracle = enumerate_vertices_oracle(P)
         checks.append(("pruned set = vertex oracle", sorted(pts) == oracle))
         # at a vertex where a denominator vanishes, the value is the exact

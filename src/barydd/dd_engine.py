@@ -66,7 +66,7 @@ from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exactmath import Poly, RatFun, rat_to_str, rf_equal
+from .exactmath import Poly, RatFun, rat_to_str
 from .lp import LPProblem, lp_solve
 from .polyhedra import HomCone, HPolyhedron, homogenize
 
@@ -1001,43 +1001,67 @@ def prune_redundant(state: DDState) -> DDState:
 # --------------------------------------------------------------------------
 
 
+def _vanishes(pool: FactorPool, terms: Sequence[Tuple[Fraction, Frf]]) -> bool:
+    """True when sum_t c_t f_t is the zero function, over the pairs (c_t,
+    f_t) of a rational and an Frf of ``pool``: each f_t is brought to the
+    lcm of the denominators' multisets of pool ids, and the scaled
+    numerators sum to the zero polynomial."""
+    terms = [(c, f) for c, f in terms if c and not f.is_zero()]
+    den: Tuple[int, ...] = ()
+    for _, f in terms:
+        den = _lcm_multiset(den, f.den)
+    total = Poly.zero(pool.nvars)
+    for c, f in terms:
+        total = total + f.num.scale(c) * pool.product(_diff_multiset(den, f.den))
+    return total.is_zero()
+
+
+def linear_precision(state: DDState, rows: Sequence[int]) -> bool:
+    """True when R mu + L theta = (x0; x) holds as an identity of rational
+    functions at each coordinate r in ``rows`` (0 for x0, i for x_i),
+    checked on the stored form (``_vanishes``)."""
+    nv = state.cone.n + 1
+    cols = list(zip(state.R, state.fmu)) + list(zip(state.L, state.ftheta))
+    return all(
+        _vanishes(
+            state.pool, [(col[r], f) for col, f in cols] + [(-ONE, Frf(Poly.variable(nv, r), ()))]
+        )
+        for r in rows
+    )
+
+
 def ledger_verify(state_prev: DDState, state_next: DDState, entry: LedgerEntry) -> bool:
-    """Check the affine inter-level relation symbolically (when it holds by
-    construction) and the generator relation numerically for one step.  A
-    coordinate the step drops (``entry.dropped``) vanishes on the cone, not
-    as an identity, so its D row, which is zero, is not checked against
-    it."""
+    """Check one step: the affine inter-level relations theta_prev = F
+    theta_next + G mu_next and mu_prev = D mu_next (after the step's
+    permutation and flip) as identities, each row on the stored form over
+    one common denominator (``_vanishes``; the states are of one run and
+    share its pool), and the generator relation numerically.  A coordinate
+    the step drops (``entry.dropped``) vanishes on the cone, not as an
+    identity, so its D row, which is zero, is not checked against it."""
     for row in entry.D:
         if any(x < 0 for x in row):
             return False
     q, p = state_prev.q, state_prev.p
-    theta_prev = list(state_prev.theta)
+    pool = state_prev.pool
+    theta_prev = list(state_prev.ftheta)
     Lprev = [list(c) for c in state_prev.L]
     if entry.case == "lineality" and entry.flip:
-        theta_prev[entry.xi] = theta_prev[entry.xi].scale(-1)
+        theta_prev[entry.xi] = frf_scale(theta_prev[entry.xi], -1)
         Lprev[entry.xi] = [-x for x in Lprev[entry.xi]]
 
-    new_theta = list(state_next.theta)
-    new_mu = list(state_next.mu)
-    nv = state_prev.cone.n + 1
+    new_theta, new_mu = state_next.ftheta, state_next.fmu
     for j in range(q):
-        rhs = RatFun.const(nv, 0)
-        for c, f in zip(new_theta, entry.F[j]):
-            if f:
-                rhs = rhs + c.scale(f)
-        for c, g in zip(new_mu, entry.G[j]):
-            if g:
-                rhs = rhs + c.scale(g)
-        if not rf_equal(theta_prev[j], rhs):
+        terms = [(ONE, theta_prev[j])]
+        terms += [(-f, c) for c, f in zip(new_theta, entry.F[j])]
+        terms += [(-g, c) for c, g in zip(new_mu, entry.G[j])]
+        if not _vanishes(pool, terms):
             return False
     for r in range(p):
         if entry.perm[r] in entry.dropped:
             continue
-        acc = RatFun.const(nv, 0)
-        for c, d in zip(new_mu, entry.D[r]):
-            if d:
-                acc = acc + c.scale(d)
-        if not rf_equal(state_prev.mu[entry.perm[r]], acc):
+        terms = [(ONE, state_prev.fmu[entry.perm[r]])]
+        terms += [(-d, c) for c, d in zip(new_mu, entry.D[r])]
+        if not _vanishes(pool, terms):
             return False
     return _check_generator_relation(Lprev, state_prev, state_next, entry)
 

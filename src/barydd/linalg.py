@@ -16,16 +16,16 @@ def over_lcm(values: Sequence) -> Tuple[Tuple[int, ...], int]:
     """The rationals ``values`` as integers over the lcm ``d`` of their
     denominators: ``(N, d)`` with ``values = N / d`` and ``d > 0``, so N is
     a positive multiple of ``values``."""
-    d = lcm(*(x.denominator for x in values))
-    return tuple(x.numerator * (d // x.denominator) for x in values), d
+    d = lcm(*[x.denominator for x in values])
+    return tuple([x.numerator * (d // x.denominator) for x in values]), d
 
 
 def ratios_over_lcm(pairs: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, ...], int]:
     """The rationals p / q of ``pairs`` (integers, q > 0, not necessarily
     in lowest terms) as integers over the lcm ``d`` of the q: ``(N, d)``
     with ``N[i] / d = p_i / q_i``."""
-    d = lcm(*(q for _, q in pairs))
-    return tuple(p * (d // q) for p, q in pairs), d
+    d = lcm(*[q for _, q in pairs])
+    return tuple([p * (d // q) for p, q in pairs]), d
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:

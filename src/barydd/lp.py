@@ -1,7 +1,8 @@
 """Exact-rational two-phase simplex with primal, dual and Farkas certificates.
 
 There is no floating point anywhere.  The pivot rule is Bland's, which
-guarantees termination.
+guarantees termination.  Each variable is free or non-negative
+(``LPProblem.add_var``), so a row enters the tableau as it is given.
 Phase 1 starts from a slack crash basis (Bixby 1992): each row is negated
 where needed so that its right-hand side is >= 0, and a row whose slack then
 has coefficient +1 starts with that slack basic; only the other rows ('='
@@ -21,16 +22,15 @@ reduced-cost row is held and updated the same way.  Pricing tests integer
 signs and the ratio test compares integer cross-products, so the pivot path
 is the one a Fraction tableau takes.
 
-The edges of the solve are in integers too.  Each row is scaled by the lcm
-of its denominators once per solve; the tableau takes that integer row (a
-row that meets a variable with a nonzero lower bound is scaled again after
-the shift), its sign flip, slack and artificial already integers, and so do
-the checks of the result.  Each reported number is made as one Fraction
-from the final tableau and reduced-cost row.  The checks scale the point by
-its common denominator and take the dual sums over one common denominator.
+The edges of the solve are in integers too.  Each row is made integer
+once, when it is made (``LPRow.ints``: the row scaled by the lcm of its
+denominators, through ``linalg``); the tableau takes that integer row, its
+sign flip, slack and artificial already integers, and so do the checks of
+the result.  Each reported number is made as one Fraction from the final
+tableau and reduced-cost row.  The checks scale the point by its common
+denominator and take the dual sums over one common denominator.
 Fractions remain in the input (LPRow and LPProblem convert each coefficient
-once), in the phase-2 costs, in the shift of a right-hand side by nonzero
-lower bounds, and in the reported numbers.
+once), in the phase-2 costs and in the reported numbers.
 
 A row with no coefficients that holds at 0 (0 = 0, 0 >= -c, 0 <= c, c >= 0)
 stays out of the tableau.  In it, such a row would meet no entering column
@@ -44,21 +44,21 @@ and its Farkas entry proves the LP infeasible.
 
 Conventions for a reported optimal solution of min c.x + const:
 
-  value = sum_i dual[i] * rhs[i] + shift-terms + const        (strong duality)
+  value = sum_i dual[i] * rhs[i] + const                      (strong duality)
   c_v   = sum_i dual[i] * a[i][v] + reduced[v]  for every variable v
-  reduced[v] >= 0 when v has a finite lower bound, = 0 when v is free
+  reduced[v] >= 0 when v is non-negative, = 0 when v is free
   dual[i] >= 0 for '>=' rows, <= 0 for '<=' rows, free for '=' rows
 
 A reported infeasibility comes with a Farkas vector y, one entry per row
 in the row's own orientation:
 
   y[i] <= 0 for '<=' rows, >= 0 for '>=' rows, free for '=' rows
-  sum_i y[i] * a[i][v] = 0 for a free v, <= 0 for v with a lower bound
-  sum_i y[i] * (rhs[i] - a[i].lb) > 0
+  sum_i y[i] * a[i][v] = 0 for a free v, <= 0 for a non-negative v
+  sum_i y[i] * rhs[i] > 0
 
 and a reported unboundedness with a point x that satisfies every row and
-lower bound (the basic solution at which phase 2 stopped) and a ray d:
-d[v] >= 0 where v has a lower bound, a[i].d <= 0, >= 0 or = 0 by the sense
+sign (the basic solution at which phase 2 stopped) and a ray d: d[v] >= 0
+where v is non-negative, a[i].d <= 0, >= 0 or = 0 by the sense
 of row i, and c.d < 0 for min (> 0 for max).
 
 lp_solve verifies every optimal, infeasible and unbounded result exactly
@@ -70,8 +70,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Tuple
+
+from . import linalg
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -91,11 +93,17 @@ class LPVerificationError(ArithmeticError):
 
 @dataclass
 class LPRow:
+    """The row ``coeffs.x (sense) rhs``.  ``ints`` is the row made integer
+    once, when it is made: ``(s * coeffs, s * rhs, s)``, s the lcm of its
+    denominators (``linalg.over_lcm``).  The tableau and the checks of a
+    result take it."""
+
     coeffs: Dict[str, Fraction]
     sense: str  # '<=', '>=', '='
     rhs: Fraction
     name: str = ""
     tag: Optional[object] = None  # provenance, carried through to reports
+    ints: Tuple[Dict[str, int], int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = {}
@@ -107,6 +115,8 @@ class LPRow:
         self.rhs = _fraction(self.rhs)
         if self.sense not in ("<=", ">=", "="):
             raise ValueError(f"bad sense {self.sense!r}")
+        nums, s = linalg.over_lcm((*coeffs.values(), self.rhs))
+        self.ints = (dict(zip(coeffs, nums)), nums[-1], s)
 
 
 @dataclass
@@ -116,14 +126,19 @@ class LPProblem:
     obj_const: Fraction = ZERO
     variables: List[str] = field(default_factory=list)
     rows: List[LPRow] = field(default_factory=list)
-    lb: Dict[str, Optional[Fraction]] = field(default_factory=dict)
+    lb: Dict[str, Optional[Fraction]] = field(default_factory=dict)  # None: free, 0: non-negative
     name: str = ""
 
     def add_var(self, v: str, lb: Optional[Fraction] = None, obj: Fraction = ZERO):
+        """Variable ``v`` with objective coefficient ``obj``: free when
+        ``lb`` is None, non-negative when it is 0.  Any other lower bound
+        raises ValueError."""
         if v in self.lb:
             raise ValueError(f"duplicate variable {v}")
+        if lb is not None and lb != 0:
+            raise ValueError(f"variable {v}: lower bound {lb} is neither None nor 0")
         self.variables.append(v)
-        self.lb[v] = _fraction(lb) if lb is not None else None
+        self.lb[v] = None if lb is None else ZERO
         if obj:
             self.objective[v] = self.objective.get(v, ZERO) + _fraction(obj)
 
@@ -251,12 +266,15 @@ def _reduced_costs(tab: _Tableau, cost: List[Fraction]) -> Tuple[Dict[int, int],
     right-hand side included (there it is minus the objective value), in
     fraction-free form."""
     T, D = tab.T, tab.D
+    costs = [(j, c) for j, c in enumerate(cost) if c]
     basic = [(i, cost[b]) for i, b in enumerate(tab.basis) if cost[b]]
     # one common denominator for the costs and the rows they meet
-    d = lcm(*(c.denominator for c in cost if c), *(c.denominator * D[i] for i, c in basic))
-    rc = {j: c.numerator * (d // c.denominator) for j, c in enumerate(cost) if c}
-    for i, c in basic:
-        q = c.numerator * (d // (c.denominator * D[i]))
+    nums, d = linalg.ratios_over_lcm(
+        [(c.numerator, c.denominator) for _, c in costs]
+        + [(c.numerator, c.denominator * D[i]) for i, c in basic]
+    )
+    rc = {j: x for (j, _), x in zip(costs, nums)}
+    for (i, _), q in zip(basic, nums[len(costs):]):
         for j, x in T[i].items():
             rc[j] = rc.get(j, 0) - q * x
     return _primitive({j: x for j, x in rc.items() if x}, d)
@@ -309,25 +327,18 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     minimize = problem.sense == "min"
     # -- internal columns ---------------------------------------------------
     # variable v has column col[v]; a free v also has col[v] + 1 for its
-    # negative part, and a v with a nonzero lower bound is shifted by it.
+    # negative part
     cols: List[Tuple[str, int]] = []
     col: Dict[str, int] = {}
     free = set()
-    shift: Dict[str, Fraction] = {}
     for v in problem.variables:
         col[v] = len(cols)
-        lo = problem.lb.get(v)
-        if lo is None:
+        if problem.lb.get(v) is None:
             free.add(v)
             cols += [(v, 1), (v, -1)]
         else:
             cols.append((v, 1))
-            if lo:
-                shift[v] = lo
     nstruct = len(cols)
-    # each row as integers once, (a, b, s): the row scaled by s, the lcm of
-    # its denominators; the tableau and the checks of the result take it
-    int_rows = _int_rows(problem)
     # a row with no coefficients that holds at 0 stays out of the tableau
     # (see the module docstring)
     rows = [
@@ -339,8 +350,8 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     # >= 0 and a '<=' row with rhs >= 0 or a '>=' row with rhs <= 0 has its
     # slack at +1: that slack starts basic.  unit[t] is the column that is
     # e_t in the starting system, the slack of such a row and otherwise the
-    # row's artificial.  Each row enters the tableau as integers over d, the
-    # lcm of its denominators after the shift, which is its primitive
+    # row's artificial.  Each row enters the tableau as its integer form over
+    # d, the lcm of its denominators (LPRow.ints), which is its primitive
     # fraction-free form.
     sign: List[int] = [1] * nrows
     unit: List[int] = [-1] * nrows
@@ -348,10 +359,7 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     scol = nstruct
     for t, i in enumerate(rows):
         row = problem.rows[i]
-        a, b, d = int_rows[i]
-        if shift and any(v in shift for v in a):
-            shifted = row.rhs - sum(c * shift[v] for v, c in row.coeffs.items() if v in shift)
-            a, b, d = _int_row(row.coeffs, shifted)
+        a, b, d = row.ints
         s = -1 if b < 0 or (b == 0 and row.sense == ">=") else 1
         sign[t] = s
         body: Dict[int, int] = {}
@@ -398,7 +406,7 @@ def lp_solve(problem: LPProblem) -> LPSolution:
         for t, i in enumerate(rows):
             farkas[i] = Fraction(sign[t] * (cost1[unit[t]] * d1 - rc1.get(unit[t], 0)), d1)
         sol = LPSolution(status="infeasible", farkas=farkas, pivots=PivotCounts(phase1))
-        _verify_infeasible(problem, sol, int_rows)
+        _verify_infeasible(problem, sol)
         return sol
 
     # drive basic artificials out where possible (value is 0 here)
@@ -433,7 +441,7 @@ def lp_solve(problem: LPProblem) -> LPSolution:
                 terms[bv].append((-bsgn * tab.T[i][enter], tab.D[i]))
         direction = {v: _sum(t) for v, t in terms.items()}
         sol = LPSolution(status="unbounded", primal=primal, ray=direction, pivots=pivots)
-        _verify_unbounded(problem, sol, int_rows)
+        _verify_unbounded(problem, sol)
         return sol
 
     value = _sum(
@@ -453,20 +461,20 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     sol = LPSolution(
         status="optimal", value=value, primal=primal, dual=dual, reduced=reduced, pivots=pivots
     )
-    _verify_optimal(problem, sol, int_rows)
+    _verify_optimal(problem, sol)
     return sol
 
 
 def _sum(terms: List[Tuple[int, int]]) -> Fraction:
     """The sum of the ``n / d`` over the pairs ``(n, d)``, ``d > 0``, made
     as one Fraction over the lcm of the ``d``."""
-    d = lcm(*(e for _, e in terms))
-    return Fraction(sum(n * (d // e) for n, e in terms), d)
+    nums, d = linalg.ratios_over_lcm(terms)
+    return Fraction(sum(nums), d)
 
 
 def _basic_point(problem: LPProblem, tab: _Tableau, col: Dict[str, int], free) -> Dict[str, Fraction]:
     """Each variable's value at the tableau's basic solution: its internal
-    columns combined, its lower bound added back."""
+    columns combined."""
     rhs = tab.ncols
     at = {b: (tab.T[i].get(rhs, 0), tab.D[i]) for i, b in enumerate(tab.basis)}
     primal: Dict[str, Fraction] = {}
@@ -476,9 +484,6 @@ def _basic_point(problem: LPProblem, tab: _Tableau, col: Dict[str, int], free) -
         if v in free and j + 1 in at:
             n, d = at[j + 1]
             terms.append((-n, d))
-        lo = problem.lb.get(v)
-        if lo:
-            terms.append((lo.numerator, lo.denominator))
         primal[v] = _sum(terms)
     return primal
 
@@ -486,34 +491,18 @@ def _basic_point(problem: LPProblem, tab: _Tableau, col: Dict[str, int], free) -
 def _over_lcm(values: Dict[str, Fraction]) -> Tuple[Dict[str, int], int]:
     """The rationals ``values`` as integers over their lcm ``L``: the
     numerators of ``L * x``, and ``L``."""
-    m = lcm(*(x.denominator for x in values.values()))
-    return {v: x.numerator * (m // x.denominator) for v, x in values.items()}, m
-
-
-IntRow = Tuple[Dict[str, int], int, int]
-
-
-def _int_row(coeffs: Dict[str, Fraction], rhs: Fraction) -> IntRow:
-    """The row ``coeffs.x (sense) rhs`` scaled by ``s``, the lcm of its
-    denominators: the integers ``s * coeffs`` and ``s * rhs``, and ``s``."""
-    s = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-    a = {v: c.numerator * (s // c.denominator) for v, c in coeffs.items()}
-    return a, rhs.numerator * (s // rhs.denominator), s
-
-
-def _int_rows(problem: LPProblem) -> List[IntRow]:
-    return [_int_row(row.coeffs, row.rhs) for row in problem.rows]
+    nums, m = linalg.over_lcm(values.values())
+    return dict(zip(values, nums)), m
 
 
 def _dual_sums(problem: LPProblem, used: List[Tuple[Fraction, Dict[str, int], int, int]]):
     """``sum_i y_i a_iv`` per variable and ``sum_i y_i b_i`` over the rows
     ``(y_i, s_i a_i, s_i b_i, s_i)`` in ``used``, as integers over ``K =
     lcm(den(y_i) s_i)``: returns ``(acc, total, K)``."""
-    K = lcm(*(y.denominator * s for y, _, _, s in used))
+    qs, K = linalg.ratios_over_lcm([(y.numerator, y.denominator * s) for y, _, _, s in used])
     acc = dict.fromkeys(problem.variables, 0)
     total = 0
-    for y, a, b, s in used:
-        q = y.numerator * (K // (y.denominator * s))
+    for q, (_, a, b, _) in zip(qs, used):
         for v, c in a.items():
             acc[v] += q * c
         total += q * b
@@ -524,16 +513,17 @@ def _in_sense(lhs, sense: str, rhs) -> bool:
     return lhs <= rhs if sense == "<=" else lhs >= rhs if sense == ">=" else lhs == rhs
 
 
-def _verify_optimal(problem: LPProblem, sol: LPSolution, int_rows: Optional[List[IntRow]] = None):
+def _verify_optimal(problem: LPProblem, sol: LPSolution):
     """Exact primal feasibility, dual signs, complementary slackness, the
     dual identity per variable and strong duality.  Raises
     LPVerificationError on the first violation.  Each row is checked in
-    integers: the point scaled by its common denominator, the row by its
-    own (``int_rows``, made here when not given)."""
+    integers: the point scaled by its common denominator, the row in its
+    integer form ``LPRow.ints``."""
     sgn = 1 if problem.sense == "min" else -1
     x, L = _over_lcm(sol.primal)
     used = []
-    for row, y, (a, b, s) in zip(problem.rows, sol.dual, int_rows or _int_rows(problem)):
+    for row, y in zip(problem.rows, sol.dual):
+        a, b, s = row.ints
         lhs, rhs = sum(c * x[v] for v, c in a.items()), b * L
         if not _in_sense(lhs, row.sense, rhs):
             raise LPVerificationError(f"primal infeasible on row {row.name!r}")
@@ -544,7 +534,6 @@ def _verify_optimal(problem: LPProblem, sol: LPSolution, int_rows: Optional[List
                 raise LPVerificationError(f"complementary slackness on row {row.name!r}")
             used.append((y, a, b, s))
     acc, dual_value, K = _dual_sums(problem, used)
-    bound_terms = []
     for v in problem.variables:
         c = _fraction(problem.objective.get(v, ZERO))
         rc = sol.reduced[v]
@@ -553,75 +542,65 @@ def _verify_optimal(problem: LPProblem, sol: LPSolution, int_rows: Optional[List
             acc[v] * c.denominator * rc.denominator
         ):
             raise LPVerificationError(f"dual identity on {v}")
-        lo = problem.lb.get(v)
-        if lo is None:
+        if problem.lb.get(v) is None:
             if rc != 0:
                 raise LPVerificationError(f"nonzero reduced cost on free var {v}")
         else:
             if sgn * rc < 0:
                 raise LPVerificationError(f"reduced cost sign on {v}")
-            if rc != 0 and sol.primal[v] != lo:
+            if rc != 0 and sol.primal[v] != 0:
                 raise LPVerificationError(f"complementary slackness on the bound of {v}")
-            bound_terms.append((rc.numerator * lo.numerator, rc.denominator * lo.denominator))
-    obj_const = problem.obj_const
-    if sol.value != _sum(
-        bound_terms + [(dual_value, K), (obj_const.numerator, obj_const.denominator)]
-    ):
+    if sol.value != Fraction(dual_value, K) + problem.obj_const:
         raise LPVerificationError("strong duality")
 
 
-def _verify_infeasible(problem: LPProblem, sol: LPSolution, int_rows: Optional[List[IntRow]] = None):
+def _verify_infeasible(problem: LPProblem, sol: LPSolution):
     """The Farkas vector y = sol.farkas, one entry per row in the row's own
-    orientation, proves the rows and bounds infeasible: y_i <= 0 on '<='
+    orientation, proves the rows and signs infeasible: y_i <= 0 on '<='
     rows and >= 0 on '>=' rows, sum_i y_i a_iv = 0 for each free variable v
-    and <= 0 for each v with a lower bound, and sum_i y_i (b_i - a_i.lb) > 0
-    (free variables counted at 0 in a_i.lb).  At a feasible x the sum
-    sum_i y_i (a_i.x - b_i) would then be both >= 0 and < 0.  Raises
-    LPVerificationError on the first violation.  The sums are taken in
-    integers over one common denominator (``int_rows``, made here when not
-    given)."""
+    and <= 0 for each non-negative v, and sum_i y_i b_i > 0.  At a feasible
+    x the sum sum_i y_i (a_i.x - b_i) would then be both >= 0 and < 0.
+    Raises LPVerificationError on the first violation.  The sums are taken
+    in integers over one common denominator, from each row's integer form
+    ``LPRow.ints``."""
     if len(sol.farkas) != len(problem.rows):
         raise LPVerificationError("Farkas vector length")
     used = []
-    for row, y, ints in zip(problem.rows, sol.farkas, int_rows or _int_rows(problem)):
+    for row, y in zip(problem.rows, sol.farkas):
         if (row.sense == "<=" and y > 0) or (row.sense == ">=" and y < 0):
             raise LPVerificationError(f"Farkas sign on {row.sense} row {row.name!r}")
         if y:
-            used.append((y,) + ints)
-    acc, gap, K = _dual_sums(problem, used)
-    bound_terms = [(gap, K)]
+            used.append((y, *row.ints))
+    acc, gap, _ = _dual_sums(problem, used)
     for v in problem.variables:
-        lo = problem.lb.get(v)
-        if lo is None:
+        if problem.lb.get(v) is None:
             if acc[v] != 0:
                 raise LPVerificationError(f"Farkas: y.A nonzero on free var {v}")
-        else:
-            if acc[v] > 0:
-                raise LPVerificationError(f"Farkas: y.A positive on bounded var {v}")
-            bound_terms.append((-acc[v] * lo.numerator, K * lo.denominator))
-    if _sum(bound_terms) <= 0:
-        raise LPVerificationError("Farkas: y.(b - A.lb) not positive")
+        elif acc[v] > 0:
+            raise LPVerificationError(f"Farkas: y.A positive on bounded var {v}")
+    if gap <= 0:
+        raise LPVerificationError("Farkas: y.b not positive")
 
 
-def _verify_unbounded(problem: LPProblem, sol: LPSolution, int_rows: Optional[List[IntRow]] = None):
+def _verify_unbounded(problem: LPProblem, sol: LPSolution):
     """The point x = sol.primal is feasible and the ray d = sol.ray is a
-    recession direction that improves the objective: x_v >= lb_v and d_v >=
-    0 for each variable with a lower bound, a_i.x <= b_i and a_i.d <= 0 on
-    '<=' rows, >= on '>=' rows and = on '=' rows, and c.d < 0 for min (> 0
-    for max).  So the LP is feasible and its objective has no bound.
-    Raises LPVerificationError on the first violation.  The point, the ray
-    and each row are checked as integers over their own denominators
-    (``int_rows``, made here when not given)."""
+    recession direction that improves the objective: x_v >= 0 and d_v >= 0
+    for each non-negative variable, a_i.x <= b_i and a_i.d <= 0 on '<='
+    rows, >= on '>=' rows and = on '=' rows, and c.d < 0 for min (> 0 for
+    max).  So the LP is feasible and its objective has no bound.  Raises
+    LPVerificationError on the first violation.  The point and the ray are
+    checked as integers over their own denominators, each row in its
+    integer form ``LPRow.ints``."""
     for v in problem.variables:
-        lo = problem.lb.get(v)
-        if lo is not None:
-            if sol.primal[v] < lo:
+        if problem.lb.get(v) is not None:
+            if sol.primal[v] < 0:
                 raise LPVerificationError(f"point below the lower bound of {v}")
             if sol.ray[v] < 0:
                 raise LPVerificationError(f"ray negative on bounded var {v}")
     x, L = _over_lcm(sol.primal)
     d, _ = _over_lcm(sol.ray)
-    for row, (a, b, _) in zip(problem.rows, int_rows or _int_rows(problem)):
+    for row in problem.rows:
+        a, b, _ = row.ints
         if not _in_sense(sum(c * x[v] for v, c in a.items()), row.sense, b * L):
             raise LPVerificationError(f"point violates {row.sense} row {row.name!r}")
         if not _in_sense(sum(c * d[v] for v, c in a.items()), row.sense, 0):

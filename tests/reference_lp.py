@@ -33,21 +33,18 @@ def scaled(entries: Dict[int, Fraction]) -> Tuple[Dict[int, int], int]:
 
 class Setup:
     """The starting tableau of ``problem``, built row by row in Fractions
-    and then scaled, with the column map, the lower-bound shifts, each
-    row's sign and unit column, and the first artificial column."""
+    and then scaled, with the column map, each row's sign and unit column,
+    and the first artificial column."""
 
     def __init__(self, problem: LPProblem):
         cols: List[Tuple[str, int]] = []
         col_of: Dict[Tuple[str, int], int] = {}
-        shift: Dict[str, Fraction] = {}
         for v in problem.variables:
-            lo = problem.lb.get(v)
-            if lo is None:
+            if problem.lb.get(v) is None:
                 for sgn in (1, -1):
                     col_of[(v, sgn)] = len(cols)
                     cols.append((v, sgn))
             else:
-                shift[v] = lo
                 col_of[(v, 1)] = len(cols)
                 cols.append((v, 1))
         nstruct = len(cols)
@@ -57,9 +54,7 @@ class Setup:
         start: List[Tuple[Dict[int, Fraction], Fraction]] = []
         scol = nstruct
         for i, row in enumerate(problem.rows):
-            rhs = row.rhs - sum(
-                c * shift.get(v, ZERO) for v, c in row.coeffs.items() if v in shift
-            )
+            rhs = row.rhs
             body: Dict[int, Fraction] = {}
             for v, c in row.coeffs.items():
                 body[col_of[(v, 1)]] = c
@@ -87,7 +82,7 @@ class Setup:
             body[ncols] = rhs
             tab.set_row(i, *scaled(body))
             tab.basis[i] = unit[i]
-        self.tab, self.cols, self.col_of, self.shift = tab, cols, col_of, shift
+        self.tab, self.cols, self.col_of = tab, cols, col_of
         self.sign, self.unit, self.art0, self.nstruct = sign, unit, art0, nstruct
 
 
@@ -99,7 +94,7 @@ def reference_lp_solve(problem: LPProblem) -> LPSolution:
     """lp_solve with the Fraction setup, readout and verifiers."""
     minimize = problem.sense == "min"
     s = Setup(problem)
-    tab, cols, col_of, shift = s.tab, s.cols, s.col_of, s.shift
+    tab, cols, col_of = s.tab, s.cols, s.col_of
     sign, unit, art0, nstruct = s.sign, s.unit, s.art0, s.nstruct
     nrows, ncols = len(problem.rows), tab.ncols
 
@@ -145,13 +140,13 @@ def reference_lp_solve(problem: LPProblem) -> LPSolution:
                 bv, bsgn = cols[b]
                 direction[bv] -= Fraction(bsgn) * value(tab, i, enter)
         sol = LPSolution(
-            status="unbounded", primal=basic_point(problem, tab, col_of, shift), ray=direction,
+            status="unbounded", primal=basic_point(problem, tab, col_of), ray=direction,
             pivots=pivots,
         )
         reference_verify_unbounded(problem, sol)
         return sol
 
-    primal = basic_point(problem, tab, col_of, shift)
+    primal = basic_point(problem, tab, col_of)
     val = sum((c * primal[v] for v, c in problem.objective.items()), ZERO) + problem.obj_const
     dual = [-Fraction(rc2.get(unit[i], 0), d2) * sign[i] for i in range(nrows)]
     reduced: Dict[str, Fraction] = {
@@ -167,14 +162,14 @@ def reference_lp_solve(problem: LPProblem) -> LPSolution:
     return sol
 
 
-def basic_point(problem, tab, col_of, shift) -> Dict[str, Fraction]:
+def basic_point(problem, tab, col_of) -> Dict[str, Fraction]:
     xint: Dict[int, Fraction] = {b: value(tab, i, tab.ncols) for i, b in enumerate(tab.basis)}
     primal: Dict[str, Fraction] = {}
     for v in problem.variables:
         val = xint.get(col_of[(v, 1)], ZERO)
         if (v, -1) in col_of:
             val -= xint.get(col_of[(v, -1)], ZERO)
-        primal[v] = val + shift.get(v, ZERO)
+        primal[v] = val
     return primal
 
 
@@ -199,16 +194,14 @@ def reference_verify_optimal(problem: LPProblem, sol: LPSolution):
         rc = sol.reduced[v]
         if c != acc[v] + rc:
             raise LPVerificationError(f"dual identity on {v}")
-        lo = problem.lb.get(v)
-        if lo is None:
+        if problem.lb.get(v) is None:
             if rc != 0:
                 raise LPVerificationError(f"nonzero reduced cost on free var {v}")
         else:
             if sgn * rc < 0:
                 raise LPVerificationError(f"reduced cost sign on {v}")
-            if rc != 0 and sol.primal[v] != lo:
+            if rc != 0 and sol.primal[v] != 0:
                 raise LPVerificationError(f"complementary slackness on the bound of {v}")
-            dual_value += rc * lo
     if sol.value != dual_value + problem.obj_const:
         raise LPVerificationError("strong duality")
 
@@ -226,24 +219,20 @@ def reference_verify_infeasible(problem: LPProblem, sol: LPSolution):
                 acc[v] += y * c
             gap += y * row.rhs
     for v in problem.variables:
-        lo = problem.lb.get(v)
-        if lo is None:
+        if problem.lb.get(v) is None:
             if acc[v] != 0:
                 raise LPVerificationError(f"Farkas: y.A nonzero on free var {v}")
-        else:
-            if acc[v] > 0:
-                raise LPVerificationError(f"Farkas: y.A positive on bounded var {v}")
-            gap -= acc[v] * lo
+        elif acc[v] > 0:
+            raise LPVerificationError(f"Farkas: y.A positive on bounded var {v}")
     if gap <= 0:
-        raise LPVerificationError("Farkas: y.(b - A.lb) not positive")
+        raise LPVerificationError("Farkas: y.b not positive")
 
 
 def reference_verify_unbounded(problem: LPProblem, sol: LPSolution):
     x, d = sol.primal, sol.ray
     for v in problem.variables:
-        lo = problem.lb.get(v)
-        if lo is not None:
-            if x[v] < lo:
+        if problem.lb.get(v) is not None:
+            if x[v] < 0:
                 raise LPVerificationError(f"point below the lower bound of {v}")
             if d[v] < 0:
                 raise LPVerificationError(f"ray negative on bounded var {v}")

@@ -20,6 +20,7 @@ from barydd.certify import (
     extract_certificate,
     verify_certificate,
 )
+from barydd.dd_engine import linear_precision
 from barydd.exactmath import Poly
 from barydd.lp import lp_solve
 from barydd.relaxation import (
@@ -570,17 +571,7 @@ class TestFacetRows:
         # partition of unity (row 0) and linear precision (rows 1..3): the
         # homogeneous coordinates satisfy R mu = (x0; x), checked over the
         # lcm of their denominators: summing the RatFuns takes half a minute
-        st = coords.run.final
-        common = Counter()
-        for f in st.fmu:
-            common |= Counter(f.den)
-        whole = st.pool.product(list(common.elements()))
-        for r in range(4):
-            acc = Poly.zero(4)
-            for col, f in zip(st.R, st.fmu):
-                cofactor = st.pool.product(list((common - Counter(f.den)).elements()))
-                acc = acc + (f.num * cofactor).scale(col[r])
-            assert acc == Poly.variable(4, r) * whole, r
+        assert linear_precision(coords.run.final, range(4))
         # vertex indicators, by the exact limit from the vertex average
         # where a denominator vanishes
         centre = (F(1),) + tuple(sum(v[j] for v in verts) / len(verts) for j in range(3))

@@ -1,16 +1,20 @@
 """The command line: the bytes and the digest of its artifact files, and
-``verify-identities`` on a polytope that is not simple."""
+``verify-identities`` on a polytope that is not simple and on one whose
+coordinates are large."""
 
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from barydd import cli
+from barydd import cli, enumerate_vertices_oracle
+from barydd.relaxation import _facet_rows
+from conftest import orthant_polytope
 
 
 def streamed(payload) -> bytes:
@@ -115,4 +119,18 @@ class TestVerifyIdentities:
         out, err = capsys.readouterr()
         lines = out.splitlines()
         assert err == "" and any(line.startswith("vertex indicator") for line in lines)
+        assert all(line.endswith(" PASS") for line in lines), out
+
+    def test_orthant_polytope_over_facet_rows(self, tmp_path, capsys):
+        # a 4-D polytope whose unpruned run over its facet rows has large
+        # coordinates: the identities are checked on the stored form
+        P = orthant_polytope(4, 9, random.Random(409))
+        order = _facet_rows(P, enumerate_vertices_oracle(P))
+        inp = tmp_path / "p49.json"
+        inp.write_text(json.dumps(P.to_json()))
+        argv = ["verify-identities", str(inp), "--order", ",".join(str(r + 1) for r in order)]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert err == "" and len(lines) == 8
         assert all(line.endswith(" PASS") for line in lines), out

@@ -21,7 +21,7 @@ from barydd import (
     ledger_verify,
     prune_redundant,
 )
-from barydd.dd_engine import Frf, _canonical_column, phase1_order
+from barydd.dd_engine import Frf, _canonical_column, linear_precision, phase1_order
 from barydd.exactmath import Poly, RatFun, rf_equal
 from barydd.linalg import dot
 from closed_forms import (
@@ -1215,7 +1215,7 @@ class TestCoordinatesOnFirstRead:
         "ledger Ntot first": lambda run: [e.Ntot for e in run.entries],
     }
 
-    def assert_reading_order_free(self, P, order, varrho=None, prune=True, ledger=True):
+    def assert_reading_order_free(self, P, order, varrho=None, prune=True):
         try:
             want = coordinate_layer(eager_run(P, order, varrho, prune))
         except EmptyInterior:
@@ -1224,12 +1224,11 @@ class TestCoordinatesOnFirstRead:
             run = dd_run(P, order=order, prune=prune, varrho=varrho)
             read(run)
             assert coordinate_layer(run) == want, name
-        if ledger:
-            # each step's entry relates the kept state before it to the
-            # unpruned state it made
-            made = raw_steps(run)[1:] if prune else run.states[1:]
-            for prev, nxt, entry in zip(run.states, made, run.entries):
-                assert ledger_verify(prev, nxt, entry)
+        # each step's entry relates the kept state before it to the unpruned
+        # state it made
+        made = raw_steps(run)[1:] if prune else run.states[1:]
+        for prev, nxt, entry in zip(run.states, made, run.entries):
+            assert ledger_verify(prev, nxt, entry)
 
     @pytest.mark.parametrize("kind, init, seed", TestPruneByRank.CASES)
     def test_prune_corpus(self, kind, init, seed):
@@ -1249,8 +1248,7 @@ class TestCoordinatesOnFirstRead:
 
         P = orthant_polytope(n, m, random.Random(seed))
         order = _facet_rows(P, enumerate_vertices_oracle(P))
-        # the ledger check of the 4-D run alone takes about 17 s
-        self.assert_reading_order_free(P, order, prune=False, ledger=n < 4)
+        self.assert_reading_order_free(P, order, prune=False)
 
     def test_columns_alone_make_no_pool(self, poly_53, monkeypatch):
         from barydd import dd_engine
@@ -1486,6 +1484,25 @@ class TestLedgerMutations:
 
         prev, nxt, entry = ordinary_step(poly_53)
         assert not ledger_verify(prev, replace(nxt, fmu=self.scaled(nxt.fmu, nxt.p - 1, 2)), entry)
+
+
+class TestLinearPrecision:
+    """``linear_precision`` checks R mu + L theta = (x0; x) on the stored
+    coordinates, and fails once one coordinate is scaled."""
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_holds_on_every_state(self, poly_53, prune):
+        run = dd_run(poly_53, prune=prune)
+        rows = range(poly_53.n + 1)
+        assert all(linear_precision(st, rows) for st in run.states)
+
+    def test_fails_with_one_coordinate_scaled(self, poly_53):
+        from dataclasses import replace
+
+        prev, nxt, entry = ordinary_step(poly_53)
+        rows = range(poly_53.n + 1)
+        assert linear_precision(nxt, rows)
+        assert not linear_precision(replace(nxt, fmu=TestLedgerMutations.scaled(nxt.fmu, nxt.p - 1, 2)), rows)
 
 
 class TestEmptyNposGoldens:
