@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exactmath import Poly, rat_from_str, rat_to_str
+from .exactmath import Poly, is_index, rat_from_str, rat_to_str
 from .lp import LPProblem, LPSolution, lp_solve
 from .polyhedra import enumerate_vertices_oracle
 from .relaxation import BarycentricCoords, DBPInstance
@@ -42,10 +42,6 @@ class CertificateStructureError(RuntimeError):
     """The hull LP has no simplex row, or a weighted numerator could not be
     decomposed into non-negative constraint products (should not happen for
     valid inputs)."""
-
-
-def _is_index(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass
@@ -65,7 +61,7 @@ class CertTerm:
     def from_json(d: dict) -> "CertTerm":
         pf = tuple(d["pfactors"])
         yf = d.get("yfactor")
-        if not all(_is_index(i) for i in pf) or not (yf is None or _is_index(yf)):
+        if not all(is_index(i) for i in pf) or not (yf is None or is_index(yf)):
             raise ValueError("row indices must be integers")
         return CertTerm(rat_from_str(d["weight"]), pf, yf)
 
@@ -122,7 +118,7 @@ class Certificate:
 
     @staticmethod
     def from_json(d: dict) -> "Certificate":
-        if not (_is_index(d["n"]) and _is_index(d["ny"]) and d["n"] >= 0 and d["ny"] >= 0):
+        if not (is_index(d["n"]) and is_index(d["ny"]) and d["n"] >= 0 and d["ny"] >= 0):
             raise ValueError("n and ny must be non-negative integers")
         # zpoly lives in the combined (x, y) space with zero y-degrees
         return Certificate(
@@ -373,9 +369,6 @@ class VerifyResult:
     ok: bool
     diagnostic: str = ""
     residual: Optional[Poly] = None  # z(x)(obj - delta) - q(x, y)
-
-    def __bool__(self):
-        return self.ok
 
 
 def _misfit(inst: DBPInstance, cert: Certificate) -> str:

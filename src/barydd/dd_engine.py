@@ -31,8 +31,8 @@ first read.
 Each coordinate also carries a constraint-product view (CPR): a non-negative
 combination of products of pool factors over a factored denominator, where
 each factor is taken in the sign that is non-negative on the cone.  It is
-maintained alongside the reduced form and feeds the structural rows of the
-linear algebraic relaxation (DE).
+maintained alongside the reduced form, and no module outside this one reads
+it: DE builds its rows from the reduced form alone.
 
 Pruning (``prune_redundant``) removes the columns that are not extreme rays
 and folds their coordinates into the others.  One test decides, in every

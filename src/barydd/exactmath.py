@@ -74,6 +74,11 @@ def rat_from_str(s) -> Rat:
         raise ValueError(f"zero denominator in {s!r}") from None
 
 
+def is_index(v) -> bool:
+    """Whether v is an int and not a bool (JSON true/false)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def rat_to_str(r: Rat) -> str:
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
@@ -479,9 +484,6 @@ class RatFun:
     def __sub__(self, other: "RatFun") -> "RatFun":
         return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
 
-    def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den)
-
     def __mul__(self, other: "RatFun") -> "RatFun":
         return RatFun(self.num * other.num, self.den * other.den)
 
@@ -531,12 +533,6 @@ class RatFun:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @staticmethod
-    def from_json(data, nvars: Optional[int] = None) -> "RatFun":
-        num = Poly.from_json(data["num"], nvars)
-        den = Poly.from_json(data["den"], nvars if nvars is not None else num.nvars)
-        return RatFun(num, den)
 
     def __repr__(self):
         if self.is_polynomial() and self.den.constant_value() == 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactmath import rat_from_str, rat_to_str
+from .exactmath import is_index, rat_from_str, rat_to_str
 from .lp import LPProblem, lp_solve
 from .polyhedra import HPolyhedron, enumerate_vertices_oracle
 from .relaxation import CouplingRow
@@ -31,7 +31,8 @@ class FacesShareVertices(ValueError):
 class InvalidFace(ValueError):
     """A face that does not describe a face of its block: a cut that is not
     valid for the block, a cut that disagrees with the face's vertex list,
-    or a vertex list with no supporting block row."""
+    a vertex list that does not name distinct vertices of the block, or one
+    with no supporting block row."""
 
 
 class CheckedFaces(NamedTuple):
@@ -140,7 +141,9 @@ class FDPInstance:
                     face = Face.from_vertices(f["vertices"])
                 faces.append(face)
             blocks.append(FDPBlock(P, faces))
-        ny = int(data["ny"])
+        ny = data["ny"]
+        if not (is_index(ny) and ny >= 0):
+            raise ValueError("ny must be a non-negative integer")
         coupling = [
             CouplingRow(
                 tuple(rat_from_str(c) for c in r["x_coeffs"]),
@@ -187,90 +190,64 @@ def _check_shape(inst: FDPInstance):
 # --------------------------------------------------------------------------
 
 
-def block_vertices(inst: FDPInstance, i: int) -> List[tuple]:
-    return enumerate_vertices_oracle(inst.blocks[i].P)
-
-
-def _face_sets(inst: FDPInstance, i: int, verts: List[tuple]) -> List[Tuple[int, ...]]:
-    out = []
-    for j, face in enumerate(inst.blocks[i].faces):
-        from_cut = None
-        if face.tau is not None:
-            slacks = [
-                face.tau - sum(p * v[t] for t, p in enumerate(face.pi))
-                for v in verts
-            ]
-            if any(s < 0 for s in slacks):
-                raise InvalidFace(
-                    f"face cut {j} of block {i} is not valid for the block"
-                )
-            from_cut = tuple(idx for idx, s in enumerate(slacks) if s == 0)
-        if face.vertices is not None:
-            if from_cut is not None and from_cut != face.vertices:
-                raise InvalidFace(
-                    f"face {j} of block {i}: cut and vertex list disagree"
-                )
-            out.append(face.vertices)
-        else:
-            out.append(from_cut)
-    return out
-
-
 def check_vertex_disjoint(inst: FDPInstance) -> List[List[Tuple[int, ...]]]:
-    """Verify faces of each block are pairwise vertex-disjoint and nonempty
-    (else FacesShareVertices) and are faces of the block (else InvalidFace);
-    returns the E_i(j) sets."""
+    """The E_i(j) sets of ``inst``, checked as ``_checked_faces`` checks
+    them: FacesShareVertices unless the faces of each block are non-empty
+    and pairwise vertex-disjoint, InvalidFace unless each is a face of its
+    block."""
     return inst.checked_faces.sets
 
 
 def _checked_faces(inst: FDPInstance) -> CheckedFaces:
-    """Each block's E_i(j) sets, from its vertices (one oracle call per
-    block) and checked as in ``check_vertex_disjoint``, and its face cuts.
-    Raises FacesShareVertices or InvalidFace."""
-    all_verts, all_sets = [], []
-    for i in range(inst.np):
-        verts = block_vertices(inst, i)
-        sets = _face_sets(inst, i, verts)
-        for j, E in enumerate(sets):
-            if not E:
-                raise FacesShareVertices(
-                    f"face {j} of block {i} contains no vertex"
-                )
-        for j1 in range(len(sets)):
-            for j2 in range(j1 + 1, len(sets)):
-                if set(sets[j1]) & set(sets[j2]):
-                    raise FacesShareVertices(
-                        f"faces {j1} and {j2} of block {i} share a vertex"
-                    )
-        all_verts.append(verts)
-        all_sets.append(sets)
-    return CheckedFaces(all_sets, _face_cuts(inst, all_verts))
-
-
-def _face_cuts(inst: FDPInstance, verts: List[List[tuple]]) -> List[List[Tuple[Fraction, tuple]]]:
-    """(tau, pi) for face j of block i at [i][j]; synthesized from the
-    vertex list when only that was given (sum of tight rows of the block
-    polytope)."""
-    cuts = []
+    """Each block's E_i(j) sets and face cuts, from its vertices (one
+    oracle call per block) in one pass over its faces, in order.  A face
+    given by a cut gets the vertices where the cut is tight; the cut must
+    be valid for the block, and equal them when a vertex list is given too.
+    A face given only by a vertex list gets the sum of the block rows tight
+    at those vertices as its cut, and needs one.  A vertex list must hold
+    distinct integers in 0..|V|-1.  Raises InvalidFace on the first face
+    that breaks one of these, and FacesShareVertices on the first face that
+    holds no vertex or shares one with an earlier face of its block."""
+    sets, cuts = [], []
     for i, block in enumerate(inst.blocks):
         P = block.P
+        verts = enumerate_vertices_oracle(P)
+        owner: Dict[int, int] = {}  # vertex index -> the face holding it
+        sets.append([])
         cuts.append([])
         for j, face in enumerate(block.faces):
+            E = face.vertices
+            if E is not None and not (
+                all(is_index(v) and 0 <= v < len(verts) for v in E) and len(set(E)) == len(E)
+            ):
+                raise InvalidFace(
+                    f"face {j} of block {i}: vertices must be distinct integers in 0..{len(verts) - 1}"
+                )
             if face.tau is not None:
-                cuts[i].append((face.tau, face.pi))
-                continue
-            tight = [
-                r
-                for r in range(P.m)
-                if all(sum(P.A[r][t] * verts[i][v][t] for t in range(P.n)) == P.b[r]
-                       for v in face.vertices)
-            ]
-            if not tight:
-                raise InvalidFace(f"no supporting rows for face {j} of block {i}")
-            tau = sum(P.b[r] for r in tight)
-            pi = tuple(sum(P.A[r][t] for r in tight) for t in range(P.n))
-            cuts[i].append((tau, pi))
-    return cuts
+                slacks = [face.tau - sum(p * v[t] for t, p in enumerate(face.pi)) for v in verts]
+                if any(s < 0 for s in slacks):
+                    raise InvalidFace(f"face cut {j} of block {i} is not valid for the block")
+                tight = tuple(idx for idx, s in enumerate(slacks) if s == 0)
+                if E is not None and E != tight:
+                    raise InvalidFace(f"face {j} of block {i}: cut and vertex list disagree")
+                E, cut = tight, (face.tau, face.pi)
+            else:
+                rows = [
+                    r for r in range(P.m)
+                    if all(sum(a * x for a, x in zip(P.A[r], verts[v])) == P.b[r] for v in E)
+                ]
+                if not rows:
+                    raise InvalidFace(f"no supporting rows for face {j} of block {i}")
+                cut = (sum(P.b[r] for r in rows), tuple(sum(P.A[r][t] for r in rows) for t in range(P.n)))
+            if not E:
+                raise FacesShareVertices(f"face {j} of block {i} contains no vertex")
+            shared = [owner[v] for v in E if v in owner]
+            if shared:
+                raise FacesShareVertices(f"faces {min(shared)} and {j} of block {i} share a vertex")
+            owner.update(dict.fromkeys(E, j))
+            sets[i].append(E)
+            cuts[i].append(cut)
+    return CheckedFaces(sets, cuts)
 
 
 # --------------------------------------------------------------------------

@@ -612,7 +612,7 @@ class _RunLins:
     """The coordinates of one DD run, linearized on first use: each
     state's mu and theta from their stored form (``fmu``, ``ftheta``: a
     numerator over a multiset of pool ids), each denominator's product
-    once per run."""
+    once per run.  DE reads nothing else of a state's coordinates."""
 
     def __init__(self, run: DDRun, wreg: _WRegistry):
         self.run = run
@@ -634,20 +634,6 @@ class _RunLins:
                 for f in getattr(self.run.states[t], kind)
             ]
         return self.lins[t, kind]
-
-    def summands(self, i: int) -> List[_Lin]:
-        """The top-level summands w * prod(cone forms) / prod(cone forms)
-        of the final state's constraint-product view of coordinate i."""
-        pool, view = self.pool, self.run.final.cpr[i]
-        den, dsign = self.den(view.den), pool.cone_weight(1, view.den)
-        out = []
-        for w, fids in view.terms:
-            N, q = _dehomogenized(pool.product(fids))
-            out.append(_linearized(
-                {alpha: a * w.numerator for alpha, a in N.items()}, q * w.denominator,
-                den, dsign * pool.cone_weight(1, fids), self.wreg,
-            ))
-        return out
 
 
 def _lin_row(wreg: _WRegistry, terms, first: Sequence[str] = ()):
@@ -679,9 +665,9 @@ def build_de_linear(
     """Linear subset of the algebraic hierarchy at level k over a set of
     constraint orders.
 
-    Per order: scaled y-membership rows for every coordinate (aggregate and
-    one row per top-level summand of the constraint-product view), coordinate
-    non-negativity, the inter-level affine recursions for mu and mu*y', and
+    Per order: for each coordinate mu_i of the final state, one
+    non-negativity row and one scaled y-membership row per row of Py, the
+    inter-level affine recursions for mu and mu*y', and
     constraint-product sign rows for all row subsets up to theta_cap over
     every denominator seen.  Linearization variables are shared across orders
     whenever the (denominator, exponent, y-index) key coincides.  z_j is in
@@ -750,25 +736,17 @@ def build_de_linear(
             ], (f"z{j}",))
             prob.add_row(coeffs, ">=", rhs, name=f"obj[{j}]ς{o}", tag=("obj", o, j))
         # membership and non-negativity rows per coordinate
-        for i in range(final.p):
-            pieces = [mu[i]]
-            if final.cpr[i] is not None and len(final.cpr[i].terms) > 1:
-                pieces += rl.summands(i)
-            for piece_no, g in enumerate(pieces):
-                coeffs, rhs = _lin_row(wreg, [(g, None, ONE)])
-                if piece_no == 0:
-                    prob.add_row(coeffs, ">=", rhs, name=f"nn[{i}]ς{o}",
-                                 tag=("nonneg", o, i))
-                for r in range(inst.Py.m):
-                    A = inst.Py.A[r]
-                    coeffs, rhs = _lin_row(
-                        wreg, [(g, None, inst.Py.b[r])] + [(g, l, -A[l]) for l in ycols if A[l]]
-                    )
-                    prob.add_row(
-                        coeffs, ">=", rhs,
-                        name=f"yscale[{r},{i},{piece_no}]ς{o}",
-                        tag=("yscale", o, r, i, piece_no),
-                    )
+        for i, g in enumerate(mu):
+            coeffs, rhs = _lin_row(wreg, [(g, None, ONE)])
+            prob.add_row(coeffs, ">=", rhs, name=f"nn[{i}]ς{o}", tag=("nonneg", o, i))
+            for r in range(inst.Py.m):
+                A = inst.Py.A[r]
+                coeffs, rhs = _lin_row(
+                    wreg, [(g, None, inst.Py.b[r])] + [(g, l, -A[l]) for l in ycols if A[l]]
+                )
+                # the trailing 0, once a piece index, keeps --report files byte-identical
+                prob.add_row(coeffs, ">=", rhs, name=f"yscale[{r},{i},0]ς{o}",
+                             tag=("yscale", o, r, i, 0))
         # inter-level recursion rows, t = 1..k over the (unpruned) states
         for t in range(1, len(run.entries) + 1):
             prev = run.states[t - 1]

@@ -14,9 +14,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from barydd.dd_engine import dd_run
 from barydd.exactmath import Poly, RatFun
-from barydd.facial import FDPInstance, _subsets, block_vertices, check_vertex_disjoint
+from barydd.facial import FDPInstance, _subsets, check_vertex_disjoint
 from barydd.lp import LPProblem, lp_solve
-from barydd.polyhedra import interior_point
+from barydd.polyhedra import enumerate_vertices_oracle, interior_point
 from barydd.relaxation import DBPInstance, RelaxModel, _check_box, expand_product_factor
 
 ZERO = Fraction(0)
@@ -114,9 +114,9 @@ def reference_de_linear(
     """Linear subset of the algebraic hierarchy at level k over a set of
     constraint orders.
 
-    Per order: scaled y-membership rows for every coordinate (aggregate and
-    one row per top-level summand of the constraint-product view), coordinate
-    non-negativity, the inter-level affine recursions for mu and mu*y', and
+    Per order: for each coordinate mu_i of the final state, one
+    non-negativity row and one scaled y-membership row per row of Py, the
+    inter-level affine recursions for mu and mu*y', and
     constraint-product sign rows for all row subsets up to theta_cap over
     every denominator seen.  Linearization variables are shared across orders
     whenever the (denominator, exponent, y-index) key coincides.
@@ -176,35 +176,25 @@ def reference_de_linear(
                         const += r * inst.Q[j][l] * cst
             prob.add_row(coeffs, ">=", const, name=f"obj[{j}]ς{o}", tag=("obj", o, j))
         # membership and non-negativity rows per coordinate
-        for i in range(final.p):
-            mu_i = dehom_mu[i]
-            pieces = [mu_i]
-            if final.cpr[i] is not None and len(final.cpr[i].terms) > 1:
-                pool = final.pool
-                dpoly = pool.cone_product(final.cpr[i].den).subs_one(0)
-                for w, fids in final.cpr[i].terms:
-                    pieces.append(RatFun(pool.cone_product(fids).subs_one(0).scale(w), dpoly))
-            for piece_no, g in enumerate(pieces):
-                gl, gc = _lin_ratfun(wreg, g, None)
-                if piece_no == 0:
-                    prob.add_row(dict(gl), ">=", -gc, name=f"nn[{i}]ς{o}",
-                                 tag=("nonneg", o, i))
-                for r in range(inst.Py.m):
-                    coeffs: Dict[str, Fraction] = {}
-                    const = ZERO
-                    _merge(coeffs, gl, inst.Py.b[r])
-                    const -= inst.Py.b[r] * gc
-                    for l in range(ny):
-                        a = inst.Py.A[r][l]
-                        if a:
-                            cfs, cst = _lin_ratfun(wreg, g, l)
-                            _merge(coeffs, cfs, -a)
-                            const += a * cst
-                    prob.add_row(
-                        coeffs, ">=", const,
-                        name=f"yscale[{r},{i},{piece_no}]ς{o}",
-                        tag=("yscale", o, r, i, piece_no),
-                    )
+        for i, g in enumerate(dehom_mu):
+            gl, gc = _lin_ratfun(wreg, g, None)
+            prob.add_row(dict(gl), ">=", -gc, name=f"nn[{i}]ς{o}", tag=("nonneg", o, i))
+            for r in range(inst.Py.m):
+                coeffs: Dict[str, Fraction] = {}
+                const = ZERO
+                _merge(coeffs, gl, inst.Py.b[r])
+                const -= inst.Py.b[r] * gc
+                for l in range(ny):
+                    a = inst.Py.A[r][l]
+                    if a:
+                        cfs, cst = _lin_ratfun(wreg, g, l)
+                        _merge(coeffs, cfs, -a)
+                        const += a * cst
+                prob.add_row(
+                    coeffs, ">=", const,
+                    name=f"yscale[{r},{i},0]ς{o}",
+                    tag=("yscale", o, r, i, 0),
+                )
         # inter-level recursion rows, t = 1..k over the (unpruned) states
         for t in range(1, len(run.entries) + 1):
             prev = run.states[t - 1]
@@ -376,7 +366,7 @@ def _face_cut(inst: FDPInstance, i: int, j: int) -> Tuple[Fraction, tuple]:
     if face.tau is not None:
         return face.tau, face.pi
     P = inst.blocks[i].P
-    verts = block_vertices(inst, i)
+    verts = enumerate_vertices_oracle(P)
     E = face.vertices
     tight = [
         r
@@ -528,7 +518,7 @@ def reference_substitute_indicators(inst: FDPInstance, k: int) -> LPProblem:
         raise ValueError("level must be in 1..n_p")
     Es = check_vertex_disjoint(inst)
     n, ny = inst.n, inst.ny
-    verts = [block_vertices(inst, i) for i in range(inst.np)]
+    verts = [enumerate_vertices_oracle(b.P) for b in inst.blocks]
     prob = LPProblem(sense="min", name=f"fdrsub{k}")
     for j in range(n):
         prob.add_var(f"x{j}")

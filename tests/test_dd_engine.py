@@ -1,6 +1,7 @@
 """The double description engine: golden runs, ledger, closed forms, pruning."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -1111,6 +1112,36 @@ class TestNtotFactoredOnce:
                 assert calls == []
             state = nxt
         assert ray_steps >= 2
+
+
+class TestCprTerms:
+    """Only a pruning fold sums constraint-product views (``cpr_combine``);
+    a ray step multiplies and scales them term by term.  So every CPR of an
+    unpruned run has one term, and ``build_de_linear``, whose runs are
+    unpruned, writes one membership row per coordinate and reads no CPR."""
+
+    CASES = [(n, m, seed) for n, m in ((2, 5), (2, 6), (3, 5), (3, 6)) for seed in range(3)]
+
+    @staticmethod
+    def term_counts(run):
+        return {len(c.terms) for st in run.states for c in st.cpr if c is not None}
+
+    def test_orthant_polytopes_in_shuffled_orders(self):
+        pruned = set()
+        for n, m, seed in self.CASES:
+            rng = random.Random(f"cpr-{n}-{m}-{seed}")
+            P = orthant_polytope(n, m, rng)
+            order = list(range(P.m))
+            rng.shuffle(order)
+            assert self.term_counts(dd_run(P, order=order)) == {1}, (n, m, seed)
+            pruned |= self.term_counts(dd_run(P, order=order, prune=True))
+        # the folds of pruned runs do sum, so the check above can fail
+        assert max(pruned) >= 2
+
+    def test_de_orders_of_dbp_62(self, dbp_62):
+        m = dbp_62.P.m
+        for order in (o for k in range(1, m + 1) for o in itertools.permutations(range(m), k)):
+            assert self.term_counts(dd_run(dbp_62.P, order=order)) <= {1}, order
 
 
 class TestDerivedCoordinates:

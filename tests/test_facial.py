@@ -15,12 +15,12 @@ from barydd.facial import (
     FDPInstance,
     Face,
     FacesShareVertices,
-    block_vertices,
     brute_force_fdp,
     build_fdr_level,
     check_vertex_disjoint,
 )
 from barydd.lp import lp_solve
+from barydd.polyhedra import enumerate_vertices_oracle
 from barydd.relaxation import sherali_adams_01
 from closed_forms import barycentric_indicator
 from reference_builders import (
@@ -84,7 +84,7 @@ class TestAssumption:
             ny=0,
         )
         sets = check_vertex_disjoint(inst)[0]
-        verts = block_vertices(inst, 0)
+        verts = enumerate_vertices_oracle(inst.blocks[0].P)
         assert verts == [(F(0), F(0)), (F(0), F(1)), (F(1), F(0))]
         assert sets[0] == (0,)  # the origin vertex
         assert sets[1] == (1, 2)  # the hypotenuse edge

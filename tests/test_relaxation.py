@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from barydd import HPolyhedron, cli, dd_engine, dd_run, enumerate_vertices_oracle, relaxation
-from barydd.exactmath import Poly, RatFun
+from barydd.exactmath import Poly, RatFun, rat_to_str
 from barydd.facial import CouplingRow, Face, FDPBlock, FDPInstance
 from barydd.lp import LPProblem, lp_solve
 from barydd.polyhedra import dehomogenize_columns
@@ -733,6 +733,28 @@ class TestRLT:
             assert_same_lp(got, want)
             assert lp_solve(got) == lp_solve(want)
 
+    @pytest.mark.parametrize("n, ny, seed", [(1, 1, 0), (2, 2, 1), (3, 1, 2)])
+    def test_cli(self, n, ny, seed, tmp_path, capsys):
+        # solve --method rltbox prints each level's value, the hull's at
+        # level n, and --report names the level
+        inst = random_box_dbp(random.Random(700 + seed), n, ny)
+        inp = tmp_path / "inst.json"
+        inp.write_text(json.dumps(inst.to_json()))
+
+        def solve(*args):
+            assert cli.main(["solve", str(inp), *args]) == 0
+            return capsys.readouterr().out
+
+        hull = solve("--method", "hull")
+        for k in range(1, n + 1):
+            want = lp_solve(build_rlt_baseline(inst, "box_level_k", k=k)).value
+            out = tmp_path / f"rltbox{k}.json"
+            printed = solve("--method", "rltbox", "--level", str(k), "--report", str(out))
+            assert printed == f"{rat_to_str(want)}\n"
+            report = json.loads(out.read_text())
+            assert (report["name"], report["value"]) == (f"rltbox{k}", rat_to_str(want))
+        assert printed == hull
+
     def test_self_products_41_lifted_point(self, poly_41):
         rows, names = rlt_self_product_rows(poly_41)
         point = {
@@ -1000,8 +1022,17 @@ class TestCliBadInput:
             [{"tau": "0", "pi": ["1"]}, {"tau": "1", "pi": ["1"]}],
             [{"tau": "0", "pi": ["-1"], "vertices": [1]}, {"tau": "1", "pi": ["1"]}],
             [{"vertices": [0, 1]}],
+            [{"vertices": [5]}, {"vertices": [0]}],
+            [{"vertices": [1]}, {"vertices": [-1]}],
+            [{"vertices": ["a"]}],
+            [{"vertices": [1.5]}],
+            [{"vertices": [None]}],
+            [{"vertices": [True]}, {"vertices": [0]}],
+            [{"vertices": [0, 0]}],
         ],
-        ids=["cut_not_valid", "cut_disagrees_with_vertices", "no_supporting_row"],
+        ids=["cut_not_valid", "cut_disagrees_with_vertices", "no_supporting_row", "vertex_out_of_range",
+             "vertex_negative", "vertex_string", "vertex_fraction", "vertex_null", "vertex_bool",
+             "vertex_repeated"],
     )
     @pytest.mark.parametrize(
         "argv, start",
@@ -1029,9 +1060,15 @@ class TestCliBadInput:
             (lambda d: d["coupling"][0].update(sense="<"), "coupling row 0: bad sense '<'"),
             (lambda d: d["blocks"][0]["faces"][1].update(pi=[]), "face 1 of block 0: pi must have length 1"),
             (lambda d: d["blocks"][1]["faces"][0].update(pi=["-1", "0"]), "face 0 of block 1: pi must have length 1"),
+            (lambda d: d.update(ny=1.9), "ny must be a non-negative integer"),
+            (lambda d: d.update(ny=True), "ny must be a non-negative integer"),
+            (lambda d: d.update(ny="1"), "ny must be a non-negative integer"),
+            (lambda d: d.update(ny=-1), "ny must be a non-negative integer"),
+            (lambda d: d.update(ny=None), "ny must be a non-negative integer"),
         ],
         ids=["short_obj_x", "long_obj_x", "short_obj_y", "long_x_coeffs", "short_x_coeffs",
-             "no_y_coeffs", "bad_sense", "empty_pi", "long_pi"],
+             "no_y_coeffs", "bad_sense", "empty_pi", "long_pi", "ny_fraction", "ny_bool", "ny_string",
+             "ny_negative", "ny_null"],
     )
     @pytest.mark.parametrize(
         "argv, start",

@@ -171,3 +171,24 @@ def test_no_function_local_import():
             if not imported <= lazy.get((name, func), set()):
                 found.append(f"{name}:{node.lineno} {func} imports {', '.join(sorted(imported))}")
     assert found == []
+
+
+def test_cpr_read_only_in_dd_engine():
+    # the constraint-product view (CPR) is the DD engine's own: every other
+    # module reads a coordinate from its reduced form, once
+    cpr_names = {"CPR", "cpr_scale", "cpr_combine", "cpr_mul", "cpr_numerator", "cone_product", "cone_weight"}
+    found = []
+    for name, tree in modules():
+        if name == "dd_engine.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read = {node.attr} & (cpr_names | {"cpr"})
+            elif isinstance(node, ast.Name):
+                read = {node.id} & cpr_names
+            elif isinstance(node, ast.ImportFrom):
+                read = {a.name for a in node.names} & cpr_names
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {r}" for r in read]
+    assert found == []
