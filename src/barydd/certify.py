@@ -9,11 +9,14 @@ coordinates lambda(x), the objective satisfies the polynomial identity
 where z is the least common denominator of the lambda (a product of tracked
 denominator factors; no multivariate gcd is used) and q is a non-negative
 combination of products of P-constraint expressions, each optionally
-multiplied by one Py-constraint expression.  Both sides are affine in y, so
-verification compares their ny + 1 coefficients in y, each a polynomial in
-x alone, exactly.  It also checks z > 0 on the interior of P from z's
-values at P's vertices, which decides it when z is affine or constant; a z
-of higher degree is also read at sampled interior points.
+multiplied by one Py-constraint expression.  The products z * lambda_i are
+read from the coordinates' stored form (a numerator over a multiset of DD
+pool factors), with no rational-function normalization and no division.
+Verification checks the identity in integers: both sides over one common
+denominator, each P row in its integer form, compared coefficient by
+coefficient.  It then checks z > 0 at the average of P's vertices, which
+with non-negative weights proves obj >= delta on P x Py (see
+``verify_certificate``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .polyhedra import enumerate_vertices_oracle
 from .relaxation import BarycentricCoords, DBPInstance
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class OrderMismatch(ValueError):
@@ -74,39 +76,6 @@ class Certificate:
     n: int
     ny: int
 
-    def rhs_in_x(self, inst: DBPInstance) -> List[Poly]:
-        """q(x, y) by its coefficients in y, each a Poly over x1..xn, as
-        ``DBPInstance.objective_in_x`` gives the objective.  A term with Py
-        row r adds weight * (b_r, -A_r) to the ny + 1 scalars of its
-        ``pfactors`` product, a term without one weight * (1, 0, ..., 0).
-        Each distinct product is expanded once, extending the expansion of
-        its prefix by one row, and added to each coefficient times its
-        scalar."""
-        n = self.n
-        products = {(): Poly.const(n, 1)}
-
-        def product(pf: tuple) -> Poly:
-            if pf not in products:
-                products[pf] = product(pf[:-1]) * _p_row_expr(inst, pf[-1], n)
-            return products[pf]
-
-        scalars: Dict[tuple, List[Fraction]] = {}
-        for t in self.terms:
-            s = scalars.setdefault(t.pfactors, [ZERO] * (self.ny + 1))
-            if t.yfactor is None:
-                s[0] += t.weight
-            else:
-                s[0] += t.weight * inst.Py.b[t.yfactor]
-                for l, a in enumerate(inst.Py.A[t.yfactor]):
-                    s[1 + l] -= t.weight * a
-        pieces: List[dict] = [{} for _ in range(self.ny + 1)]
-        for pf, s in scalars.items():
-            for piece, c in zip(pieces, s):
-                if c:
-                    for e, v in product(pf).terms.items():
-                        piece[e] = piece.get(e, ZERO) + c * v
-        return [Poly(n, piece) for piece in pieces]
-
     def to_json(self) -> dict:
         return {
             "delta": rat_to_str(self.delta),
@@ -120,6 +89,8 @@ class Certificate:
     def from_json(d: dict) -> "Certificate":
         if not (is_index(d["n"]) and is_index(d["ny"]) and d["n"] >= 0 and d["ny"] >= 0):
             raise ValueError("n and ny must be non-negative integers")
+        if not isinstance(d["terms"], list):
+            raise ValueError("terms must be a list")
         # zpoly lives in the combined (x, y) space with zero y-degrees
         return Certificate(
             delta=rat_from_str(d["delta"]),
@@ -154,14 +125,6 @@ def _p_row_expr(inst: DBPInstance, i: int, nv: int) -> Poly:
     """b_i - A_i.x as a Poly over nv variables, x1..xn first: over x alone
     (nv = n) or over (x1..xn, y1..yny)."""
     return Poly.affine(nv, inst.P.b[i], [-a for a in inst.P.A[i]])
-
-
-def _dehom_prim(pool, fid) -> Optional[Poly]:
-    p = pool.polys[fid].subs_one(0)
-    if p.is_zero() or p.is_constant():
-        return None
-    _, prim = p.primitive()
-    return prim
 
 
 def vertex_average(verts: Sequence[tuple]) -> tuple:
@@ -283,39 +246,48 @@ def _hull_duals(
 def _weighted_numerators(
     inst: DBPInstance, coords: BarycentricCoords
 ) -> Tuple[Poly, List[Poly]]:
-    """(z, [z * lambda_i]) in the certificate space (x1..xn, y1..yny): z is
-    the least common denominator of the lambda over the tracked factors,
-    oriented positive at the vertex average."""
+    """(z, [z * lambda_i]) in the certificate space (x1..xn, y1..yny), read
+    from the stored coordinates.  lambda_i is c_i num_i(1, x) over the
+    product of the pool factors f_k(1, x) of its denominator's multiset,
+    c_i the first entry of its column (``BarycentricCoords.fmu`` and
+    ``columns``).  Each pool factor is dehomogenized once, as s_k p_k with
+    p_k primitive, or as the constant s_k.  z is the product of the p_k,
+    each to its largest multiplicity in a denominator, oriented positive at
+    the vertex average; so z * lambda_i is c_i num_i(1, x) / prod s_k times
+    the p_k that z has beyond lambda_i's denominator."""
     pool = coords.run.final.pool
-    maxmult: Dict[tuple, Tuple[Poly, int]] = {}
-    for fac in coords.den_factors:
-        counts: Dict[tuple, int] = {}
-        for fid in fac:
-            prim = _dehom_prim(pool, fid)
-            if prim is None:
-                continue
-            k = prim.key()
-            counts[k] = counts.get(k, 0) + 1
-            if k not in maxmult or counts[k] > maxmult[k][1]:
-                maxmult[k] = (prim, counts[k])
-    nv_hom = inst.P.n + 1
-    z_hom = Poly.const(nv_hom, 1)
-    for prim, mult in maxmult.values():
-        for _ in range(mult):
-            z_hom = z_hom * prim
-    if z_hom.eval((ONE,) + vertex_average(coords.vertices)) < 0:
-        z_hom = -z_hom
+    nv = inst.n + inst.ny
     # the x0 slot has degree 0 in every dehomogenized poly, so its image is
     # irrelevant
-    nv = inst.n + inst.ny
     hom_to_cert = [0] + list(range(inst.n))
+    factors: Dict[int, Tuple[Fraction, Optional[Poly]]] = {}
+    maxmult: Dict[int, int] = {}
+    for f in coords.fmu:
+        for k in set(f.den):
+            if k not in factors:
+                p = pool.polys[k].subs_one(0)
+                if p.is_constant():
+                    factors[k] = (p.constant_value(), None)
+                else:
+                    s, prim = p.primitive()
+                    factors[k] = (s, prim.remap(nv, hom_to_cert))
+            if factors[k][1] is not None:
+                maxmult[k] = max(maxmult.get(k, 0), f.den.count(k))
+    z = Poly.const(nv, 1)
+    for k, mult in maxmult.items():
+        z = z * factors[k][1] ** mult
+    sign = -1 if z.eval(vertex_average(coords.vertices) + (ZERO,) * inst.ny) < 0 else 1
     zl: List[Poly] = []
-    for lam in coords.lam:
-        q = z_hom.exact_div(lam.den)
-        if q is None:
-            raise CertificateStructureError("z is not divisible by a lambda denominator")
-        zl.append((lam.num * q).remap(nv, hom_to_cert))
-    return z_hom.remap(nv, hom_to_cert), zl
+    for f, col in zip(coords.fmu, coords.columns):
+        scale = Fraction(sign) * col[0]
+        q = f.num.subs_one(0).remap(nv, hom_to_cert)
+        for k in f.den:
+            scale /= factors[k][0]
+        for k, mult in maxmult.items():
+            for _ in range(mult - f.den.count(k)):
+                q = q * factors[k][1]
+        zl.append(q.scale(scale))
+    return z.scale(sign), zl
 
 
 def extract_certificate(
@@ -388,6 +360,86 @@ def _misfit(inst: DBPInstance, cert: Certificate) -> str:
     return ""
 
 
+def _times_affine(p: Dict[tuple, int], const: int, coeffs: Sequence[int]) -> Dict[tuple, int]:
+    """The integer polynomial p, as {exponent: int}, times const + coeffs.x."""
+    out: Dict[tuple, int] = {}
+    for e, c in p.items():
+        if const:
+            out[e] = out.get(e, 0) + c * const
+        for j, a in enumerate(coeffs):
+            if a:
+                f = e[:j] + (e[j] + 1,) + e[j + 1:]
+                out[f] = out.get(f, 0) + c * a
+    return {e: c for e, c in out.items() if c}
+
+
+def _identity_residual(inst: DBPInstance, cert: Certificate) -> Poly:
+    """z(x)(obj - delta) - q(x, y) over (x, y), computed in integers.
+
+    Both sides are affine in y, so each is taken by its ny + 1 coefficients
+    in (1, y1..yny), each over x alone.  A P row enters in its integer form
+    (``HPolyhedron.int_rows``), d_i (b_i - A_i.x) with d_i > 0, and each
+    distinct ``pfactors`` product is expanded once, extending its prefix by
+    one row.  The weights are integers over one denominator, and so are
+    the Py rows (b_r, -A_r); the terms that share a product add their
+    weights times (b_r, -A_r), or times (1, 0, ..., 0) without a Py row,
+    into its ny + 1 integer scalars.  Each scalar over its denominator
+    times the product's prod d_i, and z times the objective side over
+    theirs, are brought to one common denominator D
+    (``linalg.ratios_over_lcm``), so both sides are {exponent: int} dicts
+    and the residual's only fractions are its coefficients over D."""
+    n, ny = cert.n, cert.ny
+    P = inst.P
+    products: Dict[tuple, Tuple[Dict[tuple, int], int]] = {(): ({(0,) * n: 1}, 1)}
+
+    def product(pf: tuple) -> Tuple[Dict[tuple, int], int]:
+        """(the expansion of prod_i d_i (b_i - A_i.x), prod_i d_i) over pf."""
+        if pf not in products:
+            poly, d = product(pf[:-1])
+            i = pf[-1]
+            rhs, coeffs = P.int_rows[i]
+            d_i = linalg.over_lcm((P.b[i],) + P.A[i])[1]
+            products[pf] = (_times_affine(poly, rhs, [-a for a in coeffs]), d * d_i)
+        return products[pf]
+
+    weights, dw = linalg.over_lcm([t.weight for t in cert.terms])
+    yflat, dy = linalg.over_lcm([v for b, row in zip(inst.Py.b, inst.Py.A) for v in (b, *(-a for a in row))])
+    yrows = [yflat[r * (ny + 1):(r + 1) * (ny + 1)] for r in range(inst.Py.m)]
+    scalars: Dict[tuple, List[int]] = {}
+    for t, w in zip(cert.terms, weights):
+        s = scalars.setdefault(t.pfactors, [0] * (ny + 1))
+        if t.yfactor is None:
+            s[0] += w * dy
+        else:
+            for k, v in enumerate(yrows[t.yfactor]):
+                s[k] += w * v
+    pieces = [(pf, k, c) for pf, s in scalars.items() for k, c in enumerate(s) if c]
+    zint, dz = linalg.over_lcm(list(cert.zpoly.terms.values()))
+    z = {e[:n]: c for e, c in zip(cert.zpoly.terms, zint)}
+    # obj - delta by its coefficients in (1, y): (c0 - delta) + cx.x, then
+    # cy_l + (Q^T x)_l
+    obj, do = linalg.over_lcm(
+        [inst.c0 - cert.delta, *inst.cx]
+        + [v for l in range(ny) for v in (inst.cy[l], *(row[l] for row in inst.Q))]
+    )
+    N, D = linalg.ratios_over_lcm(
+        [(1, dz * do)]
+        + [(c, dw * dy * product(pf)[1]) for pf, _, c in pieces]
+    )
+    ys = [(0,) * ny] + [tuple(int(k == l) for l in range(ny)) for k in range(ny)]
+    res: Dict[tuple, int] = {}
+    for k in range(ny + 1):
+        piece = obj[k * (n + 1):(k + 1) * (n + 1)]
+        for e, c in _times_affine(z, piece[0], piece[1:]).items():
+            key = e + ys[k]
+            res[key] = res.get(key, 0) + N[0] * c
+    for (pf, k, _), w in zip(pieces, N[1:]):
+        for e, c in product(pf)[0].items():
+            key = e + ys[k]
+            res[key] = res.get(key, 0) - w * c
+    return Poly(n + ny, {e: Fraction(c, D) for e, c in res.items() if c})
+
+
 def verify_certificate(
     inst: DBPInstance,
     cert: Certificate,
@@ -396,37 +448,34 @@ def verify_certificate(
     """True iff the certificate fits the instance (its variable counts, a z
     over x alone, and every row index names a row of P or Py), and then (a)
     all weights are non-negative, (b) the polynomial identity
-    z(x)(obj - delta) = q(x,y) holds exactly, and (c) z > 0 on the interior
-    of P.
+    z(x)(obj - delta) = q(x,y) holds exactly (``_identity_residual``), and
+    (c) z > 0 at the average p of P's vertices.
 
-    (b) compares the two sides' ny + 1 coefficients in y, each a
-    polynomial over x alone (``DBPInstance.objective_in_x``,
-    ``Certificate.rhs_in_x``); both sides are affine in y, so they agree
-    exactly when these do.
-
-    (c) requires z > 0 at the vertex average and z >= 0 at every vertex,
-    for every degree of z.  When deg z <= 1 the check is exact: every
-    interior point x of P is a convex combination of all vertices with
-    positive weights, and z(x) is the same combination of the vertex
-    values, so it is >= 0, and 0 only if z vanishes at every vertex, which
-    z > 0 at the average rules out; conversely z >= 0 on all of P by
-    continuity.  When deg z >= 2 it also requires z > 0 at 20 random
-    interior rational points, the same on every call
-    (``interior_points``).
+    These prove obj >= delta on P x Py.  p is a point of P's relative
+    interior: every vertex has a positive weight in it.  Fix y in Py.  Each
+    P row b_i - A_i.x is >= 0 on P, and an affine function that is >= 0 on
+    P and 0 at a relative-interior point is 0 on P's affine hull.  So each
+    product of P rows is > 0 on the relative interior of P or 0 on its
+    affine hull, and so is q(., y), a combination of such products with
+    coefficients weight * (b_r - A_r.y) >= 0 by (a).  If q(., y) > 0 on the
+    relative interior, z has no zero there by (b); the relative interior
+    is convex, hence connected, and z(p) > 0, so z > 0 on all of it, and
+    obj - delta = q / z > 0 there and >= 0 on P by continuity.  Otherwise
+    z (obj - delta) is 0 on the affine hull, where z is not the zero
+    polynomial since z(p) > 0, so obj(., y) = delta on P.  This holds for a
+    P of any dimension, and needs no sign of z at the vertices or
+    elsewhere: z may be negative outside P's relative interior.  z is a
+    polynomial: ``Poly.from_json`` rejects a negative exponent.
 
     The result carries the identity's residual z(x)(obj - delta) - q(x,y)
-    over (x, y), computed from the coefficients in y before checks
-    (a)-(c); a certificate that does not fit has none.  vertices is P's
-    vertex list in the oracle's order, when the caller already holds it
-    (``BarycentricCoords.vertices``); without it the vertex oracle runs."""
+    over (x, y), computed before checks (a)-(c); a certificate that does
+    not fit has none.  vertices is P's vertex list in the oracle's order,
+    when the caller already holds it (``BarycentricCoords.vertices``);
+    without it the vertex oracle runs."""
     misfit = _misfit(inst, cert)
     if misfit:
         return VerifyResult(False, misfit)
-    n = cert.n
-    zx = cert.zpoly.remap(n, range(n))
-    obj = inst.objective_in_x()
-    obj[0] = obj[0] - Poly.const(n, cert.delta)
-    residual = inst.in_xy([zx * o - q for o, q in zip(obj, cert.rhs_in_x(inst))])
+    residual = _identity_residual(inst, cert)
     if any(t.weight < 0 for t in cert.terms):
         return VerifyResult(False, "negative weight", residual)
     if not residual.is_zero():
@@ -435,12 +484,6 @@ def verify_certificate(
         vertices = enumerate_vertices_oracle(inst.P)
     if not vertices:
         return VerifyResult(False, "P has no vertex", residual)
-    if zx.eval(vertex_average(vertices)) <= 0:
+    if cert.zpoly.eval(vertex_average(vertices) + (ZERO,) * cert.ny) <= 0:
         return VerifyResult(False, "z not positive at the vertex average", residual)
-    if any(zx.eval(v) < 0 for v in vertices):
-        return VerifyResult(False, "z negative at a vertex", residual)
-    if zx.degree() > 1:
-        for pt in interior_points(vertices, inst.P.n, 20):
-            if zx.eval(pt) <= 0:
-                return VerifyResult(False, "z not positive at an interior sample", residual)
     return VerifyResult(True, "", residual)

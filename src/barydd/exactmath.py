@@ -394,11 +394,24 @@ class Poly:
 
     @staticmethod
     def from_json(data, nvars: Optional[int] = None) -> "Poly":
+        """The inverse of ``to_json``: a list of [coefficient, exponent]
+        pairs, each exponent a list of nvars non-negative ints, no exponent
+        twice.  Anything else raises ValueError (TypeError for an entry
+        that is not a pair)."""
+        if not isinstance(data, list):
+            raise ValueError("a polynomial must be a list of [coefficient, exponent] pairs")
         if nvars is None:
             if not data:
                 raise ValueError("cannot infer variable count of the zero polynomial")
             nvars = len(data[0][1])
-        return Poly(nvars, {tuple(e): rat_from_str(c) for c, e in data})
+        terms = {}
+        for c, e in data:
+            if not (isinstance(e, list) and len(e) == nvars and all(is_index(k) and k >= 0 for k in e)):
+                raise ValueError(f"exponent {e!r} is not a list of {nvars} non-negative integers")
+            if tuple(e) in terms:
+                raise ValueError(f"exponent {e!r} appears twice")
+            terms[tuple(e)] = rat_from_str(c)
+        return Poly(nvars, terms)
 
     def __repr__(self):
         if not self.terms:

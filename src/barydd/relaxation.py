@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .dd_engine import DDRun, EmptyInterior, dd_run
+from .dd_engine import DDRun, EmptyInterior, Frf, dd_run, frf_to_ratfun
 from .exactmath import Poly, RatFun, rat_from_str, rat_to_str
 from .lp import LPProblem, LPSolution, lp_solve
 from .polyhedra import (
@@ -86,25 +87,6 @@ class DBPInstance:
     @property
     def ny(self) -> int:
         return self.Py.n
-
-    def objective_in_x(self) -> List[Poly]:
-        """The objective by its coefficients in y, each a Poly over
-        x1..xn: entry 0 is the y-free part cx.x + c0, entry 1 + l the
-        coefficient (Q^T x)_l + cy_l of y_l."""
-        return [Poly.affine(self.n, self.c0, self.cx)] + [
-            Poly.affine(self.n, self.cy[l], [row[l] for row in self.Q])
-            for l in range(self.ny)
-        ]
-
-    def in_xy(self, pieces: Sequence[Poly]) -> Poly:
-        """pieces[0] + sum_l pieces[1 + l] * y_l as a Poly over
-        (x1..xn, y1..yny), for pieces over x1..xn."""
-        terms = {}
-        for k, piece in enumerate(pieces):
-            y = tuple(int(k == 1 + l) for l in range(self.ny))
-            for e, c in piece.terms.items():
-                terms[e + y] = c
-        return Poly(self.n + self.ny, terms)
 
     def to_json(self) -> dict:
         return {
@@ -185,11 +167,24 @@ def dbp_as_ac(inst: DBPInstance) -> ACInstance:
 
 @dataclass
 class BarycentricCoords:
+    """P's barycentric coordinates, vertex by vertex in the vertex oracle's
+    order, in the stored form of the DD run that derived them: vertex i is
+    the final column ``columns[i]`` over its first entry c > 0, and its
+    coordinate is c fmu[i] at x0 = 1, fmu[i] a numerator over a multiset of
+    the run's pool ids (``Frf``).  ``lam``, the same coordinates as
+    normalized rational functions, is derived on first read."""
+
     P: HPolyhedron
     vertices: List[tuple]  # oracle order
-    lam: List[RatFun]  # dehomogenized, over (x0, x) with x0 unused
-    den_factors: List[tuple]  # pool-id multisets of the homogeneous dens
-    run: DDRun  # pruned in every state; its final state gives lam
+    columns: List[tuple]  # the final column of each vertex
+    fmu: List[Frf]  # the stored coordinate of each vertex
+    run: DDRun  # pruned in every state; its final state holds the columns
+
+    @cached_property
+    def lam(self) -> List[RatFun]:
+        """The coordinates dehomogenized, over (x0, x) with x0 unused."""
+        mu = [frf_to_ratfun(self.run.final.pool, f) for f in self.fmu]
+        return dehomogenize(self.columns, mu)[1]
 
 
 def _facet_rows(P: HPolyhedron, vertices: Sequence[tuple]) -> List[int]:
@@ -232,13 +227,15 @@ def _facet_rows(P: HPolyhedron, vertices: Sequence[tuple]) -> List[int]:
 def barycentric_for_polytope(P: HPolyhedron) -> BarycentricCoords:
     """Symbolic barycentric coordinates of the polytope P: one DD run over
     P's facet rows in their row order (``_facet_rows`` of the vertex
-    oracle's vertices), pruned in every state as ``dd --prune`` is, its
-    final columns dehomogenized and put in the vertex oracle's order.  A
-    redundant row costs no DD step.  The coordinates are those of the run
-    that processes the facet rows first and the other rows after them,
-    whose steps change neither the columns nor the coordinates; in 3-D and
-    above they can differ from those of the default order when a redundant
-    row sits between facets.
+    oracle's vertices), pruned in every state as ``dd --prune`` is.  Its
+    final columns, dehomogenized, are matched with the oracle's vertices,
+    and each vertex's column and stored coordinate (``fmu``) are recorded
+    in the oracle's order; no coordinate is normalized as a rational
+    function here.  A redundant row costs no DD step.  The coordinates
+    are those of the run that processes the facet rows first and the other
+    rows after them, whose steps change neither the columns nor the
+    coordinates; in 3-D and above they can differ from those of the
+    default order when a redundant row sits between facets.
     When ``_facet_rows`` is empty (the vertices do not span n dimensions,
     a row is tight at every vertex, or no row is a facet row), the run
     takes every row in the default order, so each error below reads as it
@@ -265,8 +262,7 @@ def barycentric_for_polytope(P: HPolyhedron) -> BarycentricCoords:
         raise UnboundedInput("polytope has a recession ray; cannot dehomogenize")
     if rank_error is not None:
         raise rank_error
-    V, lam = dehomogenize(state.R, list(state.mu))
-    pts = [tuple(c[1:]) for c in V]
+    pts = [tuple(c[1:]) for c in dehomogenize_columns(state.R)]
     if sorted(pts) != oracle:
         raise UnboundedInput("dehomogenized columns do not match the vertex set")
     idx = {pt: i for i, pt in enumerate(pts)}
@@ -274,8 +270,8 @@ def barycentric_for_polytope(P: HPolyhedron) -> BarycentricCoords:
     return BarycentricCoords(
         P=P,
         vertices=list(oracle),
-        lam=[lam[i] for i in ordered],
-        den_factors=[state.fmu[i].den for i in ordered],
+        columns=[state.R[i] for i in ordered],
+        fmu=[state.fmu[i] for i in ordered],
         run=run,
     )
 

@@ -8,6 +8,7 @@ from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from barydd import linalg
+from barydd.certify import Certificate, _p_row_expr
 from barydd.dd_engine import CPR, DDRun, FactorPool, cpr_numerator
 from barydd.exactmath import Poly, RatFun
 from barydd.facial import FDPInstance
@@ -343,12 +344,76 @@ def barycentric_indicator(inst: FDPInstance, S: Sequence[int], s: Sequence[int])
     return eta
 
 
+def objective_in_x(inst: DBPInstance) -> List[Poly]:
+    """The objective by its coefficients in y, each a Poly over x1..xn:
+    entry 0 is the y-free part cx.x + c0, entry 1 + l the coefficient
+    (Q^T x)_l + cy_l of y_l."""
+    return [Poly.affine(inst.n, inst.c0, inst.cx)] + [
+        Poly.affine(inst.n, inst.cy[l], [row[l] for row in inst.Q])
+        for l in range(inst.ny)
+    ]
+
+
+def in_xy(inst: DBPInstance, pieces: Sequence[Poly]) -> Poly:
+    """pieces[0] + sum_l pieces[1 + l] * y_l as a Poly over
+    (x1..xn, y1..yny), for pieces over x1..xn."""
+    terms = {}
+    for k, piece in enumerate(pieces):
+        y = tuple(int(k == 1 + l) for l in range(inst.ny))
+        for e, c in piece.terms.items():
+            terms[e + y] = c
+    return Poly(inst.n + inst.ny, terms)
+
+
+def rhs_in_x(inst: DBPInstance, cert: Certificate) -> List[Poly]:
+    """q(x, y) by its coefficients in y, each a Poly over x1..xn with
+    ``Fraction`` coefficients, as ``objective_in_x`` gives the objective.  A
+    term with Py row r adds weight * (b_r, -A_r) to the ny + 1 scalars of
+    its ``pfactors`` product, a term without one weight * (1, 0, ..., 0).
+    Each distinct product is expanded once, extending the expansion of its
+    prefix by one row, and added to each coefficient times its scalar."""
+    n = cert.n
+    products = {(): Poly.const(n, 1)}
+
+    def product(pf: tuple) -> Poly:
+        if pf not in products:
+            products[pf] = product(pf[:-1]) * _p_row_expr(inst, pf[-1], n)
+        return products[pf]
+
+    scalars: Dict[tuple, List[Fraction]] = {}
+    for t in cert.terms:
+        s = scalars.setdefault(t.pfactors, [ZERO] * (cert.ny + 1))
+        if t.yfactor is None:
+            s[0] += t.weight
+        else:
+            s[0] += t.weight * inst.Py.b[t.yfactor]
+            for l, a in enumerate(inst.Py.A[t.yfactor]):
+                s[1 + l] -= t.weight * a
+    pieces: List[dict] = [{} for _ in range(cert.ny + 1)]
+    for pf, s in scalars.items():
+        for piece, c in zip(pieces, s):
+            if c:
+                for e, v in product(pf).terms.items():
+                    piece[e] = piece.get(e, ZERO) + c * v
+    return [Poly(n, piece) for piece in pieces]
+
+
+def fraction_residual(inst: DBPInstance, cert: Certificate) -> Poly:
+    """z(x)(obj - delta) - q(x, y) over (x, y), by the coefficients in y in
+    ``Fraction`` polynomials: the residual the integer identity check of
+    ``verify_certificate`` must reproduce."""
+    zx = cert.zpoly.remap(inst.n, range(inst.n))
+    obj = objective_in_x(inst)
+    obj[0] = obj[0] - Poly.const(inst.n, cert.delta)
+    return in_xy(inst, [zx * o - q for o, q in zip(obj, rhs_in_x(inst, cert))])
+
+
 def objective_poly(inst: DBPInstance) -> Poly:
     """The objective as a Poly over (x1..xn, y1..yny)."""
-    return inst.in_xy(inst.objective_in_x())
+    return in_xy(inst, objective_in_x(inst))
 
 
-def identity_rhs(inst: DBPInstance, cert) -> Poly:
+def identity_rhs(inst: DBPInstance, cert: Certificate) -> Poly:
     """A certificate's q(x, y) over (x1..xn, y1..yny), from its
-    coefficients in y (``Certificate.rhs_in_x``)."""
-    return inst.in_xy(cert.rhs_in_x(inst))
+    coefficients in y (``rhs_in_x``)."""
+    return in_xy(inst, rhs_in_x(inst, cert))

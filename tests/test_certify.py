@@ -28,7 +28,7 @@ from barydd.relaxation import (
     barycentric_for_polytope,
     build_hull_lp,
 )
-from closed_forms import identity_rhs, objective_poly
+from closed_forms import fraction_residual, identity_rhs, objective_poly
 from conftest import bench_inputs, box_polytope, orthant_polytope, run_optimized, sympy_rref
 
 
@@ -693,7 +693,7 @@ class TestCertifyErrors:
 
 
 # --------------------------------------------------------------------------
-# the identity by coefficients in y, and z's sign at the vertices
+# the identity by coefficients in y, and z's sign at the vertex average
 # --------------------------------------------------------------------------
 
 
@@ -763,11 +763,7 @@ class TestIdentityByY:
                 c = Certificate.from_json(cert.to_json())
                 tamper(c)
                 want = xy_residual(inst, c)
-                zx = c.zpoly.remap(inst.n, range(inst.n))
-                obj = inst.objective_in_x()
-                obj[0] = obj[0] - Poly.const(inst.n, c.delta)
-                by_y = inst.in_xy([zx * o - q for o, q in zip(obj, c.rhs_in_x(inst))])
-                assert by_y == want, name
+                assert fraction_residual(inst, c) == want, name
                 assert want.is_zero() == (name == "none"), name
                 res = verify_certificate(inst, c)
                 assert res.residual == want, name
@@ -775,10 +771,12 @@ class TestIdentityByY:
 
 
 class TestExactZSign:
-    """z is checked at P's vertices, which is exact for an affine z; a z of
-    degree 2 or more also at the seeded interior samples.  The instance has
-    a constant objective equal to delta and a certificate without terms, so
-    the identity holds for every z: only the sign check decides."""
+    """z is checked at one point, the vertex average: with non-negative
+    weights and the identity, z > 0 there proves obj >= delta on P x Py
+    (``verify_certificate``), whatever z's sign elsewhere.  The instance
+    has a constant objective equal to delta and a certificate without
+    terms, so the identity holds for every z: only the sign check decides,
+    and every certified bound, obj >= 7, is true."""
 
     # dbp_62's P: vertices (0, -3), (0, 2), (1, 3), (3, 3/2), average (1, 7/8)
     P = HPolyhedron.make([[-1, 1], [3, -2], [3, 4], [-1, 0]], [2, 6, 15, 0])
@@ -791,15 +789,11 @@ class TestExactZSign:
         res = verify_certificate(inst, Certificate(delta=F(7), zpoly=zpoly, terms=[], n=2, ny=1))
         return res.diagnostic if not res.ok else "PASS"
 
-    def samples_and_average(self):
-        verts = enumerate_vertices_oracle(self.P)
-        return certify.interior_points(verts, 2, 20) + [certify.vertex_average(verts)]
-
     def test_affine_negative_at_a_vertex(self):
-        # x2 + 2: -1 at (0, -3), positive at the average and every sample
+        # x2 + 2: -1 at (0, -3), positive at the average; the bound is true
         z = Poly.affine(2, 2, [0, 1])
-        assert all(z.eval(pt) > 0 for pt in self.samples_and_average())
-        assert self.verdict(z) == "z negative at a vertex"
+        assert z.eval((0, -3)) < 0 < z.eval(certify.vertex_average(enumerate_vertices_oracle(self.P)))
+        assert self.verdict(z) == "PASS"
 
     def test_affine_zero_at_a_vertex(self):
         # x2 + 3 vanishes at (0, -3), a boundary point: z > 0 inside P
@@ -811,23 +805,174 @@ class TestExactZSign:
 
     def test_degree_two_negative_at_a_sample(self):
         # x1 (2 x2 - 1): 0, 0, 5 and 6 at the vertices, 3/4 at the average,
-        # negative inside P where x2 < 1/2
+        # negative inside P where x2 < 1/2; the bound is true
         z = Poly.variable(2, 0) * Poly.affine(2, -1, [0, 2])
         verts = enumerate_vertices_oracle(self.P)
         assert all(z.eval(v) >= 0 for v in verts) and z.eval(certify.vertex_average(verts)) > 0
-        assert self.verdict(z) == "z not positive at an interior sample"
+        assert self.verdict(z) == "PASS"
 
     def test_degree_two_goes_through_the_samples(self):
-        # (x2 + 2)(x1 + 1) is -1 at (0, -3) and positive at every sample:
-        # the vertices catch it for every degree of z
+        # (x2 + 2)(x1 + 1) is -1 at (0, -3) and positive at the average;
+        # the bound is true
         z = Poly.affine(2, 2, [0, 1]) * Poly.affine(2, 1, [1, 0])
-        assert all(z.eval(pt) > 0 for pt in self.samples_and_average())
-        assert self.verdict(z) == "z negative at a vertex"
+        assert z.eval((0, -3)) < 0 < z.eval(certify.vertex_average(enumerate_vertices_oracle(self.P)))
+        assert self.verdict(z) == "PASS"
+
+    def test_degree_two_negative_inside(self):
+        # x1 (x2 + 2): 0, 0, 5 and 21/2 at the vertices, -1/10 at (1/5,
+        # -5/2) inside P; the bound is true
+        z = Poly.variable(2, 0) * Poly.affine(2, 2, [0, 1])
+        assert self.P.contains((F(1, 5), F(-5, 2))) and z.eval((F(1, 5), F(-5, 2))) == F(-1, 10)
+        assert self.verdict(z) == "PASS"
 
     def test_z_over_y_does_not_fit(self):
-        # 1 + y1 is positive at every sample with y = 0, but a certificate's
+        # 1 + y1 is positive at every point with y = 0, but a certificate's
         # z is a function of x
         assert self.verdict(Poly.affine(3, 1, [0, 0, 1])) == "z depends on y"
+
+
+class TestFalseBound:
+    """A certificate file whose z is not a polynomial states a false bound,
+    since z(x) (x1 - 0) = q holds with a negative exponent in z; the check
+    rejects it when it reads the file.  The objective is x1 and the
+    certificate claims obj >= 0."""
+
+    Py = HPolyhedron.make([[-1], [1]], [0, 1])
+
+    @pytest.mark.parametrize(
+        "rows, rhs, z, pfactors",
+        [
+            # vertices (-1, 0), (2, 0), (2, 1); z = x2^2 / x1 and q is the
+            # square of the row -x2 <= 0
+            ([[0, -1], [1, 0], [-1, 3]], [0, 2, 1], [["1", [-1, 2, 0]]], [0, 0]),
+            # P = [-1, 2], z = 1 / x1 and q = 1
+            ([[-1], [1]], [1, 2], [["1", [-1, 0]]], []),
+        ],
+        ids=["x2_squared_over_x1", "one_over_x1"],
+    )
+    def test_exits_2(self, rows, rhs, z, pfactors, tmp_path, capsys):
+        P = HPolyhedron.make(rows, rhs)
+        inst = DBPInstance.make(Q=[[0]] * P.n, P=P, Py=self.Py, cx=[1] + [0] * (P.n - 1), c0=0)
+        assert vertex_minimum(inst) == -1
+        inp, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+        inp.write_text(json.dumps(inst.to_json()))
+        cert.write_text(json.dumps({"delta": "0", "z": z, "n": P.n, "ny": 1,
+                                    "terms": [{"weight": "1", "pfactors": pfactors, "yfactor": None}]}))
+        assert cli.main(["certify", str(inp), "--check", str(cert)]) == cli.EXIT_PARSE
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("bad certificate file: ") and out.err.count("\n") == 1
+
+
+def vertex_minimum(inst):
+    """The exact minimum of a bilinear objective over P x Py, which a pair
+    of vertices attains."""
+    obj = objective_poly(inst)
+    return min(
+        obj.eval(x + y)
+        for x in enumerate_vertices_oracle(inst.P)
+        for y in enumerate_vertices_oracle(inst.Py)
+    )
+
+
+def mutate(cert, rng):
+    """(name, certificate or None) for one seeded mutation of ``cert``: a
+    weight flipped or scaled, a term dropped or duplicated, delta raised or
+    lowered, z and the weights scaled together, or z swapped.  None stands
+    for a certificate file that must fail to parse."""
+    c = Certificate.from_json(cert.to_json())
+    n, nv = c.n, c.n + c.ny
+    i = rng.randrange(len(c.terms))
+    t = c.terms[i]
+    kind = rng.choice(["flip", "scale_weight", "drop", "duplicate", "raise_delta", "lower_delta",
+                       "scale_all", "swap_z", "bad_exponent"])
+    if kind == "flip":
+        c.terms[i] = CertTerm(-t.weight, t.pfactors, t.yfactor)
+    elif kind == "scale_weight":
+        c.terms[i] = CertTerm(t.weight * rng.choice([F(0), F(1, 2), F(2), F(3)]), t.pfactors, t.yfactor)
+    elif kind == "drop":
+        del c.terms[i]
+    elif kind == "duplicate":
+        c.terms.append(t)
+    elif kind == "raise_delta":
+        c.delta += F(rng.randint(1, 9), rng.randint(1, 4))
+    elif kind == "lower_delta":
+        c.delta -= F(rng.randint(1, 9), rng.randint(1, 4))
+    elif kind == "scale_all":
+        k = F(rng.randint(1, 9), rng.randint(1, 4))
+        c.zpoly = c.zpoly.scale(k)
+        c.terms = [CertTerm(u.weight * k, u.pfactors, u.yfactor) for u in c.terms]
+    elif kind == "swap_z":
+        x1 = Poly.variable(nv, 0)
+        x2 = Poly.variable(nv, 1)
+        c.zpoly = rng.choice([
+            -c.zpoly,
+            c.zpoly * c.zpoly,
+            Poly.const(nv, 1),
+            x1 * (x2 + Poly.const(nv, 2)),
+            c.zpoly * (x1 + Poly.const(nv, 3)),
+        ])
+    else:
+        data = c.to_json()
+        data["z"][0][1][rng.randrange(n)] = rng.choice([-1, -2, 0.5, 1.0, True])
+        with pytest.raises(ValueError):
+            Certificate.from_json(data)
+        return kind, None
+    return kind, c
+
+
+def mutated_certificates(dbp_62):
+    """(instance, its exact minimum, mutation, certificate) over seeded
+    mutations, one or two deep, of the certificates of dbp_62 and the
+    random 2x2 DBPs of ``certify_sweep``."""
+    out = []
+    for inst in [dbp_62] + certify_sweep():
+        cert, _ = certified(inst)
+        best = vertex_minimum(inst)
+        out.append((inst, best, "none", cert))
+        rng = random.Random(f"mutate-{best}")
+        for _ in range(40):
+            name, c = mutate(cert, rng)
+            if c is not None and c.terms and rng.random() < 0.3:
+                name2, c = mutate(c, rng)
+                name = f"{name}+{name2}"
+            out.append((inst, best, name, c))
+    return out
+
+
+class TestMutatedCertificates:
+    """Seeded mutations of valid certificates.  None that passes
+    ``verify_certificate`` states a false bound, and the integer identity
+    check's residual is the one expanded in ``Fraction`` polynomials."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, dbp_62):
+        return mutated_certificates(dbp_62)
+
+    def test_no_false_bound(self, cases):
+        verdicts = Counter()
+        for inst, best, name, c in cases:
+            if c is None:
+                verdicts["unparsed"] += 1
+                continue
+            res = verify_certificate(inst, c)
+            verdicts[res.ok] += 1
+            if res.ok:
+                assert c.delta <= best, name
+        # valid certificates pass, and some mutations fail each way
+        assert verdicts[True] >= 5 and verdicts[False] > 0 and verdicts["unparsed"] > 0
+
+    def test_residual_matches_fraction_expansion(self, cases):
+        nonzero = 0
+        for inst, _, name, c in cases:
+            if c is None:
+                continue
+            res = verify_certificate(inst, c)
+            want = fraction_residual(inst, c)
+            assert res.residual == want, name
+            nonzero += not want.is_zero()
+            if res.ok:
+                assert res.residual == Poly.zero(c.n + c.ny)
+        assert nonzero > 0
 
 
 class TestGoldenBenchmarkCertify:

@@ -1192,8 +1192,16 @@ class TestCliBadInput:
             lambda d: d.pop("z"),
             lambda d: d["terms"][0].update(weight="1/x"),
             lambda d: d["terms"][0].update(pfactors=["0"]),
+            lambda d: d["z"][0].__setitem__(1, [-1, 0, 0, 0]),
+            lambda d: d["z"][0].__setitem__(1, [1.0, 0, 0, 0]),
+            lambda d: d["z"][0].__setitem__(1, [True, 0, 0, 0]),
+            lambda d: d["z"][0].__setitem__(1, [1, 0, 0]),
+            lambda d: d["z"].append(list(d["z"][0])),
+            lambda d: d.update(z={}),
+            lambda d: d.update(terms={}),
         ],
-        ids=["missing_key", "bad_rational", "index_not_int"],
+        ids=["missing_key", "bad_rational", "index_not_int", "negative_exponent", "float_exponent",
+             "bool_exponent", "short_exponent", "repeated_exponent", "z_not_list", "terms_not_list"],
     )
     def test_check_rejects_file(self, edit, dbp_62, tmp_path, capsys):
         cert = self.write_cert(tmp_path, dbp_62, edit)

@@ -192,3 +192,23 @@ def test_cpr_read_only_in_dd_engine():
                 continue
             found += [f"{name}:{node.lineno} {r}" for r in read]
     assert found == []
+
+
+def test_certify_reads_the_stored_form():
+    # certify takes each coordinate in its stored form (a numerator over
+    # pool factors): it builds no RatFun and reads no normalized
+    # coordinate, and no module reads BarycentricCoords.lam, which only the
+    # tests read
+    found = []
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read = {node.attr} & ({"lam"} | ({"mu", "RatFun"} if name == "certify.py" else set()))
+            elif isinstance(node, ast.Name) and name == "certify.py":
+                read = {node.id} & {"RatFun"}
+            elif isinstance(node, ast.ImportFrom) and name == "certify.py":
+                read = {a.name for a in node.names} & {"RatFun"}
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {r}" for r in read]
+    assert found == []
